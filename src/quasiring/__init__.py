@@ -27,4 +27,4 @@ from .topology import (
 )
 from .zariski import zariski_closed_family
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

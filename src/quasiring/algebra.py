@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BadTable, NonAssociativeNilpotentQuery
+from .errors import BadTable
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -158,23 +158,3 @@ def structure_flags(y: AlgebraTable) -> StructureFlags:
         zero_divisor_free=not zero_divisors(y),
     )
 
-
-def idempotents_nilpotents(y: AlgebraTable) -> tuple[list[int], list[int]]:
-    """Idempotent elements, and nilpotents (power bound = carrier size).
-
-    The nilpotent scan iterates a·a·..·a left to right and so requires an
-    associative table.
-    """
-    idem = [a for a in y.elements if y.times(a, a) == a]
-    if associativity_witness(y) is not None:
-        raise NonAssociativeNilpotentQuery(
-            "nilpotency is only defined for associative multiplication")
-    nil = []
-    for a in y.elements:
-        p = a
-        for _ in range(y.carrier_size):
-            if p == y.zero:
-                nil.append(a)
-                break
-            p = y.times(p, a)
-    return idem, nil

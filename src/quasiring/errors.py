@@ -29,14 +29,6 @@ class NotClosedUnderIntersection(QuasiringError):
         )
 
 
-class UnsupportedBackend(QuasiringError):
-    pass
-
-
-class NotSeparable(QuasiringError):
-    pass
-
-
 class CarrierMismatch(QuasiringError):
     pass
 
@@ -44,10 +36,6 @@ class CarrierMismatch(QuasiringError):
 # -- algebra ----------------------------------------------------------------
 
 class BadTable(QuasiringError):
-    pass
-
-
-class NonAssociativeNilpotentQuery(QuasiringError):
     pass
 
 
@@ -87,8 +75,8 @@ class IncompleteLattice(QuasiringError):
     pass
 
 
-class ModeMismatch(QuasiringError):
-    pass
+class CrossCheckFailed(QuasiringError):
+    """A computed result disagrees with an independent check of it."""
 
 
 # -- zariski / verify -------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgebraTable, make_zmod, structure_flags
+from .algebra import AlgebraTable, structure_flags
 from .errors import (
     BudgetExceeded,
     InfiniteBackend,
@@ -117,11 +117,6 @@ class FunctionRing:
                 f"{self.algebra!r}, {len(self.elements)} elements)")
 
 
-def enumerate_functions(space: ExplicitSpace, algebra: AlgebraTable,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> FunctionRing:
-    return FunctionRing(space, algebra, budget)
-
-
 def is_continuous(space: ExplicitSpace, algebra: AlgebraTable, values) -> bool:
     """Whether a raw point -> Y-index map is continuous (Y discrete)."""
     values = tuple(values)
@@ -130,18 +125,6 @@ def is_continuous(space: ExplicitSpace, algebra: AlgebraTable, values) -> bool:
         if not space.is_open(pre):
             return False
     return True
-
-
-def pointwise(ring: FunctionRing, op: str, f: FnElement, g: FnElement) -> FnElement:
-    if op == "mul":
-        return ring.mul(f, g)
-    if op == "add":
-        return ring.add(f, g)
-    raise ValueError(f"unknown pointwise operation {op!r}")
-
-
-def characteristic_fn(ring: FunctionRing, u, a: int | None = None) -> FnElement:
-    return ring.chi(u, a)
 
 
 def zero_set_V(ring: FunctionRing, fns, value: int | None = None) -> frozenset:
@@ -226,8 +209,3 @@ def project_L(ring: FunctionRing) -> dict:
     """
     z = ring.algebra.zero
     return {f: tuple(0 if v == z else 1 for v in f) for f in ring.elements}
-
-
-def ring_over(space: ExplicitSpace, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> FunctionRing:
-    """Convenience: C(space, Z_n)."""
-    return FunctionRing(space, make_zmod(n), budget)

@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
+    CrossCheckFailed,
     IncompleteLattice,
     MissingAddition,
     MissingUnit,
-    ModeMismatch,
     NotProper,
 )
 from .funcspace import FnElement, FunctionRing, vanishing_elements
@@ -281,8 +281,8 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
                     break
             frontier = new
     if complete and len(ring.elements) <= 16:
-        oracle = all_ideals_bruteforce(ring, side, mode)
-        assert set(ideals) == oracle, "join-closure disagrees with subset scan"
+        if set(ideals) != all_ideals_bruteforce(ring, side, mode):
+            raise CrossCheckFailed("join-closure disagrees with subset scan")
     order = sorted(ideals.values(), key=lambda i: (len(i), i.sorted_elements()))
     return IdealLattice(ring, tuple(order), side, mode, complete)
 
@@ -336,53 +336,6 @@ def prime_radical(lattice: IdealLattice) -> frozenset | None:
     for p in primes:
         out &= p.elements
     return out
-
-
-def complement_of(ring: FunctionRing, f: FnElement) -> FnElement | None:
-    """g with f+g = Id and f·g = Θ, or None.
-
-    With associative commutative addition and an additive inverse for f the
-    complement is unique; the scan returns the least one either way.
-    """
-    if ring.algebra.add is None:
-        raise MissingAddition("complements need addition")
-    if ring.identity is None:
-        raise MissingUnit("complements need a unit")
-    for g in ring.elements:
-        if ring.add(f, g) == ring.identity and ring.mul(f, g) == ring.theta:
-            return g
-    return None
-
-
-def chi_subring(ring: FunctionRing):
-    """The characteristic functions {χ_U : U clopen} and their 0/1 patterns.
-
-    Multiplication always closes on this set.  When Y is a characteristic-two
-    ring, addition closes too and the pattern map is a ring isomorphism onto
-    C(Z, Z_2).
-    """
-    from .topology import clopen_family
-    if ring.algebra.unit is None:
-        raise MissingUnit("characteristic functions need a unit")
-    z = ring.algebra.zero
-    chi_of = {}
-    for u in clopen_family(ring.space):
-        chi_of[frozenset(u)] = ring.chi(u) if u != ring.space.full else ring.theta
-    patterns = {f: tuple(0 if v == z else 1 for v in f)
-                for f in chi_of.values()}
-    return frozenset(chi_of.values()), chi_of, patterns
-
-
-def ideal_sum_intersect(a: Ideal, b: Ideal) -> tuple[Ideal, Ideal]:
-    """(a+b, a∩b); the sum needs ring mode."""
-    if a.ring is not b.ring or a.side != b.side or a.mode != b.mode:
-        raise ModeMismatch("ideals must share ring, side, and mode")
-    inter = Ideal(a.ring, a.elements & b.elements, a.side, a.mode)
-    if a.mode != RING:
-        raise ModeMismatch("ideal sums need ring mode")
-    sumset = {a.ring.add(x, y) for x in a.elements for y in b.elements}
-    total = generate_ideal(a.ring, sumset, a.side, a.mode)
-    return total, inter
 
 
 @dataclass

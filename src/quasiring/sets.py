@@ -35,11 +35,6 @@ def sort_family(family: Iterable[frozenset]) -> list[frozenset]:
     return sorted(family, key=lambda s: (len(s), sorted(s)))
 
 
-def family_repr(family: Iterable[frozenset]) -> str:
-    return "{" + ", ".join("{" + " ".join(map(str, sorted(s))) + "}"
-                           for s in sort_family(family)) + "}"
-
-
 @dataclass(frozen=True)
 class SeqSet:
     """A subset of N ∪ {∞} in the finite/cofinite algebra.

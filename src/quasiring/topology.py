@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     CarrierMismatch,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
-    NotSeparable,
-    UnsupportedBackend,
 )
 from .sets import INF, SeqSet, sort_family
 
@@ -44,15 +42,6 @@ class ExplicitSpace:
 
     def is_clopen(self, s: frozenset) -> bool:
         return self.is_open(s) and self.is_closed(s)
-
-    def closure(self, s: frozenset) -> frozenset:
-        """Smallest closed superset of s."""
-        out = self.full
-        for u in self.opens:
-            c = self.full - u
-            if s <= c and len(c) < len(out):
-                out = c
-        return out
 
     def sorted_opens(self) -> list[frozenset]:
         return sort_family(self.opens)
@@ -116,7 +105,7 @@ class TopologyComparison:
 
 
 class ClopenFamily:
-    """Clopen sets of the sequence space: a predicate plus bounded enumerator.
+    """Clopen sets of the sequence space, as a membership predicate.
 
     The family is exactly {finite subsets of N} ∪ {cofinite sets containing ∞}
     and is too large to materialize.
@@ -127,26 +116,6 @@ class ClopenFamily:
 
     def contains(self, s: SeqSet) -> bool:
         return self.space.is_clopen(s)
-
-    def enumerate(self, budget: int) -> Iterator[SeqSet]:
-        """Yield clopen sets, finite ones paired with their complements."""
-        produced = 0
-        for support in _finite_subsets():
-            f = SeqSet.of(support)
-            for s in (f, f.complement()):
-                if produced >= budget:
-                    return
-                yield s
-                produced += 1
-
-
-def _finite_subsets() -> Iterator[frozenset]:
-    """All finite subsets of N, ordered by largest element then size."""
-    yield frozenset()
-    for top in itertools.count():
-        for size in range(top + 1):
-            for rest in itertools.combinations(range(top), size):
-                yield frozenset(rest + (top,))
 
 
 def validate_topology(point_count: int, opens, auto_close: bool = False) -> ExplicitSpace:
@@ -237,30 +206,6 @@ def quasi_component(space: Space, x) -> frozenset | SeqSet:
     return out
 
 
-def component_of(space: Space, x):
-    """Maximal connected subset containing x.
-
-    On a finite space two points share a component iff they are linked by a
-    chain of closure overlaps (x ~ y when one lies in the closure of the
-    other).  The sequence backend's components are singletons by construction,
-    so it is answered structurally instead of by scan.
-    """
-    if isinstance(space, SequenceSpace):
-        if x is INF:
-            return SeqSet.of((), infinity=True)
-        return SeqSet.of((x,))
-    closures = {p: space.closure(frozenset({p})) for p in space.points}
-    comp = {x}
-    frontier = [x]
-    while frontier:
-        p = frontier.pop()
-        for q in space.points:
-            if q not in comp and (q in closures[p] or p in closures[q]):
-                comp.add(q)
-                frontier.append(q)
-    return frozenset(comp)
-
-
 def quasi_component_partition(space: ExplicitSpace) -> tuple:
     seen = set()
     classes = []
@@ -312,23 +257,6 @@ def is_totally_separated(space: Space) -> bool:
     if isinstance(space, SequenceSpace):
         return True
     return all(len(quasi_component(space, p)) == 1 for p in space.points)
-
-
-def separate_points(space: Space, x, y):
-    """A clopen set containing Q_x and disjoint from Q_y."""
-    if isinstance(space, SequenceSpace):
-        if x == y or (x is INF and y is INF):
-            raise NotSeparable("identical points")
-        if x is not INF:
-            return SeqSet.of((x,))
-        return SeqSet.cofinite((y,))
-    qx, qy = quasi_component(space, x), quasi_component(space, y)
-    if qx == qy:
-        raise NotSeparable(f"points {x} and {y} share a quasi-component")
-    for u in sort_family(space.opens):
-        if space.is_closed(u) and qx <= u and not (qy & u):
-            return u
-    raise NotSeparable(f"no separating clopen set for {x}, {y}")  # unreachable
 
 
 def compare_topologies(a: Space, b: Space) -> TopologyComparison:

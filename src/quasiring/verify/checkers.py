@@ -1,10 +1,13 @@
 """Checker registry: one verdict function per statement ID.
 
 Each checker tests the literal property it is named for, on a concrete
-instance.  Returns None for PASS or a serializable witness for FAIL; missing
-hypotheses abort with HYPOTHESIS_UNMET.  The partition/monotone laws of the
-prime family are quantified over the proper primes (the trivial ideal and the
-whole ring break the literal universal reading; see the repository notes).
+instance.  Its body returns None for PASS or a serializable witness for FAIL.
+Its hypotheses are declared where it is registered, as names in the
+HYPOTHESES table; ``run_checker`` tests them in order before the body runs
+and reports the first that fails as HYPOTHESIS_UNMET.  The partition/monotone
+laws of the prime family are quantified over the proper primes (the trivial
+ideal and the whole ring break the literal universal reading; see the
+repository notes).
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections.abc import Callable
 from functools import cached_property
+from typing import NamedTuple
 
 from ..algebra import structure_flags
 from ..errors import (
@@ -54,6 +59,7 @@ from ..topology import (
     quasi_component_partition,
     quotient_space,
 )
+from ..sets import INF, SeqSet
 from ..zariski import compare_T1_TZ_T, zariski_closed_family
 from .report import (
     BUDGET_EXCEEDED,
@@ -63,15 +69,6 @@ from .report import (
     SKIPPED_INFINITE,
     TheoremReport,
 )
-
-
-class _Unmet(Exception):
-    pass
-
-
-def _need(cond: bool, why: str):
-    if not cond:
-        raise _Unmet(why)
 
 
 class Context:
@@ -192,120 +189,138 @@ class Context:
 
 
 # --------------------------------------------------------------------------
-# Galois-connection and zero-set laws
+# Hypotheses
 # --------------------------------------------------------------------------
 
-def _l8(ctx):  # J ⊆ A  ⇒  [x] ⊆ [x]_A ⊆ [x]_J
+def _has_all_complements(ctx):
     ring = ctx.ring
-    full = frozenset(ring.elements)
-    for fam in ctx.fn_families():
-        bigger = fam | next(iter(ctx.fn_families(1)))
-        for x in ctx.space.points:
-            ex_full = equiv_class(ring, full, x)
-            ex_a = equiv_class(ring, bigger, x)
-            ex_j = equiv_class(ring, fam, x)
-            if not (ex_full <= ex_a <= ex_j):
-                return {"x": x, "J": fam, "A": bigger}
-    return None
-
-
-def _l9(ctx):  # J ⊆ A ⊆ F  ⇒  V(F,b) ⊆ V(A,b) ⊆ V(J,b)
-    ring = ctx.ring
-    full = frozenset(ring.elements)
-    for fam in ctx.fn_families():
-        bigger = fam | next(iter(ctx.fn_families(1)))
-        for b in ctx.b_values():
-            vf = zero_set_V(ring, full, b)
-            va = zero_set_V(ring, bigger, b)
-            vj = zero_set_V(ring, fam, b)
-            if not (vf <= va <= vj):
-                return {"b": b, "J": fam, "A": bigger}
-    return None
-
-
-def _l10(ctx):  # I(U,b)_J ⊆ J
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        for u in ctx.point_sets():
-            for b in ctx.b_values():
-                if not vanishing_elements(ring, u, b, within=fam) <= fam:
-                    return {"U": u, "b": b}
-    return None
-
-
-def _l11(ctx):  # U ⊆ V(I(U,b)_J, b)
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        for u in ctx.point_sets():
-            for b in ctx.b_values():
-                iu = vanishing_elements(ring, u, b, within=fam)
-                if not u <= zero_set_V(ring, iu, b):
-                    return {"U": u, "b": b, "J": fam}
-    return None
-
-
-def _l12(ctx):  # J ⊆ I(V(J,b), b)
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        for b in ctx.b_values():
-            v = zero_set_V(ring, fam, b)
-            if not fam <= vanishing_elements(ring, v, b):
-                return {"b": b, "J": fam}
-    return None
-
-
-def _l13(ctx):  # J ⊆ A  ⇒  I(U,b)_J ⊆ I(U,b)_A
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        bigger = fam | next(iter(ctx.fn_families(1)))
-        for u in ctx.point_sets():
-            for b in ctx.b_values():
-                small = vanishing_elements(ring, u, b, within=fam)
-                large = vanishing_elements(ring, u, b, within=bigger)
-                if not small <= large:
-                    return {"U": u, "b": b}
-    return None
-
-
-def _l14(ctx):  # U1 ⊆ U2  ⇒  I(U2,b)_J ⊆ I(U1,b)_J
-    ring = ctx.ring
-    sets = ctx.point_sets()
-    for fam in ctx.fn_families():
-        for u1 in sets:
-            for u2 in sets:
-                if not u1 <= u2:
-                    continue
-                for b in ctx.b_values():
-                    i2 = vanishing_elements(ring, u2, b, within=fam)
-                    i1 = vanishing_elements(ring, u1, b, within=fam)
-                    if not i2 <= i1:
-                        return {"U1": u1, "U2": u2, "b": b}
-    return None
-
-
-def _l16(ctx):  # V(f) ∪ V(g) ⊆ V(f·g)
-    ring = ctx.ring
+    if ring.algebra.add is None or ring.identity is None:
+        return False
     for f in ring.elements:
-        for g in ring.elements:
-            if not ring.zero_set(f) | ring.zero_set(g) <= ring.zero_set(ring.mul(f, g)):
-                return {"f": f, "g": g}
+        if not any(ring.add(f, g) == ring.identity and ring.mul(f, g) == ring.theta
+                   for g in ring.elements):
+            return False
+    return True
+
+
+def _is_division_ring(ctx) -> bool:
+    y = ctx.algebra
+    if y.add is None or y.unit is None or not ctx.flags.associative:
+        return False
+    for a in y.elements:
+        if a == y.zero:
+            continue
+        if not any(y.times(a, b) == y.unit and y.times(b, a) == y.unit
+                   for b in y.elements):
+            return False
+    return True
+
+
+#: hypothesis name -> (predicate on a Context, the HYPOTHESIS_UNMET note)
+HYPOTHESES = {
+    "finite": (lambda ctx: not ctx.is_sequence,
+               "symbolic sequence backend: use the bounded sequence API"),
+    "sequence": (lambda ctx: ctx.is_sequence,
+                 "finite explicit spaces have every quasi-component clopen"),
+    "unit": (lambda ctx: ctx.algebra.unit is not None, "needs a unit in Y"),
+    "addition_closed": (lambda ctx: ctx.mode == RING,
+                        "needs addition-closed ideals"),
+    "ring_mode": (lambda ctx: ctx.mode == RING, "needs ring-mode ideals"),
+    "unit_addition_closed": (
+        lambda ctx: ctx.algebra.unit is not None and ctx.mode == RING,
+        "needs a unit and addition-closed ideals"),
+    "unit_addition": (
+        lambda ctx: ctx.algebra.unit is not None and ctx.algebra.add is not None,
+        "needs a unit and addition"),
+    "ring_ops": (
+        lambda ctx: ctx.algebra.add is not None and ctx.algebra.unit is not None,
+        "needs ring operations with a unit"),
+    "no_zero_divisors": (lambda ctx: ctx.flags.zero_divisor_free,
+                         "Y must be free of zero divisors"),
+    "assoc_no_zero_divisors": (
+        lambda ctx: ctx.flags.zero_divisor_free and ctx.flags.associative,
+        "needs associative multiplication without zero divisors"),
+    "assoc_comm": (lambda ctx: ctx.flags.associative and ctx.flags.commutative,
+                   "needs associative commutative multiplication"),
+    "right_absorption": (
+        lambda ctx: ctx.flags.commutative or ctx.side == TWO_SIDED,
+        "one-sided absorption of a right factor needs commutativity"),
+    "distributive": (lambda ctx: ctx.flags.distributive,
+                     "needs distributive operations"),
+    "distributive_addition_closed": (
+        lambda ctx: (ctx.algebra.unit is not None and ctx.mode == RING
+                     and ctx.flags.distributive),
+        "needs a distributive ring with addition-closed ideals"),
+    "char_two": (lambda ctx: ctx.flags.char_two, "needs 1+1=0 in Y"),
+    "char_two_ring": (
+        lambda ctx: (ctx.flags.char_two and ctx.flags.distributive
+                     and ctx.flags.additive_associative
+                     and ctx.flags.additive_commutative),
+        "needs a characteristic-two ring"),
+    "commutative_ring": (
+        lambda ctx: (ctx.flags.associative and ctx.flags.commutative
+                     and ctx.flags.distributive),
+        "needs a commutative ring structure"),
+    "integral_domain": (
+        lambda ctx: (ctx.flags.zero_divisor_free and ctx.flags.associative
+                     and ctx.flags.commutative and ctx.algebra.add is not None),
+        "Y must be an integral domain"),
+    "division_ring": (_is_division_ring, "Y must be a division ring"),
+    "complements": (_has_all_complements, "every element needs a complement"),
+    # these two build the ring and the lattice, so budgets apply to them
+    "two_components": (lambda ctx: len(ctx.ring.classes) >= 2,
+                       "needs at least two quasi-components"),
+    "primes": (lambda ctx: bool(ctx.primes), "no prime ideals on this instance"),
+}
+
+
+class Checker(NamedTuple):
+    body: Callable           # ctx -> None (PASS) or a witness (FAIL)
+    requires: tuple          # HYPOTHESES names, checked in this order
+    members: tuple = ()      # bundled checker ids, run before the body
+
+
+REGISTRY: dict[str, Checker] = {}
+
+
+def _checker(checker_id: str, *requires: str, members: tuple = ()):
+    """Register the decorated body under `checker_id` with its hypotheses."""
+    def register(body):
+        REGISTRY[checker_id] = Checker(body, requires, members)
+        return body
+    return register
+
+
+def _unmet(ctx, checker: Checker) -> str | None:
+    """The note of the first failing hypothesis, or None when all hold.
+
+    Every checker needs a finite space unless it declares the sequence one;
+    a bundle needs its own hypotheses, then those of its members.
+    """
+    names = [] if "sequence" in checker.requires else ["finite"]
+    names += checker.requires
+    for member in checker.members:
+        names += REGISTRY[member].requires
+    for name in names:
+        holds, note = HYPOTHESES[name]
+        if not holds(ctx):
+            return note
     return None
 
 
-def _l17(ctx):  # no zero divisors  ⇒  V(f) ∪ V(g) = V(f·g)
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
-    ring = ctx.ring
-    for f in ring.elements:
-        for g in ring.elements:
-            if ring.zero_set(f) | ring.zero_set(g) != ring.zero_set(ring.mul(f, g)):
-                return {"f": f, "g": g}
-    return None
+def _run(checker: Checker, ctx):
+    for member in checker.members:
+        witness = REGISTRY[member].body(ctx)
+        if witness is not None:
+            return witness
+    return checker.body(ctx)
 
 
 # --------------------------------------------------------------------------
 # Quasi-components and the three topologies
 # --------------------------------------------------------------------------
 
+@_checker("T5")
 def _t5(ctx):  # ring-indistinguishability classes are the quasi-components
     ring = ctx.ring
     full = frozenset(ring.elements)
@@ -315,6 +330,7 @@ def _t5(ctx):  # ring-indistinguishability classes are the quasi-components
     return None
 
 
+@_checker("T6")
 def _t6(ctx):  # the quotient by quasi-components is totally separated
     q = quotient_space(ctx.space).as_space()
     for p in q.points:
@@ -323,6 +339,7 @@ def _t6(ctx):  # the quotient by quasi-components is totally separated
     return None
 
 
+@_checker("T7")
 def _t7(ctx):  # each quasi-component = intersection of the zero sets at it
     ring = ctx.ring
     for x in ctx.space.points:
@@ -336,16 +353,16 @@ def _t7(ctx):  # each quasi-component = intersection of the zero sets at it
     return None
 
 
+@_checker("T8", "no_zero_divisors")
 def _t8(ctx):  # the V(S) family is a topology of closed sets
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     tz = zariski_closed_family(ctx.ring)
     if not tz.union_closed:
         return {"union_witness": tz.union_witness}
     return None
 
 
+@_checker("T9", "no_zero_divisors")
 def _t9(ctx):  # T1 = TZ ⊆ T
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     c1z, czt, c1t = compare_T1_TZ_T(ctx.ring)
     if c1z.verdict != "equal":
         return {"T1_vs_TZ": c1z.verdict}
@@ -356,8 +373,8 @@ def _t9(ctx):  # T1 = TZ ⊆ T
     return None
 
 
+@_checker("T10", "no_zero_divisors")
 def _t10(ctx):  # quasi-components of T, T1, TZ coincide
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     t1 = clopen_base_topology(ctx.space)
     tz = zariski_closed_family(ctx.ring).as_space()
     base = quasi_component_partition(ctx.space)
@@ -368,6 +385,7 @@ def _t10(ctx):  # quasi-components of T, T1, TZ coincide
     return None
 
 
+@_checker("T11")
 def _t11(ctx):  # the continuous functions of T and T1 are the same set
     t1 = clopen_base_topology(ctx.space)
     other = FunctionRing(t1, ctx.algebra, ctx.budget)
@@ -382,9 +400,9 @@ def _t11(ctx):  # the continuous functions of T and T1 are the same set
 # Zero divisors, nilpotents, vanishing ideals
 # --------------------------------------------------------------------------
 
+@_checker("T12", "two_components")
 def _t12(ctx):  # |Z| >= 2 forces zero divisors in the ring
     ring = ctx.ring
-    _need(len(ring.classes) >= 2, "needs at least two quasi-components")
     found = any(ring.mul(f, g) == ring.theta
                 for f in ring.elements if f != ring.theta
                 for g in ring.elements if g != ring.theta)
@@ -397,8 +415,8 @@ def _classes_meeting(ring, points) -> set:
     return {ring.class_of[p] for p in points}
 
 
+@_checker("T13", "unit")
 def _t13(ctx):  # V(I) spanning >= 2 quasi-components ⇒ I not prime
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     for i in ctx.lattice.proper():
         v = zero_set_V(ring, i.elements)
@@ -407,8 +425,8 @@ def _t13(ctx):  # V(I) spanning >= 2 quasi-components ⇒ I not prime
     return None
 
 
+@_checker("T14", "no_zero_divisors")
 def _t14(ctx):  # no zero divisors: I(U) prime iff U is a single component
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     ring = ctx.ring
     for u in ctx.class_subsets():
         i = ctx.I_of(u)
@@ -421,10 +439,9 @@ def _t14(ctx):  # no zero divisors: I(U) prime iff U is a single component
     return None
 
 
+@_checker("T15", "unit", "two_components")
 def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
-    _need(len(ring.classes) >= 2, "needs at least two quasi-components")
     for i in ctx.lattice.proper():
         if i.is_trivial():
             continue
@@ -441,10 +458,8 @@ def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
     return None
 
 
+@_checker("T16", "no_zero_divisors", "ring_ops")
 def _t16(ctx):  # no zero divisors, ring ops: each I(z) is a minimal prime
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
-    _need(ctx.algebra.add is not None and ctx.algebra.unit is not None,
-          "needs ring operations with a unit")
     for c in ctx.ring.classes:
         iz = ctx.lattice.find(ctx.I_of(c).elements)
         if iz is None or not iz.meta.get("is_prime"):
@@ -454,8 +469,8 @@ def _t16(ctx):  # no zero divisors, ring ops: each I(z) is a minimal prime
     return None
 
 
+@_checker("T17", "no_zero_divisors")
 def _t17(ctx):  # annihilating pairs split Z into complementary clopen zero sets
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     ring = ctx.ring
     full = ctx.space.full
     for f in ring.elements:
@@ -472,9 +487,8 @@ def _t17(ctx):  # annihilating pairs split Z into complementary clopen zero sets
     return None
 
 
+@_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     ring = ctx.ring
     chis = {u: ctx.chi(u) for u in ctx.clopens}
     for i1 in ctx.primes:
@@ -487,8 +501,8 @@ def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
     return None
 
 
+@_checker("T19", "unit")
 def _t19(ctx):  # prime with nonempty zero set pins a unique point
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     for j in ctx.primes:
         v = zero_set_V(ring, j.elements)
@@ -502,9 +516,8 @@ def _t19(ctx):  # prime with nonempty zero set pins a unique point
     return None
 
 
+@_checker("T20", "unit_addition_closed")
 def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     full = ctx.space.full
     for j in ctx.primes:
         for i in ctx.lattice.proper():
@@ -522,10 +535,8 @@ def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
 # The characteristic-function subring
 # --------------------------------------------------------------------------
 
+@_checker("T21", "assoc_comm", "unit")
 def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
-    _need(ctx.flags.associative and ctx.flags.commutative,
-          "needs associative commutative multiplication")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     chis = {u: ctx.chi(u) for u in ctx.clopens}
     chi_set = set(chis.values())
@@ -552,16 +563,12 @@ def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
     return None
 
 
+@_checker("T22", "unit", "primes")
 def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     chis = {u: ctx.chi(u) for u in ctx.clopens}
     chi_set = set(chis.values())
-    checked = False
-    for i in ctx.lattice.ideals:
-        if not i.meta.get("is_prime"):
-            continue  # the chain of laws behind this claim needs primality
-        checked = True
+    for i in ctx.primes:
         xi = chi_set & i.elements
         for f in chi_set:
             for g in xi:
@@ -571,24 +578,11 @@ def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
             for g in chi_set:
                 if ring.mul(f, g) in xi and f not in xi and g not in xi:
                     return {"I": i, "f": f, "g": g, "prime": False}
-    _need(checked, "no prime ideals on this instance")
     return None
 
 
-def _has_all_complements(ctx):
-    ring = ctx.ring
-    if ring.algebra.add is None or ring.identity is None:
-        return False
-    for f in ring.elements:
-        if not any(ring.add(f, g) == ring.identity and ring.mul(f, g) == ring.theta
-                   for g in ring.elements):
-            return False
-    return True
-
-
+@_checker("T23", "ring_mode", "complements")
 def _t23(ctx):  # with complements, prime + ideal stays prime while proper
-    _need(ctx.mode == RING, "needs ring-mode ideals")
-    _need(_has_all_complements(ctx), "every element needs a complement")
     ring = ctx.ring
     whole = frozenset(ring.elements)
     for i1 in ctx.primes:
@@ -607,8 +601,8 @@ def _t23(ctx):  # with complements, prime + ideal stays prime while proper
 # Min-max classification
 # --------------------------------------------------------------------------
 
+@_checker("T24", "unit")
 def _t24(ctx):  # every component is clopen here: prime below I(z) equals it
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     for c in ctx.ring.classes:
         iz = ctx.I_of(c).elements
         for j in ctx.primes:
@@ -617,14 +611,12 @@ def _t24(ctx):  # every component is clopen here: prime below I(z) equals it
     return None
 
 
-def _t25(ctx):  # {0} open in Y (discrete): same rigidity below I(z)
-    return _t24(ctx)
+# {0} open in Y (discrete): the same rigidity below I(z)
+_checker("T25", "unit")(_t24)
 
 
+@_checker("T26", "assoc_comm", "unit")
 def _t26(ctx):  # literal statement; admits finite counterexamples
-    _need(ctx.flags.associative and ctx.flags.commutative,
-          "needs associative commutative multiplication")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     trivial = frozenset({ring.theta})
     chis = {u: ctx.chi(u) for u in ctx.clopens}
@@ -640,20 +632,16 @@ def _t26(ctx):  # literal statement; admits finite counterexamples
     return None
 
 
+@_checker("T27", "assoc_comm", "unit")
 def _t27(ctx):  # every prime sits above some I(z)
-    _need(ctx.flags.associative and ctx.flags.commutative,
-          "needs associative commutative multiplication")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     for j in ctx.primes:
         if not any(ctx.I_of(c).elements <= j.elements for c in ctx.ring.classes):
             return {"J": j}
     return None
 
 
+@_checker("T28", "assoc_comm", "unit")
 def _t28(ctx):  # prime with nonempty zero set equals a unique I(z)
-    _need(ctx.flags.associative and ctx.flags.commutative,
-          "needs associative commutative multiplication")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     for j in ctx.primes:
         v = zero_set_V(ring, j.elements)
@@ -665,10 +653,8 @@ def _t28(ctx):  # prime with nonempty zero set equals a unique I(z)
     return None
 
 
+@_checker("T29", "no_zero_divisors", "unit_addition_closed")
 def _t29(ctx):  # proper primes pairwise incomparable
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     for a in ctx.primes:
         for b in ctx.primes:
             if a is not b and a.elements <= b.elements:
@@ -676,10 +662,8 @@ def _t29(ctx):  # proper primes pairwise incomparable
     return None
 
 
+@_checker("T30", "no_zero_divisors", "unit_addition_closed")
 def _t30(ctx):  # all proper primes are vanishing ideals of points
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
     for j in ctx.primes:
         if j.elements not in izs:
@@ -687,8 +671,8 @@ def _t30(ctx):  # all proper primes are vanishing ideals of points
     return None
 
 
+@_checker("T32", "no_zero_divisors")
 def _t32(ctx):  # nonzero-indicator is a surjective multiplicative map
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     ring = ctx.ring
     lmap = project_L(ring)
     for f in ring.elements:
@@ -702,12 +686,8 @@ def _t32(ctx):  # nonzero-indicator is a surjective multiplicative map
     return None
 
 
+@_checker("T33", "assoc_comm", "no_zero_divisors", "unit_addition_closed")
 def _t33(ctx):  # all proper primes min-max and of I(z) form
-    _need(ctx.flags.associative and ctx.flags.commutative,
-          "needs associative commutative multiplication")
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
     for j in ctx.primes:
         if j.elements not in izs:
@@ -717,41 +697,16 @@ def _t33(ctx):  # all proper primes min-max and of I(z) form
     return None
 
 
+@_checker("T34", "no_zero_divisors")
 def _t34(ctx):  # zero-divisor-free value algebra: trivial prime radical
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     rad = prime_radical(ctx.lattice)
     if rad != frozenset({ctx.ring.theta}):
         return {"radical": rad}
     return None
 
 
-def _is_division_ring(ctx) -> bool:
-    y = ctx.algebra
-    if y.add is None or y.unit is None or not ctx.flags.associative:
-        return False
-    for a in y.elements:
-        if a == y.zero:
-            continue
-        if not any(y.times(a, b) == y.unit and y.times(b, a) == y.unit
-                   for b in y.elements):
-            return False
-    return True
-
-
-def _t36(ctx):  # division-ring values: maximal ideals are exactly the I(z)
-    _need(_is_division_ring(ctx), "Y must be a division ring")
-    _need(ctx.mode == RING, "needs ring-mode ideals")
-    izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
-    maximal = {i.elements for i in ctx.lattice.proper() if i.meta.get("is_maximal")}
-    if maximal != izs:
-        return {"maximal": sorted(len(m) for m in maximal), "expected": len(izs)}
-    return None
-
-
+@_checker("T35", "unit", "right_absorption")
 def _t35(ctx):  # f in a proper ideal: both chi slices generate subideals
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
-    _need(ctx.flags.commutative or ctx.side == TWO_SIDED,
-          "one-sided absorption of a right factor needs commutativity")
     ring = ctx.ring
     full = ctx.space.full
     chis = {u: ctx.chi(u) for u in ctx.clopens}
@@ -768,10 +723,17 @@ def _t35(ctx):  # f in a proper ideal: both chi slices generate subideals
     return None
 
 
+@_checker("T36", "division_ring", "ring_mode")
+def _t36(ctx):  # division-ring values: maximal ideals are exactly the I(z)
+    izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
+    maximal = {i.elements for i in ctx.lattice.proper() if i.meta.get("is_maximal")}
+    if maximal != izs:
+        return {"maximal": sorted(len(m) for m in maximal), "expected": len(izs)}
+    return None
+
+
+@_checker("T37", "distributive_addition_closed")
 def _t37(ctx):  # f outside a prime: exactly one chi slice lands inside
-    _need(ctx.algebra.unit is not None and ctx.mode == RING
-          and ctx.flags.distributive,
-          "needs a distributive ring with addition-closed ideals")
     ring = ctx.ring
     full = ctx.space.full
     for i in ctx.primes:
@@ -786,11 +748,145 @@ def _t37(ctx):  # f outside a prime: exactly one chi slice lands inside
     return None
 
 
+#: the naturals below this bound are probed for the cluster-point law
+_T38_PREFIX = 8
+
+
+@_checker("T38", "sequence")
 def _t38(ctx):  # a non-open quasi-component is a unique cluster point
-    _need(ctx.is_sequence,
-          "finite explicit spaces have every quasi-component clopen")
-    # {inf} is closed, not open; every cofinite clopen around it meets N, and
-    # inf is the unique cluster point of any such selection by separation.
+    space = ctx.space
+    q = quasi_component(space, INF)
+    if (q != SeqSet.of((), infinity=True) or space.is_open(q)
+            or not space.is_closed(q)):
+        return {"Q_inf": q}
+    for k in range(_T38_PREFIX):
+        # every cofinite clopen around inf meets N: inf is a cluster point
+        u = SeqSet.cofinite(range(k))
+        if not (space.is_clopen(u) and u.contains(INF) and u.contains(k)):
+            return {"neighbourhood": u}
+        # {k} is a clopen neighbourhood missing inf: k is no cluster point
+        n = SeqSet.of((k,))
+        if not space.is_clopen(n) or n.contains(INF):
+            return {"isolated": k}
+    return None
+
+
+# --------------------------------------------------------------------------
+# Galois-connection and zero-set laws
+# --------------------------------------------------------------------------
+
+@_checker("L8")
+def _l8(ctx):  # J ⊆ A  ⇒  [x] ⊆ [x]_A ⊆ [x]_J
+    ring = ctx.ring
+    full = frozenset(ring.elements)
+    for fam in ctx.fn_families():
+        bigger = fam | next(iter(ctx.fn_families(1)))
+        for x in ctx.space.points:
+            ex_full = equiv_class(ring, full, x)
+            ex_a = equiv_class(ring, bigger, x)
+            ex_j = equiv_class(ring, fam, x)
+            if not (ex_full <= ex_a <= ex_j):
+                return {"x": x, "J": fam, "A": bigger}
+    return None
+
+
+@_checker("L9")
+def _l9(ctx):  # J ⊆ A ⊆ F  ⇒  V(F,b) ⊆ V(A,b) ⊆ V(J,b)
+    ring = ctx.ring
+    full = frozenset(ring.elements)
+    for fam in ctx.fn_families():
+        bigger = fam | next(iter(ctx.fn_families(1)))
+        for b in ctx.b_values():
+            vf = zero_set_V(ring, full, b)
+            va = zero_set_V(ring, bigger, b)
+            vj = zero_set_V(ring, fam, b)
+            if not (vf <= va <= vj):
+                return {"b": b, "J": fam, "A": bigger}
+    return None
+
+
+@_checker("L10")
+def _l10(ctx):  # I(U,b)_J ⊆ J
+    ring = ctx.ring
+    for fam in ctx.fn_families():
+        for u in ctx.point_sets():
+            for b in ctx.b_values():
+                if not vanishing_elements(ring, u, b, within=fam) <= fam:
+                    return {"U": u, "b": b}
+    return None
+
+
+@_checker("L11")
+def _l11(ctx):  # U ⊆ V(I(U,b)_J, b)
+    ring = ctx.ring
+    for fam in ctx.fn_families():
+        for u in ctx.point_sets():
+            for b in ctx.b_values():
+                iu = vanishing_elements(ring, u, b, within=fam)
+                if not u <= zero_set_V(ring, iu, b):
+                    return {"U": u, "b": b, "J": fam}
+    return None
+
+
+@_checker("L12")
+def _l12(ctx):  # J ⊆ I(V(J,b), b)
+    ring = ctx.ring
+    for fam in ctx.fn_families():
+        for b in ctx.b_values():
+            v = zero_set_V(ring, fam, b)
+            if not fam <= vanishing_elements(ring, v, b):
+                return {"b": b, "J": fam}
+    return None
+
+
+@_checker("L13")
+def _l13(ctx):  # J ⊆ A  ⇒  I(U,b)_J ⊆ I(U,b)_A
+    ring = ctx.ring
+    for fam in ctx.fn_families():
+        bigger = fam | next(iter(ctx.fn_families(1)))
+        for u in ctx.point_sets():
+            for b in ctx.b_values():
+                small = vanishing_elements(ring, u, b, within=fam)
+                large = vanishing_elements(ring, u, b, within=bigger)
+                if not small <= large:
+                    return {"U": u, "b": b}
+    return None
+
+
+@_checker("L14")
+def _l14(ctx):  # U1 ⊆ U2  ⇒  I(U2,b)_J ⊆ I(U1,b)_J
+    ring = ctx.ring
+    sets = ctx.point_sets()
+    for fam in ctx.fn_families():
+        for u1 in sets:
+            for u2 in sets:
+                if not u1 <= u2:
+                    continue
+                for b in ctx.b_values():
+                    i2 = vanishing_elements(ring, u2, b, within=fam)
+                    i1 = vanishing_elements(ring, u1, b, within=fam)
+                    if not i2 <= i1:
+                        return {"U1": u1, "U2": u2, "b": b}
+    return None
+
+
+@_checker("L16")
+def _l16(ctx):  # V(f) ∪ V(g) ⊆ V(f·g)
+    ring = ctx.ring
+    for f in ring.elements:
+        for g in ring.elements:
+            if not ring.zero_set(f) | ring.zero_set(g) <= ring.zero_set(ring.mul(f, g)):
+                return {"f": f, "g": g}
+    return None
+
+
+@_checker("L17", "no_zero_divisors")
+def _l17(ctx):  # no zero divisors  ⇒  V(f) ∪ V(g) = V(f·g)
+    ring = ctx.ring
+    for f in ring.elements:
+        for g in ring.elements:
+            if ring.zero_set(f) | ring.zero_set(g) != ring.zero_set(ring.mul(f, g)):
+                return {"f": f, "g": g}
     return None
 
 
@@ -798,6 +894,7 @@ def _t38(ctx):  # a non-open quasi-component is a unique cluster point
 # Ideal structure lemmas
 # --------------------------------------------------------------------------
 
+@_checker("L30")
 def _l30(ctx):
     from ..ideals import is_ideal_set
     ring = ctx.ring
@@ -812,9 +909,8 @@ def _l30(ctx):
     return None
 
 
+@_checker("L31", "assoc_no_zero_divisors")
 def _l31(ctx):  # no zero divisors + associative: no nontrivial nilpotents
-    _need(ctx.flags.zero_divisor_free and ctx.flags.associative,
-          "needs associative multiplication without zero divisors")
     ring = ctx.ring
     for f in ring.elements:
         if f == ring.theta:
@@ -827,8 +923,8 @@ def _l31(ctx):  # no zero divisors + associative: no nontrivial nilpotents
     return None
 
 
+@_checker("L32", "unit")
 def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     full = ctx.space.full
     for u1 in ctx.clopens:
         for u2 in ctx.point_sets():
@@ -838,8 +934,8 @@ def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
     return None
 
 
+@_checker("L33", "unit")
 def _l33(ctx):
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     full = ctx.space.full
     for i in ctx.lattice.proper():
@@ -859,10 +955,8 @@ def _l33(ctx):
     return None
 
 
+@_checker("L34", "right_absorption", "unit")
 def _l34(ctx):  # members absorb chi factors on the right
-    _need(ctx.flags.commutative or ctx.side == TWO_SIDED,
-          "one-sided absorption of a right factor needs commutativity")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     full = ctx.space.full
     for i in ctx.lattice.proper():
@@ -875,8 +969,8 @@ def _l34(ctx):  # members absorb chi factors on the right
     return None
 
 
+@_checker("L35", "unit")
 def _l35(ctx):  # subideal of I(z) with a bigger zero set is not prime
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     for c in ring.classes:
         iz = ctx.I_of(c).elements
@@ -887,9 +981,8 @@ def _l35(ctx):  # subideal of I(z) with a bigger zero set is not prime
     return None
 
 
+@_checker("L36", "unit_addition")
 def _l36(ctx):  # strict subideal of a clopen-point ideal is not prime
-    _need(ctx.algebra.unit is not None and ctx.algebra.add is not None,
-          "needs a unit and addition")
     for c in ctx.ring.classes:
         iz = ctx.I_of(c).elements
         if iz == frozenset(ctx.ring.elements):
@@ -900,6 +993,7 @@ def _l36(ctx):  # strict subideal of a clopen-point ideal is not prime
     return None
 
 
+@_checker("L37")
 def _l37(ctx):  # nonzero function with nonempty clopen zero set is a
     # zero divisor (a nowhere-vanishing function may well be invertible)
     ring = ctx.ring
@@ -914,6 +1008,7 @@ def _l37(ctx):  # nonzero function with nonempty clopen zero set is a
     return None
 
 
+@_checker("L38")
 def _l38(ctx):  # V(f) over a component: (f) inside I(z)
     ring = ctx.ring
     for f in ring.elements:
@@ -926,8 +1021,8 @@ def _l38(ctx):  # V(f) over a component: (f) inside I(z)
     return None
 
 
+@_checker("L39", "unit")
 def _l39(ctx):  # V(f) over U: (f) inside (chi_U)
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     for u in ctx.clopens:
         pu = principal_ideal(ring, ctx.chi(u), ctx.side, ctx.mode)
@@ -939,6 +1034,7 @@ def _l39(ctx):  # V(f) over U: (f) inside (chi_U)
     return None
 
 
+@_checker("L40")
 def _l40(ctx):  # V(f) = V((f))
     ring = ctx.ring
     for f in ring.elements:
@@ -948,8 +1044,8 @@ def _l40(ctx):  # V(f) = V((f))
     return None
 
 
+@_checker("L41", "no_zero_divisors")
 def _l41(ctx):  # annihilating pairs have disjoint cozero sets
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     ring = ctx.ring
     full = ctx.space.full
     for f in ring.elements:
@@ -961,8 +1057,8 @@ def _l41(ctx):  # annihilating pairs have disjoint cozero sets
     return None
 
 
+@_checker("L42", "no_zero_divisors")
 def _l42(ctx):  # and their zero sets cover Z
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     ring = ctx.ring
     full = ctx.space.full
     for f in ring.elements:
@@ -974,8 +1070,8 @@ def _l42(ctx):  # and their zero sets cover Z
     return None
 
 
+@_checker("L43", "division_ring")
 def _l43(ctx):  # division ring: members of proper ideals must vanish somewhere
-    _need(_is_division_ring(ctx), "Y must be a division ring")
     ring = ctx.ring
     z = ctx.algebra.zero
     for i in ctx.lattice.proper():
@@ -985,6 +1081,7 @@ def _l43(ctx):  # division ring: members of proper ideals must vanish somewhere
     return None
 
 
+@_checker("L44")
 def _l44(ctx):  # quotient transport carries I(x) to I([x])
     tr = transport(ctx.ring)
     q = quotient_space(ctx.space)
@@ -1000,12 +1097,12 @@ def _l44(ctx):  # quotient transport carries I(x) to I([x])
 # Family-set lemmas
 # --------------------------------------------------------------------------
 
+@_checker("L45")
 def _l45(ctx):
     fam = ctx.families
     ring = ctx.ring
     full = ctx.space.full
     whole = frozenset(ring.elements)
-    theta_only = frozenset({ring.theta})
     if {i.elements for i in fam.P_u[full]} != {i.elements for i in fam.P}:
         return {"law": "P_Z = P"}
     if {i.elements for i in fam.Phi_u[full]} != {i.elements for i in fam.Phi}:
@@ -1014,18 +1111,16 @@ def _l45(ctx):
         return {"law": "P_empty = {C(Z,Y)}"}
     if {i.elements for i in fam.Phi_u[frozenset()]} != {whole}:
         return {"law": "Phi_empty = {C(Z,Y)}"}
+    if not all(ring.theta in i.elements for i in fam.P):
+        return {"law": "theta in every member"}
     for u in fam.clopens:
         if not any(i.elements == whole for i in fam.P_u[u]):
             return {"law": "C(Z,Y) in P_u", "U": u}
-        if not all(ring.theta in i.elements for i in fam.P):
-            return {"law": "theta in every member"}
-    del theta_only
     return None
 
 
+@_checker("L46", "unit_addition_closed")
 def _l46(ctx):  # prime below a proper ideal: same chi-membership families
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     fam = ctx.families
     for i1 in ctx.primes:
         for i2 in ctx.lattice.proper():
@@ -1037,9 +1132,8 @@ def _l46(ctx):  # prime below a proper ideal: same chi-membership families
     return None
 
 
+@_checker("L47", "unit_addition_closed")
 def _l47(ctx):  # each proper prime picks exactly one of chi_U, chi_Uc
-    _need(ctx.algebra.unit is not None and ctx.mode == RING,
-          "needs a unit and addition-closed ideals")
     fam = ctx.families
     full = ctx.space.full
     for u in fam.clopens:
@@ -1053,8 +1147,8 @@ def _l47(ctx):  # each proper prime picks exactly one of chi_U, chi_Uc
     return None
 
 
+@_checker("L48", "unit")
 def _l48(ctx):  # P_u lands inside P_{u∪w} ∩ P_{u∪w^c}
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     fam = ctx.families
     full = ctx.space.full
     for u in fam.clopens:
@@ -1065,6 +1159,7 @@ def _l48(ctx):  # P_u lands inside P_{u∪w} ∩ P_{u∪w^c}
     return None
 
 
+@_checker("L49")
 def _l49(ctx):
     fam = ctx.families
     ring = ctx.ring
@@ -1093,6 +1188,7 @@ def _l49(ctx):
     return None
 
 
+@_checker("L50")
 def _l50(ctx):  # I in P_u iff U in U_I
     fam = ctx.families
     for i in fam.P:
@@ -1102,8 +1198,8 @@ def _l50(ctx):  # I in P_u iff U in U_I
     return None
 
 
+@_checker("L51", "addition_closed")
 def _l51(ctx):  # proper primes split the clopens
-    _need(ctx.mode == RING, "needs addition-closed ideals")
     fam = ctx.families
     allu = frozenset(fam.clopens)
     for p in ctx.primes:
@@ -1112,6 +1208,7 @@ def _l51(ctx):  # proper primes split the clopens
     return None
 
 
+@_checker("L52")
 def _l52(ctx):  # chi-membership distributes over ideal intersection
     fam = ctx.families
     pool = ctx.ideal_pool()
@@ -1125,6 +1222,7 @@ def _l52(ctx):  # chi-membership distributes over ideal intersection
     return None
 
 
+@_checker("L53")
 def _l53(ctx):  # and over union when the union happens to be an ideal
     fam = ctx.families
     pool = ctx.ideal_pool()
@@ -1138,6 +1236,7 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
     return None
 
 
+@_checker("L54")
 def _l54(ctx):
     fam = ctx.families
     ring = ctx.ring
@@ -1159,8 +1258,8 @@ def _l54(ctx):
     return None
 
 
+@_checker("L55", "addition_closed")
 def _l55(ctx):  # proper primes split the characteristic functions
-    _need(ctx.mode == RING, "needs addition-closed ideals")
     fam = ctx.families
     allx = frozenset(fam.chi_of.values())
     for p in ctx.primes:
@@ -1169,8 +1268,8 @@ def _l55(ctx):  # proper primes split the characteristic functions
     return None
 
 
+@_checker("L56", "unit")
 def _l56(ctx):  # summary bundle A: the P_u laws
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     fam = ctx.families
     full = ctx.space.full
     whole = frozenset(ctx.ring.elements)
@@ -1189,23 +1288,14 @@ def _l56(ctx):  # summary bundle A: the P_u laws
     return None
 
 
-def _l57(ctx):  # summary bundle B: the U_I laws
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
-    out = _l49(ctx)
-    if out is not None:
-        return out
-    out = _l52(ctx)
-    if out is not None:
-        return out
-    return _l53(ctx)
+@_checker("L57", "unit", members=("L49", "L52", "L53"))
+def _l57(ctx):  # summary bundle B: the U_I laws, all carried by its members
+    return None
 
 
-def _l58(ctx):  # summary bundle C: the X_I laws
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
+@_checker("L58", "unit", members=("L54",))
+def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
     fam = ctx.families
-    out = _l54(ctx)
-    if out is not None:
-        return out
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
@@ -1223,13 +1313,24 @@ def _l58(ctx):  # summary bundle C: the X_I laws
 # The characteristic-function calculus (19 numbered identities)
 # --------------------------------------------------------------------------
 
-def _chi_ctx(ctx):
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
+@_checker("L59")
+def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
+    for k in range(1, 20):
+        item = REGISTRY[f"L59.{k}"]
+        if _unmet(ctx, item) is None:
+            out = item.body(ctx)
+            if out is not None:
+                return {"item": k, "witness": out}
+    return None
+
+
+def _chis(ctx):
     return {u: ctx.chi(u) for u in ctx.clopens}
 
 
+@_checker("L59.1", "unit")
 def _l59_1(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     for u, chi in chis.items():
         if ring.mul(chi, chi) != chi:
@@ -1242,8 +1343,9 @@ def _l59_1(ctx):
     return None
 
 
+@_checker("L59.2", "unit")
 def _l59_2(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     for u in ctx.clopens:
         for w in ctx.clopens:
@@ -1257,9 +1359,9 @@ def _l59_2(ctx):
     return None
 
 
+@_checker("L59.3", "char_two", "unit")
 def _l59_3(ctx):
-    _need(ctx.flags.char_two, "needs 1+1=0 in Y")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     full = ctx.space.full
     for u in ctx.clopens:
@@ -1272,8 +1374,9 @@ def _l59_3(ctx):
     return None
 
 
+@_checker("L59.4", "unit")
 def _l59_4(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     for u in ctx.clopens:
         for w in ctx.clopens:
@@ -1282,15 +1385,17 @@ def _l59_4(ctx):
     return None
 
 
+@_checker("L59.5", "unit")
 def _l59_5(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     if len(set(chis.values())) != len(chis):
         return {"law": "distinct clopens share a chi"}
     return None
 
 
+@_checker("L59.6", "unit")
 def _l59_6(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     for u in ctx.clopens:
         for w in ctx.clopens:
             if ctx.ring.zero_set(chis[u & w]) != u & w:
@@ -1298,8 +1403,9 @@ def _l59_6(ctx):
     return None
 
 
+@_checker("L59.7", "unit")
 def _l59_7(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     for u in ctx.clopens:
         for w in ctx.clopens:
@@ -1309,8 +1415,9 @@ def _l59_7(ctx):
     return None
 
 
+@_checker("L59.8", "unit")
 def _l59_8(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     full = ctx.space.full
     for i in ctx.primes:
         for u in ctx.clopens:
@@ -1319,8 +1426,9 @@ def _l59_8(ctx):
     return None
 
 
+@_checker("L59.9", "unit")
 def _l59_9(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     for i in ctx.lattice.ideals:
         for u in ctx.clopens:
             for w in ctx.clopens:
@@ -1329,9 +1437,9 @@ def _l59_9(ctx):
     return None
 
 
+@_checker("L59.10", "addition_closed", "unit")
 def _l59_10(ctx):
-    _need(ctx.mode == RING, "needs addition-closed ideals")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     for i in ctx.primes:
         for u1 in ctx.clopens:
             for u2 in ctx.clopens:
@@ -1342,10 +1450,9 @@ def _l59_10(ctx):
     return None
 
 
+@_checker("L59.11", "char_two", "addition_closed", "unit")
 def _l59_11(ctx):
-    _need(ctx.flags.char_two, "needs 1+1=0 in Y")
-    _need(ctx.mode == RING, "needs addition-closed ideals")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     for i in ctx.lattice.ideals:
         for u in ctx.clopens:
@@ -1356,10 +1463,9 @@ def _l59_11(ctx):
     return None
 
 
+@_checker("L59.12", "ring_ops", "unit")
 def _l59_12(ctx):
-    _need(ctx.algebra.add is not None and ctx.algebra.unit is not None,
-          "needs ring operations with a unit")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     full = ctx.space.full
     whole = frozenset(ring.elements)
@@ -1378,8 +1484,9 @@ def _l59_12(ctx):
     return None
 
 
+@_checker("L59.13", "unit")
 def _l59_13(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     if chis[frozenset()] != ring.identity or chis[ctx.space.full] != ring.theta:
         return {"law": "chi_empty = Id, chi_Z = theta"}
@@ -1389,8 +1496,9 @@ def _l59_13(ctx):
     return None
 
 
+@_checker("L59.14", "unit")
 def _l59_14(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     chi_set = set(chis.values())
     for i in ctx.lattice.ideals:
@@ -1402,8 +1510,9 @@ def _l59_14(ctx):
     return None
 
 
+@_checker("L59.15", "unit")
 def _l59_15(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     chi_set = set(chis.values())
     for i in ctx.lattice.ideals:
@@ -1415,10 +1524,9 @@ def _l59_15(ctx):
     return None
 
 
+@_checker("L59.16", "char_two", "addition_closed", "unit")
 def _l59_16(ctx):
-    _need(ctx.flags.char_two, "needs 1+1=0 in Y")
-    _need(ctx.mode == RING, "needs addition-closed ideals")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     chi_set = set(chis.values())
     for i in ctx.lattice.ideals:
@@ -1430,25 +1538,23 @@ def _l59_16(ctx):
     return None
 
 
+@_checker("L59.17", "unit", "primes")
 def _l59_17(ctx):
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     chi_set = set(chis.values())
-    checked = False
     for i in ctx.primes:
-        checked = True
         xi = chi_set & i.elements
         for f in chi_set:
             for g in chi_set:
                 if ring.mul(f, g) in xi and f not in xi and g not in xi:
                     return {"I": i, "f": f, "g": g}
-    _need(checked, "no prime ideals on this instance")
     return None
 
 
+@_checker("L59.18", "distributive", "unit")
 def _l59_18(ctx):
-    _need(ctx.flags.distributive, "needs distributive operations")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     for i in ctx.lattice.ideals:
         for u in ctx.clopens:
@@ -1460,32 +1566,17 @@ def _l59_18(ctx):
     return None
 
 
+@_checker("L59.19", "char_two", "addition_closed", "unit", "primes")
 def _l59_19(ctx):
-    _need(ctx.flags.char_two, "needs 1+1=0 in Y")
-    _need(ctx.mode == RING, "needs addition-closed ideals")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
-    checked = False
     for i in ctx.primes:
-        checked = True
         for v in ctx.clopens:
             for u in ctx.clopens:
                 if (ring.mul(chis[v], chis[u]) in i.elements
                         and ring.add(chis[v], chis[u]) in i.elements
                         and not (v & u)):
                     return {"I": i, "V": v, "U": u}
-    _need(checked, "no prime ideals on this instance")
-    return None
-
-
-def _l59(ctx):
-    for k in range(1, 20):
-        try:
-            out = REGISTRY[f"L59.{k}"](ctx)
-        except _Unmet:
-            continue
-        if out is not None:
-            return {"item": k, "witness": out}
     return None
 
 
@@ -1493,6 +1584,7 @@ def _l59(ctx):
 # Complements, embeddings, products
 # --------------------------------------------------------------------------
 
+@_checker("L61")
 def _l61(ctx):
     fam = ctx.families
     ring = ctx.ring
@@ -1524,10 +1616,8 @@ def _l61(ctx):
     return None
 
 
+@_checker("L64", "assoc_comm", "unit")
 def _l64(ctx):
-    _need(ctx.flags.associative and ctx.flags.commutative,
-          "needs associative commutative multiplication")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     full = ctx.space.full
     whole = frozenset(ring.elements)
@@ -1544,8 +1634,8 @@ def _l64(ctx):
     return None
 
 
+@_checker("L65", "no_zero_divisors")
 def _l65(ctx):  # the nonzero indicator on Y is multiplicative
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
     y = ctx.algebra
     z = y.zero
     for a in y.elements:
@@ -1556,6 +1646,7 @@ def _l65(ctx):  # the nonzero indicator on Y is multiplicative
     return None
 
 
+@_checker("L66")
 def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
     from ..algebra import make_zmod
     two = FunctionRing(ctx.space, make_zmod(2), ctx.budget)
@@ -1567,11 +1658,9 @@ def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
     return None
 
 
+@_checker("L67", "char_two_ring", "unit")
 def _l67(ctx):  # complement identity for products of chi pairs
-    _need(ctx.flags.char_two and ctx.flags.distributive
-          and ctx.flags.additive_associative and ctx.flags.additive_commutative,
-          "needs a characteristic-two ring")
-    chis = _chi_ctx(ctx)
+    chis = _chis(ctx)
     ring = ctx.ring
     full = ctx.space.full
     for u in ctx.clopens:
@@ -1584,6 +1673,7 @@ def _l67(ctx):  # complement identity for products of chi pairs
     return None
 
 
+@_checker("L68")
 def _l68(ctx):  # componentwise product structure of the ring
     ring = ctx.ring
     q = len(ring.classes)
@@ -1596,9 +1686,8 @@ def _l68(ctx):  # componentwise product structure of the ring
     return None
 
 
+@_checker("L69", "ring_mode", "unit")
 def _l69(ctx):  # I(U) = (chi_U); I(U) and I(U^c) are comaximal
-    _need(ctx.mode == RING, "needs ring-mode ideals")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     full = ctx.space.full
     whole = frozenset(ring.elements)
@@ -1615,11 +1704,11 @@ def _l69(ctx):  # I(U) = (chi_U); I(U) and I(U^c) are comaximal
     return None
 
 
-def _l70(ctx):
-    _need(ctx.flags.zero_divisor_free, "Y must be free of zero divisors")
-    return _l40(ctx)
+# L40 under the zero-divisor-free hypothesis
+_checker("L70", "no_zero_divisors")(_l40)
 
 
+@_checker("L71")
 def _l71(ctx):  # f vanishing beyond {z}: (f) strictly inside I(z)
     ring = ctx.ring
     for c in ring.classes:
@@ -1632,6 +1721,7 @@ def _l71(ctx):  # f vanishing beyond {z}: (f) strictly inside I(z)
     return None
 
 
+@_checker("L72")
 def _l72(ctx):  # the clopens at z intersect to the component itself
     for c in ctx.ring.classes:
         inter = ctx.space.full
@@ -1643,6 +1733,7 @@ def _l72(ctx):  # the clopens at z intersect to the component itself
     return None
 
 
+@_checker("L73")
 def _l73(ctx):  # intersection of vanishing ideals = ideal of the union
     ring = ctx.ring
     sets = ctx.point_sets(include_empty=True)
@@ -1656,11 +1747,8 @@ def _l73(ctx):  # intersection of vanishing ideals = ideal of the union
     return None
 
 
+@_checker("L74", "integral_domain", "addition_closed")
 def _l74(ctx):  # prime avoidance against the point ideals
-    _need(ctx.flags.zero_divisor_free and ctx.flags.associative
-          and ctx.flags.commutative and ctx.algebra.add is not None,
-          "Y must be an integral domain")
-    _need(ctx.mode == RING, "needs addition-closed ideals")
     ring = ctx.ring
     classes = ring.classes
     izs = [ctx.I_of(c).elements for c in classes]
@@ -1674,9 +1762,8 @@ def _l74(ctx):  # prime avoidance against the point ideals
     return None
 
 
+@_checker("L75", "ring_mode", "unit")
 def _l75(ctx):  # both chi slices in I force f in I
-    _need(ctx.mode == RING, "needs ring-mode ideals")
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     full = ctx.space.full
     for i in ctx.lattice.ideals:
@@ -1689,10 +1776,8 @@ def _l75(ctx):  # both chi slices in I force f in I
     return None
 
 
+@_checker("L76", "commutative_ring", "addition_closed")
 def _l76(ctx):  # an ideal escaping finitely many primes escapes their union
-    _need(ctx.flags.associative and ctx.flags.commutative
-          and ctx.flags.distributive, "needs a commutative ring structure")
-    _need(ctx.mode == RING, "needs addition-closed ideals")
     primes = ctx.primes
     for i in ctx.lattice.ideals:
         avoid = [p for p in primes
@@ -1705,11 +1790,10 @@ def _l76(ctx):  # an ideal escaping finitely many primes escapes their union
     return None
 
 
+@_checker("L31.C", "unit", "two_components")
 def _l31_c(ctx):  # disconnection surrogate: complementary idempotent pairs
-    _need(ctx.algebra.unit is not None, "needs a unit in Y")
     ring = ctx.ring
     full = ctx.space.full
-    _need(len(ring.classes) >= 2, "needs at least two quasi-components")
     for u in ctx.clopens:
         if not u or u == full:
             continue
@@ -1723,9 +1807,8 @@ def _l31_c(ctx):  # disconnection surrogate: complementary idempotent pairs
     return None
 
 
+@_checker("T36.N", "addition_closed", "two_components")
 def _t36_n(ctx):  # non-local surrogate: >= 2 maximal ideals
-    _need(ctx.mode == RING, "needs addition-closed ideals")
-    _need(len(ctx.ring.classes) >= 2, "needs at least two quasi-components")
     maximal = [i for i in ctx.lattice.proper() if i.meta.get("is_maximal")]
     if len(maximal) < 2:
         return {"maximal_count": len(maximal)}
@@ -1733,35 +1816,8 @@ def _t36_n(ctx):  # non-local surrogate: >= 2 maximal ideals
 
 
 # --------------------------------------------------------------------------
-# Registry
+# Suites and the runner
 # --------------------------------------------------------------------------
-
-REGISTRY = {
-    "T5": _t5, "T6": _t6, "T7": _t7, "T8": _t8, "T9": _t9, "T10": _t10,
-    "T11": _t11, "T12": _t12, "T13": _t13, "T14": _t14, "T15": _t15,
-    "T16": _t16, "T17": _t17, "T18": _t18, "T19": _t19, "T20": _t20,
-    "T21": _t21, "T22": _t22, "T23": _t23, "T24": _t24, "T25": _t25,
-    "T26": _t26, "T27": _t27, "T28": _t28, "T29": _t29, "T30": _t30,
-    "T32": _t32, "T33": _t33, "T34": _t34, "T35": _t35, "T36": _t36,
-    "T37": _t37, "T38": _t38,
-    "L8": _l8, "L9": _l9, "L10": _l10, "L11": _l11, "L12": _l12,
-    "L13": _l13, "L14": _l14, "L16": _l16, "L17": _l17,
-    "L30": _l30, "L31": _l31, "L32": _l32, "L33": _l33, "L34": _l34,
-    "L35": _l35, "L36": _l36, "L37": _l37, "L38": _l38, "L39": _l39,
-    "L40": _l40, "L41": _l41, "L42": _l42, "L43": _l43, "L44": _l44,
-    "L45": _l45, "L46": _l46, "L47": _l47, "L48": _l48, "L49": _l49,
-    "L50": _l50, "L51": _l51, "L52": _l52, "L53": _l53, "L54": _l54,
-    "L55": _l55, "L56": _l56, "L57": _l57, "L58": _l58,
-    "L59": _l59,
-    **{f"L59.{k}": fn for k, fn in enumerate(
-        [_l59_1, _l59_2, _l59_3, _l59_4, _l59_5, _l59_6, _l59_7, _l59_8,
-         _l59_9, _l59_10, _l59_11, _l59_12, _l59_13, _l59_14, _l59_15,
-         _l59_16, _l59_17, _l59_18, _l59_19], start=1)},
-    "L61": _l61, "L64": _l64, "L65": _l65, "L66": _l66, "L67": _l67,
-    "L68": _l68, "L69": _l69, "L70": _l70, "L71": _l71, "L72": _l72,
-    "L73": _l73, "L74": _l74, "L75": _l75, "L76": _l76,
-    "L31.C": _l31_c, "T36.N": _t36_n,
-}
 
 # Claims that quantify over an infinite carrier; no finite instance can test
 # them, so their reports carry a dedicated verdict instead of a vacuous PASS.
@@ -1794,13 +1850,14 @@ def run_checker(checker_id: str, ctx: Context, instance: str = "") -> TheoremRep
         raise UnknownChecker(f"no checker registered under {checker_id!r}")
     start = time.perf_counter()
     note = EXPECTED_FAIL_NOTES.get(checker_id, "")
-    if ctx.is_sequence and checker_id != "T38":
-        return TheoremReport(checker_id, instance, HYPOTHESIS_UNMET, None,
-                             "symbolic sequence backend: use the bounded "
-                             "sequence API", time.perf_counter() - start)
+    checker = REGISTRY[checker_id]
     try:
-        witness = REGISTRY[checker_id](ctx)
-    except (_Unmet, MissingAddition, MissingUnit) as e:
+        unmet = _unmet(ctx, checker)
+        if unmet is not None:
+            return TheoremReport(checker_id, instance, HYPOTHESIS_UNMET, None,
+                                 unmet, time.perf_counter() - start)
+        witness = _run(checker, ctx)
+    except (MissingAddition, MissingUnit) as e:
         return TheoremReport(checker_id, instance, HYPOTHESIS_UNMET, None,
                              str(e), time.perf_counter() - start)
     except (BudgetExceeded, IncompleteLattice) as e:

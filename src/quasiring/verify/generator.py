@@ -10,7 +10,7 @@ taking it on faith.
 from __future__ import annotations
 
 from ..algebra import AlgebraTable, zero_divisors
-from ..errors import MissingAddition, ZeroDivisorHypothesis
+from ..errors import CrossCheckFailed, MissingAddition, ZeroDivisorHypothesis
 from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing
 from ..ideals import (
     RIGHT,
@@ -63,5 +63,6 @@ def generate_prescribed_ring(n_primes: int, y: AlgebraTable,
           and inventory["all_min_max"]
           and inventory["prime_radical"] == frozenset({ring.theta}))
     inventory["verified"] = ok
-    assert ok, f"inventory verification failed: {inventory}"
+    if not ok:
+        raise CrossCheckFailed(f"inventory verification failed: {inventory}")
     return ring, inventory

@@ -18,11 +18,22 @@ from quasiring.verify import (
     checker_ids,
     run_checker,
 )
+from quasiring.verify.checkers import HYPOTHESES
 from quasiring.ideals import MULTIPLICATIVE, RING
+from quasiring.sets import SeqSet
 
 
 def ctx(n=3, p=2, mode=RING, **kw):
     return Context(discrete_space(n), make_zmod(p), mode=mode, **kw)
+
+
+def fixed_contexts():
+    return [
+        ctx(1, 2), ctx(2, 3), ctx(3, 2),
+        Context(discrete_space(2), make_zmod(4), mode=RING),
+        Context(sierpinski_space(), make_zmod(3), mode=RING),
+        Context(discrete_space(2), make_zmod(3), mode=MULTIPLICATIVE),
+    ]
 
 
 def test_registry_contents():
@@ -70,20 +81,24 @@ def test_sequence_context():
     assert run_checker("T34", c).verdict == HYPOTHESIS_UNMET
 
 
+def test_t38_fails_when_inf_is_isolated(monkeypatch):
+    is_open = SequenceSpace.is_open
+    inf_only = SeqSet.of((), infinity=True)
+    monkeypatch.setattr(SequenceSpace, "is_open",
+                        lambda self, s: s == inf_only or is_open(self, s))
+    r = run_checker("T38", Context(SequenceSpace(), make_zmod(2)))
+    assert r.verdict == FAIL
+    assert r.witness == {"Q_inf": inf_only}
+
+
 def test_budget_exceeded_on_large_ring():
     c = Context(discrete_space(5), make_zmod(3), mode=RING)
     assert run_checker("T34", c).verdict == BUDGET_EXCEEDED
 
 
 def test_green_suite_on_fixed_instances():
-    contexts = [
-        ctx(1, 2), ctx(2, 3), ctx(3, 2),
-        Context(discrete_space(2), make_zmod(4), mode=RING),
-        Context(sierpinski_space(), make_zmod(3), mode=RING),
-        Context(discrete_space(2), make_zmod(3), mode=MULTIPLICATIVE),
-    ]
     bad = []
-    for c in contexts:
+    for c in fixed_contexts():
         for cid in GREEN_SUITE:
             r = run_checker(cid, c)
             if r.verdict == FAIL:
@@ -96,3 +111,40 @@ def test_reports_serialize():
     d = r.to_dict()
     assert d["verdict"] == FAIL
     assert isinstance(d["witness"], (list, dict))
+
+
+def test_declared_hypotheses_exist():
+    for cid, checker in REGISTRY.items():
+        assert set(checker.requires) <= set(HYPOTHESES), cid
+        assert set(checker.members) <= set(REGISTRY), cid
+
+
+class _BodylessContext(Context):
+    """A context on which any checker body would raise."""
+
+    @property
+    def ring(self):
+        raise AssertionError("the checker body ran")
+
+    lattice = ring
+
+
+def test_unmet_is_decided_before_the_body():
+    c = _BodylessContext(discrete_space(2), make_zmod(4), mode=RING)
+    for cid in ("T34", "L70"):
+        r = run_checker(cid, c)
+        assert r.verdict == HYPOTHESIS_UNMET
+        assert r.note == "Y must be free of zero divisors"
+
+
+def test_aliases_match_their_originals():
+    checked = 0
+    for c in fixed_contexts():
+        pairs = [("T25", "T24")]
+        if c.flags.zero_divisor_free:
+            pairs.append(("L70", "L40"))
+        for alias, original in pairs:
+            a, b = run_checker(alias, c), run_checker(original, c)
+            assert (a.verdict, a.witness) == (b.verdict, b.witness)
+            checked += 1
+    assert checked == 11

@@ -1,19 +1,17 @@
 import pytest
 
 from quasiring.algebra import make_table, make_zmod
-from quasiring.errors import NotProper
+from quasiring import ideals
+from quasiring.errors import CrossCheckFailed, NotProper
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
     MULTIPLICATIVE,
     RING,
     all_ideals_bruteforce,
-    chi_subring,
     classify_primes,
-    complement_of,
     family_sets,
     generate_ideal,
     ideal_lattice,
-    ideal_sum_intersect,
     is_prime,
     prime_radical,
     principal_ideal,
@@ -120,27 +118,12 @@ def test_prime_radical_is_nilpotents_for_z4_constants():
     assert prime_radical(lat) == frozenset({(0,), (2,)})
 
 
-def test_ideal_sum_intersect(d2z3):
-    a = vanishing_ideal(d2z3, {0}, mode=RING)
-    b = vanishing_ideal(d2z3, {1}, mode=RING)
-    s, i = ideal_sum_intersect(a, b)
-    assert s.elements == frozenset(d2z3.elements)
-    assert i.elements == frozenset({d2z3.theta})
-
-
-def test_complement_of_characteristic(d2z3):
-    f = d2z3.chi({0})
-    g = complement_of(d2z3, f)
-    assert g is not None
-    assert d2z3.mul(f, g) == d2z3.theta
-    assert d2z3.add(f, g) == d2z3.identity
-
-
-def test_chi_subring_size(d2z3):
-    elems, chi_of, patterns = chi_subring(d2z3)
-    # one idempotent 0/1-pattern per subset of quasi-components
-    assert len(elems) == 4
-    assert len(set(patterns.values())) == 4
+def test_lattice_oracle_disagreement_raises(d2z3, monkeypatch):
+    # the subset-scan cross-check must survive `python -O`
+    monkeypatch.setattr(ideals, "all_ideals_bruteforce",
+                        lambda ring, side, mode: {frozenset({ring.theta})})
+    with pytest.raises(CrossCheckFailed):
+        ideal_lattice(d2z3, mode=RING)
 
 
 def test_family_sets_incidence(d2z3):
