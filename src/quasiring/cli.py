@@ -63,8 +63,6 @@ from .zariski import compare_T1_TZ_T
 
 SCHEMA = 1
 
-_CHECKER_ID_RE = re.compile(r"^(all|[TL]\d+(\.\d+)?(\.C)?|T36\.N|T16/T24)$")
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -313,20 +311,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _split_args(arguments) -> tuple[list, str | None]:
+    """(checker ids, spec file) from the positional arguments.
+
+    An argument that names an existing file, or "-" for stdin, is the spec
+    file; any other is a checker id when it is registered or "all".  When no
+    argument names a file, the last one that is not an id is taken as the
+    spec file, so reading it reports the missing path.
+    """
+    known = set(checker_ids()) | {"all"}
+    specs = [a for a in arguments if a == "-" or os.path.isfile(a)]
+    if not specs:
+        specs = [a for a in arguments if a not in known][-1:]
+    ids = [a for a in arguments if a not in specs]
+    unknown = [a for a in ids if a not in known]
+    if unknown:
+        raise UnknownChecker(f"unknown checker id(s): {', '.join(unknown)}")
+    if len(specs) > 1:
+        raise QuasiringError(f"unexpected arguments {specs[1:]}")
+    return ids, (specs[0] if specs else None)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    args.ids = [a for a in args.args if _CHECKER_ID_RE.match(a)]
-    leftovers = [a for a in args.args if not _CHECKER_ID_RE.match(a)]
-    if len(leftovers) > 1:
-        print(f"quasiring: unexpected arguments {leftovers[1:]}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    args.spec_file = leftovers[0] if leftovers else None
-
     handler = {
         "analyze": cmd_analyze,
         "ideals": cmd_ideals,
@@ -335,6 +346,7 @@ def main(argv=None) -> int:
         "fuzz": cmd_fuzz,
     }[args.command]
     try:
+        args.ids, args.spec_file = _split_args(args.args)
         payload, code = handler(args)
     except (DslError, UnknownChecker) as exc:
         print(f"quasiring: {exc}", file=sys.stderr)

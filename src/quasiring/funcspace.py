@@ -5,11 +5,19 @@ quasi-component of Z, and on a finite space every quasi-component is clopen,
 so the continuous functions are exactly the value assignments per
 quasi-component.  Elements are therefore stored as tuples of Y-indices, one
 per quasi-component, in the deterministic class order of the quotient.
+
+The ideal layer works on element indices instead: index i is
+``elements[i]``, read as a mixed-radix number over Y with class 0 the most
+significant digit, so index order is tuple order.  Rows of the ring's
+Cayley tables (Froidure & Pin, "Algorithms for computing finite
+semigroups", 1997) are built on demand from Y's tables, one digit at a
+time, and cached up to a fixed number of entries per ring.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 from .algebra import AlgebraTable, structure_flags
@@ -30,6 +38,10 @@ from .topology import (
 )
 
 DEFAULT_ENUM_BUDGET = 2 ** 20
+
+#: a ring keeps built table rows while they hold at most this many entries
+#: in all (16 MB as 32-bit indices); past it each row is rebuilt when used
+ROW_CACHE_ENTRIES = 2 ** 22
 
 FnElement = tuple  # Y-index per quasi-component, in class order
 
@@ -61,6 +73,8 @@ class FunctionRing:
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
         self._index = {f: i for i, f in enumerate(self.elements)}
         self._zero_sets = {}
+        self._rows = {}
+        self._row_entries = 0
 
     # -- element arithmetic -------------------------------------------------
 
@@ -73,6 +87,40 @@ class FunctionRing:
             raise MissingAddition("algebra has no addition table")
         t = self.algebra.add
         return tuple(t[a][b] for a, b in zip(f, g))
+
+    # -- Cayley tables over element indices -------------------------------
+
+    def index(self, f: FnElement) -> int:
+        return self._index[f]
+
+    def row(self, op: str, i: int) -> array:
+        """Element i combined with every element j, as indices in j order.
+
+        op is "mul" for i·j, "mul_t" for j·i, "add" for i+j, "add_t" for
+        j+i.  The row is built digit by digit from Y's table: one class
+        more turns a row r into [a·m + b for a in r for b in y_row].
+        """
+        key = (op, i)
+        row = self._rows.get(key)
+        if row is None:
+            table = self._y_table(op)
+            m = self.algebra.carrier_size
+            row = [0]
+            for d in self.elements[i]:
+                y_row = table[d]
+                row = [a * m + b for a in row for b in y_row]
+            row = array("I", row)
+            if self._row_entries + len(row) <= ROW_CACHE_ENTRIES:
+                self._rows[key] = row
+                self._row_entries += len(row)
+        return row
+
+    def _y_table(self, op: str) -> tuple:
+        y = self.algebra
+        table = y.add if op.startswith("add") else y.mul
+        if table is None:
+            raise MissingAddition("algebra has no addition table")
+        return tuple(zip(*table)) if op.endswith("_t") else table
 
     def value_at(self, f: FnElement, point: int) -> int:
         return f[self.class_of[point]]

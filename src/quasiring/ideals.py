@@ -6,11 +6,17 @@ side; "ring" mode additionally closes under addition.  Primality, the full
 ideal lattice (join-closure over principal ideals, cross-checked against a
 subset-scan oracle on small rings), classification, the prime radical, and
 the characteristic-function families all live here.
+
+The work runs on element indices and Python-int bitsets (bit i is
+``ring.elements[i]``), through the ring's Cayley-table rows
+(``FunctionRing.row``): one worklist closure gives every generated ideal,
+the lattice is a join loop over principal bitsets, and primality and the
+min/max tests are bit tests.  An ``Ideal`` still holds a frozenset of value
+tuples, built once when it is handed out.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -21,7 +27,6 @@ from .errors import (
     NotProper,
 )
 from .funcspace import FnElement, FunctionRing, vanishing_elements
-from .sets import sort_family
 
 RIGHT = "right"
 LEFT = "left"
@@ -76,6 +81,7 @@ class IdealLattice:
     mode: str
     complete: bool = True
     classified: bool = False
+    bits: tuple = ()           # the ideals as bitsets over element indices
 
     def find(self, elements: frozenset) -> Ideal | None:
         if not hasattr(self, "_index"):
@@ -91,53 +97,68 @@ class IdealLattice:
         return [i for i in self.ideals if i.meta.get("is_prime")]
 
 
+def _members(bits: int) -> list[int]:
+    """The element indices in a bitset, ascending."""
+    return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+
+
+def _bits(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _elements(ring: FunctionRing, bits: int) -> frozenset:
+    return frozenset(ring.elements[i] for i in _members(bits))
+
+
+def _absorbing_rows(side: str) -> tuple:
+    """Table rows holding everything an ideal member g must absorb: f·g
+    for every f on the right side, g·f on the left, both when two-sided."""
+    return {RIGHT: ("mul_t",), LEFT: ("mul",),
+            TWO_SIDED: ("mul_t", "mul")}[side]
+
+
+def _closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
+    """Least ideal containing θ and the seed indices, as a bitset.
+
+    A worklist over element indices: each member adds the row it must
+    absorb and, in ring mode, its sums with every member taken before it
+    (both orders), so every pair is summed once both are in.  Closure
+    under the multiplication itself follows from absorption, which
+    quantifies over the whole ring.
+    """
+    if mode == RING and ring.algebra.add is None:
+        raise MissingAddition("ring mode needs an addition table")
+    ops = _absorbing_rows(side)
+    n = len(ring.elements)
+    seen = {ring.index(ring.theta), *seed}
+    todo = list(seen)
+    done = []
+    while todo and len(seen) < n:
+        g = todo.pop()
+        done.append(g)
+        fresh = set()
+        for op in ops:
+            fresh.update(ring.row(op, g))
+        if mode == RING:
+            for op in ("add", "add_t"):
+                fresh.update(map(ring.row(op, g).__getitem__, done))
+        fresh -= seen
+        seen |= fresh
+        todo.extend(fresh)
+    return _bits(seen)
+
+
 def generate_ideal(ring: FunctionRing, seed, side: str = RIGHT,
                    mode: str | None = None) -> Ideal:
     """Least fixpoint of the ideal laws containing the seed set."""
     mode = default_mode(ring) if mode is None else mode
-    if mode == RING and ring.algebra.add is None:
-        raise MissingAddition("ring mode needs an addition table")
-    elems = {ring.theta}
-    elems.update(seed)
-    frontier = list(elems)
-    while frontier:
-        new = set()
-        for g in frontier:
-            if side in (RIGHT, TWO_SIDED):
-                for f in ring.elements:
-                    h = ring.mul(f, g)
-                    if h not in elems:
-                        new.add(h)
-            if side in (LEFT, TWO_SIDED):
-                for f in ring.elements:
-                    h = ring.mul(g, f)
-                    if h not in elems:
-                        new.add(h)
-        if mode == RING:
-            current = list(elems) + list(new)
-            for a in current:
-                for b in current:
-                    h = ring.add(a, b)
-                    if h not in elems and h not in new:
-                        new.add(h)
-        elems |= new
-        frontier = list(new)
-    # multiplicative closure inside the set is implied by one-sided
-    # absorption, but not for the opposite order; close explicitly
-    while True:
-        extra = {ring.mul(a, b) for a in elems for b in elems} - elems
-        if mode == RING:
-            extra |= {ring.add(a, b) for a in elems for b in elems} - elems
-        if not extra:
-            break
-        elems |= extra
-        if side in (RIGHT, TWO_SIDED):
-            more = {ring.mul(f, g) for f in ring.elements for g in extra}
-            elems |= more
-        if side in (LEFT, TWO_SIDED):
-            elems |= {ring.mul(g, f) for f in ring.elements for g in extra}
-    return Ideal(ring, frozenset(elems), side, mode,
-                 generators=tuple(sorted(set(seed))))
+    seed = set(seed)
+    bits = _closure(ring, [ring.index(f) for f in seed], side, mode)
+    return Ideal(ring, _elements(ring, bits), side, mode,
+                 generators=tuple(sorted(seed)))
 
 
 def principal_ideal(ring: FunctionRing, f: FnElement, side: str = RIGHT,
@@ -156,69 +177,50 @@ def vanishing_ideal(ring: FunctionRing, points, side: str = RIGHT,
 
 def is_ideal_set(ring: FunctionRing, elems: frozenset, side: str,
                  mode: str) -> bool:
-    if ring.theta not in elems:
-        return False
-    for g in elems:
-        if side in (RIGHT, TWO_SIDED):
-            if any(ring.mul(f, g) not in elems for f in ring.elements):
-                return False
-        if side in (LEFT, TWO_SIDED):
-            if any(ring.mul(g, f) not in elems for f in ring.elements):
-                return False
-    for a in elems:
-        if any(ring.mul(a, b) not in elems for b in elems):
-            return False
-    if mode == RING:
-        for a in elems:
-            if any(ring.add(a, b) not in elems for b in elems):
-                return False
-    return True
+    indices = [ring.index(f) for f in elems]
+    return _closure(ring, indices, side, mode) == _bits(indices)
 
 
 def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
                           mode: str | None = None) -> set[frozenset]:
-    """Independent oracle: scan every subset of the ring (|ring| <= 16)."""
+    """Independent oracle: scan every subset of the ring (|ring| <= 16).
+
+    A subset absorbs when the union of its members' absorbing rows lies in
+    it; that union is looked up in two tables over the subsets of the low
+    and of the high half of the indices.  Addition is tested only on the
+    subsets that absorb.
+    """
     mode = default_mode(ring) if mode is None else mode
-    elems = list(ring.elements)
-    n = len(elems)
+    n = len(ring.elements)
     if n > 16:
         raise ValueError("subset scan is limited to rings of 16 elements")
-    idx = {f: i for i, f in enumerate(elems)}
-    zbit = 1 << idx[ring.theta]
-    absorb = [0] * n
-    for g in range(n):
-        m = 0
-        if side in (RIGHT, TWO_SIDED):
-            for f in range(n):
-                m |= 1 << idx[ring.mul(elems[f], elems[g])]
-        if side in (LEFT, TWO_SIDED):
-            for f in range(n):
-                m |= 1 << idx[ring.mul(elems[g], elems[f])]
-        # closure under the operation itself is implied when absorption
-        # quantifies over the whole ring, which it does here
-        absorb[g] = m
-    sums = None
-    if mode == RING:
-        sums = [[idx[ring.add(elems[a], elems[b])] for b in range(n)]
-                for a in range(n)]
+    reach = [_bits(h for op in _absorbing_rows(side) for h in ring.row(op, g))
+             for g in range(n)]
+    half = n // 2
+    lo = (1 << half) - 1
+
+    def subset_reach(rows):
+        table = [0] * (1 << len(rows))
+        for s in range(1, len(table)):
+            low = s & -s
+            table[s] = table[s ^ low] | rows[low.bit_length() - 1]
+        return table
+
+    reach_lo = subset_reach(reach[:half])
+    reach_hi = subset_reach(reach[half:])
+    sums = ([ring.row("add", a) for a in range(n)] if mode == RING
+            else None)
+    zbit = 1 << ring.index(ring.theta)
     found = set()
     for mask in range(1 << n):
-        if not mask & zbit:
+        if not mask & zbit or (reach_lo[mask & lo]
+                               | reach_hi[mask >> half]) & ~mask:
             continue
-        bits = [i for i in range(n) if mask >> i & 1]
-        ok = True
-        for g in bits:
-            if absorb[g] & ~mask:
-                ok = False
-                break
-        if ok and sums is not None:
-            for a in bits:
-                row = sums[a]
-                if any(not mask >> row[b] & 1 for b in bits):
-                    ok = False
-                    break
-        if ok:
-            found.add(frozenset(elems[i] for i in bits))
+        bits = _members(mask)
+        if sums is not None and any(not mask >> sums[a][b] & 1
+                                    for a in bits for b in bits):
+            continue
+        found.add(frozenset(ring.elements[i] for i in bits))
     return found
 
 
@@ -227,64 +229,70 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     """All ideals, as the join-closure of the principal ideals.
 
     Complete on a finite ring because every ideal is a finite join of the
-    principal ideals of its elements.  Cross-validated against the subset
-    scan whenever the ring has at most 16 elements.
+    principal ideals of its elements.  The join of two multiplicative
+    ideals is their union (absorption on either side already covers every
+    internal product); in ring mode it is the closure of the union, and
+    each union is closed once.  Cross-validated against the subset scan
+    whenever the ring has at most 16 elements.
     """
     mode = default_mode(ring) if mode is None else mode
-    principals = {}
-    for f in ring.elements:
-        i = principal_ideal(ring, f, side, mode)
-        principals[i.elements] = i
+    n = len(ring.elements)
+    principals = {}                 # bitset -> generators, as a bitset
+    for f in range(n):
+        principals[_closure(ring, [f], side, mode)] = 1 << f
     ideals = dict(principals)
+    tried = set(ideals)             # unions whose join is already listed
     complete = True
-    if mode == MULTIPLICATIVE:
-        # a union of multiplicative ideals is itself an ideal (absorption on
-        # either side already covers every internal product), so the join is
-        # the plain union and the lattice is the union-closure
-        frontier = list(ideals)
-        while frontier and complete:
-            new = []
-            for a in frontier:
-                for b in principals:
-                    u = a | b
-                    if u not in ideals:
-                        ideals[u] = Ideal(ring, u, side, mode)
-                        new.append(u)
-                        if len(ideals) > budget:
-                            complete = False
-                            new = []
-                            break
-                if not complete:
+    frontier = list(ideals)
+    while frontier and complete:
+        new = []
+        for a in frontier:
+            for b in principals:
+                u = a | b
+                if u in tried:
+                    continue
+                tried.add(u)
+                if mode == MULTIPLICATIVE:
+                    j, gens = u, 0
+                else:
+                    j, gens = _closure(ring, _members(u), side, mode), u
+                if j in ideals:
+                    continue
+                tried.add(j)
+                ideals[j] = gens
+                new.append(j)
+                if len(ideals) > budget:
+                    complete = False
                     break
-            frontier = new
-    else:
-        # ring mode: the join closes the union under addition as well; every
-        # lattice member is a finite join of principals, so joining each new
-        # ideal against the principal generators reaches everything
-        frontier = list(ideals.values())
-        while frontier and complete:
-            new = []
-            for a in frontier:
-                for b in principals.values():
-                    u = a.elements | b.elements
-                    if u in ideals:
-                        continue
-                    j = generate_ideal(ring, u, side, mode)
-                    if j.elements not in ideals:
-                        ideals[j.elements] = j
-                        new.append(j)
-                        if len(ideals) > budget:
-                            complete = False
-                            new = []
-                            break
-                if not complete:
-                    break
-            frontier = new
-    if complete and len(ring.elements) <= 16:
-        if set(ideals) != all_ideals_bruteforce(ring, side, mode):
+            if not complete:
+                break
+        frontier = new
+    order = sorted(ideals, key=lambda b: (b.bit_count(), _members(b)))
+    lattice = IdealLattice(
+        ring,
+        tuple(Ideal(ring, _elements(ring, b), side, mode,
+                    generators=tuple(ring.elements[i]
+                                     for i in _members(ideals[b])))
+              for b in order),
+        side, mode, complete, bits=tuple(order))
+    if complete and n <= 16:
+        if ({i.elements for i in lattice.ideals}
+                != all_ideals_bruteforce(ring, side, mode)):
             raise CrossCheckFailed("join-closure disagrees with subset scan")
-    order = sorted(ideals.values(), key=lambda i: (len(i), i.sorted_elements()))
-    return IdealLattice(ring, tuple(order), side, mode, complete)
+    return lattice
+
+
+def _prime_witness(ring: FunctionRing, inside: int):
+    """The least (f, g) with f·g inside and neither inside; None when the
+    proper ideal `inside` is prime."""
+    members = set(_members(inside))
+    outside = [g for g in range(len(ring.elements)) if g not in members]
+    for f in outside:
+        row = ring.row("mul", f)
+        if not members.isdisjoint(map(row.__getitem__, outside)):
+            g = next(g for g in outside if row[g] in members)
+            return ring.elements[f], ring.elements[g]
+    return None
 
 
 def is_prime(ideal: Ideal):
@@ -292,37 +300,49 @@ def is_prime(ideal: Ideal):
     ring = ideal.ring
     if not ideal.is_proper():
         raise NotProper("the whole ring is not a prime ideal")
-    inside = ideal.elements
-    for f in ring.elements:
-        for g in ring.elements:
-            if ring.mul(f, g) in inside and f not in inside and g not in inside:
-                return False, (f, g)
-    return True, None
+    witness = _prime_witness(ring, _bits(ring.index(f) for f in ideal.elements))
+    return witness is None, witness
+
+
+def _outermost(bits: list, flags: dict, key: str, grow: bool):
+    """Set flags[b][key] for each bitset b: whether no other member of
+    `bits` lies strictly beyond it (strictly above when grow, else below).
+
+    Members are taken from the far end inward, so a member is outermost
+    exactly when no outermost member found before it lies beyond it.
+    """
+    found = []
+    for b in sorted(bits, key=int.bit_count, reverse=grow):
+        flags[b][key] = not any(
+            (b & o == b) if grow else (b & o == o) for o in found)
+        if flags[b][key]:
+            found.append(b)
 
 
 def classify_primes(lattice: IdealLattice) -> IdealLattice:
     """Annotate every ideal with primality and min/max structure."""
     if not lattice.complete:
         raise IncompleteLattice("classification needs the full lattice")
-    proper = lattice.proper()
-    primes = []
-    for i in lattice.ideals:
-        if not i.is_proper():
+    ring = lattice.ring
+    whole = (1 << len(ring.elements)) - 1
+    meta = {}
+    for i, b in zip(lattice.ideals, lattice.bits):
+        meta[b] = i.meta
+        if b == whole:
             i.meta.update(is_prime=False, is_maximal=False)
             continue
-        verdict, witness = is_prime(i)
-        i.meta["is_prime"] = verdict
-        if not verdict:
+        witness = _prime_witness(ring, b)
+        i.meta["is_prime"] = witness is None
+        if witness is not None:
             i.meta["prime_witness"] = witness
-        if verdict:
-            primes.append(i)
-    for i in proper:
-        i.meta["is_maximal"] = not any(i < j for j in proper)
+    proper = [b for b in lattice.bits if b != whole]
+    primes = [b for b in proper if meta[b]["is_prime"]]
+    _outermost(proper, meta, "is_maximal", grow=True)
+    _outermost(primes, meta, "is_minimal_prime", grow=False)
+    _outermost(primes, meta, "is_maximal_prime", grow=True)
     for p in primes:
-        p.meta["is_minimal_prime"] = not any(q < p for q in primes)
-        p.meta["is_maximal_prime"] = not any(p < q for q in primes)
-        p.meta["is_min_max"] = (p.meta["is_minimal_prime"]
-                                and p.meta["is_maximal_prime"])
+        meta[p]["is_min_max"] = (meta[p]["is_minimal_prime"]
+                                 and meta[p]["is_maximal_prime"])
     lattice.classified = True
     return lattice
 

@@ -1313,7 +1313,9 @@ def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
 # The characteristic-function calculus (19 numbered identities)
 # --------------------------------------------------------------------------
 
-@_checker("L59")
+# every item needs a unit and L59.1 needs nothing more, so declaring the
+# unit makes L59 unmet, with the first item's note, exactly when no item runs
+@_checker("L59", "unit")
 def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
     for k in range(1, 20):
         item = REGISTRY[f"L59.{k}"]

@@ -148,3 +148,22 @@ def test_aliases_match_their_originals():
             assert (a.verdict, a.witness) == (b.verdict, b.witness)
             checked += 1
     assert checked == 11
+
+
+def test_l59_is_unmet_when_no_item_can_run():
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+    c = Context(discrete_space(2), make_table(mul, zero=0),
+                mode=MULTIPLICATIVE)
+    items = [run_checker(f"L59.{k}", c) for k in range(1, 20)]
+    assert {r.verdict for r in items} == {HYPOTHESIS_UNMET}
+    r = run_checker("L59", c)
+    assert (r.verdict, r.note) == (HYPOTHESIS_UNMET, items[0].note)
+
+
+def test_l59_requires_what_its_items_share():
+    # L59's hypotheses are those every item shares, and one item needs
+    # nothing more: L59 is unmet exactly when every item is
+    shared = set(REGISTRY["L59"].requires)
+    items = [REGISTRY[f"L59.{k}"] for k in range(1, 20)]
+    assert all(shared <= set(item.requires) for item in items)
+    assert any(set(item.requires) == shared for item in items)

@@ -70,6 +70,16 @@ def test_check_ids_from_spec_directive(capsys, tmp_path):
     assert {r["checker"] for r in payload["reports"]} == {"T34", "T5"}
 
 
+def test_spec_file_named_like_a_checker_id(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "T5").write_text(SPEC)
+    code, out, _ = run(capsys, "check", "T34", "T5", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert [(r["checker"], r["instance"]) for r in payload["reports"]] == [
+        ("T34", "R")]
+
+
 def test_check_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(SPEC))
     code, out, _ = run(capsys, "check", "T34", "-")

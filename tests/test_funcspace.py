@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from quasiring.algebra import make_zmod
+from quasiring import funcspace
+from quasiring.algebra import make_table, make_zmod
 from quasiring.errors import (
     BudgetExceeded,
     InfiniteBackend,
@@ -119,3 +122,57 @@ def test_embed_and_project():
     for f in target.elements[:6]:
         for g in target.elements[:6]:
             assert ell[target.mul(f, g)] == chi_ring.mul(ell[f], ell[g])
+
+
+def random_magma_ring(rng, m):
+    """Random multiplication (0 absorbing) and addition (0 the identity),
+    in general neither commutative nor associative."""
+    mul = [[0] * m for _ in range(m)]
+    add = [list(range(m))] + [[a] + [0] * (m - 1) for a in range(1, m)]
+    for a in range(1, m):
+        for b in range(1, m):
+            mul[a][b] = rng.randrange(m)
+            add[a][b] = rng.randrange(m)
+    return make_table(mul, zero=0, add=add)
+
+
+def _tuple_rows(ring, i):
+    f, idx = ring.elements[i], ring.index
+    return {
+        "mul": [idx(ring.mul(f, g)) for g in ring],
+        "mul_t": [idx(ring.mul(g, f)) for g in ring],
+        "add": [idx(ring.add(f, g)) for g in ring],
+        "add_t": [idx(ring.add(g, f)) for g in ring],
+    }
+
+
+def test_index_order_is_tuple_order():
+    ring = FunctionRing(discrete_space(3), make_zmod(3))
+    assert list(ring.elements) == sorted(ring.elements)
+    assert [ring.index(f) for f in ring] == list(range(len(ring)))
+
+
+def test_table_rows_match_tuple_arithmetic():
+    rng = random.Random(3)
+    for m, space in [(3, discrete_space(2)), (3, discrete_space(3)),
+                     (4, disjoint_union(sierpinski_space(),
+                                        discrete_space(1)))]:
+        ring = FunctionRing(space, random_magma_ring(rng, m))
+        flags = ring.flags
+        assert not (flags.commutative or flags.associative
+                    or flags.additive_commutative)
+        assert ring._row_entries == 0         # nothing built up front
+        for i in range(len(ring)):
+            for op, want in _tuple_rows(ring, i).items():
+                assert list(ring.row(op, i)) == want, (m, i, op)
+
+
+def test_rows_past_the_cache_cap_are_rebuilt(monkeypatch):
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 20)
+    ring = FunctionRing(discrete_space(2), random_magma_ring(
+        random.Random(3), 3))
+    for _ in range(2):
+        for i in range(len(ring)):
+            for op, want in _tuple_rows(ring, i).items():
+                assert list(ring.row(op, i)) == want
+    assert ring._row_entries <= 20

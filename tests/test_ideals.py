@@ -1,12 +1,18 @@
+import itertools
+import random
+
 import pytest
 
 from quasiring.algebra import make_table, make_zmod
 from quasiring import ideals
-from quasiring.errors import CrossCheckFailed, NotProper
+from quasiring.errors import CrossCheckFailed, IncompleteLattice, NotProper
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
+    LEFT,
     MULTIPLICATIVE,
+    RIGHT,
     RING,
+    TWO_SIDED,
     all_ideals_bruteforce,
     classify_primes,
     family_sets,
@@ -18,6 +24,8 @@ from quasiring.ideals import (
     vanishing_ideal,
 )
 from quasiring.topology import discrete_space, sierpinski_space
+
+from test_funcspace import random_magma_ring
 
 
 @pytest.fixture
@@ -118,6 +126,14 @@ def test_prime_radical_is_nilpotents_for_z4_constants():
     assert prime_radical(lat) == frozenset({(0,), (2,)})
 
 
+def test_lattice_budget_cut():
+    ring = FunctionRing(discrete_space(4), make_zmod(2))   # 167 ideals
+    lat = ideal_lattice(ring, mode=MULTIPLICATIVE, budget=20)
+    assert not lat.complete and len(lat.ideals) == 21
+    with pytest.raises(IncompleteLattice):
+        classify_primes(lat)
+
+
 def test_lattice_oracle_disagreement_raises(d2z3, monkeypatch):
     # the subset-scan cross-check must survive `python -O`
     monkeypatch.setattr(ideals, "all_ideals_bruteforce",
@@ -136,3 +152,89 @@ def test_family_sets_incidence(d2z3):
     empty = frozenset()
     assert fam.P_u[empty] == frozenset(
         p for p in fam.P if not p.is_proper())
+
+
+def small_ring_corpus(max_elements=16):
+    """Every ring of at most max_elements elements over discrete spaces of
+    1-4 points and Z_2, Z_3, Z_4, seeded random magmas of 2-4 elements, or
+    a 3-element algebra with a·b = a for nonzero a, b (left and right
+    ideals then differ) and a random non-commutative addition; and the
+    4-element algebra with zero multiplication and such an addition, whose
+    ring-mode ideals are the additively closed sets holding 0 (a closure
+    that sums a pair in one order only misses some).  Over more than one
+    point it would have 2^(n-1) multiplicative ideals on n elements."""
+    rng = random.Random(2024)
+    algebras = [make_zmod(2), make_zmod(3), make_zmod(4)]
+    algebras += [random_magma_ring(rng, m) for m in (2, 3, 4)]
+    algebras.append(make_table([[0, 0, 0], [0, 1, 1], [0, 2, 2]], zero=0,
+                               add=random_magma_ring(rng, 3).add))
+    for y in algebras:
+        for n in range(1, 5):
+            if y.carrier_size ** n <= max_elements:
+                yield FunctionRing(discrete_space(n), y)
+    yield FunctionRing(discrete_space(1), make_table(
+        [[0] * 4] * 4, zero=0, add=random_magma_ring(random.Random(4), 4).add))
+
+
+def _is_ideal(ring, elems, side, mode):
+    """The ideal laws, checked on value tuples."""
+    return (ring.theta in elems
+            and all((side == LEFT or ring.mul(f, g) in elems)
+                    and (side == RIGHT or ring.mul(g, f) in elems)
+                    for g in elems for f in ring)
+            and (mode == MULTIPLICATIVE
+                 or all(ring.add(a, b) in elems
+                        for a in elems for b in elems)))
+
+
+def test_subset_scan_matches_the_ideal_laws():
+    checked = 0
+    for ring in small_ring_corpus(max_elements=9):
+        subsets = [frozenset(c) for k in range(len(ring) + 1)
+                   for c in itertools.combinations(ring.elements, k)]
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                want = {s for s in subsets if _is_ideal(ring, s, side, mode)}
+                assert all_ideals_bruteforce(ring, side, mode) == want
+                checked += 1
+    assert checked == 90
+
+
+def test_generate_ideal_is_the_least_ideal_of_the_subset_scan():
+    rng = random.Random(5)
+    checked = 0
+    for ring in small_ring_corpus():
+        seeds = [[f] for f in ring] + [rng.sample(ring.elements, 2)
+                                       for _ in range(4)]
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                every = all_ideals_bruteforce(ring, side, mode)
+                for seed in seeds:
+                    least = frozenset.intersection(
+                        *(i for i in every if i >= frozenset(seed)))
+                    got = generate_ideal(ring, seed, side, mode)
+                    assert got.elements == least, (ring, seed, side, mode)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_classification_matches_the_definitions():
+    for ring in small_ring_corpus():
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                lat = classify_primes(ideal_lattice(ring, side, mode))
+                proper = [i.elements for i in lat.ideals if i.is_proper()]
+                primes = [p for p in proper
+                          if not any(ring.mul(f, g) in p
+                                     for f in ring if f not in p
+                                     for g in ring if g not in p)]
+                for i in lat.ideals:
+                    e, meta = i.elements, i.meta
+                    assert meta["is_prime"] == (e in primes)
+                    assert meta["is_maximal"] == (
+                        e in proper and not any(e < j for j in proper))
+                    if e in primes:
+                        assert meta["is_minimal_prime"] == (
+                            not any(q < e for q in primes))
+                        assert meta["is_maximal_prime"] == (
+                            not any(e < q for q in primes))
