@@ -216,10 +216,12 @@ def cmd_check(args) -> tuple[dict, int]:
 def cmd_generate(args) -> tuple[dict, int]:
     if args.primes is None:
         raise QuasiringError("generate needs --primes N")
+    if args.primes < 1:
+        raise QuasiringError(f"--primes must be at least 1, got {args.primes}")
     m = re.fullmatch(r"zmod:(\d+)", args.algebra)
-    if m is None:
+    if m is None or int(m.group(1)) < 2:
         raise QuasiringError(
-            f"unsupported --algebra {args.algebra!r}; use zmod:N")
+            f"unsupported --algebra {args.algebra!r}; use zmod:N with N >= 2")
     algebra = make_zmod(int(m.group(1)))
     try:
         ring, inv = generate_prescribed_ring(args.primes, algebra,

@@ -30,14 +30,14 @@ from .errors import (
     ZeroValue,
 )
 from .topology import (
+    DEFAULT_ENUM_BUDGET,
     ExplicitSpace,
     SequenceSpace,
     Space,
+    mask_of,
     quasi_component_partition,
     quotient_space,
 )
-
-DEFAULT_ENUM_BUDGET = 2 ** 20
 
 #: a ring keeps built table rows while they hold at most this many entries
 #: in all (16 MB as 32-bit indices); past it each row is rebuilt when used
@@ -71,7 +71,6 @@ class FunctionRing:
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
-        self._index = {f: i for i, f in enumerate(self.elements)}
         self._zero_sets = {}
         self._rows = {}
         self._row_entries = 0
@@ -91,7 +90,16 @@ class FunctionRing:
     # -- Cayley tables over element indices -------------------------------
 
     def index(self, f: FnElement) -> int:
-        return self._index[f]
+        """The position of f in ``elements``; KeyError if f is not in it."""
+        m = self.algebra.carrier_size
+        if len(f) != len(self.classes):
+            raise KeyError(f)
+        i = 0
+        for d in f:
+            if not 0 <= d < m:
+                raise KeyError(f)
+            i = i * m + d
+        return i
 
     def row(self, op: str, i: int) -> array:
         """Element i combined with every element j, as indices in j order.
@@ -125,9 +133,6 @@ class FunctionRing:
     def value_at(self, f: FnElement, point: int) -> int:
         return f[self.class_of[point]]
 
-    def contains(self, f) -> bool:
-        return f in self._index
-
     def __len__(self):
         return len(self.elements)
 
@@ -149,7 +154,7 @@ class FunctionRing:
     def chi(self, u, a: int | None = None) -> FnElement:
         """Characteristic function: zero on the clopen set u, value a off it."""
         u = frozenset(u)
-        if not self.space.is_clopen(u):
+        if mask_of(u) not in self.space.clopen_masks:
             raise NotClopen(f"{sorted(u)} is not clopen")
         if a is None:
             if self.algebra.unit is None:

@@ -1,24 +1,95 @@
 """Finite topological spaces and the symbolic convergent-sequence space.
 
-The explicit backend stores the full open-set family of a space on points
-``0..n-1``.  The sequence backend models the one-limit-point space
-N ∪ {∞} (every natural isolated, neighborhoods of ∞ cofinite) through the
-finite/cofinite set algebra of :mod:`quasiring.sets`.
+The explicit backend hands out the full open-set family of a space on points
+``0..n-1`` as a frozenset of frozensets.  Behind that boundary a point set is
+an int bitmask, bit p for point p, and every open family is built by one
+routine, ``all_unions``: the unions of a few masks, the empty union included.
+The topology generated by some sets is the unions of the minimal open
+neighbourhoods U_x, the intersection of the generating sets that contain x
+(Alexandroff, "Diskrete Räume", 1937); the clopen-base topology is the unions
+of the quasi-components.  Each space caches its open and clopen masks.  No
+family is enumerated past ``DEFAULT_ENUM_BUDGET`` sets.
+
+The sequence backend models the one-limit-point space N ∪ {∞} (every
+natural isolated, neighborhoods of ∞ cofinite) through the finite/cofinite
+set algebra of :mod:`quasiring.sets`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Union
 
 from .errors import (
+    BudgetExceeded,
     CarrierMismatch,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
 from .sets import INF, SeqSet, sort_family
+
+#: the most open sets (or, for a FunctionRing, elements) any one family may
+#: enumerate before the construction is refused
+DEFAULT_ENUM_BUDGET = 2 ** 20
+
+
+def mask_of(points: Iterable[int]) -> int:
+    """The bitmask of a set of points."""
+    mask = 0
+    for p in points:
+        mask |= 1 << p
+    return mask
+
+
+def points_of(mask: int) -> frozenset:
+    """The set of points of a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def all_unions(masks: Iterable[int], within: frozenset | None = None):
+    """Every union of the given masks, the empty union 0 included.
+
+    With ``within``, stop at the first union outside it and return None.
+    Past ``DEFAULT_ENUM_BUDGET`` unions the enumeration is refused.
+    """
+    masks = set(masks)
+    family = {0}
+    todo = [0]
+    while todo:
+        base = todo.pop()
+        for m in masks:
+            u = base | m
+            if u not in family:
+                if within is not None and u not in within:
+                    return None
+                family.add(u)
+                if len(family) > DEFAULT_ENUM_BUDGET:
+                    raise BudgetExceeded(
+                        f"a family of more than {DEFAULT_ENUM_BUDGET} sets "
+                        f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
+                todo.append(u)
+    return family
+
+
+def _meets(point_count: int, masks) -> list[int]:
+    """Per point x, the intersection of the masks that contain x."""
+    out = []
+    for x in range(point_count):
+        bit = 1 << x
+        u = (1 << point_count) - 1
+        for m in masks:
+            if m & bit:
+                u &= m
+        out.append(u)
+    return out
 
 
 @dataclass(frozen=True)
@@ -34,6 +105,21 @@ class ExplicitSpace:
     def full(self) -> frozenset:
         return frozenset(self.points)
 
+    @cached_property
+    def open_masks(self) -> frozenset:
+        return frozenset(mask_of(u) for u in self.opens)
+
+    @cached_property
+    def clopen_masks(self) -> frozenset:
+        full = (1 << self.point_count) - 1
+        opens = self.open_masks
+        return frozenset(m for m in opens if full ^ m in opens)
+
+    @cached_property
+    def quasi_masks(self) -> tuple:
+        """Per point, its quasi-component: the meet of the clopens holding it."""
+        return tuple(_meets(self.point_count, self.clopen_masks))
+
     def is_open(self, s: frozenset) -> bool:
         return frozenset(s) in self.opens
 
@@ -45,6 +131,14 @@ class ExplicitSpace:
 
     def sorted_opens(self) -> list[frozenset]:
         return sort_family(self.opens)
+
+
+def _explicit(point_count: int, masks) -> ExplicitSpace:
+    """The space whose opens are the given masks, with its mask cache set."""
+    space = ExplicitSpace(point_count, frozenset(map(points_of, masks)))
+    # the masks are already known; seed the cached property with them
+    space.__dict__["open_masks"] = frozenset(masks)
+    return space
 
 
 class SequenceSpace:
@@ -121,9 +215,10 @@ class ClopenFamily:
 def validate_topology(point_count: int, opens, auto_close: bool = False) -> ExplicitSpace:
     """Build an explicit space, verifying the open-family axioms.
 
-    Rejects families that are not closed under pairwise union/intersection
-    unless ``auto_close`` asks for closure-completion.  Pairwise closure
-    suffices on a finite carrier.
+    With ``auto_close`` the space is the topology the given sets generate:
+    the unions of the minimal neighbourhoods U_x.  Without it the family
+    must already be that topology; otherwise the first pair (in sorted
+    order) whose union or intersection is missing is reported.
     """
     if point_count < 1:
         raise ValueError("point_count must be >= 1")
@@ -134,38 +229,30 @@ def validate_topology(point_count: int, opens, auto_close: bool = False) -> Expl
         if not s <= full:
             raise ValueError(f"open set {sorted(s)} not within 0..{point_count - 1}")
         fam.add(s)
+    masks = frozenset(map(mask_of, fam))
+    if auto_close:
+        return _explicit(point_count,
+                         all_unions(_meets(point_count, masks)))
     if frozenset() not in fam or full not in fam:
-        if auto_close:
-            fam.add(frozenset())
-            fam.add(full)
-        else:
-            raise MissingEmptyOrFull(
-                "open family must contain the empty set and the full set"
-            )
-    while True:
-        new = set()
+        raise MissingEmptyOrFull(
+            "open family must contain the empty set and the full set")
+    # every member is the union of its points' U_x, so the family is a
+    # topology exactly when no union of the U_x falls outside it
+    if all_unions(_meets(point_count, masks), within=masks) is None:
         for a, b in itertools.combinations(sorted(fam, key=sorted), 2):
-            u, i = a | b, a & b
-            if u not in fam:
-                if not auto_close:
-                    raise NotClosedUnderUnion(a, b)
-                new.add(u)
-            if i not in fam:
-                if not auto_close:
-                    raise NotClosedUnderIntersection(a, b)
-                new.add(i)
-        if not new:
-            break
-        fam |= new
-    return ExplicitSpace(point_count, frozenset(fam))
+            if a | b not in fam:
+                raise NotClosedUnderUnion(a, b)
+            if a & b not in fam:
+                raise NotClosedUnderIntersection(a, b)
+    return _explicit(point_count, masks)
 
 
 def discrete_space(n: int) -> ExplicitSpace:
-    full = range(n)
-    opens = frozenset(frozenset(c)
-                      for size in range(n + 1)
-                      for c in itertools.combinations(full, size))
-    return ExplicitSpace(n, opens)
+    if n > DEFAULT_ENUM_BUDGET.bit_length() - 1:
+        raise BudgetExceeded(
+            f"the discrete space on {n} points has 2^{n} open sets, over "
+            f"the enumeration budget {DEFAULT_ENUM_BUDGET}")
+    return _explicit(n, range(1 << n))
 
 
 def indiscrete_space(n: int) -> ExplicitSpace:
@@ -180,16 +267,16 @@ def sierpinski_space() -> ExplicitSpace:
 def disjoint_union(a: ExplicitSpace, b: ExplicitSpace) -> ExplicitSpace:
     """Topological sum; b's points are shifted past a's."""
     shift = a.point_count
-    opens = frozenset(u | frozenset(p + shift for p in v)
-                      for u in a.opens for v in b.opens)
-    return ExplicitSpace(a.point_count + b.point_count, opens)
+    return _explicit(a.point_count + b.point_count,
+                     {u | v << shift
+                      for u in a.open_masks for v in b.open_masks})
 
 
 def clopen_family(space: Space):
     """All clopen sets: a sorted list (explicit) or a ClopenFamily (sequence)."""
     if isinstance(space, SequenceSpace):
         return ClopenFamily(space)
-    return sort_family(u for u in space.opens if space.is_closed(u))
+    return sort_family(map(points_of, space.clopen_masks))
 
 
 def quasi_component(space: Space, x) -> frozenset | SeqSet:
@@ -199,64 +286,47 @@ def quasi_component(space: Space, x) -> frozenset | SeqSet:
         if x is INF:
             return SeqSet.of((), infinity=True)
         return SeqSet.of((x,))
-    out = space.full
-    for u in space.opens:
-        if x in u and space.is_closed(u):
-            out &= u
-    return out
+    return points_of(space.quasi_masks[x])
+
+
+def _quasi_classes(space: ExplicitSpace) -> list[int]:
+    """The quasi-component masks, in the order of their least points."""
+    seen, classes = 0, []
+    for p, q in enumerate(space.quasi_masks):
+        if not seen >> p & 1:
+            classes.append(q)
+            seen |= q
+    return classes
 
 
 def quasi_component_partition(space: ExplicitSpace) -> tuple:
-    seen = set()
-    classes = []
-    for p in space.points:
-        if p not in seen:
-            q = quasi_component(space, p)
-            classes.append(q)
-            seen |= q
-    return tuple(sorted(classes, key=min))
+    return tuple(map(points_of, _quasi_classes(space)))
 
 
 def quotient_space(space: Space):
     """Quotient by quasi-components; totally separated by construction."""
     if isinstance(space, SequenceSpace):
         return space  # classes are singletons: the quotient is the space itself
-    classes = quasi_component_partition(space)
-    index = {}
-    for i, c in enumerate(classes):
-        for p in c:
-            index[p] = i
+    masks = _quasi_classes(space)
     opens = set()
-    for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(len(classes)), k)
-            for k in range(len(classes) + 1)):
-        pre = frozenset(p for p in space.points if index[p] in subset)
-        if space.is_open(pre):
-            opens.add(frozenset(subset))
-    return QuotientSpace(space, classes, frozenset(opens))
+    for m in space.open_masks:
+        hit = [i for i, c in enumerate(masks) if c & m]
+        if m == sum(masks[i] for i in hit):  # m is saturated
+            opens.add(frozenset(hit))
+    return QuotientSpace(space, tuple(map(points_of, masks)), frozenset(opens))
 
 
 def clopen_base_topology(space: Space) -> Space:
     """The topology generated by the clopen sets as an open basis."""
     if isinstance(space, SequenceSpace):
         return space  # opens are already unions of clopens
-    basis = set(clopen_family(space))
-    opens = set(basis)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(opens, key=sorted), 2):
-            u = a | b
-            if u not in opens:
-                opens.add(u)
-                changed = True
-    return ExplicitSpace(space.point_count, frozenset(opens))
+    return _explicit(space.point_count, all_unions(_quasi_classes(space)))
 
 
 def is_totally_separated(space: Space) -> bool:
     if isinstance(space, SequenceSpace):
         return True
-    return all(len(quasi_component(space, p)) == 1 for p in space.points)
+    return all(q == 1 << p for p, q in enumerate(space.quasi_masks))
 
 
 def compare_topologies(a: Space, b: Space) -> TopologyComparison:

@@ -86,6 +86,7 @@ class Context:
         self.budget = budget
         self.seed = seed
         self.is_sequence = isinstance(space, SequenceSpace)
+        self._chis = {}
 
     @cached_property
     def ring(self) -> FunctionRing:
@@ -131,7 +132,12 @@ class Context:
         return [a for a in self.algebra.elements if a != z]
 
     def chi(self, u, a=None):
-        return self.ring.chi(u, a)
+        """``ring.chi(u, a)``, cached; a bad call raises every time."""
+        key = (frozenset(u), a)
+        f = self._chis.get(key)
+        if f is None:
+            f = self._chis[key] = self.ring.chi(u, a)
+        return f
 
     def I_of(self, points) -> Ideal:
         return vanishing_ideal(self.ring, points, self.side, self.mode)

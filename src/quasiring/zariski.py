@@ -17,8 +17,11 @@ from .sets import SeqSet, sort_family
 from .topology import (
     ExplicitSpace,
     SequenceSpace,
+    all_unions,
     clopen_base_topology,
     compare_topologies,
+    mask_of,
+    points_of,
 )
 
 MATERIALIZE_CAP = 2 ** 16
@@ -66,40 +69,59 @@ def _require_no_zero_divisors(ring: FunctionRing):
             f"witness {bad[0][0]}·{bad[0][1]} = 0", witness=bad[0])
 
 
+def _meet_closure(basic, cap: int):
+    """The ∩-closure of a family holding the full set; None past cap sets.
+
+    Sets are added largest first, and a set already in the closure adds
+    nothing: the closure so far is ∩-closed, so it holds every c & b.
+    """
+    closed = set()
+    for b in sorted(basic, key=int.bit_count, reverse=True):
+        if b not in closed:
+            closed |= {c & b for c in closed}
+            closed.add(b)
+            if len(closed) > cap:
+                return None
+    return closed
+
+
+def _union_gap(family) -> tuple | None:
+    """Two members whose union is not a member, or None if there are none.
+
+    Builds the ∪-closure smallest set first, the dual of ``_meet_closure``;
+    every union it forms from two members must be a member itself.
+    """
+    closure = set()
+    for b in sorted(family, key=int.bit_count):
+        if b not in closure:
+            for c in closure:
+                if c | b not in family:
+                    return points_of(c), points_of(b)
+            closure |= {c | b for c in closure}
+            closure.add(b)
+    return None
+
+
 def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
     """All intersections of the single-function zero sets V(f).
 
-    Union closure is checked and reported (it holds under the zero-divisor
-    hypothesis: V(f) ∪ V(g) = V(f·g)).
+    V(f) is the union of the quasi-components where f is zero, and the ring
+    is all of Y^q with Y holding a nonzero value, so the V(f) are exactly
+    the unions of classes.  Union closure is checked and reported (it holds
+    under the zero-divisor hypothesis: V(f) ∪ V(g) = V(f·g)).
     """
     _require_no_zero_divisors(ring)
     space = ring.space
-    basic = {ring.zero_set(f) for f in ring.elements}
-    closed = set(basic)
-    closed.add(space.full)  # V of the empty set
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in basic:
-                c = a & b
-                if c not in closed:
-                    if len(closed) >= MATERIALIZE_CAP:
-                        return ZariskiTopology(space, None, None, True)
-                    closed.add(c)
-                    new.append(c)
-        frontier = new
-    union_closed, witness = True, None
-    for a in closed:
-        for b in closed:
-            if a | b not in closed:
-                union_closed, witness = False, (a, b)
-                break
-        if not union_closed:
-            break
-    opens = frozenset(space.full - c for c in closed)
-    return ZariskiTopology(space, tuple(sort_family(closed)), opens,
-                           union_closed, witness)
+    full = (1 << space.point_count) - 1
+    basic = all_unions(mask_of(c) for c in ring.classes)
+    # the cap counts only once the closure adds sets beyond the V(f)
+    closed = _meet_closure(basic, max(MATERIALIZE_CAP, len(basic)))
+    if closed is None:
+        return ZariskiTopology(space, None, None, True)
+    witness = _union_gap(closed)
+    return ZariskiTopology(space, tuple(sort_family(map(points_of, closed))),
+                           frozenset(points_of(full ^ c) for c in closed),
+                           witness is None, witness)
 
 
 def symbolic_zariski() -> SymbolicZariski:

@@ -1,7 +1,7 @@
 import pytest
 
 from quasiring.algebra import make_table, make_zmod
-from quasiring.errors import UnknownChecker
+from quasiring.errors import MissingUnit, NotClopen, UnknownChecker, ZeroValue
 from quasiring.topology import SequenceSpace, discrete_space, sierpinski_space
 from quasiring.verify import (
     BUDGET_EXCEEDED,
@@ -167,3 +167,22 @@ def test_l59_requires_what_its_items_share():
     items = [REGISTRY[f"L59.{k}"] for k in range(1, 20)]
     assert all(shared <= set(item.requires) for item in items)
     assert any(set(item.requires) == shared for item in items)
+
+
+def test_context_chi_caches_results_and_never_errors():
+    c = Context(sierpinski_space(), make_zmod(3), mode=RING)
+    full = frozenset({0, 1})
+    assert c.chi(full, 2) is c.chi({0, 1}, 2)
+    assert c.chi(full, 2) == c.ring.chi(full, 2)
+    assert c.chi(frozenset(), 1) != c.chi(frozenset(), 2)
+    for _ in range(2):
+        with pytest.raises(NotClopen):
+            c.chi({0})
+        with pytest.raises(ZeroValue):
+            c.chi(full, 0)
+    nonunital = Context(discrete_space(1),
+                        make_table(((0, 0), (0, 0)), zero=0, unit=None),
+                        mode=MULTIPLICATIVE)
+    for _ in range(2):
+        with pytest.raises(MissingUnit):
+            nonunital.chi(frozenset())

@@ -135,6 +135,25 @@ def test_generate_refused_zero_divisors(capsys):
     assert payload["witness"] == [2, 2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--primes", "0"),
+    ("--primes", "2", "--algebra", "zmod:1"),
+])
+def test_generate_bad_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("quasiring: ")
+
+
+def test_space_past_the_budget_exit_three(capsys, tmp_path):
+    p = tmp_path / "big.qr"
+    p.write_text("space Z discrete 22\nalgebra Y zmod 2\nring R = C(Z, Y)\n")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert code == 3
+    assert "budget 1048576" in err
+
+
 def test_fuzz_small(capsys):
     code, out, _ = run(capsys, "fuzz", "--instances", "2", "--seed", "5",
                        "--json")

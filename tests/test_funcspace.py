@@ -152,6 +152,25 @@ def test_index_order_is_tuple_order():
     assert [ring.index(f) for f in ring] == list(range(len(ring)))
 
 
+def test_index_refuses_tuples_outside_the_ring():
+    ring = FunctionRing(discrete_space(3), make_zmod(3))
+    for f in [(0, 0), (0, 0, 0, 0), (0, 3, 0), (-1, 0, 0), ()]:
+        with pytest.raises(KeyError):
+            ring.index(f)
+
+
+def test_chi_tests_clopenness_against_the_clopen_masks():
+    space = disjoint_union(sierpinski_space(), discrete_space(1))
+    ring = FunctionRing(space, make_zmod(2))
+    for bits in range(8):
+        u = frozenset(p for p in range(3) if bits >> p & 1)
+        if space.is_clopen(u):
+            assert ring.zero_set(ring.chi(u)) == u
+        else:
+            with pytest.raises(NotClopen):
+                ring.chi(u)
+
+
 def test_table_rows_match_tuple_arithmetic():
     rng = random.Random(3)
     for m, space in [(3, discrete_space(2)), (3, discrete_space(3)),

@@ -1,6 +1,17 @@
+import itertools
+import random
+
 import pytest
 
-from quasiring.errors import NotClosedUnderIntersection, NotClosedUnderUnion
+from quasiring import topology, zariski
+from quasiring.algebra import make_table, make_zmod
+from quasiring.dsl import parse_spec
+from quasiring.errors import (
+    BudgetExceeded,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
+)
+from quasiring.funcspace import FunctionRing
 from quasiring.sets import INF, SeqSet
 from quasiring.topology import (
     ExplicitSpace,
@@ -19,6 +30,7 @@ from quasiring.topology import (
     validate_topology,
 )
 from quasiring.verify import InstanceSpec, random_instance
+from quasiring.zariski import zariski_closed_family
 
 
 def test_discrete_space_all_sets_open():
@@ -116,3 +128,172 @@ def test_random_instances_are_topologies():
         space, _ = random_instance(spec)
         # re-validating the opens must succeed without auto-closing
         validate_topology(space.point_count, space.opens)
+
+
+# -- oracles: the set-level algorithms the bitmask layer replaced -----------
+
+def pairwise_closure(n, sets, auto_close=True):
+    """Close a family under pairwise union and intersection, round by round;
+    without auto_close, raise at the first pair (in sorted order) whose union
+    or intersection is missing."""
+    full = frozenset(range(n))
+    fam = {frozenset(s) for s in sets} | {frozenset(), full}
+    while True:
+        new = set()
+        for a, b in itertools.combinations(sorted(fam, key=sorted), 2):
+            for c, error in ((a | b, NotClosedUnderUnion),
+                             (a & b, NotClosedUnderIntersection)):
+                if c not in fam:
+                    if not auto_close:
+                        raise error(a, b)
+                    new.add(c)
+        if not new:
+            return frozenset(fam)
+        fam |= new
+
+
+def clopens_by_definition(n, opens):
+    full = frozenset(range(n))
+    return {u for u in opens if full - u in opens}
+
+
+def quasi_partition_by_definition(n, opens):
+    clopens = clopens_by_definition(n, opens)
+    comps = {frozenset(range(n)).intersection(*[c for c in clopens if x in c])
+             for x in range(n)}
+    return tuple(sorted(comps, key=min))
+
+
+def quotient_opens_by_subset_scan(n, opens, classes):
+    return {frozenset(s)
+            for k in range(len(classes) + 1)
+            for s in itertools.combinations(range(len(classes)), k)
+            if frozenset().union(*[classes[i] for i in s]) in opens}
+
+
+def random_subbasis(rng, n):
+    p = rng.choice([0.2, 0.4, 0.6])
+    return [frozenset(x for x in range(n) if rng.random() < p)
+            for _ in range(rng.randint(0, n + 2))]
+
+
+def test_neighbourhood_topology_matches_pairwise_closure():
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for _ in range(40):
+            sets = random_subbasis(rng, n)
+            want = pairwise_closure(n, sets)
+            space = validate_topology(n, sets, auto_close=True)
+            assert space.opens == want
+            assert space.open_masks == {topology.mask_of(u) for u in want}
+            classes = quasi_partition_by_definition(n, want)
+            assert quasi_component_partition(space) == classes
+            assert [quasi_component(space, x) for x in range(n)] == [
+                next(c for c in classes if x in c) for x in range(n)]
+            clopens = clopens_by_definition(n, want)
+            assert set(clopen_family(space)) == clopens
+            assert clopen_base_topology(space).opens == pairwise_closure(
+                n, clopens)
+            q = quotient_space(space)
+            assert q.classes == classes
+            assert q.opens == quotient_opens_by_subset_scan(n, want, classes)
+
+
+def test_strict_validation_matches_the_pairwise_scan():
+    rng = random.Random(12)
+    for n in range(1, 8):
+        for _ in range(30):
+            fam = set(pairwise_closure(n, random_subbasis(rng, n)))
+            # knock out or add a set, which may or may not break the axioms
+            if rng.random() < 0.5 and len(fam) > 2:
+                fam.discard(rng.choice(sorted(fam - {frozenset(),
+                                                     frozenset(range(n))},
+                                              key=sorted)))
+            else:
+                fam.add(frozenset(x for x in range(n) if rng.random() < 0.5))
+            try:
+                want = pairwise_closure(n, fam, auto_close=False)
+            except (NotClosedUnderUnion, NotClosedUnderIntersection) as exc:
+                with pytest.raises(type(exc)) as got:
+                    validate_topology(n, fam)
+                assert got.value.witness == exc.witness
+            else:
+                assert validate_topology(n, fam).opens == want
+
+
+def test_witness_pairs_are_the_first_in_sorted_order():
+    with pytest.raises(NotClosedUnderUnion) as err:
+        validate_topology(3, [frozenset(), frozenset({0, 1, 2}),
+                              frozenset({1}), frozenset({0})])
+    assert err.value.witness == (frozenset({0}), frozenset({1}))
+    with pytest.raises(NotClosedUnderIntersection) as err:
+        validate_topology(3, [frozenset(), frozenset({0, 1, 2}),
+                              frozenset({1, 2}), frozenset({0, 1})])
+    assert err.value.witness == (frozenset({0, 1}), frozenset({1, 2}))
+
+
+def test_disjoint_union_matches_the_set_product():
+    a = validate_topology(3, [{0}, {0, 1}], auto_close=True)
+    b = disjoint_union(sierpinski_space(), discrete_space(1))
+    z = disjoint_union(a, b)
+    assert z.opens == {u | frozenset(p + 3 for p in v)
+                       for u in a.opens for v in b.opens}
+
+
+def zero_set_closure(ring):
+    """The closed family and the union test as computed per element."""
+    basic = {ring.zero_set(f) for f in ring.elements} | {ring.space.full}
+    closed = set(basic)
+    while True:
+        new = {a & b for a in closed for b in basic} - closed
+        if not new:
+            break
+        closed |= new
+    union_closed = all(a | b in closed for a in closed for b in closed)
+    return closed, union_closed
+
+
+def test_zariski_family_matches_the_per_element_closure():
+    rng = random.Random(13)
+    f3 = make_table(((0, 0, 0), (0, 1, 2), (0, 2, 1)), zero=0, unit=1)
+    for n in range(1, 6):
+        for _ in range(6):
+            space = validate_topology(n, random_subbasis(rng, n),
+                                      auto_close=True)
+            for algebra in (make_zmod(2), make_zmod(3), f3):
+                ring = FunctionRing(space, algebra)
+                closed, union_closed = zero_set_closure(ring)
+                zt = zariski_closed_family(ring)
+                assert set(zt.closed_family) == closed
+                assert list(zt.closed_family) == topology.sort_family(closed)
+                assert zt.opens == {space.full - c for c in closed}
+                assert zt.union_closed == union_closed
+                assert zt.union_witness is None
+
+
+def test_closure_helpers_on_families_that_are_not_closed():
+    # the zero-set family is always closed under both, so test them apart
+    assert zariski._meet_closure({0b111, 0b011, 0b110}, 8) == {
+        0b111, 0b011, 0b110, 0b010}
+    assert zariski._meet_closure({0b111, 0b011, 0b110}, 3) is None
+    assert zariski._union_gap({0b000, 0b001, 0b011, 0b111}) is None
+    assert zariski._union_gap({0b000, 0b001, 0b010, 0b111}) == (
+        frozenset({0}), frozenset({1}))
+
+
+def test_discrete_space_past_the_budget_is_refused_up_front():
+    with pytest.raises(BudgetExceeded, match="budget 1048576"):
+        discrete_space(21)
+    with pytest.raises(BudgetExceeded, match="budget 1048576"):
+        discrete_space(10 ** 9)
+
+
+def test_open_family_past_the_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 64)
+    singletons = " ".join("{%d}" % p for p in range(7))
+    with pytest.raises(BudgetExceeded, match="budget 64"):
+        parse_spec(f"space S opens {{ {singletons} }}\n")
+    assert len(validate_topology(6, [{p} for p in range(6)],
+                                 auto_close=True).opens) == 64
+    with pytest.raises(BudgetExceeded, match="budget 64"):
+        discrete_space(7)
