@@ -130,7 +130,7 @@ def test_random_instances_are_topologies():
         validate_topology(space.point_count, space.opens)
 
 
-# -- oracles: the set-level algorithms the bitmask layer replaced -----------
+# -- set-level oracles for the bitmask layer ---------------------------------
 
 def pairwise_closure(n, sets, auto_close=True):
     """Close a family under pairwise union and intersection, round by round;
