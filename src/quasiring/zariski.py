@@ -17,7 +17,6 @@ from .sets import SeqSet, sort_family
 from .topology import (
     ExplicitSpace,
     SequenceSpace,
-    all_unions,
     clopen_base_topology,
     compare_topologies,
     mask_of,
@@ -105,15 +104,19 @@ def _union_gap(family) -> tuple | None:
 def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
     """All intersections of the single-function zero sets V(f).
 
-    V(f) is the union of the quasi-components where f is zero, and the ring
-    is all of Y^q with Y holding a nonzero value, so the V(f) are exactly
-    the unions of classes.  Union closure is checked and reported (it holds
+    V(f) is read off each element of the ring: the union of the classes
+    where f's value is zero.  Union closure is checked and reported (it holds
     under the zero-divisor hypothesis: V(f) ∪ V(g) = V(f·g)).
     """
     _require_no_zero_divisors(ring)
     space = ring.space
     full = (1 << space.point_count) - 1
-    basic = all_unions(mask_of(c) for c in ring.classes)
+    class_masks = [mask_of(c) for c in ring.classes]
+    zero = ring.algebra.zero
+    # per element, the classes where it is zero; each distinct pattern is one V(f)
+    patterns = {tuple(map(zero.__eq__, f)) for f in ring.elements}
+    basic = {sum(m for m, hit in zip(class_masks, p) if hit) for p in patterns}
+    basic.add(full)  # V of the empty set
     # the cap counts only once the closure adds sets beyond the V(f)
     closed = _meet_closure(basic, max(MATERIALIZE_CAP, len(basic)))
     if closed is None:

@@ -30,7 +30,7 @@ from quasiring.topology import (
     validate_topology,
 )
 from quasiring.verify import InstanceSpec, random_instance
-from quasiring.zariski import zariski_closed_family
+from quasiring.zariski import compare_T1_TZ_T, zariski_closed_family
 
 
 def test_discrete_space_all_sets_open():
@@ -269,6 +269,25 @@ def test_zariski_family_matches_the_per_element_closure():
                 assert zt.opens == {space.full - c for c in closed}
                 assert zt.union_closed == union_closed
                 assert zt.union_witness is None
+
+
+def test_zariski_family_is_read_off_the_ring_elements(monkeypatch):
+    # a ring missing elements must show in TZ, so that T1 = TZ can fail
+    ring = FunctionRing(discrete_space(2), make_zmod(2))
+    ring.elements = ((0, 0), (1, 0), (1, 1))
+    zt = zariski_closed_family(ring)
+    assert zt.closed_family == (frozenset(), frozenset({1}),
+                                frozenset({0, 1}))
+    assert compare_T1_TZ_T(ring)[0].verdict == "first-strictly-finer"
+    # V(0,1,1) ∪ V(1,0,1) is no V(f): union closure fails, and past the
+    # cap the closure is not materialised
+    ring = FunctionRing(discrete_space(3), make_zmod(2))
+    ring.elements = ((0, 1, 1), (1, 0, 1))
+    zt = zariski_closed_family(ring)
+    assert not zt.union_closed
+    assert zt.union_witness == (frozenset({0}), frozenset({1}))
+    monkeypatch.setattr(zariski, "MATERIALIZE_CAP", 2)
+    assert zariski_closed_family(ring).closed_family is None
 
 
 def test_closure_helpers_on_families_that_are_not_closed():
