@@ -190,6 +190,9 @@ class _Parser:
                 sets.append(frozenset(pts))
             self.expect("}", "'}' closing the opens block")
             n = 1 + max((p for s in sets for p in s), default=-1)
+            if n == 0:
+                raise DslSyntaxError("an opens block needs at least one point",
+                                     tok.line, tok.column)
             spec.space_defs[name] = SpaceDef(name, "opens", n, tuple(sets))
         else:
             got = tok.value or "end of input"

@@ -34,7 +34,6 @@ from .topology import (
     ExplicitSpace,
     SequenceSpace,
     Space,
-    mask_of,
     quasi_component_partition,
     quotient_space,
 )
@@ -154,7 +153,7 @@ class FunctionRing:
     def chi(self, u, a: int | None = None) -> FnElement:
         """Characteristic function: zero on the clopen set u, value a off it."""
         u = frozenset(u)
-        if mask_of(u) not in self.space.clopen_masks:
+        if not self.space.is_clopen(u):
             raise NotClopen(f"{sorted(u)} is not clopen")
         if a is None:
             if self.algebra.unit is None:

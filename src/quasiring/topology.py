@@ -1,14 +1,14 @@
 """Finite topological spaces and the symbolic convergent-sequence space.
 
-The explicit backend hands out the full open-set family of a space on points
-``0..n-1`` as a frozenset of frozensets.  Behind that boundary a point set is
-an int bitmask, bit p for point p, and every open family is built by one
-routine, ``all_unions``: the unions of a few masks, the empty union included.
-The topology generated by some sets is the unions of the minimal open
-neighbourhoods U_x, the intersection of the generating sets that contain x
-(Alexandroff, "Diskrete Räume", 1937); the clopen-base topology is the unions
-of the quasi-components.  Each space caches its open and clopen masks.  No
-family is enumerated past ``DEFAULT_ENUM_BUDGET`` sets.
+An explicit space on points ``0..n-1`` is held as its n minimal open
+neighbourhoods U_x, the least open set holding x, each an int bitmask (bit p
+for point p).  A finite topology is exactly the unions of these sets
+(Alexandroff, "Diskrete Räume", 1937), so every family is derived from them:
+a set is open when it holds U_x for each of its points x; the quasi-component
+of x is the least clopen set around it; the clopen sets and the clopen-base
+topology are the unions of the quasi-components; a quotient gives each class
+the least saturated open set around it.  A family of sets is enumerated only
+on demand, by ``all_unions``, and never past ``DEFAULT_ENUM_BUDGET`` sets.
 
 The sequence backend models the one-limit-point space N ∪ {∞} (every
 natural isolated, neighborhoods of ∞ cofinite) through the finite/cofinite
@@ -32,7 +32,8 @@ from .errors import (
 from .sets import INF, SeqSet, sort_family
 
 #: the most open sets (or, for a FunctionRing, elements) any one family may
-#: enumerate before the construction is refused
+#: enumerate before the construction is refused; a space of n points holds
+#: n neighbourhoods of n bits, and is refused past this many bits
 DEFAULT_ENUM_BUDGET = 2 ** 20
 
 
@@ -59,20 +60,14 @@ def all_unions(masks: Iterable[int]) -> set:
 
     Past ``DEFAULT_ENUM_BUDGET`` unions the enumeration is refused.
     """
-    masks = set(masks)
     family = {0}
-    todo = [0]
-    while todo:
-        base = todo.pop()
-        for m in masks:
-            u = base | m
-            if u not in family:
-                family.add(u)
-                if len(family) > DEFAULT_ENUM_BUDGET:
-                    raise BudgetExceeded(
-                        f"a family of more than {DEFAULT_ENUM_BUDGET} sets "
-                        f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
-                todo.append(u)
+    for m in set(masks):
+        for u in list(family):
+            family.add(u | m)
+            if len(family) > DEFAULT_ENUM_BUDGET:
+                raise BudgetExceeded(
+                    f"a family of more than {DEFAULT_ENUM_BUDGET} sets "
+                    f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
     return family
 
 
@@ -89,10 +84,20 @@ def _meets(point_count: int, masks) -> list[int]:
     return out
 
 
+def _check_size(point_count: int):
+    if point_count * point_count > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"a space of {point_count} points holds {point_count}^2 "
+            f"neighbourhood bits, over the enumeration budget "
+            f"{DEFAULT_ENUM_BUDGET}")
+
+
 @dataclass(frozen=True)
 class ExplicitSpace:
+    """A finite space; ``nbhds[x]`` is the mask of U_x."""
+
     point_count: int
-    opens: frozenset
+    nbhds: tuple
 
     @property
     def points(self) -> range:
@@ -102,40 +107,48 @@ class ExplicitSpace:
     def full(self) -> frozenset:
         return frozenset(self.points)
 
-    @cached_property
-    def open_masks(self) -> frozenset:
-        return frozenset(mask_of(u) for u in self.opens)
-
-    @cached_property
-    def clopen_masks(self) -> frozenset:
-        full = (1 << self.point_count) - 1
-        opens = self.open_masks
-        return frozenset(m for m in opens if full ^ m in opens)
+    @property
+    def opens(self) -> frozenset:
+        """Every open set, enumerated: the unions of the U_x."""
+        return frozenset(map(points_of, all_unions(self.nbhds)))
 
     @cached_property
     def quasi_masks(self) -> tuple:
-        """Per point, its quasi-component: the meet of the clopens holding it."""
-        return tuple(_meets(self.point_count, self.clopen_masks))
+        """Per point x, its quasi-component: the least clopen set holding x.
+
+        Starting from U_x, every U_y that meets the set is added until
+        nothing changes.  The result C is open, a union of U_y, and closed,
+        since each y outside C has U_y disjoint from C.  A clopen set W
+        holding x holds C: W holds U_z for each of its points z, and a U_y
+        meeting W has y in W (else U_y lies in W's open complement), so no
+        step leaves W.  C is therefore the intersection of the clopen sets
+        holding x.
+        """
+        out = [0] * self.point_count
+        for x in self.points:
+            if not out[x]:
+                comp, before = self.nbhds[x], 0
+                while comp != before:
+                    before = comp
+                    for u in self.nbhds:
+                        if u & comp:
+                            comp |= u
+                for p in points_of(comp):
+                    out[p] = comp
+        return tuple(out)
+
+    def _is_open_mask(self, m: int) -> bool:
+        return m >> self.point_count == 0 and all(
+            self.nbhds[x] | m == m for x in points_of(m))
 
     def is_open(self, s: frozenset) -> bool:
-        return frozenset(s) in self.opens
+        return self._is_open_mask(mask_of(s))
 
     def is_closed(self, s: frozenset) -> bool:
-        return self.full - frozenset(s) in self.opens
+        return self._is_open_mask(((1 << self.point_count) - 1) & ~mask_of(s))
 
     def is_clopen(self, s: frozenset) -> bool:
         return self.is_open(s) and self.is_closed(s)
-
-    def sorted_opens(self) -> list[frozenset]:
-        return sort_family(self.opens)
-
-
-def _explicit(point_count: int, masks) -> ExplicitSpace:
-    """The space whose opens are the given masks, with its mask cache set."""
-    space = ExplicitSpace(point_count, frozenset(map(points_of, masks)))
-    # the masks are already known; seed the cached property with them
-    space.__dict__["open_masks"] = frozenset(masks)
-    return space
 
 
 class SequenceSpace:
@@ -173,7 +186,6 @@ class QuotientSpace:
 
     parent: ExplicitSpace
     classes: tuple          # tuple of frozensets, deterministic order
-    opens: frozenset        # open families of class-index sets
 
     def class_index(self, point: int) -> int:
         for i, c in enumerate(self.classes):
@@ -181,11 +193,19 @@ class QuotientSpace:
                 return i
         raise ValueError(f"point {point} not in any class")
 
-    def projection(self, point: int) -> frozenset:
-        return self.classes[self.class_index(point)]
-
     def as_space(self) -> ExplicitSpace:
-        return ExplicitSpace(len(self.classes), self.opens)
+        """Class i's U_i: the classes in the least saturated open set around it."""
+        masks = [mask_of(c) for c in self.classes]
+        nbhds = []
+        for c in masks:
+            s, before = c, 0
+            while s != before:
+                before = s
+                for x in points_of(s):
+                    s |= self.parent.nbhds[x]
+                s = sum(m for m in masks if m & s)  # saturate
+            nbhds.append(mask_of(i for i, m in enumerate(masks) if m & s))
+        return ExplicitSpace(len(masks), tuple(nbhds))
 
 
 @dataclass(frozen=True)
@@ -195,30 +215,18 @@ class TopologyComparison:
     only_in_second: frozenset | None = None
 
 
-class ClopenFamily:
-    """Clopen sets of the sequence space, as a membership predicate.
-
-    The family is exactly {finite subsets of N} ∪ {cofinite sets containing ∞}
-    and is too large to materialize.
-    """
-
-    def __init__(self, space: SequenceSpace):
-        self.space = space
-
-    def contains(self, s: SeqSet) -> bool:
-        return self.space.is_clopen(s)
-
-
 def validate_topology(point_count: int, opens, auto_close: bool = False) -> ExplicitSpace:
     """Build an explicit space, verifying the open-family axioms.
 
-    With ``auto_close`` the space is the topology the given sets generate:
-    the unions of the minimal neighbourhoods U_x.  Without it the family
-    must already be that topology; otherwise the first pair (in sorted
-    order) whose union or intersection is missing is reported.
+    With ``auto_close`` the space is the topology the given sets generate.
+    Without it the family must already be that topology; otherwise the first
+    pair (in sorted order) whose union or intersection is missing is
+    reported.  Either way U_x is the intersection of the given sets that
+    contain x.
     """
     if point_count < 1:
         raise ValueError("point_count must be >= 1")
+    _check_size(point_count)
     full = frozenset(range(point_count))
     fam = set()
     for s in opens:
@@ -226,50 +234,43 @@ def validate_topology(point_count: int, opens, auto_close: bool = False) -> Expl
         if not s <= full:
             raise ValueError(f"open set {sorted(s)} not within 0..{point_count - 1}")
         fam.add(s)
-    if auto_close:
-        return _explicit(point_count, all_unions(
-            _meets(point_count, [mask_of(s) for s in fam])))
-    if frozenset() not in fam or full not in fam:
-        raise MissingEmptyOrFull(
-            "open family must contain the empty set and the full set")
-    for a, b in itertools.combinations(sorted(fam, key=sorted), 2):
-        if a | b not in fam:
-            raise NotClosedUnderUnion(a, b)
-        if a & b not in fam:
-            raise NotClosedUnderIntersection(a, b)
-    return ExplicitSpace(point_count, frozenset(fam))
+    if not auto_close:
+        if frozenset() not in fam or full not in fam:
+            raise MissingEmptyOrFull(
+                "open family must contain the empty set and the full set")
+        for a, b in itertools.combinations(sorted(fam, key=sorted), 2):
+            if a | b not in fam:
+                raise NotClosedUnderUnion(a, b)
+            if a & b not in fam:
+                raise NotClosedUnderIntersection(a, b)
+    return ExplicitSpace(point_count, tuple(
+        _meets(point_count, [mask_of(s) for s in fam])))
 
 
 def discrete_space(n: int) -> ExplicitSpace:
-    if n > DEFAULT_ENUM_BUDGET.bit_length() - 1:
-        raise BudgetExceeded(
-            f"the discrete space on {n} points has 2^{n} open sets, over "
-            f"the enumeration budget {DEFAULT_ENUM_BUDGET}")
-    return _explicit(n, range(1 << n))
+    _check_size(n)
+    return ExplicitSpace(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete_space(n: int) -> ExplicitSpace:
-    return ExplicitSpace(n, frozenset({frozenset(), frozenset(range(n))}))
+    return ExplicitSpace(n, ((1 << n) - 1,) * n)
 
 
 def sierpinski_space() -> ExplicitSpace:
     """Two points with exactly one of the singletons open."""
-    return ExplicitSpace(2, frozenset({frozenset(), frozenset({0}), frozenset({0, 1})}))
+    return ExplicitSpace(2, (0b01, 0b11))
 
 
 def disjoint_union(a: ExplicitSpace, b: ExplicitSpace) -> ExplicitSpace:
     """Topological sum; b's points are shifted past a's."""
     shift = a.point_count
-    return _explicit(a.point_count + b.point_count,
-                     {u | v << shift
-                      for u in a.open_masks for v in b.open_masks})
+    return ExplicitSpace(shift + b.point_count,
+                         a.nbhds + tuple(u << shift for u in b.nbhds))
 
 
-def clopen_family(space: Space):
-    """All clopen sets: a sorted list (explicit) or a ClopenFamily (sequence)."""
-    if isinstance(space, SequenceSpace):
-        return ClopenFamily(space)
-    return sort_family(map(points_of, space.clopen_masks))
+def clopen_family(space: ExplicitSpace) -> list[frozenset]:
+    """All clopen sets, sorted: the unions of the quasi-components."""
+    return sort_family(map(points_of, all_unions(_quasi_classes(space))))
 
 
 def quasi_component(space: Space, x) -> frozenset | SeqSet:
@@ -296,46 +297,42 @@ def quasi_component_partition(space: ExplicitSpace) -> tuple:
     return tuple(map(points_of, _quasi_classes(space)))
 
 
-def quotient_space(space: Space):
+def quotient_space(space: ExplicitSpace) -> QuotientSpace:
     """Quotient by quasi-components; totally separated by construction."""
-    if isinstance(space, SequenceSpace):
-        return space  # classes are singletons: the quotient is the space itself
-    masks = _quasi_classes(space)
-    opens = set()
-    for m in space.open_masks:
-        hit = [i for i, c in enumerate(masks) if c & m]
-        if m == sum(masks[i] for i in hit):  # m is saturated
-            opens.add(frozenset(hit))
-    return QuotientSpace(space, tuple(map(points_of, masks)), frozenset(opens))
+    return QuotientSpace(space, quasi_component_partition(space))
 
 
-def clopen_base_topology(space: Space) -> Space:
-    """The topology generated by the clopen sets as an open basis."""
-    if isinstance(space, SequenceSpace):
-        return space  # opens are already unions of clopens
-    return _explicit(space.point_count, all_unions(_quasi_classes(space)))
+def clopen_base_topology(space: ExplicitSpace) -> ExplicitSpace:
+    """The topology with the clopen sets as an open basis: U_x is the
+    quasi-component of x."""
+    return ExplicitSpace(space.point_count, space.quasi_masks)
 
 
-def is_totally_separated(space: Space) -> bool:
-    if isinstance(space, SequenceSpace):
-        return True
+def is_totally_separated(space: ExplicitSpace) -> bool:
     return all(q == 1 << p for p, q in enumerate(space.quasi_masks))
 
 
-def compare_topologies(a: Space, b: Space) -> TopologyComparison:
-    if isinstance(a, SequenceSpace) or isinstance(b, SequenceSpace):
-        if isinstance(a, SequenceSpace) and isinstance(b, SequenceSpace):
-            return TopologyComparison("equal")
-        raise CarrierMismatch("cannot compare explicit and sequence backends")
+def _first_open_not_in(a: ExplicitSpace, b: ExplicitSpace) -> frozenset | None:
+    """The first open set of a, in ``sort_family`` order, that b lacks.
+
+    Such a set W is the union of the U_x of a for x in W, so one of those
+    U_x is not open in b either; it is no larger than W, and equal to W when
+    as large, so it comes first.
+    """
+    missing = [points_of(u) for u in set(a.nbhds) if not b._is_open_mask(u)]
+    return sort_family(missing)[0] if missing else None
+
+
+def compare_topologies(a: ExplicitSpace, b: ExplicitSpace) -> TopologyComparison:
     if a.point_count != b.point_count:
         raise CarrierMismatch(
             f"carriers differ: {a.point_count} vs {b.point_count} points")
-    only_a = sort_family(a.opens - b.opens)
-    only_b = sort_family(b.opens - a.opens)
-    if not only_a and not only_b:
+    only_a = _first_open_not_in(a, b)
+    only_b = _first_open_not_in(b, a)
+    if only_a is None and only_b is None:
         return TopologyComparison("equal")
-    if not only_a:
-        return TopologyComparison("first-strictly-coarser", None, only_b[0])
-    if not only_b:
-        return TopologyComparison("first-strictly-finer", only_a[0], None)
-    return TopologyComparison("incomparable", only_a[0], only_b[0])
+    if only_a is None:
+        return TopologyComparison("first-strictly-coarser", None, only_b)
+    if only_b is None:
+        return TopologyComparison("first-strictly-finer", only_a, None)
+    return TopologyComparison("incomparable", only_a, only_b)

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from .algebra import zero_divisors
 from .errors import ZeroDivisorHypothesis
 from .funcspace import FunctionRing
-from .sets import SeqSet, sort_family
+from .sets import sort_family
 from .topology import (
     ExplicitSpace,
-    SequenceSpace,
     clopen_base_topology,
     compare_topologies,
     mask_of,
     points_of,
+    validate_topology,
 )
 
 MATERIALIZE_CAP = 2 ** 16
@@ -29,35 +29,18 @@ MATERIALIZE_CAP = 2 ** 16
 @dataclass(frozen=True)
 class ZariskiTopology:
     space: object
-    closed_family: tuple | None        # sorted; None when only the predicate fits
-    opens: frozenset | None
+    closed_family: tuple | None        # sorted; None past the closure cap
     union_closed: bool
     union_witness: tuple | None = None
 
-    def is_closed(self, s) -> bool:
-        if self.closed_family is not None:
-            return frozenset(s) in set(self.closed_family)
-        raise ValueError("family not materialized")
-
     def as_space(self) -> ExplicitSpace:
-        if self.opens is None:
+        """TZ as a space: its opens are the complements of the closed sets."""
+        if self.closed_family is None:
             raise ValueError("family not materialized")
-        return ExplicitSpace(self.space.point_count, self.opens)
-
-
-class SymbolicZariski:
-    """Sequence-backend zero-set topology, as a membership predicate.
-
-    Every V(f) is a finite subset of N or a cofinite set containing ∞;
-    intersections of such sets stay in that family, which is exactly the
-    closed family of the sequence space itself.
-    """
-
-    def __init__(self):
-        self.space = SequenceSpace()
-
-    def is_closed(self, s: SeqSet) -> bool:
-        return self.space.is_closed(s)
+        full = self.space.full
+        return validate_topology(self.space.point_count,
+                                 [full - c for c in self.closed_family],
+                                 auto_close=True)
 
 
 def _require_no_zero_divisors(ring: FunctionRing):
@@ -120,15 +103,10 @@ def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
     # the cap counts only once the closure adds sets beyond the V(f)
     closed = _meet_closure(basic, max(MATERIALIZE_CAP, len(basic)))
     if closed is None:
-        return ZariskiTopology(space, None, None, True)
+        return ZariskiTopology(space, None, True)
     witness = _union_gap(closed)
     return ZariskiTopology(space, tuple(sort_family(map(points_of, closed))),
-                           frozenset(points_of(full ^ c) for c in closed),
                            witness is None, witness)
-
-
-def symbolic_zariski() -> SymbolicZariski:
-    return SymbolicZariski()
 
 
 def compare_T1_TZ_T(ring: FunctionRing):

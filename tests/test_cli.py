@@ -94,6 +94,15 @@ def test_parse_error_exit_two(capsys, tmp_path):
     assert "expected" in err
 
 
+def test_empty_opens_block_is_a_parse_error(capsys, tmp_path):
+    p = tmp_path / "empty.qr"
+    p.write_text("algebra Y zmod 2\nspace S opens { }\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "quasiring: 2:9: an opens block needs at least one point"]
+
+
 def test_missing_file_exit_two(capsys):
     code, _, _ = run(capsys, "analyze", "/does/not/exist.qr")
     assert code == 2
@@ -150,6 +159,14 @@ def test_space_past_the_budget_exit_three(capsys, tmp_path):
     p = tmp_path / "big.qr"
     p.write_text("space Z discrete 22\nalgebra Y zmod 2\nring R = C(Z, Y)\n")
     code, out, err = run(capsys, "analyze", str(p))
+    assert code == 3
+    assert "budget 1048576" in err
+
+
+def test_discrete_21_is_built_but_its_ring_refused(capsys, tmp_path):
+    p = tmp_path / "d21.qr"
+    p.write_text("space Z discrete 21\nalgebra Y zmod 2\nring R = C(Z, Y)\n")
+    code, _, err = run(capsys, "analyze", str(p))
     assert code == 3
     assert "budget 1048576" in err
 

@@ -12,10 +12,11 @@ from quasiring.errors import (
     NotClosedUnderUnion,
 )
 from quasiring.funcspace import FunctionRing
-from quasiring.sets import INF, SeqSet
+from quasiring.sets import INF, SeqSet, sort_family
 from quasiring.topology import (
     ExplicitSpace,
     SequenceSpace,
+    TopologyComparison,
     clopen_base_topology,
     clopen_family,
     compare_topologies,
@@ -96,11 +97,10 @@ def test_clopen_base_topology_coarser_than_original():
 
 
 def test_compare_topologies_incomparable():
-    a = ExplicitSpace(2, frozenset({frozenset(), frozenset({0}),
-                                    frozenset({0, 1})}))
-    b = ExplicitSpace(2, frozenset({frozenset(), frozenset({1}),
-                                    frozenset({0, 1})}))
-    assert compare_topologies(a, b).verdict == "incomparable"
+    a = ExplicitSpace(2, (0b01, 0b11))      # {0} open
+    b = ExplicitSpace(2, (0b11, 0b10))      # {1} open
+    assert compare_topologies(a, b) == TopologyComparison(
+        "incomparable", frozenset({0}), frozenset({1}))
 
 
 def test_sequence_space_membership():
@@ -111,6 +111,11 @@ def test_sequence_space_membership():
     assert z.is_clopen(SeqSet.of([3]))
     assert z.is_clopen(SeqSet.cofinite([3]))
     assert quasi_component(z, INF) == singleton_inf
+    # finite sets and cofinite sets holding ∞ are closed, as every zero set
+    # V(f) of the sequence ring is; a cofinite set missing ∞ is not
+    assert z.is_closed(SeqSet.of([1, 4]))
+    assert z.is_closed(SeqSet.cofinite([0], infinity=True))
+    assert not z.is_closed(SeqSet.cofinite([0], infinity=False))
 
 
 def test_random_instance_deterministic():
@@ -171,6 +176,18 @@ def quotient_opens_by_subset_scan(n, opens, classes):
             if frozenset().union(*[classes[i] for i in s]) in opens}
 
 
+def compare_by_open_families(a, b):
+    """compare_topologies by its definition, on the enumerated families."""
+    only_a = sort_family(a.opens - b.opens)
+    only_b = sort_family(b.opens - a.opens)
+    verdict = {(False, False): "equal",
+               (False, True): "first-strictly-coarser",
+               (True, False): "first-strictly-finer",
+               (True, True): "incomparable"}[bool(only_a), bool(only_b)]
+    return TopologyComparison(verdict, only_a[0] if only_a else None,
+                              only_b[0] if only_b else None)
+
+
 def random_subbasis(rng, n):
     p = rng.choice([0.2, 0.4, 0.6])
     return [frozenset(x for x in range(n) if rng.random() < p)
@@ -185,18 +202,43 @@ def test_neighbourhood_topology_matches_pairwise_closure():
             want = pairwise_closure(n, sets)
             space = validate_topology(n, sets, auto_close=True)
             assert space.opens == want
-            assert space.open_masks == {topology.mask_of(u) for u in want}
+            for bits in range(1 << n):
+                s = topology.points_of(bits)
+                assert space.is_open(s) == (s in want)
+                assert space.is_closed(s) == (space.full - s in want)
+                assert space.is_clopen(s) == (s in want
+                                              and space.full - s in want)
             classes = quasi_partition_by_definition(n, want)
             assert quasi_component_partition(space) == classes
             assert [quasi_component(space, x) for x in range(n)] == [
                 next(c for c in classes if x in c) for x in range(n)]
             clopens = clopens_by_definition(n, want)
             assert set(clopen_family(space)) == clopens
-            assert clopen_base_topology(space).opens == pairwise_closure(
-                n, clopens)
+            t1 = clopen_base_topology(space)
+            assert t1.opens == pairwise_closure(n, clopens)
             q = quotient_space(space)
             assert q.classes == classes
-            assert q.opens == quotient_opens_by_subset_scan(n, want, classes)
+            assert q.as_space().opens == quotient_opens_by_subset_scan(
+                n, want, classes)
+            # by any other partition, too: the quotient topology is not
+            # simply discrete
+            label = [rng.randrange(n) for _ in range(n)]
+            blocks = tuple(sorted({frozenset(p for p in range(n)
+                                             if label[p] == k)
+                                   for k in label}, key=min))
+            assert topology.QuotientSpace(space, blocks).as_space().opens == (
+                quotient_opens_by_subset_scan(n, want, blocks))
+            # verdicts and witnesses against the enumerated families, for
+            # random pairs, the space against its clopen base and itself
+            pairs = [(space, t1), (t1, space),
+                     (space, validate_topology(n, want))]
+            for _ in range(3):
+                other = validate_topology(n, random_subbasis(rng, n),
+                                          auto_close=True)
+                pairs += [(space, other), (other, space)]
+            for a, b in pairs:
+                assert compare_topologies(a, b) == compare_by_open_families(
+                    a, b)
 
 
 def test_strict_validation_matches_the_pairwise_scan():
@@ -266,7 +308,7 @@ def test_zariski_family_matches_the_per_element_closure():
                 zt = zariski_closed_family(ring)
                 assert set(zt.closed_family) == closed
                 assert list(zt.closed_family) == topology.sort_family(closed)
-                assert zt.opens == {space.full - c for c in closed}
+                assert zt.as_space().opens == {space.full - c for c in closed}
                 assert zt.union_closed == union_closed
                 assert zt.union_witness is None
 
@@ -301,18 +343,46 @@ def test_closure_helpers_on_families_that_are_not_closed():
 
 
 def test_discrete_space_past_the_budget_is_refused_up_front():
+    # a space holds n neighbourhoods of n bits: past 1024 points it is
+    # refused before any of them is built
+    assert discrete_space(1024).point_count == 1024
+    for n in (1025, 10 ** 9):
+        with pytest.raises(BudgetExceeded, match="budget 1048576"):
+            discrete_space(n)
+    for text in ("space Z discrete 1000000000\n", "space S opens { {1024} }\n"):
+        with pytest.raises(BudgetExceeded, match="budget 1048576"):
+            parse_spec(text)
+
+
+def test_spaces_are_built_without_enumerating_their_opens(monkeypatch):
+    def refuse(masks):
+        raise AssertionError("an open family was enumerated")
+
+    monkeypatch.setattr(topology, "all_unions", refuse)
+    singletons = " ".join("{%d}" % p for p in range(40))
+    spec = parse_spec(f"space S opens {{ {singletons} }}\n")
+    for space in (discrete_space(40), spec.spaces["S"]):
+        assert space.point_count == 40
+        assert is_totally_separated(space)
+    monkeypatch.undo()
+    # enumeration still stops at the cap
     with pytest.raises(BudgetExceeded, match="budget 1048576"):
-        discrete_space(21)
+        discrete_space(21).opens
     with pytest.raises(BudgetExceeded, match="budget 1048576"):
-        discrete_space(10 ** 9)
+        clopen_family(discrete_space(21))
+    with pytest.raises(BudgetExceeded, match="budget 1048576"):
+        FunctionRing(discrete_space(21), make_zmod(2))
 
 
 def test_open_family_past_the_budget_is_refused(monkeypatch):
     monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 64)
     singletons = " ".join("{%d}" % p for p in range(7))
+    space = parse_spec(f"space S opens {{ {singletons} }}\n").spaces["S"]
     with pytest.raises(BudgetExceeded, match="budget 64"):
-        parse_spec(f"space S opens {{ {singletons} }}\n")
+        space.opens
     assert len(validate_topology(6, [{p} for p in range(6)],
                                  auto_close=True).opens) == 64
     with pytest.raises(BudgetExceeded, match="budget 64"):
-        discrete_space(7)
+        discrete_space(7).opens
+    with pytest.raises(BudgetExceeded, match="budget 64"):
+        clopen_family(discrete_space(7))

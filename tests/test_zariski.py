@@ -3,13 +3,8 @@ import pytest
 from quasiring.algebra import make_zmod
 from quasiring.errors import ZeroDivisorHypothesis
 from quasiring.funcspace import FunctionRing
-from quasiring.sets import INF, SeqSet
 from quasiring.topology import discrete_space, disjoint_union, sierpinski_space
-from quasiring.zariski import (
-    compare_T1_TZ_T,
-    symbolic_zariski,
-    zariski_closed_family,
-)
+from quasiring.zariski import compare_T1_TZ_T, zariski_closed_family
 
 
 def test_discrete_zariski_is_discrete():
@@ -44,10 +39,3 @@ def test_comparisons_t1_equals_tz():
     assert t1_t.verdict == "first-strictly-coarser"
     assert tz_t.verdict == "first-strictly-coarser"
 
-
-def test_symbolic_zariski_closed_sets():
-    sz = symbolic_zariski()
-    assert sz.is_closed(SeqSet.of([1, 4]))
-    assert sz.is_closed(SeqSet.cofinite([0], infinity=True))
-    assert not sz.is_closed(SeqSet.cofinite([0], infinity=False))
-    assert sz.is_closed(SeqSet(frozenset(), False, True))  # just {inf}
