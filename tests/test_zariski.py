@@ -3,7 +3,13 @@ import pytest
 from quasiring.algebra import make_zmod
 from quasiring.errors import ZeroDivisorHypothesis
 from quasiring.funcspace import FunctionRing
-from quasiring.topology import discrete_space, disjoint_union, sierpinski_space
+from quasiring.sets import SeqSet
+from quasiring.topology import (
+    SequenceSpace,
+    discrete_space,
+    disjoint_union,
+    sierpinski_space,
+)
 from quasiring.zariski import compare_T1_TZ_T, zariski_closed_family
 
 
@@ -39,3 +45,12 @@ def test_comparisons_t1_equals_tz():
     assert t1_t.verdict == "first-strictly-coarser"
     assert tz_t.verdict == "first-strictly-coarser"
 
+
+def test_symbolic_zariski_closed_sets():
+    # every zero set V(f) of the sequence ring is finite or a cofinite set
+    # holding ∞, and that family is the closed family of the space itself
+    z = SequenceSpace()
+    assert z.is_closed(SeqSet.of([1, 4]))
+    assert z.is_closed(SeqSet.cofinite([0], infinity=True))
+    assert not z.is_closed(SeqSet.cofinite([0], infinity=False))
+    assert z.is_closed(SeqSet(frozenset(), False, True))  # just {inf}
