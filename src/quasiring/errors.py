@@ -46,7 +46,12 @@ class InfiniteBackend(QuasiringError):
 
 
 class BudgetExceeded(QuasiringError):
-    pass
+    """A stage refused to grow past `cap`; `reached` is the size that did."""
+
+    def __init__(self, message, *, cap: int, reached: int):
+        self.cap = cap
+        self.reached = reached
+        super().__init__(message)
 
 
 class MissingAddition(QuasiringError):

@@ -3,15 +3,16 @@
 With Y discrete, a function is continuous iff it is constant on every
 quasi-component of Z, and on a finite space every quasi-component is clopen,
 so the continuous functions are exactly the value assignments per
-quasi-component.  Elements are therefore stored as tuples of Y-indices, one
-per quasi-component, in the deterministic class order of the quotient.
+quasi-component, written as tuples of Y-indices in the class order of the
+quotient.  Value tuples are what ``elements``, witnesses and
+``Ideal.elements`` hand out.
 
-The ideal layer works on element indices instead: index i is
-``elements[i]``, read as a mixed-radix number over Y with class 0 the most
-significant digit, so index order is tuple order.  Rows of the ring's
-Cayley tables (Froidure & Pin, "Algorithms for computing finite
-semigroups", 1997) are built on demand from Y's tables, one digit at a
-time, and cached up to a fixed number of entries per ring.
+The engine computes on element indices: index i is ``elements[i]``, read
+as a mixed-radix number over Y with class 0 the most significant digit, so
+index order is tuple order, and a set of elements is an int bitset.  Rows
+of the ring's Cayley tables (Froidure & Pin, "Algorithms for computing
+finite semigroups", 1997) are built on demand from Y's tables, one digit at
+a time, and cached up to a fixed number of entries per ring.
 """
 
 from __future__ import annotations
@@ -63,30 +64,18 @@ class FunctionRing:
         count = algebra.carrier_size ** len(self.classes)
         if count > budget:
             raise BudgetExceeded(
-                f"{count} functions exceed the enumeration budget {budget}")
+                f"{count} functions exceed the enumeration budget {budget}",
+                cap=budget, reached=count)
         self.elements: tuple = tuple(
             itertools.product(algebra.elements, repeat=len(self.classes)))
         self.flags = structure_flags(algebra)
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
-        self._zero_sets = {}
         self._rows = {}
         self._row_entries = 0
 
-    # -- element arithmetic -------------------------------------------------
-
-    def mul(self, f: FnElement, g: FnElement) -> FnElement:
-        t = self.algebra.mul
-        return tuple(t[a][b] for a, b in zip(f, g))
-
-    def add(self, f: FnElement, g: FnElement) -> FnElement:
-        if self.algebra.add is None:
-            raise MissingAddition("algebra has no addition table")
-        t = self.algebra.add
-        return tuple(t[a][b] for a, b in zip(f, g))
-
-    # -- Cayley tables over element indices -------------------------------
+    # -- element indices and Cayley tables ----------------------------------
 
     def index(self, f: FnElement) -> int:
         """The position of f in ``elements``; KeyError if f is not in it."""
@@ -122,6 +111,18 @@ class FunctionRing:
                 self._row_entries += len(row)
         return row
 
+    def value_bits(self, c: int, b: int) -> int:
+        """The elements equal to b on class c, as a bitset.
+
+        Class c's digit has weight s = m^(q-1-c), so these indices are runs
+        of s bits starting at b·s, repeated with period m·s.
+        """
+        m = self.algebra.carrier_size
+        s = m ** (len(self.classes) - 1 - c)
+        period = m * s
+        repeat = ((1 << len(self.elements)) - 1) // ((1 << period) - 1)
+        return (((1 << s) - 1) << (b * s)) * repeat
+
     def _y_table(self, op: str) -> tuple:
         y = self.algebra
         table = y.add if op.startswith("add") else y.mul
@@ -143,12 +144,8 @@ class FunctionRing:
     def zero_set(self, f: FnElement, value: int | None = None) -> frozenset:
         """f^{-1}(b) as a set of raw points; b defaults to the algebra zero."""
         b = self.algebra.zero if value is None else value
-        cached = self._zero_sets.get((f, b))
-        if cached is None:
-            cached = frozenset(p for p in self.space.points
-                               if f[self.class_of[p]] == b)
-            self._zero_sets[(f, b)] = cached
-        return cached
+        return frozenset(p for p in self.space.points
+                         if f[self.class_of[p]] == b)
 
     def chi(self, u, a: int | None = None) -> FnElement:
         """Characteristic function: zero on the clopen set u, value a off it."""
@@ -179,29 +176,14 @@ def is_continuous(space: ExplicitSpace, algebra: AlgebraTable, values) -> bool:
     return True
 
 
-def zero_set_V(ring: FunctionRing, fns, value: int | None = None) -> frozenset:
-    """Common vanishing locus of a set of functions; V(∅) is the whole space."""
-    out = ring.space.full
-    for f in fns:
-        out &= ring.zero_set(f, value)
-    return out
-
-
-def vanishing_elements(ring: FunctionRing, u, value: int | None = None,
-                       within=None) -> frozenset:
-    """All functions (of `within`, default the whole ring) equal to b on u."""
-    u = frozenset(u)
+def vanishing_elements(ring: FunctionRing, u, value: int | None = None) -> int:
+    """All functions equal to b on the points u, as a bitset: the AND over
+    the classes meeting u of the elements equal to b there."""
     b = ring.algebra.zero if value is None else value
-    pool = ring.elements if within is None else within
-    classes = sorted({ring.class_of[p] for p in u})
-    return frozenset(f for f in pool if all(f[c] == b for c in classes))
-
-
-def equiv_class(ring: FunctionRing, fns, x: int) -> frozenset:
-    """Points indistinguishable from x by every function in fns."""
-    return frozenset(y for y in ring.space.points
-                     if all(ring.value_at(f, y) == ring.value_at(f, x)
-                            for f in fns))
+    out = (1 << len(ring.elements)) - 1
+    for c in {ring.class_of[p] for p in u}:
+        out &= ring.value_bits(c, b)
+    return out
 
 
 @dataclass(frozen=True)

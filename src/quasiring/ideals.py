@@ -11,13 +11,14 @@ The work runs on element indices and Python-int bitsets (bit i is
 ``ring.elements[i]``), through the ring's Cayley-table rows
 (``FunctionRing.row``): one worklist closure gives every generated ideal,
 the lattice is a join loop over principal bitsets, and primality and the
-min/max tests are bit tests.  An ``Ideal`` still holds a frozenset of value
-tuples, built once when it is handed out.
+min/max tests are bit tests.  An ``Ideal`` holds its bitset; the frozenset
+of value tuples is built from it only when ``Ideal.elements`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CrossCheckFailed,
@@ -42,35 +43,38 @@ def default_mode(ring: FunctionRing) -> str:
 @dataclass(frozen=True)
 class Ideal:
     ring: FunctionRing = field(compare=False, repr=False)
-    elements: frozenset
+    bits: int                  # bit i set: ring.elements[i] is a member
     side: str = RIGHT
     mode: str = MULTIPLICATIVE
-    generators: tuple = field(default=(), compare=False)
     meta: dict = field(default_factory=dict, compare=False, hash=False)
+
+    @cached_property
+    def elements(self) -> frozenset:
+        return elements_of(self.ring, self.bits)
 
     def __contains__(self, f) -> bool:
         return f in self.elements
 
     def is_proper(self) -> bool:
-        return len(self.elements) < len(self.ring.elements)
+        return self.bits != (1 << len(self.ring.elements)) - 1
 
     def is_trivial(self) -> bool:
-        return self.elements == frozenset({self.ring.theta})
+        return self.bits == 1 << self.ring.index(self.ring.theta)
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements)
+        return [self.ring.elements[i] for i in members(self.bits)]
 
     def __le__(self, other: "Ideal") -> bool:
-        return self.elements <= other.elements
+        return self.bits & ~other.bits == 0
 
     def __lt__(self, other: "Ideal") -> bool:
-        return self.elements < other.elements
+        return self.bits != other.bits and self <= other
 
     def __len__(self):
-        return len(self.elements)
+        return self.bits.bit_count()
 
     def __repr__(self):
-        return f"Ideal({len(self.elements)} elts, {self.side}/{self.mode})"
+        return f"Ideal({len(self)} elts, {self.side}/{self.mode})"
 
 
 @dataclass
@@ -81,12 +85,12 @@ class IdealLattice:
     mode: str
     complete: bool = True
     classified: bool = False
-    bits: tuple = ()           # the ideals as bitsets over element indices
 
-    def find(self, elements: frozenset) -> Ideal | None:
+    def find(self, bits: int) -> Ideal | None:
+        """The ideal whose bitset is `bits`, or None."""
         if not hasattr(self, "_index"):
-            self._index = {i.elements: i for i in self.ideals}
-        return self._index.get(frozenset(elements))
+            self._index = {i.bits: i for i in self.ideals}
+        return self._index.get(bits)
 
     def proper(self) -> list[Ideal]:
         return [i for i in self.ideals if i.is_proper()]
@@ -97,20 +101,21 @@ class IdealLattice:
         return [i for i in self.ideals if i.meta.get("is_prime")]
 
 
-def _members(bits: int) -> list[int]:
+def members(bits: int) -> list[int]:
     """The element indices in a bitset, ascending."""
     return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
 
 
-def _bits(indices) -> int:
+def bitset(indices) -> int:
     out = 0
     for i in indices:
         out |= 1 << i
     return out
 
 
-def _elements(ring: FunctionRing, bits: int) -> frozenset:
-    return frozenset(ring.elements[i] for i in _members(bits))
+def elements_of(ring: FunctionRing, bits: int) -> frozenset:
+    """The value tuples of the element indices in a bitset."""
+    return frozenset(ring.elements[i] for i in members(bits))
 
 
 def _absorbing_rows(side: str) -> tuple:
@@ -120,7 +125,7 @@ def _absorbing_rows(side: str) -> tuple:
             TWO_SIDED: ("mul_t", "mul")}[side]
 
 
-def _closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
+def closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
     """Least ideal containing θ and the seed indices, as a bitset.
 
     A worklist over element indices: each member adds the row it must
@@ -148,17 +153,15 @@ def _closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
         fresh -= seen
         seen |= fresh
         todo.extend(fresh)
-    return _bits(seen)
+    return bitset(seen)
 
 
 def generate_ideal(ring: FunctionRing, seed, side: str = RIGHT,
                    mode: str | None = None) -> Ideal:
     """Least fixpoint of the ideal laws containing the seed set."""
     mode = default_mode(ring) if mode is None else mode
-    seed = set(seed)
-    bits = _closure(ring, [ring.index(f) for f in seed], side, mode)
-    return Ideal(ring, _elements(ring, bits), side, mode,
-                 generators=tuple(sorted(seed)))
+    bits = closure(ring, [ring.index(f) for f in seed], side, mode)
+    return Ideal(ring, bits, side, mode)
 
 
 def principal_ideal(ring: FunctionRing, f: FnElement, side: str = RIGHT,
@@ -170,15 +173,12 @@ def vanishing_ideal(ring: FunctionRing, points, side: str = RIGHT,
                     mode: str | None = None) -> Ideal:
     """I(U): every function vanishing on the given raw points."""
     mode = default_mode(ring) if mode is None else mode
-    pts = frozenset(points)
-    return Ideal(ring, vanishing_elements(ring, pts), side, mode,
-                 generators=(), meta={"vanishing_on": pts})
+    return Ideal(ring, vanishing_elements(ring, points), side, mode)
 
 
-def is_ideal_set(ring: FunctionRing, elems: frozenset, side: str,
-                 mode: str) -> bool:
-    indices = [ring.index(f) for f in elems]
-    return _closure(ring, indices, side, mode) == _bits(indices)
+def is_ideal_set(ring: FunctionRing, bits: int, side: str, mode: str) -> bool:
+    """Whether the elements of a bitset already form an ideal."""
+    return closure(ring, members(bits), side, mode) == bits
 
 
 def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
@@ -194,7 +194,7 @@ def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
     n = len(ring.elements)
     if n > 16:
         raise ValueError("subset scan is limited to rings of 16 elements")
-    reach = [_bits(h for op in _absorbing_rows(side) for h in ring.row(op, g))
+    reach = [bitset(h for op in _absorbing_rows(side) for h in ring.row(op, g))
              for g in range(n)]
     half = n // 2
     lo = (1 << half) - 1
@@ -216,7 +216,7 @@ def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
         if not mask & zbit or (reach_lo[mask & lo]
                                | reach_hi[mask >> half]) & ~mask:
             continue
-        bits = _members(mask)
+        bits = members(mask)
         if sums is not None and any(not mask >> sums[a][b] & 1
                                     for a in bits for b in bits):
             continue
@@ -237,9 +237,9 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     """
     mode = default_mode(ring) if mode is None else mode
     n = len(ring.elements)
-    principals = {}                 # bitset -> generators, as a bitset
-    for f in range(n):
-        principals[_closure(ring, [f], side, mode)] = 1 << f
+    # bitsets, in the order found (dicts as ordered sets)
+    principals = dict.fromkeys(closure(ring, [f], side, mode)
+                               for f in range(n))
     ideals = dict(principals)
     tried = set(ideals)             # unions whose join is already listed
     complete = True
@@ -252,14 +252,12 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
                 if u in tried:
                     continue
                 tried.add(u)
-                if mode == MULTIPLICATIVE:
-                    j, gens = u, 0
-                else:
-                    j, gens = _closure(ring, _members(u), side, mode), u
+                j = (u if mode == MULTIPLICATIVE
+                     else closure(ring, members(u), side, mode))
                 if j in ideals:
                     continue
                 tried.add(j)
-                ideals[j] = gens
+                ideals[j] = None
                 new.append(j)
                 if len(ideals) > budget:
                     complete = False
@@ -267,14 +265,11 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
             if not complete:
                 break
         frontier = new
-    order = sorted(ideals, key=lambda b: (b.bit_count(), _members(b)))
+    order = sorted(ideals, key=lambda b: (b.bit_count(), members(b)))
     lattice = IdealLattice(
         ring,
-        tuple(Ideal(ring, _elements(ring, b), side, mode,
-                    generators=tuple(ring.elements[i]
-                                     for i in _members(ideals[b])))
-              for b in order),
-        side, mode, complete, bits=tuple(order))
+        tuple(Ideal(ring, b, side, mode) for b in order),
+        side, mode, complete)
     if complete and n <= 16:
         if ({i.elements for i in lattice.ideals}
                 != all_ideals_bruteforce(ring, side, mode)):
@@ -282,15 +277,15 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     return lattice
 
 
-def _prime_witness(ring: FunctionRing, inside: int):
+def prime_witness(ring: FunctionRing, inside: int):
     """The least (f, g) with f·g inside and neither inside; None when the
     proper ideal `inside` is prime."""
-    members = set(_members(inside))
-    outside = [g for g in range(len(ring.elements)) if g not in members]
+    inner = set(members(inside))
+    outside = [g for g in range(len(ring.elements)) if g not in inner]
     for f in outside:
         row = ring.row("mul", f)
-        if not members.isdisjoint(map(row.__getitem__, outside)):
-            g = next(g for g in outside if row[g] in members)
+        if not inner.isdisjoint(map(row.__getitem__, outside)):
+            g = next(g for g in outside if row[g] in inner)
             return ring.elements[f], ring.elements[g]
     return None
 
@@ -300,7 +295,7 @@ def is_prime(ideal: Ideal):
     ring = ideal.ring
     if not ideal.is_proper():
         raise NotProper("the whole ring is not a prime ideal")
-    witness = _prime_witness(ring, _bits(ring.index(f) for f in ideal.elements))
+    witness = prime_witness(ring, ideal.bits)
     return witness is None, witness
 
 
@@ -326,16 +321,17 @@ def classify_primes(lattice: IdealLattice) -> IdealLattice:
     ring = lattice.ring
     whole = (1 << len(ring.elements)) - 1
     meta = {}
-    for i, b in zip(lattice.ideals, lattice.bits):
+    for i in lattice.ideals:
+        b = i.bits
         meta[b] = i.meta
         if b == whole:
             i.meta.update(is_prime=False, is_maximal=False)
             continue
-        witness = _prime_witness(ring, b)
+        witness = prime_witness(ring, b)
         i.meta["is_prime"] = witness is None
         if witness is not None:
             i.meta["prime_witness"] = witness
-    proper = [b for b in lattice.bits if b != whole]
+    proper = [b for b in meta if b != whole]
     primes = [b for b in proper if meta[b]["is_prime"]]
     _outermost(proper, meta, "is_maximal", grow=True)
     _outermost(primes, meta, "is_minimal_prime", grow=False)
@@ -352,10 +348,10 @@ def prime_radical(lattice: IdealLattice) -> frozenset | None:
     primes = lattice.primes()
     if not primes:
         return None
-    out = frozenset(lattice.ring.elements)
+    out = -1
     for p in primes:
-        out &= p.elements
-    return out
+        out &= p.bits
+    return elements_of(lattice.ring, out)
 
 
 @dataclass
@@ -379,10 +375,6 @@ class FamilySets:
     X_I: dict                  # ideal -> frozenset of χ_U elements in I
     X_I_c: dict
 
-    @property
-    def frak_X(self) -> frozenset:
-        return frozenset(self.X_I[p] for p in self.P)
-
 
 def family_sets(lattice: IdealLattice) -> FamilySets:
     ring = lattice.ring
@@ -390,25 +382,26 @@ def family_sets(lattice: IdealLattice) -> FamilySets:
         raise MissingUnit("the families are defined through χ_U")
     if not lattice.classified:
         classify_primes(lattice)
-    trivial = lattice.find(frozenset({ring.theta}))
-    whole = lattice.find(frozenset(ring.elements))
+    trivial = lattice.find(1 << ring.index(ring.theta))
+    whole = lattice.find((1 << len(ring.elements)) - 1)
     P = [i for i in lattice.ideals if i.meta.get("is_prime")]
     for extra in (trivial, whole):
         if extra is not None and extra not in P:
             P.append(extra)
-    P = tuple(sorted(P, key=lambda i: (len(i), i.sorted_elements())))
+    P = tuple(sorted(P, key=lambda i: (len(i), members(i.bits))))
     from .topology import clopen_family
     clopens = tuple(frozenset(u) for u in clopen_family(ring.space))
     chi_of = {u: (ring.chi(u) if u != ring.space.full else ring.theta)
               for u in clopens}
-    P_u = {u: frozenset(i for i in P if chi_of[u] in i) for u in clopens}
-    Phi_u = {u: frozenset(i for i in lattice.ideals if chi_of[u] in i)
+    at = {u: ring.index(chi_of[u]) for u in clopens}
+    P_u = {u: frozenset(i for i in P if i.bits >> at[u] & 1) for u in clopens}
+    Phi_u = {u: frozenset(i for i in lattice.ideals if i.bits >> at[u] & 1)
              for u in clopens}
     full = ring.space.full
     U_I, U_I_c, X_I, X_I_c = {}, {}, {}, {}
     for i in lattice.ideals:
-        U_I[i] = frozenset(u for u in clopens if chi_of[u] in i)
-        U_I_c[i] = frozenset(u for u in clopens if chi_of[full - u] in i)
+        U_I[i] = frozenset(u for u in clopens if i.bits >> at[u] & 1)
+        U_I_c[i] = frozenset(u for u in clopens if i.bits >> at[full - u] & 1)
         X_I[i] = frozenset(chi_of[u] for u in U_I[i])
         X_I_c[i] = frozenset(chi_of[u] for u in U_I_c[i])
     return FamilySets(lattice, P, lattice.ideals, clopens, chi_of,

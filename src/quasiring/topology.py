@@ -67,7 +67,8 @@ def all_unions(masks: Iterable[int]) -> set:
             if len(family) > DEFAULT_ENUM_BUDGET:
                 raise BudgetExceeded(
                     f"a family of more than {DEFAULT_ENUM_BUDGET} sets "
-                    f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
+                    f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}",
+                    cap=DEFAULT_ENUM_BUDGET, reached=len(family))
     return family
 
 
@@ -89,7 +90,8 @@ def _check_size(point_count: int):
         raise BudgetExceeded(
             f"a space of {point_count} points holds {point_count}^2 "
             f"neighbourhood bits, over the enumeration budget "
-            f"{DEFAULT_ENUM_BUDGET}")
+            f"{DEFAULT_ENUM_BUDGET}",
+            cap=DEFAULT_ENUM_BUDGET, reached=point_count * point_count)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,8 @@ from ..errors import (
 from ..funcspace import (
     DEFAULT_ENUM_BUDGET,
     FunctionRing,
-    equiv_class,
-    project_L,
     transport,
     vanishing_elements,
-    zero_set_V,
 )
 from ..ideals import (
     MULTIPLICATIVE,
@@ -42,14 +39,16 @@ from ..ideals import (
     RING,
     TWO_SIDED,
     Ideal,
+    bitset,
     classify_primes,
+    closure,
+    elements_of,
     family_sets,
-    generate_ideal,
     ideal_lattice,
-    is_prime,
+    is_ideal_set,
+    members,
     prime_radical,
-    principal_ideal,
-    vanishing_ideal,
+    prime_witness,
 )
 from ..topology import (
     SequenceSpace,
@@ -72,7 +71,13 @@ from .report import (
 
 
 class Context:
-    """Lazily-built derived data for one (space, algebra, side, mode)."""
+    """Lazily built derived data for one (space, algebra, side, mode).
+
+    Ring-level data lives on element indices: a set of elements is a bitset
+    (bit i for ``ring.elements[i]``), and a set of quasi-components a class
+    mask (bit c for ``ring.classes[c]``).  Every cache is built once per
+    context, when a checker first needs it.
+    """
 
     def __init__(self, space, algebra, side: str = RIGHT, mode: str | None = None,
                  budget: int = DEFAULT_ENUM_BUDGET, seed: int = 0):
@@ -86,7 +91,7 @@ class Context:
         self.budget = budget
         self.seed = seed
         self.is_sequence = isinstance(space, SequenceSpace)
-        self._chis = {}
+        self._memo = {}
 
     @cached_property
     def ring(self) -> FunctionRing:
@@ -100,11 +105,12 @@ class Context:
 
     @cached_property
     def lattice(self):
-        if len(self.ring.elements) > self.lattice_ring_cap:
+        n = len(self.ring.elements)
+        if n > self.lattice_ring_cap:
             raise BudgetExceeded(
-                f"lattice classification on a {len(self.ring.elements)}-"
-                f"element ring exceeds the checker budget "
-                f"(cap {self.lattice_ring_cap})")
+                f"lattice classification on a {n}-element ring exceeds the "
+                f"checker budget (cap {self.lattice_ring_cap})",
+                cap=self.lattice_ring_cap, reached=n)
         lat = ideal_lattice(self.ring, self.side, self.mode,
                             budget=self.lattice_budget)
         classify_primes(lat)
@@ -123,27 +129,106 @@ class Context:
         return family_sets(self.lattice)
 
     @cached_property
-    def rng(self):
-        return random.Random(self.seed)
-
-    @property
     def nonzero(self):
         z = self.algebra.zero
         return [a for a in self.algebra.elements if a != z]
 
-    def chi(self, u, a=None):
-        """``ring.chi(u, a)``, cached; a bad call raises every time."""
-        key = (frozenset(u), a)
-        f = self._chis.get(key)
-        if f is None:
-            f = self._chis[key] = self.ring.chi(u, a)
-        return f
+    @cached_property
+    def whole(self) -> int:
+        """Every element of the ring, as a bitset."""
+        return (1 << len(self.ring.elements)) - 1
 
-    def I_of(self, points) -> Ideal:
-        return vanishing_ideal(self.ring, points, self.side, self.mode)
+    @cached_property
+    def theta(self) -> int:
+        """The index of the zero function."""
+        return self.ring.index(self.ring.theta)
 
-    def classes(self):
-        return self.ring.classes
+    @cached_property
+    def one(self) -> int:
+        """The index of the identity function (Y must have a unit)."""
+        return self.ring.index(self.ring.identity)
+
+    def _cached(self, key, make):
+        """The value under key, made by make() on first use and kept."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = make()
+        return out
+
+    def chi(self, u, a=None) -> int:
+        """The index of χ_U with off-value a, cached; a bad call raises
+        every time."""
+        u = frozenset(u)
+        return self._cached(("chi", u, a),
+                            lambda: self.ring.index(self.ring.chi(u, a)))
+
+    @cached_property
+    def value_bits(self) -> list:
+        """Per class c and value b, the elements equal to b on c."""
+        ring = self.ring
+        return [[ring.value_bits(c, b) for b in self.algebra.elements]
+                for c in range(len(ring.classes))]
+
+    @cached_property
+    def zero_classes(self) -> list:
+        """Per element index, the class mask of its zero set V(f)."""
+        z = self.algebra.zero
+        masks = [0]
+        for c in range(len(self.ring.classes)):
+            masks = [mask | (d == z) << c
+                     for mask in masks for d in self.algebra.elements]
+        return masks
+
+    @cached_property
+    def all_classes(self) -> int:
+        return (1 << len(self.ring.classes)) - 1
+
+    def points(self, classes: int) -> frozenset:
+        """The points of the classes in a class mask, cached."""
+        return self._cached(("points", classes), lambda: frozenset().union(
+            *(self.ring.classes[c] for c in members(classes))))
+
+    def vanishing(self, points: frozenset, b=None) -> int:
+        """I(U, b) as a bitset, cached: the AND over the classes meeting U
+        of the elements equal to b there."""
+        return self._cached(("I", points, b),
+                            lambda: vanishing_elements(self.ring, points, b))
+
+    def zero_locus(self, bits: int, b=None) -> int:
+        """V(J, b) as a class mask: the classes on which every member of
+        the bitset J equals b (every class when J is empty)."""
+        b = self.algebra.zero if b is None else b
+        out = 0
+        for c, by_value in enumerate(self.value_bits):
+            if bits & ~by_value[b] == 0:
+                out |= 1 << c
+        return out
+
+    def equiv(self, bits: int, x: int) -> int:
+        """[x]_J as a class mask: the classes on which every member of the
+        bitset J takes its value at x."""
+        at_x = self.value_bits[self.ring.class_of[x]]
+        out = 0
+        for c, by_value in enumerate(self.value_bits):
+            if all(bits & vx & ~vc == 0 for vx, vc in zip(at_x, by_value)):
+                out |= 1 << c
+        return out
+
+    def principal(self, f: int, mode: str | None = None) -> int:
+        """The principal ideal of element index f as a bitset, cached; the
+        mode defaults to the context's."""
+        mode = self.mode if mode is None else mode
+        return self._cached(("principal", f, mode),
+                            lambda: closure(self.ring, [f], self.side, mode))
+
+    def sums(self, a: int, b: int) -> int:
+        """Every x + y with x in the bitset a and y in the bitset b."""
+        ring = self.ring
+        right = members(b)
+        out = set()
+        for x in members(a):
+            out.update(map(ring.row("add", x).__getitem__, right))
+        return bitset(out)
 
     def b_values(self):
         """All of Y on tiny carriers, just 0 otherwise."""
@@ -151,31 +236,27 @@ class Context:
             return list(self.algebra.elements)
         return [self.algebra.zero]
 
-    def fn_families(self, count: int = 4, max_size: int = 4):
-        ring = self.ring
+    @cached_property
+    def fn_families(self) -> list:
+        """Families J as bitsets: {θ}, the ring, four seeded samples."""
+        n = len(self.ring.elements)
         rng = random.Random(self.seed * 7919 + 11)
-        fams = [frozenset({ring.theta}), frozenset(ring.elements)]
-        els = list(ring.elements)
-        for _ in range(count):
-            k = rng.randint(1, min(max_size, len(els)))
-            fams.append(frozenset(rng.sample(els, k)))
+        fams = [1 << self.theta, self.whole]
+        for _ in range(4):
+            k = rng.randint(1, min(4, n))
+            fams.append(bitset(rng.sample(range(n), k)))
         return fams
 
-    def point_sets(self, include_empty: bool = False):
+    @cached_property
+    def point_sets(self) -> list:
+        """The space, each point and four seeded samples, without repeats."""
         pts = list(self.space.points)
         rng = random.Random(self.seed * 104729 + 3)
         out = [frozenset(pts)] + [frozenset({p}) for p in pts]
         for _ in range(4):
             k = rng.randint(1, len(pts))
             out.append(frozenset(rng.sample(pts, k)))
-        if include_empty:
-            out.append(frozenset())
-        seen, uniq = set(), []
-        for u in out:
-            if u not in seen:
-                seen.add(u)
-                uniq.append(u)
-        return uniq
+        return list(dict.fromkeys(out))
 
     def ideal_pool(self, limit: int = 96):
         """The whole lattice when small, else a seeded sample of it."""
@@ -187,12 +268,6 @@ class Context:
         keep.update(rng.sample(range(len(ideals)), limit - 2))
         return [ideals[k] for k in sorted(keep)]
 
-    def class_subsets(self):
-        q = len(self.ring.classes)
-        for k in range(1, q + 1):
-            for combo in itertools.combinations(range(q), k):
-                yield frozenset().union(*(self.ring.classes[i] for i in combo))
-
 
 # --------------------------------------------------------------------------
 # Hypotheses
@@ -202,9 +277,9 @@ def _has_all_complements(ctx):
     ring = ctx.ring
     if ring.algebra.add is None or ring.identity is None:
         return False
-    for f in ring.elements:
-        if not any(ring.add(f, g) == ring.identity and ring.mul(f, g) == ring.theta
-                   for g in ring.elements):
+    for f in range(len(ring.elements)):
+        if not any(s == ctx.one and p == ctx.theta
+                   for s, p in zip(ring.row("add", f), ring.row("mul", f))):
             return False
     return True
 
@@ -328,10 +403,9 @@ def _run(checker: Checker, ctx):
 
 @_checker("T5")
 def _t5(ctx):  # ring-indistinguishability classes are the quasi-components
-    ring = ctx.ring
-    full = frozenset(ring.elements)
     for x in ctx.space.points:
-        if equiv_class(ring, full, x) != quasi_component(ctx.space, x):
+        if (ctx.points(ctx.equiv(ctx.whole, x))
+                != quasi_component(ctx.space, x)):
             return {"x": x}
     return None
 
@@ -347,13 +421,11 @@ def _t6(ctx):  # the quotient by quasi-components is totally separated
 
 @_checker("T7")
 def _t7(ctx):  # each quasi-component = intersection of the zero sets at it
-    ring = ctx.ring
+    zero = ctx.algebra.zero
     for x in ctx.space.points:
-        inter = ctx.space.full
-        for f in ring.elements:
-            v = ring.zero_set(f)
-            if x in v:
-                inter &= v
+        # the V(f) holding x are those of the f vanishing at x
+        at_x = ctx.value_bits[ctx.ring.class_of[x]][zero]
+        inter = ctx.points(ctx.zero_locus(at_x))
         if inter != quasi_component(ctx.space, x):
             return {"x": x, "intersection": inter}
     return None
@@ -408,58 +480,48 @@ def _t11(ctx):  # the continuous functions of T and T1 are the same set
 
 @_checker("T12", "two_components")
 def _t12(ctx):  # |Z| >= 2 forces zero divisors in the ring
-    ring = ctx.ring
-    found = any(ring.mul(f, g) == ring.theta
-                for f in ring.elements if f != ring.theta
-                for g in ring.elements if g != ring.theta)
-    if not found:
-        return {"zero_divisors": "absent"}
-    return None
-
-
-def _classes_meeting(ring, points) -> set:
-    return {ring.class_of[p] for p in points}
+    ring, t = ctx.ring, ctx.theta
+    for f in range(len(ring.elements)):
+        if f != t and any(h == t and g != t
+                          for g, h in enumerate(ring.row("mul", f))):
+            return None
+    return {"zero_divisors": "absent"}
 
 
 @_checker("T13", "unit")
 def _t13(ctx):  # V(I) spanning >= 2 quasi-components ⇒ I not prime
-    ring = ctx.ring
     for i in ctx.lattice.proper():
-        v = zero_set_V(ring, i.elements)
-        if len(_classes_meeting(ring, v)) >= 2 and i.meta.get("is_prime"):
-            return {"ideal": i, "V": v}
+        v = ctx.zero_locus(i.bits)
+        if v.bit_count() >= 2 and i.meta.get("is_prime"):
+            return {"ideal": i, "V": ctx.points(v)}
     return None
 
 
 @_checker("T14", "no_zero_divisors")
 def _t14(ctx):  # no zero divisors: I(U) prime iff U is a single component
     ring = ctx.ring
-    for u in ctx.class_subsets():
-        i = ctx.I_of(u)
-        if not i.is_proper():
-            continue
-        verdict, _ = is_prime(i)
-        singleton = len(_classes_meeting(ring, u)) == 1
-        if verdict != singleton:
-            return {"U": u, "prime": verdict}
+    q = len(ring.classes)
+    for k in range(1, q + 1):
+        for combo in itertools.combinations(ring.classes, k):
+            u = frozenset().union(*combo)
+            bits = ctx.vanishing(u)
+            if bits == ctx.whole:
+                continue
+            verdict = prime_witness(ring, bits) is None
+            if verdict != (k == 1):
+                return {"U": u, "prime": verdict}
     return None
 
 
 @_checker("T15", "unit", "two_components")
 def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
-    ring = ctx.ring
+    zc, t = ctx.zero_classes, ctx.theta
     for i in ctx.lattice.proper():
         if i.is_trivial():
             continue
-        ok = False
-        for f in i.elements:
-            if f == ring.theta:
-                continue
-            v = ring.zero_set(f)
-            if v and v != ctx.space.full and ctx.space.is_clopen(v):
-                ok = True
-                break
-        if not ok:
+        if not any(f != t and zc[f] and zc[f] != ctx.all_classes
+                   and ctx.space.is_clopen(ctx.points(zc[f]))
+                   for f in members(i.bits)):
             return {"ideal": i}
     return None
 
@@ -467,7 +529,7 @@ def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
 @_checker("T16", "no_zero_divisors", "ring_ops")
 def _t16(ctx):  # no zero divisors, ring ops: each I(z) is a minimal prime
     for c in ctx.ring.classes:
-        iz = ctx.lattice.find(ctx.I_of(c).elements)
+        iz = ctx.lattice.find(ctx.vanishing(c))
         if iz is None or not iz.meta.get("is_prime"):
             return {"z": c, "prime": False}
         if not iz.meta.get("is_minimal_prime"):
@@ -477,62 +539,63 @@ def _t16(ctx):  # no zero divisors, ring ops: each I(z) is a minimal prime
 
 @_checker("T17", "no_zero_divisors")
 def _t17(ctx):  # annihilating pairs split Z into complementary clopen zero sets
-    ring = ctx.ring
-    full = ctx.space.full
-    for f in ring.elements:
-        if f == ring.theta:
+    ring, t, zc = ctx.ring, ctx.theta, ctx.zero_classes
+    for f in range(len(ring.elements)):
+        if f == t:
             continue
-        for g in ring.elements:
-            if g == ring.theta or ring.mul(g, f) != ring.theta:
+        for g, h in enumerate(ring.row("mul_t", f)):      # h = g·f
+            if g == t or h != t:
                 continue
-            vf, vg = ring.zero_set(f), ring.zero_set(g)
-            if vf | vg != full or (full - vf) & (full - vg):
-                return {"f": f, "g": g}
-            if not (ctx.space.is_clopen(vf) and ctx.space.is_clopen(vg)):
-                return {"f": f, "g": g, "clopen": False}
+            vf, vg = zc[f], zc[g]
+            pair = {"f": ring.elements[f], "g": ring.elements[g]}
+            if vf | vg != ctx.all_classes:
+                return pair
+            if not (ctx.space.is_clopen(ctx.points(vf))
+                    and ctx.space.is_clopen(ctx.points(vg))):
+                return {**pair, "clopen": False}
     return None
+
+
+def _chi_pairs(ctx) -> list:
+    """(U, χ_U, χ_{Z−U}) per clopen U."""
+    return [(u, ctx.chi(u), ctx.chi(ctx.space.full - u)) for u in ctx.clopens]
 
 
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    ring = ctx.ring
-    chis = {u: ctx.chi(u) for u in ctx.clopens}
+    chis = [(u, ctx.chi(u)) for u in ctx.clopens]
     for i1 in ctx.primes:
         for i2 in ctx.lattice.proper():
-            if not i1.elements <= i2.elements:
+            if not i1 <= i2:
                 continue
-            for u, chi in chis.items():
-                if (chi in i1.elements) != (chi in i2.elements):
+            for u, c in chis:
+                if (i1.bits >> c & 1) != (i2.bits >> c & 1):
                     return {"I1": i1, "I2": i2, "U": u}
     return None
 
 
 @_checker("T19", "unit")
 def _t19(ctx):  # prime with nonempty zero set pins a unique point
-    ring = ctx.ring
     for j in ctx.primes:
-        v = zero_set_V(ring, j.elements)
+        v = ctx.zero_locus(j.bits)
         if not v:
             continue
-        classes = _classes_meeting(ring, v)
-        if len(classes) != 1:
-            return {"J": j, "V": v}
-        if not j.elements <= ctx.I_of(v).elements:
+        if v.bit_count() != 1:
+            return {"J": j, "V": ctx.points(v)}
+        if j.bits & ~ctx.vanishing(ctx.points(v)):
             return {"J": j, "not_in": "I(z)"}
     return None
 
 
 @_checker("T20", "unit_addition_closed")
 def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
-    full = ctx.space.full
+    pairs = _chi_pairs(ctx)
     for j in ctx.primes:
         for i in ctx.lattice.proper():
-            if not j.elements < i.elements:
+            if not j < i:
                 continue
-            for u in ctx.clopens:
-                a = ctx.chi(u) in i.elements
-                b = ctx.chi(full - u) in i.elements
-                if a == b:
+            for u, a, b in pairs:
+                if (i.bits >> a & 1) == (i.bits >> b & 1):
                     return {"J": j, "I": i, "U": u}
     return None
 
@@ -541,65 +604,74 @@ def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
 # The characteristic-function subring
 # --------------------------------------------------------------------------
 
+def _chi_set(ctx) -> list:
+    """The distinct χ_U indices, ascending."""
+    return sorted({ctx.chi(u) for u in ctx.clopens})
+
+
 @_checker("T21", "assoc_comm", "unit")
 def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
     ring = ctx.ring
-    chis = {u: ctx.chi(u) for u in ctx.clopens}
-    chi_set = set(chis.values())
-    for f in chi_set:
-        for g in chi_set:
-            if ring.mul(f, g) not in chi_set:
-                return {"f": f, "g": g, "closure": "mul"}
-            if ring.mul(f, f) != f:
-                return {"f": f, "idempotent": False}
+    el = ring.elements
+    chis = _chi_set(ctx)
+    inside = set(chis)
+    for f in chis:
+        row = ring.row("mul", f)
+        for g in chis:
+            if row[g] not in inside:
+                return {"f": el[f], "g": el[g], "closure": "mul"}
+            if row[f] != f:
+                return {"f": el[f], "idempotent": False}
     if (ctx.flags.char_two and ctx.flags.additive_associative
             and ctx.flags.additive_commutative and ctx.flags.distributive):
-        z = ctx.algebra.zero
-        patt = {f: tuple(0 if v == z else 1 for v in f) for f in chi_set}
-        if len(set(patt.values())) != len(chi_set):
+        # the nonzero pattern of each χ, as a class mask
+        patt = {f: ctx.all_classes & ~ctx.zero_classes[f] for f in chis}
+        if len(set(patt.values())) != len(chis):
             return {"iso": "not injective"}
-        if len(chi_set) != 2 ** len(ring.classes):
+        if len(chis) != 2 ** len(ring.classes):
             return {"iso": "not surjective"}
-        for f in chi_set:
-            for g in chi_set:
-                pm = tuple(a * b % 2 for a, b in zip(patt[f], patt[g]))
-                ps = tuple((a + b) % 2 for a, b in zip(patt[f], patt[g]))
-                if patt[ring.mul(f, g)] != pm or patt[ring.add(f, g)] != ps:
-                    return {"f": f, "g": g, "iso": "not a homomorphism"}
+        for f in chis:
+            mul, add = ring.row("mul", f), ring.row("add", f)
+            for g in chis:
+                if (patt[mul[g]] != patt[f] & patt[g]
+                        or patt[add[g]] != patt[f] ^ patt[g]):
+                    return {"f": el[f], "g": el[g], "iso": "not a homomorphism"}
     return None
 
 
 @_checker("T22", "unit", "primes")
 def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
     ring = ctx.ring
-    chis = {u: ctx.chi(u) for u in ctx.clopens}
-    chi_set = set(chis.values())
+    el = ring.elements
+    chis = _chi_set(ctx)
     for i in ctx.primes:
-        xi = chi_set & i.elements
-        for f in chi_set:
+        xi = [f for f in chis if i.bits >> f & 1]
+        inside = set(xi)
+        for f in chis:
+            row = ring.row("mul", f)
             for g in xi:
-                if ring.mul(f, g) not in xi:
-                    return {"I": i, "f": f, "g": g, "absorb": False}
-        for f in chi_set:
-            for g in chi_set:
-                if ring.mul(f, g) in xi and f not in xi and g not in xi:
-                    return {"I": i, "f": f, "g": g, "prime": False}
+                if row[g] not in inside:
+                    return {"I": i, "f": el[f], "g": el[g], "absorb": False}
+        for f in chis:
+            row = ring.row("mul", f)
+            for g in chis:
+                if row[g] in inside and f not in inside and g not in inside:
+                    return {"I": i, "f": el[f], "g": el[g], "prime": False}
     return None
 
 
 @_checker("T23", "ring_mode", "complements")
 def _t23(ctx):  # with complements, prime + ideal stays prime while proper
-    ring = ctx.ring
-    whole = frozenset(ring.elements)
     for i1 in ctx.primes:
         for i2 in ctx.lattice.ideals:
-            sumset = {ring.add(x, y) for x in i1.elements for y in i2.elements}
-            total = generate_ideal(ring, sumset, ctx.side, ctx.mode)
-            if total.elements == whole:
+            total = closure(ctx.ring, members(ctx.sums(i1.bits, i2.bits)),
+                            ctx.side, ctx.mode)
+            if total == ctx.whole:
                 continue
-            found = ctx.lattice.find(total.elements)
+            found = ctx.lattice.find(total)
             if found is None or not found.meta.get("is_prime"):
-                return {"I1": i1, "I2": i2, "sum": total}
+                return {"I1": i1, "I2": i2,
+                        "sum": Ideal(ctx.ring, total, ctx.side, ctx.mode)}
     return None
 
 
@@ -610,9 +682,9 @@ def _t23(ctx):  # with complements, prime + ideal stays prime while proper
 @_checker("T24", "unit")
 def _t24(ctx):  # every component is clopen here: prime below I(z) equals it
     for c in ctx.ring.classes:
-        iz = ctx.I_of(c).elements
+        iz = ctx.vanishing(c)
         for j in ctx.primes:
-            if j.elements <= iz and j.elements != iz:
+            if j.bits & ~iz == 0 and j.bits != iz:
                 return {"z": c, "J": j}
     return None
 
@@ -623,37 +695,34 @@ _checker("T25", "unit")(_t24)
 
 @_checker("T26", "assoc_comm", "unit")
 def _t26(ctx):  # literal statement; admits finite counterexamples
-    ring = ctx.ring
-    trivial = frozenset({ring.theta})
-    chis = {u: ctx.chi(u) for u in ctx.clopens}
+    chis = [(u, ctx.chi(u)) for u in ctx.clopens]
     for j in ctx.primes:
-        if j.elements == trivial:
+        if j.is_trivial():
             continue
-        for u1, chi1 in chis.items():
-            if chi1 not in j.elements or u1 == ctx.space.full:
+        for u1, chi1 in chis:
+            if not j.bits >> chi1 & 1 or u1 == ctx.space.full:
                 continue
-            for u, chi_u in chis.items():
-                if u & u1 and chi_u not in j.elements:
-                    return {"J": j, "U1": u1, "U": u, "chi_u": chi_u}
+            for u, chi_u in chis:
+                if u & u1 and not j.bits >> chi_u & 1:
+                    return {"J": j, "U1": u1, "U": u,
+                            "chi_u": ctx.ring.elements[chi_u]}
     return None
 
 
 @_checker("T27", "assoc_comm", "unit")
 def _t27(ctx):  # every prime sits above some I(z)
     for j in ctx.primes:
-        if not any(ctx.I_of(c).elements <= j.elements for c in ctx.ring.classes):
+        if not any(ctx.vanishing(c) & ~j.bits == 0 for c in ctx.ring.classes):
             return {"J": j}
     return None
 
 
 @_checker("T28", "assoc_comm", "unit")
 def _t28(ctx):  # prime with nonempty zero set equals a unique I(z)
-    ring = ctx.ring
     for j in ctx.primes:
-        v = zero_set_V(ring, j.elements)
-        if not v:
+        if not ctx.zero_locus(j.bits):
             continue
-        matches = [c for c in ring.classes if ctx.I_of(c).elements == j.elements]
+        matches = [c for c in ctx.ring.classes if ctx.vanishing(c) == j.bits]
         if len(matches) != 1:
             return {"J": j, "matches": len(matches)}
     return None
@@ -663,40 +732,36 @@ def _t28(ctx):  # prime with nonempty zero set equals a unique I(z)
 def _t29(ctx):  # proper primes pairwise incomparable
     for a in ctx.primes:
         for b in ctx.primes:
-            if a is not b and a.elements <= b.elements:
+            if a is not b and a <= b:
                 return {"I": a, "J": b}
     return None
 
 
 @_checker("T30", "no_zero_divisors", "unit_addition_closed")
 def _t30(ctx):  # all proper primes are vanishing ideals of points
-    izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
+    izs = {ctx.vanishing(c) for c in ctx.ring.classes}
     for j in ctx.primes:
-        if j.elements not in izs:
+        if j.bits not in izs:
             return {"J": j}
     return None
 
 
 @_checker("T32", "no_zero_divisors")
 def _t32(ctx):  # nonzero-indicator is a surjective multiplicative map
-    ring = ctx.ring
-    lmap = project_L(ring)
-    for f in ring.elements:
-        for g in ring.elements:
-            a = lmap[ring.mul(f, g)]
-            b = tuple(x * y % 2 for x, y in zip(lmap[f], lmap[g]))
-            if a != b:
-                return {"f": f, "g": g}
-    if len(set(lmap.values())) != 2 ** len(ring.classes):
+    nz = [ctx.all_classes & ~z for z in ctx.zero_classes]   # L(f), a mask
+    out = _first_pair(ctx, "mul", lambda f, g, fg: nz[fg] != nz[f] & nz[g])
+    if out is not None:
+        return out
+    if len(set(nz)) != 2 ** len(ctx.ring.classes):
         return {"surjective": False}
     return None
 
 
 @_checker("T33", "assoc_comm", "no_zero_divisors", "unit_addition_closed")
 def _t33(ctx):  # all proper primes min-max and of I(z) form
-    izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
+    izs = {ctx.vanishing(c) for c in ctx.ring.classes}
     for j in ctx.primes:
-        if j.elements not in izs:
+        if j.bits not in izs:
             return {"J": j, "form": "not I(z)"}
         if not j.meta.get("is_min_max"):
             return {"J": j, "min_max": False}
@@ -711,46 +776,61 @@ def _t34(ctx):  # zero-divisor-free value algebra: trivial prime radical
     return None
 
 
+def _escape(ctx, cols, skip_theta: bool):
+    """The first (I, f, U, a) with f·χ_U or f·χ_{Z−U} outside I, over the
+    proper ideals I, their members f ascending (θ skipped when asked) and
+    cols, a list of (U, a, χ_U index, χ_{Z−U} index); None when none."""
+    ring = ctx.ring
+    proper = ctx.lattice.proper()
+    flat = [c for _, _, x, y in cols for c in (x, y)]
+    # per element f, its products with every χ in cols, as one bitset
+    products = [bitset(map(ring.row("mul", f).__getitem__, flat))
+                for f in range(len(ring.elements))]
+    for i in proper:
+        for f in members(i.bits):
+            if products[f] & ~i.bits and not (skip_theta and f == ctx.theta):
+                row = ring.row("mul", f)
+                for u, a, x, y in cols:
+                    if not (i.bits >> row[x] & 1 and i.bits >> row[y] & 1):
+                        return i, ring.elements[f], u, a
+    return None
+
+
 @_checker("T35", "unit", "right_absorption")
 def _t35(ctx):  # f in a proper ideal: both chi slices generate subideals
-    ring = ctx.ring
-    full = ctx.space.full
-    chis = {u: ctx.chi(u) for u in ctx.clopens}
-    for i in ctx.lattice.proper():
-        for f in i.elements:
-            if f == ring.theta:
-                continue
-            for u in ctx.clopens:
-                # membership suffices: an ideal contains the subideal
-                # generated by any of its members
-                if (ring.mul(f, chis[u]) not in i.elements
-                        or ring.mul(f, chis[full - u]) not in i.elements):
-                    return {"I": i, "f": f, "U": u}
+    # membership suffices: an ideal contains the subideal generated by any
+    # of its members
+    out = _escape(ctx, [(u, None, x, y) for u, x, y in _chi_pairs(ctx)],
+                  skip_theta=True)
+    if out is not None:
+        return {"I": out[0], "f": out[1], "U": out[2]}
     return None
 
 
 @_checker("T36", "division_ring", "ring_mode")
 def _t36(ctx):  # division-ring values: maximal ideals are exactly the I(z)
-    izs = {ctx.I_of(c).elements for c in ctx.ring.classes}
-    maximal = {i.elements for i in ctx.lattice.proper() if i.meta.get("is_maximal")}
+    izs = {ctx.vanishing(c) for c in ctx.ring.classes}
+    maximal = {i.bits for i in ctx.lattice.proper() if i.meta.get("is_maximal")}
     if maximal != izs:
-        return {"maximal": sorted(len(m) for m in maximal), "expected": len(izs)}
+        return {"maximal": sorted(m.bit_count() for m in maximal),
+                "expected": len(izs)}
     return None
 
 
 @_checker("T37", "distributive_addition_closed")
 def _t37(ctx):  # f outside a prime: exactly one chi slice lands inside
     ring = ctx.ring
-    full = ctx.space.full
+    pairs = _chi_pairs(ctx)
     for i in ctx.primes:
-        for f in ring.elements:
-            if f in i.elements:
+        for f in range(len(ring.elements)):
+            if i.bits >> f & 1:
                 continue
-            for u in ctx.clopens:
-                a = ring.mul(f, ctx.chi(u)) in i.elements
-                b = ring.mul(f, ctx.chi(full - u)) in i.elements
-                if a == b:
-                    return {"I": i, "f": f, "U": u, "both" if a else "neither": True}
+            row = ring.row("mul", f)
+            for u, x, y in pairs:
+                a = i.bits >> row[x] & 1
+                if a == i.bits >> row[y] & 1:
+                    return {"I": i, "f": ring.elements[f], "U": u,
+                            "both" if a else "neither": True}
     return None
 
 
@@ -783,117 +863,112 @@ def _t38(ctx):  # a non-open quasi-component is a unique cluster point
 
 @_checker("L8")
 def _l8(ctx):  # J ⊆ A  ⇒  [x] ⊆ [x]_A ⊆ [x]_J
-    ring = ctx.ring
-    full = frozenset(ring.elements)
-    for fam in ctx.fn_families():
-        bigger = fam | next(iter(ctx.fn_families(1)))
+    for fam in ctx.fn_families:
+        bigger = fam | ctx.fn_families[0]
         for x in ctx.space.points:
-            ex_full = equiv_class(ring, full, x)
-            ex_a = equiv_class(ring, bigger, x)
-            ex_j = equiv_class(ring, fam, x)
-            if not (ex_full <= ex_a <= ex_j):
-                return {"x": x, "J": fam, "A": bigger}
+            ex_full = ctx.equiv(ctx.whole, x)
+            ex_a = ctx.equiv(bigger, x)
+            ex_j = ctx.equiv(fam, x)
+            if ex_full & ~ex_a or ex_a & ~ex_j:
+                return {"x": x, "J": elements_of(ctx.ring, fam),
+                        "A": elements_of(ctx.ring, bigger)}
     return None
 
 
 @_checker("L9")
 def _l9(ctx):  # J ⊆ A ⊆ F  ⇒  V(F,b) ⊆ V(A,b) ⊆ V(J,b)
-    ring = ctx.ring
-    full = frozenset(ring.elements)
-    for fam in ctx.fn_families():
-        bigger = fam | next(iter(ctx.fn_families(1)))
+    for fam in ctx.fn_families:
+        bigger = fam | ctx.fn_families[0]
         for b in ctx.b_values():
-            vf = zero_set_V(ring, full, b)
-            va = zero_set_V(ring, bigger, b)
-            vj = zero_set_V(ring, fam, b)
-            if not (vf <= va <= vj):
-                return {"b": b, "J": fam, "A": bigger}
+            vf = ctx.zero_locus(ctx.whole, b)
+            va = ctx.zero_locus(bigger, b)
+            vj = ctx.zero_locus(fam, b)
+            if vf & ~va or va & ~vj:
+                return {"b": b, "J": elements_of(ctx.ring, fam),
+                        "A": elements_of(ctx.ring, bigger)}
     return None
 
 
 @_checker("L10")
 def _l10(ctx):  # I(U,b)_J ⊆ J
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        for u in ctx.point_sets():
+    for fam in ctx.fn_families:
+        for u in ctx.point_sets:
             for b in ctx.b_values():
-                if not vanishing_elements(ring, u, b, within=fam) <= fam:
+                if ctx.vanishing(u, b) & fam & ~fam:
                     return {"U": u, "b": b}
     return None
 
 
 @_checker("L11")
 def _l11(ctx):  # U ⊆ V(I(U,b)_J, b)
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        for u in ctx.point_sets():
+    for fam in ctx.fn_families:
+        for u in ctx.point_sets:
             for b in ctx.b_values():
-                iu = vanishing_elements(ring, u, b, within=fam)
-                if not u <= zero_set_V(ring, iu, b):
-                    return {"U": u, "b": b, "J": fam}
+                iu = ctx.vanishing(u, b) & fam
+                if not u <= ctx.points(ctx.zero_locus(iu, b)):
+                    return {"U": u, "b": b, "J": elements_of(ctx.ring, fam)}
     return None
 
 
 @_checker("L12")
 def _l12(ctx):  # J ⊆ I(V(J,b), b)
-    ring = ctx.ring
-    for fam in ctx.fn_families():
+    for fam in ctx.fn_families:
         for b in ctx.b_values():
-            v = zero_set_V(ring, fam, b)
-            if not fam <= vanishing_elements(ring, v, b):
-                return {"b": b, "J": fam}
+            v = ctx.points(ctx.zero_locus(fam, b))
+            if fam & ~ctx.vanishing(v, b):
+                return {"b": b, "J": elements_of(ctx.ring, fam)}
     return None
 
 
 @_checker("L13")
 def _l13(ctx):  # J ⊆ A  ⇒  I(U,b)_J ⊆ I(U,b)_A
-    ring = ctx.ring
-    for fam in ctx.fn_families():
-        bigger = fam | next(iter(ctx.fn_families(1)))
-        for u in ctx.point_sets():
+    for fam in ctx.fn_families:
+        bigger = fam | ctx.fn_families[0]
+        for u in ctx.point_sets:
             for b in ctx.b_values():
-                small = vanishing_elements(ring, u, b, within=fam)
-                large = vanishing_elements(ring, u, b, within=bigger)
-                if not small <= large:
+                iu = ctx.vanishing(u, b)
+                if iu & fam & ~(iu & bigger):
                     return {"U": u, "b": b}
     return None
 
 
 @_checker("L14")
 def _l14(ctx):  # U1 ⊆ U2  ⇒  I(U2,b)_J ⊆ I(U1,b)_J
-    ring = ctx.ring
-    sets = ctx.point_sets()
-    for fam in ctx.fn_families():
+    sets = ctx.point_sets
+    for fam in ctx.fn_families:
         for u1 in sets:
             for u2 in sets:
                 if not u1 <= u2:
                     continue
                 for b in ctx.b_values():
-                    i2 = vanishing_elements(ring, u2, b, within=fam)
-                    i1 = vanishing_elements(ring, u1, b, within=fam)
-                    if not i2 <= i1:
+                    i2 = ctx.vanishing(u2, b) & fam
+                    i1 = ctx.vanishing(u1, b) & fam
+                    if i2 & ~i1:
                         return {"U1": u1, "U2": u2, "b": b}
+    return None
+
+
+def _first_pair(ctx, op: str, bad):
+    """The first (f, g) in index order with bad(f, g, h), h the index of
+    f·g (op "mul") or of g·f (op "mul_t"), as value tuples; None if none."""
+    ring = ctx.ring
+    for f in range(len(ring.elements)):
+        for g, h in enumerate(ring.row(op, f)):
+            if bad(f, g, h):
+                return {"f": ring.elements[f], "g": ring.elements[g]}
     return None
 
 
 @_checker("L16")
 def _l16(ctx):  # V(f) ∪ V(g) ⊆ V(f·g)
-    ring = ctx.ring
-    for f in ring.elements:
-        for g in ring.elements:
-            if not ring.zero_set(f) | ring.zero_set(g) <= ring.zero_set(ring.mul(f, g)):
-                return {"f": f, "g": g}
-    return None
+    zc = ctx.zero_classes
+    return _first_pair(ctx, "mul", lambda f, g, fg: (zc[f] | zc[g]) & ~zc[fg])
 
 
 @_checker("L17", "no_zero_divisors")
 def _l17(ctx):  # no zero divisors  ⇒  V(f) ∪ V(g) = V(f·g)
-    ring = ctx.ring
-    for f in ring.elements:
-        for g in ring.elements:
-            if ring.zero_set(f) | ring.zero_set(g) != ring.zero_set(ring.mul(f, g)):
-                return {"f": f, "g": g}
-    return None
+    zc = ctx.zero_classes
+    return _first_pair(ctx, "mul", lambda f, g, fg: zc[f] | zc[g] != zc[fg])
 
 
 # --------------------------------------------------------------------------
@@ -902,30 +977,31 @@ def _l17(ctx):  # no zero divisors  ⇒  V(f) ∪ V(g) = V(f·g)
 
 @_checker("L30")
 def _l30(ctx):
-    from ..ideals import is_ideal_set
     ring = ctx.ring
-    for u in ctx.point_sets():
-        if not is_ideal_set(ring, vanishing_elements(ring, u), ctx.side, ctx.mode):
+    for u in ctx.point_sets:
+        if not is_ideal_set(ring, ctx.vanishing(u), ctx.side, ctx.mode):
             return {"U": u}
     if ctx.flags.zero_divisor_free:
         for c in ring.classes:
-            verdict, w = is_prime(ctx.I_of(c))
-            if not verdict:
+            w = prime_witness(ring, ctx.vanishing(c))
+            if w is not None:
                 return {"z": c, "witness": w}
     return None
 
 
 @_checker("L31", "assoc_no_zero_divisors")
 def _l31(ctx):  # no zero divisors + associative: no nontrivial nilpotents
-    ring = ctx.ring
-    for f in ring.elements:
-        if f == ring.theta:
+    ring, t = ctx.ring, ctx.theta
+    n = len(ring.elements)
+    for f in range(n):
+        if f == t:
             continue
+        times_f = ring.row("mul_t", f)           # p -> p·f
         p = f
-        for _ in range(len(ring.elements)):
-            p = ring.mul(p, f)
-            if p == ring.theta:
-                return {"f": f}
+        for _ in range(n):
+            p = times_f[p]
+            if p == t:
+                return {"f": ring.elements[f]}
     return None
 
 
@@ -933,55 +1009,49 @@ def _l31(ctx):  # no zero divisors + associative: no nontrivial nilpotents
 def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
     full = ctx.space.full
     for u1 in ctx.clopens:
-        for u2 in ctx.point_sets():
+        for u2 in ctx.point_sets:
             if (full - u1) & u2:
-                if vanishing_elements(ctx.ring, u1) == vanishing_elements(ctx.ring, u2):
+                if ctx.vanishing(u1) == ctx.vanishing(u2):
                     return {"U1": u1, "U2": u2}
     return None
 
 
 @_checker("L33", "unit")
 def _l33(ctx):
-    ring = ctx.ring
     full = ctx.space.full
+    nested = [(u, u1, a, ctx.chi(u, a), ctx.chi(u1, a))
+              for u in ctx.clopens for u1 in ctx.clopens if u <= u1
+              for a in ctx.nonzero]
     for i in ctx.lattice.proper():
-        for u in ctx.clopens:
-            for u1 in ctx.clopens:
-                if not u <= u1:
-                    continue
-                for a in ctx.nonzero:
-                    if ctx.chi(u, a) in i.elements and ctx.chi(u1, a) not in i.elements:
-                        return {"I": i, "U": u, "U1": u1, "a": a}
+        for u, u1, a, x, y in nested:
+            if i.bits >> x & 1 and not i.bits >> y & 1:
+                return {"I": i, "U": u, "U1": u1, "a": a}
+    pairs = [(u, a, ctx.chi(u, a), ctx.chi(full - u, a))
+             for u in ctx.clopens for a in ctx.nonzero]
     for i in ctx.primes:
-        for u in ctx.clopens:
-            for a in ctx.nonzero:
-                if (ctx.chi(u, a) not in i.elements
-                        and ctx.chi(full - u, a) not in i.elements):
-                    return {"I": i, "U": u, "a": a}
+        for u, a, x, y in pairs:
+            if not i.bits >> x & 1 and not i.bits >> y & 1:
+                return {"I": i, "U": u, "a": a}
     return None
 
 
 @_checker("L34", "right_absorption", "unit")
 def _l34(ctx):  # members absorb chi factors on the right
-    ring = ctx.ring
     full = ctx.space.full
-    for i in ctx.lattice.proper():
-        for f in i.elements:
-            for u in ctx.clopens:
-                for a in ctx.nonzero:
-                    if (ring.mul(f, ctx.chi(u, a)) not in i.elements
-                            or ring.mul(f, ctx.chi(full - u, a)) not in i.elements):
-                        return {"I": i, "f": f, "U": u, "a": a}
+    cols = [(u, a, ctx.chi(u, a), ctx.chi(full - u, a))
+            for u in ctx.clopens for a in ctx.nonzero]
+    out = _escape(ctx, cols, skip_theta=False)
+    if out is not None:
+        return {"I": out[0], "f": out[1], "U": out[2], "a": out[3]}
     return None
 
 
 @_checker("L35", "unit")
 def _l35(ctx):  # subideal of I(z) with a bigger zero set is not prime
-    ring = ctx.ring
-    for c in ring.classes:
-        iz = ctx.I_of(c).elements
+    for k, c in enumerate(ctx.ring.classes):
+        iz = ctx.vanishing(c)
         for j in ctx.lattice.proper():
-            if j.elements <= iz and zero_set_V(ring, j.elements) != frozenset(c):
+            if j.bits & ~iz == 0 and ctx.zero_locus(j.bits) != 1 << k:
                 if j.meta.get("is_prime"):
                     return {"z": c, "J": j}
     return None
@@ -990,11 +1060,11 @@ def _l35(ctx):  # subideal of I(z) with a bigger zero set is not prime
 @_checker("L36", "unit_addition")
 def _l36(ctx):  # strict subideal of a clopen-point ideal is not prime
     for c in ctx.ring.classes:
-        iz = ctx.I_of(c).elements
-        if iz == frozenset(ctx.ring.elements):
+        iz = ctx.vanishing(c)
+        if iz == ctx.whole:
             continue
         for j in ctx.lattice.ideals:
-            if j.elements < iz and j.meta.get("is_prime"):
+            if j.bits & ~iz == 0 and j.bits != iz and j.meta.get("is_prime"):
                 return {"z": c, "J": j}
     return None
 
@@ -1002,99 +1072,84 @@ def _l36(ctx):  # strict subideal of a clopen-point ideal is not prime
 @_checker("L37")
 def _l37(ctx):  # nonzero function with nonempty clopen zero set is a
     # zero divisor (a nowhere-vanishing function may well be invertible)
-    ring = ctx.ring
-    for f in ring.elements:
-        v = ring.zero_set(f)
-        if f == ring.theta or not v or not ctx.space.is_clopen(v):
+    ring, t = ctx.ring, ctx.theta
+    for f, v in enumerate(ctx.zero_classes):
+        if f == t or not v or not ctx.space.is_clopen(ctx.points(v)):
             continue
-        if not any(g != ring.theta and
-                   (ring.mul(f, g) == ring.theta or ring.mul(g, f) == ring.theta)
-                   for g in ring.elements):
-            return {"f": f}
+        right, left = ring.row("mul", f), ring.row("mul_t", f)
+        if not any(g != t and (right[g] == t or left[g] == t)
+                   for g in range(len(ring.elements))):
+            return {"f": ring.elements[f]}
     return None
 
 
 @_checker("L38")
 def _l38(ctx):  # V(f) over a component: (f) inside I(z)
-    ring = ctx.ring
-    for f in ring.elements:
-        v = ring.zero_set(f)
-        for c in ring.classes:
-            if c <= v:
-                sub = principal_ideal(ring, f, ctx.side, ctx.mode)
-                if not sub.elements <= ctx.I_of(c).elements:
-                    return {"f": f, "z": c}
+    classes = ctx.ring.classes
+    for f, v in enumerate(ctx.zero_classes):
+        for k in members(v):
+            if ctx.principal(f) & ~ctx.vanishing(classes[k]):
+                return {"f": ctx.ring.elements[f], "z": classes[k]}
     return None
 
 
 @_checker("L39", "unit")
 def _l39(ctx):  # V(f) over U: (f) inside (chi_U)
-    ring = ctx.ring
     for u in ctx.clopens:
-        pu = principal_ideal(ring, ctx.chi(u), ctx.side, ctx.mode)
-        for f in ring.elements:
-            if u <= ring.zero_set(f):
-                pf = principal_ideal(ring, f, ctx.side, ctx.mode)
-                if not pf.elements <= pu.elements:
-                    return {"f": f, "U": u}
+        pu = ctx.principal(ctx.chi(u))
+        for f, v in enumerate(ctx.zero_classes):
+            if u <= ctx.points(v) and ctx.principal(f) & ~pu:
+                return {"f": ctx.ring.elements[f], "U": u}
     return None
 
 
 @_checker("L40")
 def _l40(ctx):  # V(f) = V((f))
-    ring = ctx.ring
-    for f in ring.elements:
-        pf = principal_ideal(ring, f, ctx.side, ctx.mode)
-        if zero_set_V(ring, pf.elements) != ring.zero_set(f):
-            return {"f": f}
+    for f, v in enumerate(ctx.zero_classes):
+        if ctx.zero_locus(ctx.principal(f)) != v:
+            return {"f": ctx.ring.elements[f]}
     return None
+
+
+def _annihilating(ctx, bad):
+    """The first (f, g), both ≠ θ, with g·f = θ and bad(V(f), V(g)) on
+    class masks."""
+    t, zc = ctx.theta, ctx.zero_classes
+    return _first_pair(ctx, "mul_t", lambda f, g, gf: (
+        gf == t and f != t and g != t and bad(zc[f], zc[g])))
 
 
 @_checker("L41", "no_zero_divisors")
 def _l41(ctx):  # annihilating pairs have disjoint cozero sets
-    ring = ctx.ring
-    full = ctx.space.full
-    for f in ring.elements:
-        for g in ring.elements:
-            if (f != ring.theta and g != ring.theta
-                    and ring.mul(g, f) == ring.theta):
-                if (full - ring.zero_set(f)) & (full - ring.zero_set(g)):
-                    return {"f": f, "g": g}
-    return None
+    return _annihilating(ctx, lambda vf, vg: ~vf & ~vg & ctx.all_classes)
 
 
 @_checker("L42", "no_zero_divisors")
 def _l42(ctx):  # and their zero sets cover Z
-    ring = ctx.ring
-    full = ctx.space.full
-    for f in ring.elements:
-        for g in ring.elements:
-            if (f != ring.theta and g != ring.theta
-                    and ring.mul(g, f) == ring.theta):
-                if ring.zero_set(f) | ring.zero_set(g) != full:
-                    return {"f": f, "g": g}
-    return None
+    return _annihilating(ctx, lambda vf, vg: vf | vg != ctx.all_classes)
 
 
 @_checker("L43", "division_ring")
 def _l43(ctx):  # division ring: members of proper ideals must vanish somewhere
-    ring = ctx.ring
-    z = ctx.algebra.zero
+    zc = ctx.zero_classes
     for i in ctx.lattice.proper():
-        for f in i.elements:
-            if all(v != z for v in f):
-                return {"I": i, "f": f}
+        for f in members(i.bits):
+            if not zc[f]:
+                return {"I": i, "f": ctx.ring.elements[f]}
     return None
 
 
 @_checker("L44")
 def _l44(ctx):  # quotient transport carries I(x) to I([x])
-    tr = transport(ctx.ring)
+    ring = ctx.ring
+    tr = transport(ring)
     q = quotient_space(ctx.space)
     for x in ctx.space.points:
-        src = vanishing_elements(ctx.ring, {x})
+        src = ctx.vanishing(frozenset({x}))
         dst = vanishing_elements(tr.target, {q.class_index(x)})
-        if {tr.G(f) for f in src} != set(dst):
+        moved = bitset(tr.target.index(tr.G(ring.elements[f]))
+                       for f in members(src))
+        if moved != dst:
             return {"x": x}
     return None
 
@@ -1106,21 +1161,19 @@ def _l44(ctx):  # quotient transport carries I(x) to I([x])
 @_checker("L45")
 def _l45(ctx):
     fam = ctx.families
-    ring = ctx.ring
     full = ctx.space.full
-    whole = frozenset(ring.elements)
-    if {i.elements for i in fam.P_u[full]} != {i.elements for i in fam.P}:
+    if {i.bits for i in fam.P_u[full]} != {i.bits for i in fam.P}:
         return {"law": "P_Z = P"}
-    if {i.elements for i in fam.Phi_u[full]} != {i.elements for i in fam.Phi}:
+    if {i.bits for i in fam.Phi_u[full]} != {i.bits for i in fam.Phi}:
         return {"law": "Phi_Z = Phi"}
-    if {i.elements for i in fam.P_u[frozenset()]} != {whole}:
+    if {i.bits for i in fam.P_u[frozenset()]} != {ctx.whole}:
         return {"law": "P_empty = {C(Z,Y)}"}
-    if {i.elements for i in fam.Phi_u[frozenset()]} != {whole}:
+    if {i.bits for i in fam.Phi_u[frozenset()]} != {ctx.whole}:
         return {"law": "Phi_empty = {C(Z,Y)}"}
-    if not all(ring.theta in i.elements for i in fam.P):
+    if not all(i.bits >> ctx.theta & 1 for i in fam.P):
         return {"law": "theta in every member"}
     for u in fam.clopens:
-        if not any(i.elements == whole for i in fam.P_u[u]):
+        if not any(i.bits == ctx.whole for i in fam.P_u[u]):
             return {"law": "C(Z,Y) in P_u", "U": u}
     return None
 
@@ -1130,7 +1183,7 @@ def _l46(ctx):  # prime below a proper ideal: same chi-membership families
     fam = ctx.families
     for i1 in ctx.primes:
         for i2 in ctx.lattice.proper():
-            if not i1.elements <= i2.elements:
+            if not i1 <= i2:
                 continue
             for u in fam.clopens:
                 if (i1 in fam.P_u[u]) != (i2 in fam.Phi_u[u]):
@@ -1140,15 +1193,12 @@ def _l46(ctx):  # prime below a proper ideal: same chi-membership families
 
 @_checker("L47", "unit_addition_closed")
 def _l47(ctx):  # each proper prime picks exactly one of chi_U, chi_Uc
-    fam = ctx.families
     full = ctx.space.full
-    for u in fam.clopens:
+    for u, x, y in _chi_pairs(ctx):
         if not u or u == full:
             continue
         for p in ctx.primes:
-            a = fam.chi_of[u] in p.elements
-            b = fam.chi_of[full - u] in p.elements
-            if a == b:
+            if (p.bits >> x & 1) == (p.bits >> y & 1):
                 return {"P": p, "U": u}
     return None
 
@@ -1168,10 +1218,9 @@ def _l48(ctx):  # P_u lands inside P_{u∪w} ∩ P_{u∪w^c}
 @_checker("L49")
 def _l49(ctx):
     fam = ctx.families
-    ring = ctx.ring
     full = ctx.space.full
-    trivial = ctx.lattice.find(frozenset({ring.theta}))
-    whole = ctx.lattice.find(frozenset(ring.elements))
+    trivial = ctx.lattice.find(1 << ctx.theta)
+    whole = ctx.lattice.find(ctx.whole)
     if fam.U_I[trivial] != frozenset({full}):
         return {"law": "U_(theta) = {Z}"}
     if fam.U_I_c[trivial] != frozenset({frozenset()}):
@@ -1185,7 +1234,7 @@ def _l49(ctx):
             return {"law": "U_(theta) union misses nothing"}
     for i1 in ctx.primes:
         for i2 in ctx.primes:
-            if i1.elements <= i2.elements:
+            if i1 <= i2:
                 if not fam.U_I[i1] <= fam.U_I[i2]:
                     return {"I1": i1, "I2": i2}
                 if (ctx.mode == RING and i2.is_proper()
@@ -1220,7 +1269,7 @@ def _l52(ctx):  # chi-membership distributes over ideal intersection
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            inter = ctx.lattice.find(i1.elements & i2.elements)
+            inter = ctx.lattice.find(i1.bits & i2.bits)
             if inter is None:
                 continue
             if fam.U_I[inter] != fam.U_I[i1] & fam.U_I[i2]:
@@ -1234,7 +1283,7 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            union = ctx.lattice.find(i1.elements | i2.elements)
+            union = ctx.lattice.find(i1.bits | i2.bits)
             if union is None or not union.meta.get("is_prime"):
                 continue
             if fam.U_I[union] != fam.U_I[i1] | fam.U_I[i2]:
@@ -1246,15 +1295,15 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
 def _l54(ctx):
     fam = ctx.families
     ring = ctx.ring
-    trivial = ctx.lattice.find(frozenset({ring.theta}))
-    whole = ctx.lattice.find(frozenset(ring.elements))
+    trivial = ctx.lattice.find(1 << ctx.theta)
+    whole = ctx.lattice.find(ctx.whole)
     if fam.X_I[trivial] != frozenset({ring.theta}):
         return {"law": "X_(theta) = {theta}"}
     if fam.X_I[whole] != frozenset(fam.chi_of.values()):
         return {"law": "X_C = X"}
     for i1 in ctx.primes:
         for i2 in ctx.primes:
-            if i1.elements <= i2.elements and not fam.X_I[i1] <= fam.X_I[i2]:
+            if i1 <= i2 and not fam.X_I[i1] <= fam.X_I[i2]:
                 return {"I1": i1, "I2": i2}
     for i in fam.P:
         for u in fam.clopens:
@@ -1278,8 +1327,7 @@ def _l55(ctx):  # proper primes split the characteristic functions
 def _l56(ctx):  # summary bundle A: the P_u laws
     fam = ctx.families
     full = ctx.space.full
-    whole = frozenset(ctx.ring.elements)
-    if {i.elements for i in fam.P_u[frozenset()]} != {whole}:
+    if {i.bits for i in fam.P_u[frozenset()]} != {ctx.whole}:
         return {"law": "P_empty"}
     if fam.P_u[full] != frozenset(fam.P):
         return {"law": "P_Z"}
@@ -1305,10 +1353,10 @@ def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            inter = ctx.lattice.find(i1.elements & i2.elements)
+            inter = ctx.lattice.find(i1.bits & i2.bits)
             if inter is not None and fam.X_I[inter] != fam.X_I[i1] & fam.X_I[i2]:
                 return {"law": "meet", "I1": i1, "I2": i2}
-            union = ctx.lattice.find(i1.elements | i2.elements)
+            union = ctx.lattice.find(i1.bits | i2.bits)
             if (union is not None and union.meta.get("is_prime")
                     and fam.X_I[union] != fam.X_I[i1] | fam.X_I[i2]):
                 return {"law": "join", "I1": i1, "I2": i2}
@@ -1332,259 +1380,237 @@ def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
     return None
 
 
-def _chis(ctx):
-    return {u: ctx.chi(u) for u in ctx.clopens}
+def _chi_grid(ctx, keep=lambda u, w: True) -> list:
+    """(U, W, χ_U, χ_W) over the pairs of clopens that `keep` admits."""
+    return [(u, w, ctx.chi(u), ctx.chi(w))
+            for u in ctx.clopens for w in ctx.clopens if keep(u, w)]
+
+
+def _mul(ctx, f: int, g: int) -> int:
+    return ctx.ring.row("mul", f)[g]
+
+
+def _add(ctx, f: int, g: int) -> int:
+    return ctx.ring.row("add", f)[g]
 
 
 @_checker("L59.1", "unit")
 def _l59_1(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    for u, chi in chis.items():
-        if ring.mul(chi, chi) != chi:
+    for u in ctx.clopens:
+        chi = ctx.chi(u)
+        if _mul(ctx, chi, chi) != chi:
             return {"U": u}
     if ctx.algebra.add is not None:
-        full = ctx.space.full
-        for u in ctx.clopens:
-            if ring.add(chis[u], chis[full - u]) != ring.identity:
+        for u, x, y in _chi_pairs(ctx):
+            if _add(ctx, x, y) != ctx.one:
                 return {"U": u, "law": "chi_u + chi_uc = Id"}
     return None
 
 
 @_checker("L59.2", "unit")
 def _l59_2(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    for u in ctx.clopens:
-        for w in ctx.clopens:
-            if ring.mul(chis[u], chis[w]) != chis[u | w]:
-                return {"U": u, "W": w}
+    joins = [(u, w, x, y, ctx.chi(u | w)) for u, w, x, y in _chi_grid(ctx)]
+    for u, w, x, y, xy in joins:
+        if _mul(ctx, x, y) != xy:
+            return {"U": u, "W": w}
     for i in ctx.lattice.ideals:
-        for u in ctx.clopens:
-            for w in ctx.clopens:
-                if chis[u] in i.elements and chis[u | w] not in i.elements:
-                    return {"I": i, "U": u, "W": w}
+        for u, w, x, _, xy in joins:
+            if i.bits >> x & 1 and not i.bits >> xy & 1:
+                return {"I": i, "U": u, "W": w}
     return None
 
 
 @_checker("L59.3", "char_two", "unit")
 def _l59_3(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
+    chi = ctx.chi
     full = ctx.space.full
     for u in ctx.clopens:
-        if ring.add(chis[u], chis[u]) != ring.theta:
+        if _add(ctx, chi(u), chi(u)) != ctx.theta:
             return {"U": u, "law": "chi + chi = theta"}
         for w in ctx.clopens:
             target = (u & w) | (full - (u | w))
-            if ring.add(chis[u], chis[w]) != chis[target]:
+            if _add(ctx, chi(u), chi(w)) != chi(target):
                 return {"U": u, "W": w}
     return None
 
 
 @_checker("L59.4", "unit")
 def _l59_4(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    for u in ctx.clopens:
-        for w in ctx.clopens:
-            if u <= w and ring.mul(chis[w], chis[u]) != chis[w]:
-                return {"U": u, "W": w}
+    for u, w, x, y in _chi_grid(ctx, lambda u, w: u <= w):
+        if _mul(ctx, y, x) != y:
+            return {"U": u, "W": w}
     return None
 
 
 @_checker("L59.5", "unit")
 def _l59_5(ctx):
-    chis = _chis(ctx)
-    if len(set(chis.values())) != len(chis):
+    if len({ctx.chi(u) for u in ctx.clopens}) != len(ctx.clopens):
         return {"law": "distinct clopens share a chi"}
     return None
 
 
 @_checker("L59.6", "unit")
 def _l59_6(ctx):
-    chis = _chis(ctx)
-    for u in ctx.clopens:
-        for w in ctx.clopens:
-            if ctx.ring.zero_set(chis[u & w]) != u & w:
-                return {"U": u, "W": w}
+    for u, w, _, _ in _chi_grid(ctx):
+        if ctx.points(ctx.zero_classes[ctx.chi(u & w)]) != u & w:
+            return {"U": u, "W": w}
     return None
 
 
 @_checker("L59.7", "unit")
 def _l59_7(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    for u in ctx.clopens:
-        for w in ctx.clopens:
-            lhs = ring.zero_set(chis[u]) | ring.zero_set(chis[w])
-            if lhs != u | w or ring.zero_set(ring.mul(chis[u], chis[w])) != u | w:
-                return {"U": u, "W": w}
+    zc = ctx.zero_classes
+    for u, w, x, y in _chi_grid(ctx):
+        lhs = ctx.points(zc[x] | zc[y])
+        if lhs != u | w or ctx.points(zc[_mul(ctx, x, y)]) != u | w:
+            return {"U": u, "W": w}
     return None
 
 
 @_checker("L59.8", "unit")
 def _l59_8(ctx):
-    chis = _chis(ctx)
-    full = ctx.space.full
+    pairs = _chi_pairs(ctx)
     for i in ctx.primes:
-        for u in ctx.clopens:
-            if chis[u] not in i.elements and chis[full - u] not in i.elements:
+        for u, x, y in pairs:
+            if not i.bits >> x & 1 and not i.bits >> y & 1:
                 return {"I": i, "U": u}
     return None
 
 
 @_checker("L59.9", "unit")
 def _l59_9(ctx):
-    chis = _chis(ctx)
+    nested = _chi_grid(ctx, lambda u, w: u <= w)
     for i in ctx.lattice.ideals:
-        for u in ctx.clopens:
-            for w in ctx.clopens:
-                if u <= w and chis[u] in i.elements and chis[w] not in i.elements:
-                    return {"I": i, "U": u, "W": w}
+        for u, w, x, y in nested:
+            if i.bits >> x & 1 and not i.bits >> y & 1:
+                return {"I": i, "U": u, "W": w}
     return None
 
 
 @_checker("L59.10", "addition_closed", "unit")
 def _l59_10(ctx):
-    chis = _chis(ctx)
+    disjoint = _chi_grid(ctx, lambda u1, u2: not u1 & u2)
     for i in ctx.primes:
-        for u1 in ctx.clopens:
-            for u2 in ctx.clopens:
-                if u1 & u2:
-                    continue
-                if chis[u1] in i.elements and chis[u2] in i.elements:
-                    return {"I": i, "U1": u1, "U2": u2}
+        for u1, u2, x, y in disjoint:
+            if i.bits >> x & 1 and i.bits >> y & 1:
+                return {"I": i, "U1": u1, "U2": u2}
     return None
 
 
 @_checker("L59.11", "char_two", "addition_closed", "unit")
 def _l59_11(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
+    pairs = _chi_grid(ctx)
     for i in ctx.lattice.ideals:
-        for u in ctx.clopens:
-            for w in ctx.clopens:
-                if chis[u] in i.elements and chis[w] in i.elements:
-                    if ring.add(chis[u], chis[w]) not in i.elements:
-                        return {"I": i, "U": u, "W": w}
+        for u, w, x, y in pairs:
+            if (i.bits >> x & 1 and i.bits >> y & 1
+                    and not i.bits >> _add(ctx, x, y) & 1):
+                return {"I": i, "U": u, "W": w}
     return None
 
 
 @_checker("L59.12", "ring_ops", "unit")
 def _l59_12(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
     full = ctx.space.full
-    whole = frozenset(ring.elements)
-    trivial = frozenset({ring.theta})
-    for u in ctx.clopens:
+    for u, x, y in _chi_pairs(ctx):
         if not u or u == full:
             continue
-        a = generate_ideal(ring, [chis[u]], ctx.side, MULTIPLICATIVE)
-        b = generate_ideal(ring, [chis[full - u]], ctx.side, MULTIPLICATIVE)
-        if a.elements & b.elements != trivial:
+        a = ctx.principal(x, MULTIPLICATIVE)
+        b = ctx.principal(y, MULTIPLICATIVE)
+        if a & b != 1 << ctx.theta:
             return {"U": u, "law": "meet"}
-        sumset = {ring.add(x, y) for x in a.elements for y in b.elements}
-        total = generate_ideal(ring, sumset, ctx.side, RING)
-        if total.elements != whole:
+        total = closure(ctx.ring, members(ctx.sums(a, b)), ctx.side, RING)
+        if total != ctx.whole:
             return {"U": u, "law": "join"}
     return None
 
 
 @_checker("L59.13", "unit")
 def _l59_13(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    if chis[frozenset()] != ring.identity or chis[ctx.space.full] != ring.theta:
+    if (ctx.chi(frozenset()) != ctx.one
+            or ctx.chi(ctx.space.full) != ctx.theta):
         return {"law": "chi_empty = Id, chi_Z = theta"}
     for i in ctx.lattice.ideals:
-        if ring.theta not in i.elements:
+        if not i.bits >> ctx.theta & 1:
             return {"I": i}
+    return None
+
+
+def _chi_content(ctx, i) -> tuple:
+    """(the χ indices in the ideal i ascending, the same as a set)."""
+    xi = [f for f in _chi_set(ctx) if i.bits >> f & 1]
+    return xi, set(xi)
+
+
+def _content_closed(ctx, op: str):
+    """The first (I, f, g) with f, g in the χ content of the ideal I and
+    f·g (op "mul") or f+g (op "add") outside it, as a witness."""
+    el = ctx.ring.elements
+    for i in ctx.lattice.ideals:
+        xi, inside = _chi_content(ctx, i)
+        for f in xi:
+            row = ctx.ring.row(op, f)
+            for g in xi:
+                if row[g] not in inside:
+                    return {"I": i, "f": el[f], "g": el[g]}
     return None
 
 
 @_checker("L59.14", "unit")
 def _l59_14(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    chi_set = set(chis.values())
-    for i in ctx.lattice.ideals:
-        xi = chi_set & i.elements
-        for f in xi:
-            for g in xi:
-                if ring.mul(f, g) not in xi:
-                    return {"I": i, "f": f, "g": g}
-    return None
+    return _content_closed(ctx, "mul")
 
 
 @_checker("L59.15", "unit")
 def _l59_15(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    chi_set = set(chis.values())
+    el = ctx.ring.elements
+    chis = _chi_set(ctx)
     for i in ctx.lattice.ideals:
-        xi = chi_set & i.elements
+        xi, inside = _chi_content(ctx, i)
         for g in xi:
-            for f in chi_set:
-                if ring.mul(f, g) not in xi:
-                    return {"I": i, "f": f, "g": g}
+            for f in chis:
+                if _mul(ctx, f, g) not in inside:
+                    return {"I": i, "f": el[f], "g": el[g]}
     return None
 
 
 @_checker("L59.16", "char_two", "addition_closed", "unit")
 def _l59_16(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    chi_set = set(chis.values())
-    for i in ctx.lattice.ideals:
-        xi = chi_set & i.elements
-        for f in xi:
-            for g in xi:
-                if ring.add(f, g) not in xi:
-                    return {"I": i, "f": f, "g": g}
-    return None
+    return _content_closed(ctx, "add")
 
 
 @_checker("L59.17", "unit", "primes")
 def _l59_17(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
-    chi_set = set(chis.values())
+    el = ctx.ring.elements
+    chis = _chi_set(ctx)
     for i in ctx.primes:
-        xi = chi_set & i.elements
-        for f in chi_set:
-            for g in chi_set:
-                if ring.mul(f, g) in xi and f not in xi and g not in xi:
-                    return {"I": i, "f": f, "g": g}
+        _, inside = _chi_content(ctx, i)
+        for f in chis:
+            for g in chis:
+                if (_mul(ctx, f, g) in inside and f not in inside
+                        and g not in inside):
+                    return {"I": i, "f": el[f], "g": el[g]}
     return None
 
 
 @_checker("L59.18", "distributive", "unit")
 def _l59_18(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
+    pairs = _chi_grid(ctx)
     for i in ctx.lattice.ideals:
-        for u in ctx.clopens:
-            for w in ctx.clopens:
-                if (chis[u] in i.elements
-                        and ring.add(chis[u], chis[w]) == ring.theta
-                        and chis[w] not in i.elements):
-                    return {"I": i, "U": u, "W": w}
+        for u, w, x, y in pairs:
+            if (i.bits >> x & 1 and _add(ctx, x, y) == ctx.theta
+                    and not i.bits >> y & 1):
+                return {"I": i, "U": u, "W": w}
     return None
 
 
 @_checker("L59.19", "char_two", "addition_closed", "unit", "primes")
 def _l59_19(ctx):
-    chis = _chis(ctx)
-    ring = ctx.ring
+    pairs = _chi_grid(ctx)
     for i in ctx.primes:
-        for v in ctx.clopens:
-            for u in ctx.clopens:
-                if (ring.mul(chis[v], chis[u]) in i.elements
-                        and ring.add(chis[v], chis[u]) in i.elements
-                        and not (v & u)):
-                    return {"I": i, "V": v, "U": u}
+        for v, u, x, y in pairs:
+            if (i.bits >> _mul(ctx, x, y) & 1
+                    and i.bits >> _add(ctx, x, y) & 1 and not (v & u)):
+                return {"I": i, "V": v, "U": u}
     return None
 
 
@@ -1595,49 +1621,46 @@ def _l59_19(ctx):
 @_checker("L61")
 def _l61(ctx):
     fam = ctx.families
-    ring = ctx.ring
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            if i1.elements <= i2.elements and not fam.X_I[i1] <= fam.X_I[i2]:
+            if i1 <= i2 and not fam.X_I[i1] <= fam.X_I[i2]:
                 return {"item": 1, "I1": i1, "I2": i2}
-            inter = ctx.lattice.find(i1.elements & i2.elements)
+            inter = ctx.lattice.find(i1.bits & i2.bits)
             if inter is not None and fam.X_I[inter] != fam.X_I[i1] & fam.X_I[i2]:
                 return {"item": 2, "I1": i1, "I2": i2}
+    # X_I on indices: the χ_U of the clopens in U_I
+    x_of = {i: {ctx.chi(u) for u in fam.U_I[i]} for i in ctx.lattice.ideals}
     if ctx.algebra.add is not None:
-        o = frozenset({ring.theta})
+        t = ctx.theta
         for i in ctx.lattice.ideals:
-            plus = frozenset(ring.add(x, t) for x in fam.X_I[i] for t in o)
-            if plus != fam.X_I[i]:
+            if {_add(ctx, x, t) for x in x_of[i]} != x_of[i]:
                 return {"item": 4, "I": i}
-            times = frozenset(ring.mul(x, t) for x in fam.X_I[i] for t in o)
-            if i.elements != o and fam.X_I[i] and times != o:
+            times = {_mul(ctx, x, t) for x in x_of[i]}
+            if not i.is_trivial() and x_of[i] and times != {t}:
                 return {"item": 5, "I": i}
     if ctx.flags.char_two and ctx.mode == RING:
         for i1 in ctx.lattice.ideals:
             for i2 in ctx.lattice.ideals:
-                sumset = {ring.add(x, y) for x in i1.elements for y in i2.elements}
-                total = generate_ideal(ring, sumset, ctx.side, ctx.mode)
-                sums = {ring.add(x, y) for x in fam.X_I[i1] for y in fam.X_I[i2]}
-                if not sums <= total.elements:
+                total = closure(ctx.ring, members(ctx.sums(i1.bits, i2.bits)),
+                                ctx.side, ctx.mode)
+                if any(not total >> _add(ctx, x, y) & 1
+                       for x in x_of[i1] for y in x_of[i2]):
                     return {"item": 8, "I1": i1, "I2": i2}
     return None
 
 
 @_checker("L64", "assoc_comm", "unit")
 def _l64(ctx):
-    ring = ctx.ring
-    full = ctx.space.full
-    whole = frozenset(ring.elements)
-    trivial = frozenset({ring.theta})
-    for u in ctx.clopens:
-        pu = principal_ideal(ring, ctx.chi(u), ctx.side, MULTIPLICATIVE)
-        if pu.elements in (whole, trivial):
+    degenerate = (ctx.whole, 1 << ctx.theta)
+    for u, x, y in _chi_pairs(ctx):
+        pu = ctx.principal(x, MULTIPLICATIVE)
+        if pu in degenerate:
             continue
-        pc = principal_ideal(ring, ctx.chi(full - u), ctx.side, MULTIPLICATIVE)
-        if pc.elements in (whole, trivial):
+        pc = ctx.principal(y, MULTIPLICATIVE)
+        if pc in degenerate:
             return {"U": u, "law": "complement degenerate"}
-        if pu.elements & pc.elements != trivial:
+        if pu & pc != 1 << ctx.theta:
             return {"U": u, "law": "meet not trivial"}
     return None
 
@@ -1668,46 +1691,38 @@ def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
 
 @_checker("L67", "char_two_ring", "unit")
 def _l67(ctx):  # complement identity for products of chi pairs
-    chis = _chis(ctx)
-    ring = ctx.ring
+    chi = ctx.chi
     full = ctx.space.full
-    for u in ctx.clopens:
-        for w in ctx.clopens:
-            lhs = ring.add(ring.mul(chis[full - u], chis[full - w]),
-                           chis[full - (u | w)])
-            rhs = ring.add(chis[u | w], chis[u & w])
-            if lhs != rhs:
-                return {"U": u, "W": w}
+    for u, w, _, _ in _chi_grid(ctx):
+        lhs = _add(ctx, _mul(ctx, chi(full - u), chi(full - w)),
+                   chi(full - (u | w)))
+        if lhs != _add(ctx, chi(u | w), chi(u & w)):
+            return {"U": u, "W": w}
     return None
 
 
 @_checker("L68")
 def _l68(ctx):  # componentwise product structure of the ring
     ring = ctx.ring
-    q = len(ring.classes)
-    if len(ring.elements) != ctx.algebra.carrier_size ** q:
-        return {"count": len(ring.elements)}
-    f = next(iter(ring.elements))
-    g = ring.elements[-1]
-    if ring.mul(f, g) != tuple(ctx.algebra.times(a, b) for a, b in zip(f, g)):
+    n = len(ring.elements)
+    if n != ctx.algebra.carrier_size ** len(ring.classes):
+        return {"count": n}
+    f, g = ring.elements[0], ring.elements[-1]
+    if (ring.elements[_mul(ctx, 0, n - 1)]
+            != tuple(ctx.algebra.times(a, b) for a, b in zip(f, g))):
         return {"law": "mul not componentwise"}
     return None
 
 
 @_checker("L69", "ring_mode", "unit")
 def _l69(ctx):  # I(U) = (chi_U); I(U) and I(U^c) are comaximal
-    ring = ctx.ring
     full = ctx.space.full
-    whole = frozenset(ring.elements)
     for u in ctx.clopens:
-        iu = vanishing_elements(ring, u)
-        pu = generate_ideal(ring, [ctx.chi(u)], ctx.side, ctx.mode)
-        if iu != pu.elements:
+        iu = ctx.vanishing(u)
+        if iu != ctx.principal(ctx.chi(u)):
             return {"U": u, "law": "I(U) = (chi_U)"}
-        ic = vanishing_elements(ring, full - u)
-        sumset = {ring.add(x, y) for x in iu for y in ic}
-        total = generate_ideal(ring, sumset, ctx.side, ctx.mode)
-        if total.elements != whole:
+        sums = ctx.sums(iu, ctx.vanishing(full - u))
+        if closure(ctx.ring, members(sums), ctx.side, ctx.mode) != ctx.whole:
             return {"U": u, "law": "comaximal"}
     return None
 
@@ -1718,14 +1733,14 @@ _checker("L70", "no_zero_divisors")(_l40)
 
 @_checker("L71")
 def _l71(ctx):  # f vanishing beyond {z}: (f) strictly inside I(z)
-    ring = ctx.ring
-    for c in ring.classes:
-        iz = ctx.I_of(c).elements
-        for f in iz:
-            if ring.zero_set(f) != frozenset(c):
-                pf = principal_ideal(ring, f, ctx.side, ctx.mode)
-                if not pf.elements < iz:
-                    return {"z": c, "f": f}
+    zc = ctx.zero_classes
+    for k, c in enumerate(ctx.ring.classes):
+        iz = ctx.vanishing(c)
+        for f in members(iz):
+            if zc[f] != 1 << k:
+                pf = ctx.principal(f)
+                if pf == iz or pf & ~iz:
+                    return {"z": c, "f": ctx.ring.elements[f]}
     return None
 
 
@@ -1736,36 +1751,36 @@ def _l72(ctx):  # the clopens at z intersect to the component itself
         for u in ctx.clopens:
             if c <= u:
                 inter &= u
-        if vanishing_elements(ctx.ring, inter) != ctx.I_of(c).elements:
+        if ctx.vanishing(inter) != ctx.vanishing(c):
             return {"z": c, "intersection": inter}
     return None
 
 
 @_checker("L73")
 def _l73(ctx):  # intersection of vanishing ideals = ideal of the union
-    ring = ctx.ring
-    sets = ctx.point_sets(include_empty=True)
+    sets = list(dict.fromkeys(ctx.point_sets + [frozenset()]))
     for k in (2, 3):
         for combo in itertools.combinations(sets, min(k, len(sets))):
-            inter = frozenset(ring.elements)
+            inter = ctx.whole
             for a in combo:
-                inter &= vanishing_elements(ring, a)
-            if inter != vanishing_elements(ring, frozenset().union(*combo)):
+                inter &= ctx.vanishing(a)
+            if inter != ctx.vanishing(frozenset().union(*combo)):
                 return {"family": combo}
     return None
 
 
 @_checker("L74", "integral_domain", "addition_closed")
 def _l74(ctx):  # prime avoidance against the point ideals
-    ring = ctx.ring
-    classes = ring.classes
-    izs = [ctx.I_of(c).elements for c in classes]
+    classes = ctx.ring.classes
+    izs = [ctx.vanishing(c) for c in classes]
     for i in ctx.lattice.ideals:
         for k in range(1, len(classes) + 1):
             for combo in itertools.combinations(range(len(classes)), k):
-                cover = frozenset().union(*(izs[j] for j in combo))
-                if i.elements <= cover:
-                    if not any(i.elements <= izs[j] for j in combo):
+                cover = 0
+                for j in combo:
+                    cover |= izs[j]
+                if i.bits & ~cover == 0:
+                    if not any(i.bits & ~izs[j] == 0 for j in combo):
                         return {"I": i, "cover": list(combo)}
     return None
 
@@ -1773,44 +1788,43 @@ def _l74(ctx):  # prime avoidance against the point ideals
 @_checker("L75", "ring_mode", "unit")
 def _l75(ctx):  # both chi slices in I force f in I
     ring = ctx.ring
-    full = ctx.space.full
+    pairs = _chi_pairs(ctx)
     for i in ctx.lattice.ideals:
-        for f in ring.elements:
-            for u in ctx.clopens:
-                if (ring.mul(f, ctx.chi(u)) in i.elements
-                        and ring.mul(f, ctx.chi(full - u)) in i.elements
-                        and f not in i.elements):
-                    return {"I": i, "f": f, "U": u}
+        for f in range(len(ring.elements)):
+            if i.bits >> f & 1:
+                continue
+            row = ring.row("mul", f)
+            for u, x, y in pairs:
+                if i.bits >> row[x] & 1 and i.bits >> row[y] & 1:
+                    return {"I": i, "f": ring.elements[f], "U": u}
     return None
 
 
 @_checker("L76", "commutative_ring", "addition_closed")
 def _l76(ctx):  # an ideal escaping finitely many primes escapes their union
-    primes = ctx.primes
     for i in ctx.lattice.ideals:
-        avoid = [p for p in primes
-                 if not i.elements <= p.elements and i.elements != p.elements]
+        avoid = [p for p in ctx.primes if not i <= p]
         if not avoid:
             continue
-        union = frozenset().union(*(p.elements for p in avoid))
-        if not (i.elements - union):
+        union = 0
+        for p in avoid:
+            union |= p.bits
+        if not i.bits & ~union:
             return {"I": i, "primes": len(avoid)}
     return None
 
 
 @_checker("L31.C", "unit", "two_components")
 def _l31_c(ctx):  # disconnection surrogate: complementary idempotent pairs
-    ring = ctx.ring
     full = ctx.space.full
-    for u in ctx.clopens:
+    for u, a, b in _chi_pairs(ctx):
         if not u or u == full:
             continue
-        a, b = ctx.chi(u), ctx.chi(full - u)
-        if ring.mul(a, a) != a or ring.mul(b, b) != b:
+        if _mul(ctx, a, a) != a or _mul(ctx, b, b) != b:
             return {"U": u, "idempotent": False}
-        if ring.mul(a, b) != ring.theta:
+        if _mul(ctx, a, b) != ctx.theta:
             return {"U": u, "product": "not theta"}
-        if ctx.algebra.add is not None and ring.add(a, b) != ring.identity:
+        if ctx.algebra.add is not None and _add(ctx, a, b) != ctx.one:
             return {"U": u, "sum": "not identity"}
     return None
 

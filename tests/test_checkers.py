@@ -1,7 +1,13 @@
 import pytest
 
 from quasiring.algebra import make_table, make_zmod
-from quasiring.errors import MissingUnit, NotClopen, UnknownChecker, ZeroValue
+from quasiring.errors import (
+    BudgetExceeded,
+    MissingUnit,
+    NotClopen,
+    UnknownChecker,
+    ZeroValue,
+)
 from quasiring.topology import SequenceSpace, discrete_space, sierpinski_space
 from quasiring.verify import (
     BUDGET_EXCEEDED,
@@ -94,6 +100,9 @@ def test_t38_fails_when_inf_is_isolated(monkeypatch):
 def test_budget_exceeded_on_large_ring():
     c = Context(discrete_space(5), make_zmod(3), mode=RING)
     assert run_checker("T34", c).verdict == BUDGET_EXCEEDED
+    with pytest.raises(BudgetExceeded) as exc:
+        c.lattice
+    assert (exc.value.cap, exc.value.reached) == (160, 3 ** 5)
 
 
 def test_green_suite_on_fixed_instances():
@@ -173,7 +182,7 @@ def test_context_chi_caches_results_and_never_errors():
     c = Context(sierpinski_space(), make_zmod(3), mode=RING)
     full = frozenset({0, 1})
     assert c.chi(full, 2) is c.chi({0, 1}, 2)
-    assert c.chi(full, 2) == c.ring.chi(full, 2)
+    assert c.chi(full, 2) == c.ring.index(c.ring.chi(full, 2))
     assert c.chi(frozenset(), 1) != c.chi(frozenset(), 2)
     for _ in range(2):
         with pytest.raises(NotClopen):

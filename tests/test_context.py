@@ -1,0 +1,231 @@
+"""The checker context's index-level data against definitions on value
+tuples, and FAIL witnesses on a lattice with a planted non-ideal set."""
+
+from functools import cached_property
+
+from quasiring.algebra import make_zmod
+from quasiring.funcspace import FunctionRing
+from quasiring.ideals import (
+    LEFT,
+    MULTIPLICATIVE,
+    RIGHT,
+    RING,
+    TWO_SIDED,
+    Ideal,
+    IdealLattice,
+    classify_primes,
+    generate_ideal,
+    ideal_lattice,
+    vanishing_ideal,
+)
+from quasiring.topology import discrete_space
+from quasiring.verify import FAIL, run_checker
+from quasiring.verify.checkers import Context
+
+from test_funcspace import pointwise
+from test_ideals import small_ring_corpus
+
+
+def corpus_contexts():
+    """Every ring of the small corpus and C(discrete 3, Z_3), on each side
+    and in each mode."""
+    rings = list(small_ring_corpus())
+    rings.append(FunctionRing(discrete_space(3), make_zmod(3)))
+    for ring in rings:
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                yield Context(ring.space, ring.algebra, side, mode)
+
+
+def _tuples(ring, bits):
+    return {f for i, f in enumerate(ring.elements) if bits >> i & 1}
+
+
+def _least_ideal(ring, f, side, mode):
+    """The least ideal holding θ and f, grown by the ideal laws on value
+    tuples until nothing changes."""
+    out = {ring.theta, f}
+    while True:
+        grown = set(out)
+        for g in out:
+            for h in ring.elements:
+                if side != LEFT:
+                    grown.add(pointwise(ring, "mul", h, g))
+                if side != RIGHT:
+                    grown.add(pointwise(ring, "mul", g, h))
+        if mode == RING:
+            grown |= {pointwise(ring, "add", a, b) for a in out for b in out}
+        if grown == out:
+            return out
+        out = grown
+
+
+def test_chi_index_is_the_index_of_chi():
+    checked = 0
+    for ctx in corpus_contexts():
+        ring = ctx.ring
+        offs = list(ctx.nonzero) + ([None] if ring.identity else [])
+        for u in ctx.clopens:
+            for a in offs:
+                assert ctx.chi(u, a) == ring.index(ring.chi(u, a))
+                checked += 1
+    assert checked > 1000
+
+
+def test_vanishing_bitsets_match_the_definition():
+    checked = 0
+    for ctx in corpus_contexts():
+        ring = ctx.ring
+        sets = ctx.point_sets + ctx.clopens + list(ring.classes)
+        for u in sets:
+            for b in ring.algebra.elements:
+                want = {f for f in ring.elements
+                        if all(ring.value_at(f, p) == b for p in u)}
+                got = ctx.vanishing(u, b)
+                assert _tuples(ring, got) == want
+                for fam in ctx.fn_families:
+                    assert (_tuples(ring, got & fam)
+                            == want & _tuples(ring, fam))
+                checked += 1
+    assert checked > 3000
+
+
+def test_zero_sets_and_equivalence_classes_match_the_definition():
+    for ctx in corpus_contexts():
+        ring = ctx.ring
+        for f, classes in zip(ring.elements, ctx.zero_classes):
+            assert ctx.points(classes) == ring.zero_set(f)
+        for fam in ctx.fn_families:
+            members = _tuples(ring, fam)
+            for b in ring.algebra.elements:
+                want = ring.space.full
+                for f in members:
+                    want &= ring.zero_set(f, b)
+                assert ctx.points(ctx.zero_locus(fam, b)) == want
+            for x in ring.space.points:
+                want = frozenset(
+                    y for y in ring.space.points
+                    if all(ring.value_at(f, y) == ring.value_at(f, x)
+                           for f in members))
+                assert ctx.points(ctx.equiv(fam, x)) == want
+
+
+def test_principal_bitsets_are_the_least_ideals():
+    checked = 0
+    for ctx in corpus_contexts():
+        ring = ctx.ring
+        modes = {ctx.mode, MULTIPLICATIVE}
+        for i, f in enumerate(ring.elements):
+            for mode in modes:
+                want = _least_ideal(ring, f, ctx.side, mode)
+                assert _tuples(ring, ctx.principal(i, mode)) == want
+                checked += 1
+    assert checked > 1000
+
+
+def test_ideal_bits_are_the_indices_of_its_elements():
+    for ctx in corpus_contexts():
+        ring = ctx.ring
+        ideals = list(ctx.lattice.ideals)
+        ideals.append(vanishing_ideal(ring, {0}, ctx.side, ctx.mode))
+        ideals.append(generate_ideal(ring, ring.elements[-1:], ctx.side,
+                                     ctx.mode))
+        for ideal in ideals:
+            indices = {ring.index(f) for f in ideal.elements}
+            assert ideal.bits == sum(1 << i for i in indices)
+            assert ideal.sorted_elements() == sorted(ideal.elements)
+            assert ctx.lattice.find(ideal.bits) in (None, ideal)
+
+
+# -- FAIL witnesses on a planted lattice -----------------------------------
+
+#: in C(discrete 3, Z_2), a proper set holding θ that is no ideal: it does
+#: not absorb the χ_U, its χ content is not closed under products, and it
+#: holds both χ slices of (1, 1, 1) without holding (1, 1, 1)
+PLANTED = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
+
+class PlantedContext(Context):
+    """The ring-mode lattice of C(discrete 3, Z_2) plus the PLANTED set."""
+
+    def __init__(self):
+        super().__init__(discrete_space(3), make_zmod(2), RIGHT, RING)
+
+    @cached_property
+    def lattice(self):
+        ring = self.ring
+        planted = sum(1 << ring.index(f) for f in PLANTED)
+        bits = {i.bits for i in ideal_lattice(ring, RIGHT, RING).ideals}
+        assert planted not in bits
+        order = sorted(bits | {planted}, key=lambda b: (b.bit_count(), b))
+        return classify_primes(IdealLattice(
+            ring, tuple(Ideal(ring, b, RIGHT, RING) for b in order),
+            RIGHT, RING))
+
+
+def _failing(ctx, cid):
+    report = run_checker(cid, ctx)
+    assert report.verdict == FAIL, (cid, report)
+    shown = report.to_dict()["witness"]
+    for key in ("f", "g"):
+        if key in report.witness:
+            assert isinstance(report.witness[key], tuple)
+            assert report.witness[key] in ctx.ring.elements
+            assert shown[key] == list(report.witness[key])
+    return report.witness
+
+
+def test_planted_set_fails_the_chi_absorption_laws():
+    ctx = PlantedContext()
+    ring, planted = ctx.ring, set(PLANTED)
+    full = ctx.space.full
+    chi = {u: ring.chi(u) for u in ctx.clopens}
+
+    def escapes(f):
+        return next((u for u in ctx.clopens
+                     if pointwise(ring, "mul", f, chi[u]) not in planted
+                     or pointwise(ring, "mul", f, chi[full - u])
+                     not in planted), None)
+
+    # the least member, in index order, with a χ product outside
+    escaping = [g for g in sorted(planted) if escapes(g) is not None]
+    assert len(escaping) > 1
+    f = escaping[0]
+    for cid in ("L34", "T35"):
+        w = _failing(ctx, cid)
+        assert set(w["I"].elements) == planted
+        assert (w["f"], w["U"]) == (f, escapes(f))
+        assert w.get("a", 1) == 1
+
+    # the least f outside holding both χ slices inside
+    def held(g):
+        return next((u for u in ctx.clopens
+                     if pointwise(ring, "mul", g, chi[u]) in planted
+                     and pointwise(ring, "mul", g, chi[full - u])
+                     in planted), None)
+
+    f = min(g for g in ring.elements
+            if g not in planted and held(g) is not None)
+    w = _failing(ctx, "L75")
+    assert set(w["I"].elements) == planted
+    assert (w["f"], w["U"]) == (f, held(f))
+
+
+def test_planted_set_fails_the_chi_content_laws():
+    ctx = PlantedContext()
+    ring, planted = ctx.ring, set(PLANTED)
+    chis = sorted({ring.chi(u) for u in ctx.clopens})
+    content = [f for f in chis if f in planted]
+
+    def outside(f, g):
+        return pointwise(ring, "mul", f, g) not in content
+
+    w = _failing(ctx, "L59.14")
+    want = next((f, g) for f in content for g in content if outside(f, g))
+    assert set(w["I"].elements) == planted
+    assert (w["f"], w["g"]) == want
+
+    w = _failing(ctx, "L59.15")
+    want = next((f, g) for g in content for f in chis if outside(f, g))
+    assert set(w["I"].elements) == planted
+    assert (w["f"], w["g"]) == want

@@ -13,12 +13,10 @@ from quasiring.errors import (
 from quasiring.funcspace import (
     FunctionRing,
     embed_J,
-    equiv_class,
     is_continuous,
     project_L,
     transport,
     vanishing_elements,
-    zero_set_V,
 )
 from quasiring.topology import (
     SequenceSpace,
@@ -26,6 +24,7 @@ from quasiring.topology import (
     disjoint_union,
     sierpinski_space,
 )
+from quasiring.verify.checkers import Context
 
 
 def test_cardinality_is_carrier_to_the_components():
@@ -41,8 +40,9 @@ def test_sierpinski_collapses_to_constants():
 
 
 def test_budget_refusal():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         FunctionRing(discrete_space(8), make_zmod(5), budget=1000)
+    assert (exc.value.cap, exc.value.reached) == (1000, 5 ** 8)
 
 
 def test_sequence_space_refused():
@@ -50,10 +50,23 @@ def test_sequence_space_refused():
         FunctionRing(SequenceSpace(), make_zmod(2))
 
 
+def pointwise(ring, op, f, g):
+    """f·g (op "mul") or f+g (op "add") on value tuples, coordinatewise from
+    Y's table: an oracle that does not go through the ring."""
+    table = ring.algebra.mul if op == "mul" else ring.algebra.add
+    return tuple(table[a][b] for a, b in zip(f, g))
+
+
+def times(ring, f, g):
+    """The ring's own product of two value tuples, read off its table row."""
+    return ring.elements[ring.row("mul", ring.index(f))[ring.index(g)]]
+
+
 def test_pointwise_arithmetic():
     ring = FunctionRing(discrete_space(2), make_zmod(4))
-    assert ring.mul((2, 3), (2, 2)) == (0, 2)
-    assert ring.add((2, 3), (3, 3)) == (1, 2)
+    at = ring.index
+    assert ring.elements[ring.row("mul", at((2, 3)))[at((2, 2))]] == (0, 2)
+    assert ring.elements[ring.row("add", at((2, 3)))[at((3, 3))]] == (1, 2)
 
 
 def test_zero_set_is_clopen_union_of_classes():
@@ -64,8 +77,8 @@ def test_zero_set_is_clopen_union_of_classes():
 
 
 def test_zero_set_V_of_empty_family_is_full():
-    ring = FunctionRing(discrete_space(2), make_zmod(2))
-    assert zero_set_V(ring, []) == ring.space.full
+    ctx = Context(discrete_space(2), make_zmod(2))
+    assert ctx.points(ctx.zero_locus(0)) == ctx.space.full
 
 
 def test_chi_values_and_refusals():
@@ -89,14 +102,14 @@ def test_is_continuous_matches_class_constancy():
 
 def test_vanishing_elements_counts():
     ring = FunctionRing(discrete_space(2), make_zmod(3))
-    assert len(vanishing_elements(ring, {0})) == 3
-    assert len(vanishing_elements(ring, {0, 1})) == 1
+    assert vanishing_elements(ring, {0}).bit_count() == 3
+    assert vanishing_elements(ring, {0, 1}) == 1 << ring.index(ring.theta)
 
 
 def test_equiv_class_separation():
-    ring = FunctionRing(discrete_space(2), make_zmod(2))
-    assert equiv_class(ring, list(ring), 0) == frozenset({0})
-    assert equiv_class(ring, [ring.theta], 0) == ring.space.full
+    ctx = Context(discrete_space(2), make_zmod(2))
+    assert ctx.points(ctx.equiv(ctx.whole, 0)) == frozenset({0})
+    assert ctx.points(ctx.equiv(1 << ctx.theta, 0)) == ctx.space.full
 
 
 def test_transport_round_trip_and_multiplicativity():
@@ -107,7 +120,7 @@ def test_transport_round_trip_and_multiplicativity():
         assert t.H(t.G(f)) == f
     for f in ring.elements[:5]:
         for g in ring.elements[:5]:
-            assert t.G(ring.mul(f, g)) == t.target.mul(t.G(f), t.G(g))
+            assert t.G(times(ring, f, g)) == times(t.target, t.G(f), t.G(g))
 
 
 def test_embed_and_project():
@@ -121,7 +134,7 @@ def test_embed_and_project():
     # L is multiplicative because Z_5 has no zero divisors
     for f in target.elements[:6]:
         for g in target.elements[:6]:
-            assert ell[target.mul(f, g)] == chi_ring.mul(ell[f], ell[g])
+            assert ell[times(target, f, g)] == times(chi_ring, ell[f], ell[g])
 
 
 def random_magma_ring(rng, m):
@@ -139,10 +152,10 @@ def random_magma_ring(rng, m):
 def _tuple_rows(ring, i):
     f, idx = ring.elements[i], ring.index
     return {
-        "mul": [idx(ring.mul(f, g)) for g in ring],
-        "mul_t": [idx(ring.mul(g, f)) for g in ring],
-        "add": [idx(ring.add(f, g)) for g in ring],
-        "add_t": [idx(ring.add(g, f)) for g in ring],
+        "mul": [idx(pointwise(ring, "mul", f, g)) for g in ring],
+        "mul_t": [idx(pointwise(ring, "mul", g, f)) for g in ring],
+        "add": [idx(pointwise(ring, "add", f, g)) for g in ring],
+        "add_t": [idx(pointwise(ring, "add", g, f)) for g in ring],
     }
 
 

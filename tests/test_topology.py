@@ -342,11 +342,13 @@ def test_discrete_space_past_the_budget_is_refused_up_front():
     # refused before any of them is built
     assert discrete_space(1024).point_count == 1024
     for n in (1025, 10 ** 9):
-        with pytest.raises(BudgetExceeded, match="budget 1048576"):
+        with pytest.raises(BudgetExceeded, match="budget 1048576") as exc:
             discrete_space(n)
+        assert (exc.value.cap, exc.value.reached) == (2 ** 20, n * n)
     for text in ("space Z discrete 1000000000\n", "space S opens { {1024} }\n"):
-        with pytest.raises(BudgetExceeded, match="budget 1048576"):
+        with pytest.raises(BudgetExceeded, match="budget 1048576") as exc:
             parse_spec(text)
+        assert exc.value.cap == 2 ** 20
 
 
 def test_spaces_are_built_without_enumerating_their_opens(monkeypatch):
@@ -361,23 +363,29 @@ def test_spaces_are_built_without_enumerating_their_opens(monkeypatch):
         assert is_totally_separated(space)
     monkeypatch.undo()
     # enumeration still stops at the cap
-    with pytest.raises(BudgetExceeded, match="budget 1048576"):
+    with pytest.raises(BudgetExceeded, match="budget 1048576") as exc:
         discrete_space(21).opens
-    with pytest.raises(BudgetExceeded, match="budget 1048576"):
+    assert (exc.value.cap, exc.value.reached) == (2 ** 20, 2 ** 20 + 1)
+    with pytest.raises(BudgetExceeded, match="budget 1048576") as exc:
         clopen_family(discrete_space(21))
-    with pytest.raises(BudgetExceeded, match="budget 1048576"):
+    assert (exc.value.cap, exc.value.reached) == (2 ** 20, 2 ** 20 + 1)
+    with pytest.raises(BudgetExceeded, match="budget 1048576") as exc:
         FunctionRing(discrete_space(21), make_zmod(2))
+    assert (exc.value.cap, exc.value.reached) == (2 ** 20, 2 ** 21)
 
 
 def test_open_family_past_the_budget_is_refused(monkeypatch):
     monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 64)
     singletons = " ".join("{%d}" % p for p in range(7))
     space = parse_spec(f"space S opens {{ {singletons} }}\n").spaces["S"]
-    with pytest.raises(BudgetExceeded, match="budget 64"):
+    with pytest.raises(BudgetExceeded, match="budget 64") as exc:
         space.opens
+    assert (exc.value.cap, exc.value.reached) == (64, 65)
     assert len(validate_topology(6, [{p} for p in range(6)],
                                  auto_close=True).opens) == 64
-    with pytest.raises(BudgetExceeded, match="budget 64"):
+    with pytest.raises(BudgetExceeded, match="budget 64") as exc:
         discrete_space(7).opens
-    with pytest.raises(BudgetExceeded, match="budget 64"):
+    assert exc.value.cap == 64
+    with pytest.raises(BudgetExceeded, match="budget 64") as exc:
         clopen_family(discrete_space(7))
+    assert exc.value.cap == 64
