@@ -356,7 +356,13 @@ def prime_radical(lattice: IdealLattice) -> frozenset | None:
 
 @dataclass
 class FamilySets:
-    """The clopen/ideal incidence families over a classified lattice.
+    """The incidence χ_U ∈ I over a classified lattice, held once.
+
+    A clopen U of a finite space is a union of quasi-components, named by
+    its class mask c (bit j for ``ring.classes[j]``); a family of clopens
+    is a bitset over the 2^q class masks, so Z − U is the complement mask
+    and union and intersection are | and &.  P_u, Φ_u, U^c_I, X_I and
+    X^c_I are all read off U.
 
     P is the prime family: all proper primes plus the trivial ideal, plus the
     whole ring (the basic-law identities such as P_∅ = {C(Z,Y)} force the
@@ -364,45 +370,25 @@ class FamilySets:
     """
 
     lattice: IdealLattice
-    P: tuple                   # ideals
-    Phi: tuple                 # all ideals
-    clopens: tuple             # clopen sets, deterministic order
-    chi_of: dict               # clopen -> χ_U element
-    P_u: dict                  # clopen -> frozenset of P-members containing χ_U
-    Phi_u: dict
-    U_I: dict                  # ideal -> frozenset of clopens with χ_U in I
-    U_I_c: dict
-    X_I: dict                  # ideal -> frozenset of χ_U elements in I
-    X_I_c: dict
+    P: tuple                   # ideals, in lattice order
+    chi: tuple                 # class mask -> the element index of χ_U
+    U: dict                    # ideal bitset -> U_I, a bitset over class masks
 
 
 def family_sets(lattice: IdealLattice) -> FamilySets:
     ring = lattice.ring
-    if ring.algebra.unit is None:
+    y = ring.algebra
+    if y.unit is None:
         raise MissingUnit("the families are defined through χ_U")
     if not lattice.classified:
         classify_primes(lattice)
-    trivial = lattice.find(1 << ring.index(ring.theta))
-    whole = lattice.find((1 << len(ring.elements)) - 1)
-    P = [i for i in lattice.ideals if i.meta.get("is_prime")]
-    for extra in (trivial, whole):
-        if extra is not None and extra not in P:
-            P.append(extra)
-    P = tuple(sorted(P, key=lambda i: (len(i), members(i.bits))))
-    from .topology import clopen_family
-    clopens = tuple(frozenset(u) for u in clopen_family(ring.space))
-    chi_of = {u: (ring.chi(u) if u != ring.space.full else ring.theta)
-              for u in clopens}
-    at = {u: ring.index(chi_of[u]) for u in clopens}
-    P_u = {u: frozenset(i for i in P if i.bits >> at[u] & 1) for u in clopens}
-    Phi_u = {u: frozenset(i for i in lattice.ideals if i.bits >> at[u] & 1)
-             for u in clopens}
-    full = ring.space.full
-    U_I, U_I_c, X_I, X_I_c = {}, {}, {}, {}
-    for i in lattice.ideals:
-        U_I[i] = frozenset(u for u in clopens if i.bits >> at[u] & 1)
-        U_I_c[i] = frozenset(u for u in clopens if i.bits >> at[full - u] & 1)
-        X_I[i] = frozenset(chi_of[u] for u in U_I[i])
-        X_I_c[i] = frozenset(chi_of[u] for u in U_I_c[i])
-    return FamilySets(lattice, P, lattice.ideals, clopens, chi_of,
-                      P_u, Phi_u, U_I, U_I_c, X_I, X_I_c)
+    ends = (1 << ring.index(ring.theta), (1 << len(ring.elements)) - 1)
+    P = tuple(i for i in lattice.ideals
+              if i.meta.get("is_prime") or i.bits in ends)
+    q = len(ring.classes)
+    chi = tuple(ring.index(tuple(y.zero if c >> j & 1 else y.unit
+                                 for j in range(q)))
+                for c in range(1 << q))
+    U = {i.bits: bitset(c for c, x in enumerate(chi) if i.bits >> x & 1)
+         for i in lattice.ideals}
+    return FamilySets(lattice, P, chi, U)

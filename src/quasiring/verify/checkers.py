@@ -352,6 +352,8 @@ HYPOTHESES = {
     "two_components": (lambda ctx: len(ctx.ring.classes) >= 2,
                        "needs at least two quasi-components"),
     "primes": (lambda ctx: bool(ctx.primes), "no prime ideals on this instance"),
+    "families": (lambda ctx: ctx.algebra.unit is not None,
+                 "the families are defined through χ_U"),
 }
 
 
@@ -1157,24 +1159,46 @@ def _l44(ctx):  # quotient transport carries I(x) to I([x])
 # --------------------------------------------------------------------------
 # Family-set lemmas
 # --------------------------------------------------------------------------
+# A clopen U is its class mask c, a family of clopens a bitset over class
+# masks, and each family is read off ``FamilySets.U``: U^c_I flips U_I's
+# masks, P_u and Φ_u are U_I's column c, X_I is the χ_U of U_I.
 
-@_checker("L45")
+def _flip(ctx, family: int) -> int:
+    """{Z − U : U in the family}, as a bitset over class masks."""
+    return bitset(ctx.all_classes ^ c for c in members(family))
+
+
+def _x(fam) -> dict:
+    """X_I per ideal bitset, as an element bitset."""
+    return {b: bitset(fam.chi[c] for c in members(u)) for b, u in fam.U.items()}
+
+
+def _columns(fam, ideals) -> list:
+    """Per class mask c, the positions in `ideals` of those whose U_I
+    holds c: P_u over P, Φ_u over the lattice."""
+    rows = [fam.U[i.bits] for i in ideals]
+    return [bitset(k for k, row in enumerate(rows) if row >> c & 1)
+            for c in range(len(fam.chi))]
+
+
+@_checker("L45", "families")
 def _l45(ctx):
     fam = ctx.families
-    full = ctx.space.full
-    if {i.bits for i in fam.P_u[full]} != {i.bits for i in fam.P}:
+    if not all(fam.U[i.bits] >> ctx.all_classes & 1 for i in fam.P):
         return {"law": "P_Z = P"}
-    if {i.bits for i in fam.Phi_u[full]} != {i.bits for i in fam.Phi}:
+    if not all(fam.U[i.bits] >> ctx.all_classes & 1
+               for i in ctx.lattice.ideals):
         return {"law": "Phi_Z = Phi"}
-    if {i.bits for i in fam.P_u[frozenset()]} != {ctx.whole}:
+    if [i.bits for i in fam.P if fam.U[i.bits] & 1] != [ctx.whole]:
         return {"law": "P_empty = {C(Z,Y)}"}
-    if {i.bits for i in fam.Phi_u[frozenset()]} != {ctx.whole}:
+    if [i.bits for i in ctx.lattice.ideals if fam.U[i.bits] & 1] != [ctx.whole]:
         return {"law": "Phi_empty = {C(Z,Y)}"}
     if not all(i.bits >> ctx.theta & 1 for i in fam.P):
         return {"law": "theta in every member"}
-    for u in fam.clopens:
-        if not any(i.bits == ctx.whole for i in fam.P_u[u]):
-            return {"law": "C(Z,Y) in P_u", "U": u}
+    held = next((fam.U[i.bits] for i in fam.P if i.bits == ctx.whole), 0)
+    missing = (1 << len(fam.chi)) - 1 & ~held
+    if missing:
+        return {"law": "C(Z,Y) in P_u", "U": ctx.points(members(missing)[0])}
     return None
 
 
@@ -1183,142 +1207,132 @@ def _l46(ctx):  # prime below a proper ideal: same chi-membership families
     fam = ctx.families
     for i1 in ctx.primes:
         for i2 in ctx.lattice.proper():
-            if not i1 <= i2:
-                continue
-            for u in fam.clopens:
-                if (i1 in fam.P_u[u]) != (i2 in fam.Phi_u[u]):
-                    return {"I1": i1, "I2": i2, "U": u}
+            differ = fam.U[i1.bits] ^ fam.U[i2.bits]
+            if i1 <= i2 and differ:
+                return {"I1": i1, "I2": i2,
+                        "U": ctx.points(members(differ)[0])}
     return None
 
 
 @_checker("L47", "unit_addition_closed")
 def _l47(ctx):  # each proper prime picks exactly one of chi_U, chi_Uc
-    full = ctx.space.full
-    for u, x, y in _chi_pairs(ctx):
-        if not u or u == full:
-            continue
+    fam = ctx.families
+    for c in range(1, ctx.all_classes):     # U neither empty nor Z
         for p in ctx.primes:
-            if (p.bits >> x & 1) == (p.bits >> y & 1):
-                return {"P": p, "U": u}
+            u = fam.U[p.bits]
+            if u >> c & 1 == u >> (ctx.all_classes ^ c) & 1:
+                return {"P": p, "U": ctx.points(c)}
     return None
 
 
 @_checker("L48", "unit")
 def _l48(ctx):  # P_u lands inside P_{u∪w} ∩ P_{u∪w^c}
-    fam = ctx.families
-    full = ctx.space.full
-    for u in fam.clopens:
-        for w in fam.clopens:
-            lhs = fam.Phi_u[u]
-            if not (lhs <= fam.Phi_u[u | w] and lhs <= fam.Phi_u[u | (full - w)]):
-                return {"U": u, "W": w}
+    phi = _columns(ctx.families, ctx.lattice.ideals)
+    for u, lhs in enumerate(phi):
+        for w in range(len(phi)):
+            if lhs & ~phi[u | w] or lhs & ~phi[u | ctx.all_classes ^ w]:
+                return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
-@_checker("L49")
+@_checker("L49", "families")
 def _l49(ctx):
     fam = ctx.families
-    full = ctx.space.full
-    trivial = ctx.lattice.find(1 << ctx.theta)
-    whole = ctx.lattice.find(ctx.whole)
-    if fam.U_I[trivial] != frozenset({full}):
+    every = (1 << len(fam.chi)) - 1
+    trivial, whole = fam.U[1 << ctx.theta], fam.U[ctx.whole]
+    if trivial != 1 << ctx.all_classes:
         return {"law": "U_(theta) = {Z}"}
-    if fam.U_I_c[trivial] != frozenset({frozenset()}):
+    if _flip(ctx, trivial) != 1:
         return {"law": "U^c_(theta) = {empty}"}
-    if fam.U_I[whole] != frozenset(fam.clopens):
+    if whole != every:
         return {"law": "U_C = all clopens"}
-    if fam.U_I_c[whole] != frozenset(fam.clopens):
+    if _flip(ctx, whole) != every:
         return {"law": "U^c_C = all clopens"}
-    if len(fam.clopens) > 2:
-        if fam.U_I[trivial] | fam.U_I_c[trivial] == frozenset(fam.clopens):
-            return {"law": "U_(theta) union misses nothing"}
+    if len(fam.chi) > 2 and trivial | _flip(ctx, trivial) == every:
+        return {"law": "U_(theta) union misses nothing"}
     for i1 in ctx.primes:
         for i2 in ctx.primes:
             if i1 <= i2:
-                if not fam.U_I[i1] <= fam.U_I[i2]:
+                u1, u2 = fam.U[i1.bits], fam.U[i2.bits]
+                if u1 & ~u2:
                     return {"I1": i1, "I2": i2}
-                if (ctx.mode == RING and i2.is_proper()
-                        and fam.U_I[i1] != fam.U_I[i2]):
+                if ctx.mode == RING and i2.is_proper() and u1 != u2:
                     return {"I1": i1, "I2": i2, "equality": False}
     return None
 
 
-@_checker("L50")
+@_checker("L50", "families")
 def _l50(ctx):  # I in P_u iff U in U_I
     fam = ctx.families
     for i in fam.P:
-        for u in fam.clopens:
-            if (i in fam.P_u[u]) != (u in fam.U_I[i]):
-                return {"I": i, "U": u}
+        for c, x in enumerate(fam.chi):
+            if (i.bits >> x & 1) != (fam.U[i.bits] >> c & 1):
+                return {"I": i, "U": ctx.points(c)}
     return None
 
 
-@_checker("L51", "addition_closed")
+@_checker("L51", "addition_closed", "families")
 def _l51(ctx):  # proper primes split the clopens
     fam = ctx.families
-    allu = frozenset(fam.clopens)
-    for p in ctx.primes:
-        if fam.U_I[p] | fam.U_I_c[p] != allu or fam.U_I[p] & fam.U_I_c[p]:
+    every = (1 << len(fam.chi)) - 1
+    for p in ctx.primes:        # a partition: each clopen in exactly one
+        if fam.U[p.bits] ^ _flip(ctx, fam.U[p.bits]) != every:
             return {"P": p}
     return None
 
 
-@_checker("L52")
+@_checker("L52", "families")
 def _l52(ctx):  # chi-membership distributes over ideal intersection
     fam = ctx.families
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            inter = ctx.lattice.find(i1.bits & i2.bits)
-            if inter is None:
-                continue
-            if fam.U_I[inter] != fam.U_I[i1] & fam.U_I[i2]:
+            a, b = i1.bits, i2.bits
+            if a & b in fam.U and fam.U[a & b] != fam.U[a] & fam.U[b]:
                 return {"I1": i1, "I2": i2}
     return None
 
 
-@_checker("L53")
+@_checker("L53", "families")
 def _l53(ctx):  # and over union when the union happens to be an ideal
     fam = ctx.families
+    primes = {p.bits for p in ctx.primes}
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            union = ctx.lattice.find(i1.bits | i2.bits)
-            if union is None or not union.meta.get("is_prime"):
-                continue
-            if fam.U_I[union] != fam.U_I[i1] | fam.U_I[i2]:
+            a, b = i1.bits, i2.bits
+            if a | b in primes and fam.U[a | b] != fam.U[a] | fam.U[b]:
                 return {"I1": i1, "I2": i2}
     return None
 
 
-@_checker("L54")
+@_checker("L54", "families")
 def _l54(ctx):
     fam = ctx.families
-    ring = ctx.ring
-    trivial = ctx.lattice.find(1 << ctx.theta)
-    whole = ctx.lattice.find(ctx.whole)
-    if fam.X_I[trivial] != frozenset({ring.theta}):
+    x = _x(fam)
+    if x[1 << ctx.theta] != 1 << ctx.theta:
         return {"law": "X_(theta) = {theta}"}
-    if fam.X_I[whole] != frozenset(fam.chi_of.values()):
+    if x[ctx.whole] != bitset(fam.chi):
         return {"law": "X_C = X"}
     for i1 in ctx.primes:
         for i2 in ctx.primes:
-            if i1 <= i2 and not fam.X_I[i1] <= fam.X_I[i2]:
+            if i1 <= i2 and x[i1.bits] & ~x[i2.bits]:
                 return {"I1": i1, "I2": i2}
     for i in fam.P:
-        for u in fam.clopens:
-            a = fam.chi_of[u] in fam.X_I[i]
-            if a != (u in fam.U_I[i]) or a != (i in fam.P_u[u]):
-                return {"I": i, "U": u}
+        for c, chi in enumerate(fam.chi):
+            a = x[i.bits] >> chi & 1
+            if a != fam.U[i.bits] >> c & 1 or a != i.bits >> chi & 1:
+                return {"I": i, "U": ctx.points(c)}
     return None
 
 
-@_checker("L55", "addition_closed")
+@_checker("L55", "addition_closed", "families")
 def _l55(ctx):  # proper primes split the characteristic functions
     fam = ctx.families
-    allx = frozenset(fam.chi_of.values())
-    for p in ctx.primes:
-        if fam.X_I[p] | fam.X_I_c[p] != allx or fam.X_I[p] & fam.X_I_c[p]:
+    x, every = _x(fam), bitset(fam.chi)
+    for p in ctx.primes:        # X^c_P: the χ_U of the U in U^c_P
+        xc = bitset(fam.chi[c] for c in members(_flip(ctx, fam.U[p.bits])))
+        if x[p.bits] ^ xc != every:
             return {"P": p}
     return None
 
@@ -1326,19 +1340,18 @@ def _l55(ctx):  # proper primes split the characteristic functions
 @_checker("L56", "unit")
 def _l56(ctx):  # summary bundle A: the P_u laws
     fam = ctx.families
-    full = ctx.space.full
-    if {i.bits for i in fam.P_u[frozenset()]} != {ctx.whole}:
+    pu = _columns(fam, fam.P)
+    if [fam.P[k].bits for k in members(pu[0])] != [ctx.whole]:
         return {"law": "P_empty"}
-    if fam.P_u[full] != frozenset(fam.P):
+    if pu[ctx.all_classes] != (1 << len(fam.P)) - 1:
         return {"law": "P_Z"}
-    for u1 in fam.clopens:
-        for u2 in fam.clopens:
-            if u1 <= u2 and not fam.P_u[u1] <= fam.P_u[u2]:
-                return {"law": "monotone", "U1": u1, "U2": u2}
-            if not fam.P_u[u1 & u2] <= fam.P_u[u1] & fam.P_u[u2]:
-                return {"law": "meet", "U1": u1, "U2": u2}
-            if not fam.P_u[u1] | fam.P_u[u2] <= fam.P_u[u1 | u2]:
-                return {"law": "join", "U1": u1, "U2": u2}
+    for u1, p1 in enumerate(pu):
+        for u2, p2 in enumerate(pu):
+            law = ("monotone" if u1 & ~u2 == 0 and p1 & ~p2 else
+                   "meet" if pu[u1 & u2] & ~(p1 & p2) else
+                   "join" if (p1 | p2) & ~pu[u1 | u2] else None)
+            if law:
+                return {"law": law, "U1": ctx.points(u1), "U2": ctx.points(u2)}
     return None
 
 
@@ -1349,16 +1362,15 @@ def _l57(ctx):  # summary bundle B: the U_I laws, all carried by its members
 
 @_checker("L58", "unit", members=("L54",))
 def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
-    fam = ctx.families
+    x = _x(ctx.families)
+    primes = {p.bits for p in ctx.primes}
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            inter = ctx.lattice.find(i1.bits & i2.bits)
-            if inter is not None and fam.X_I[inter] != fam.X_I[i1] & fam.X_I[i2]:
+            a, b = i1.bits, i2.bits
+            if a & b in x and x[a & b] != x[a] & x[b]:
                 return {"law": "meet", "I1": i1, "I2": i2}
-            union = ctx.lattice.find(i1.bits | i2.bits)
-            if (union is not None and union.meta.get("is_prime")
-                    and fam.X_I[union] != fam.X_I[i1] | fam.X_I[i2]):
+            if a | b in primes and x[a | b] != x[a] | x[b]:
                 return {"law": "join", "I1": i1, "I2": i2}
     return None
 
@@ -1618,34 +1630,34 @@ def _l59_19(ctx):
 # Complements, embeddings, products
 # --------------------------------------------------------------------------
 
-@_checker("L61")
+@_checker("L61", "families")
 def _l61(ctx):
-    fam = ctx.families
+    x = _x(ctx.families)
     pool = ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
-            if i1 <= i2 and not fam.X_I[i1] <= fam.X_I[i2]:
+            a, b = i1.bits, i2.bits
+            if i1 <= i2 and x[a] & ~x[b]:
                 return {"item": 1, "I1": i1, "I2": i2}
-            inter = ctx.lattice.find(i1.bits & i2.bits)
-            if inter is not None and fam.X_I[inter] != fam.X_I[i1] & fam.X_I[i2]:
+            if a & b in x and x[a & b] != x[a] & x[b]:
                 return {"item": 2, "I1": i1, "I2": i2}
-    # X_I on indices: the χ_U of the clopens in U_I
-    x_of = {i: {ctx.chi(u) for u in fam.U_I[i]} for i in ctx.lattice.ideals}
     if ctx.algebra.add is not None:
         t = ctx.theta
         for i in ctx.lattice.ideals:
-            if {_add(ctx, x, t) for x in x_of[i]} != x_of[i]:
+            xs = set(members(x[i.bits]))
+            if {_add(ctx, f, t) for f in xs} != xs:
                 return {"item": 4, "I": i}
-            times = {_mul(ctx, x, t) for x in x_of[i]}
-            if not i.is_trivial() and x_of[i] and times != {t}:
+            times = {_mul(ctx, f, t) for f in xs}
+            if not i.is_trivial() and xs and times != {t}:
                 return {"item": 5, "I": i}
     if ctx.flags.char_two and ctx.mode == RING:
         for i1 in ctx.lattice.ideals:
             for i2 in ctx.lattice.ideals:
                 total = closure(ctx.ring, members(ctx.sums(i1.bits, i2.bits)),
                                 ctx.side, ctx.mode)
-                if any(not total >> _add(ctx, x, y) & 1
-                       for x in x_of[i1] for y in x_of[i2]):
+                if any(not total >> _add(ctx, f, g) & 1
+                       for f in members(x[i1.bits])
+                       for g in members(x[i2.bits])):
                     return {"item": 8, "I1": i1, "I2": i2}
     return None
 

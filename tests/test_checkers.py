@@ -25,7 +25,7 @@ from quasiring.verify import (
     run_checker,
 )
 from quasiring.verify.checkers import HYPOTHESES
-from quasiring.ideals import MULTIPLICATIVE, RING
+from quasiring.ideals import LEFT, MULTIPLICATIVE, RIGHT, RING, TWO_SIDED
 from quasiring.sets import SeqSet
 
 
@@ -126,6 +126,28 @@ def test_declared_hypotheses_exist():
     for cid, checker in REGISTRY.items():
         assert set(checker.requires) <= set(HYPOTHESES), cid
         assert set(checker.members) <= set(REGISTRY), cid
+
+
+def test_unmet_notes_are_declared_without_a_unit():
+    # 2Z_8 = {0, 2, 4, 6} as 0..3: a ring without a unit; and a magma
+    # without a unit or an addition.  Ring mode needs an addition table.
+    two_z8 = make_table([[2 * a * b % 4 for b in range(4)] for a in range(4)],
+                        zero=0, add=[[(a + b) % 4 for b in range(4)]
+                                     for a in range(4)])
+    no_add = make_table([[0, 0, 0], [0, 1, 1], [0, 2, 2]], zero=0)
+    declared = {note for _, note in HYPOTHESES.values()}
+    unmet = 0
+    for y, modes in ((two_z8, (MULTIPLICATIVE, RING)),
+                     (no_add, (MULTIPLICATIVE,))):
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in modes:
+                c = Context(discrete_space(2), y, side, mode)
+                for cid in REGISTRY:
+                    r = run_checker(cid, c)
+                    if r.verdict == HYPOTHESIS_UNMET:
+                        assert r.note in declared, (cid, side, mode, r.note)
+                        unmet += 1
+    assert unmet > 100
 
 
 class _BodylessContext(Context):

@@ -229,3 +229,24 @@ def test_planted_set_fails_the_chi_content_laws():
     want = next((f, g) for g in content for f in chis if outside(f, g))
     assert set(w["I"].elements) == planted
     assert (w["f"], w["g"]) == want
+
+
+def test_planted_set_fails_the_family_laws():
+    ctx = PlantedContext()
+    ring, full = ctx.ring, ctx.space.full
+    ideals = [i.elements for i in ctx.lattice.ideals]
+    # the clopens in class-mask order: bit k for ring.classes[k]
+    clopens = [frozenset().union(*(c for k, c in enumerate(ring.classes)
+                                   if m >> k & 1))
+               for m in range(1 << len(ring.classes))]
+
+    def phi(u):
+        """Φ_u: the positions of the lattice members holding χ_U."""
+        chi = ring.chi(u)
+        return {k for k, elems in enumerate(ideals) if chi in elems}
+
+    want = next((u, w) for u in clopens for w in clopens
+                if not phi(u) <= phi(u | w) & phi(u | (full - w)))
+    assert want == (frozenset({0}), frozenset({1}))
+    w = _failing(ctx, "L48")
+    assert (w["U"], w["W"]) == want

@@ -23,7 +23,14 @@ from quasiring.ideals import (
     principal_ideal,
     vanishing_ideal,
 )
-from quasiring.topology import discrete_space, sierpinski_space
+from quasiring import topology
+from quasiring.topology import (
+    clopen_family,
+    discrete_space,
+    disjoint_union,
+    sierpinski_space,
+)
+from quasiring.verify.checkers import Context
 
 from test_funcspace import pointwise, random_magma_ring
 
@@ -142,18 +149,6 @@ def test_lattice_oracle_disagreement_raises(d2z3, monkeypatch):
         ideal_lattice(d2z3, mode=RING)
 
 
-def test_family_sets_incidence(d2z3):
-    lat = classify_primes(ideal_lattice(d2z3, mode=RING))
-    fam = family_sets(lat)
-    for i in lat.ideals:
-        for u in fam.clopens:
-            assert (u in fam.U_I[i]) == (fam.chi_of[u] in i)
-    # the empty clopen's chi is the identity, absent from every proper prime
-    empty = frozenset()
-    assert fam.P_u[empty] == frozenset(
-        p for p in fam.P if not p.is_proper())
-
-
 def small_ring_corpus(max_elements=16):
     """Every ring of at most max_elements elements over discrete spaces of
     1-4 points and Z_2, Z_3, Z_4, seeded random magmas of 2-4 elements, or
@@ -238,3 +233,42 @@ def test_classification_matches_the_definitions():
                             not any(q < e for q in primes))
                         assert meta["is_maximal_prime"] == (
                             not any(e < q for q in primes))
+
+
+def _refuse(masks):
+    raise AssertionError("the families enumerated a clopen family")
+
+
+def test_family_sets_incidence(monkeypatch):
+    """U_I against χ_U ∈ I on value tuples, for every clopen of the
+    independent enumeration, and P against its definition, on every unital
+    ring of the corpus plus C(Sierpiński + point, Z_3); neither the
+    families nor the context's copy of them enumerate a clopen family."""
+    rings = [r for r in small_ring_corpus() if r.algebra.unit is not None]
+    rings.append(FunctionRing(
+        disjoint_union(sierpinski_space(), discrete_space(1)), make_zmod(3)))
+    cases = [(ring, clopen_family(ring.space)) for ring in rings]
+    monkeypatch.setattr(topology, "all_unions", _refuse)
+    checked = 0
+    for ring, clopens in cases:
+        ends = {frozenset({ring.theta}), frozenset(ring.elements)}
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                lat = classify_primes(ideal_lattice(ring, side, mode))
+                fam = family_sets(lat)
+                assert len(fam.chi) == len(clopens)
+                assert len(fam.U) == len(lat.ideals)
+                for u in clopens:
+                    c = sum(1 << k for k, cls in enumerate(ring.classes)
+                            if cls <= u)
+                    chi = ring.chi(u)
+                    for i in lat.ideals:
+                        assert (fam.U[i.bits] >> c & 1) == (chi in i.elements)
+                        checked += 1
+                want = {p.elements for p in lat.primes()} | ends
+                assert [i.elements for i in fam.P] == [
+                    i.elements for i in lat.ideals if i.elements in want]
+                assert {i.elements for i in fam.P} == want
+                ctx = Context(ring.space, ring.algebra, side, mode)
+                assert ctx.families.U == fam.U
+    assert checked > 2000
