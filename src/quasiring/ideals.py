@@ -34,6 +34,7 @@ LEFT = "left"
 TWO_SIDED = "two-sided"
 MULTIPLICATIVE = "multiplicative"
 RING = "ring"
+FAMILIES_NOTE = "the families are defined through χ_U"
 
 
 def default_mode(ring: FunctionRing) -> str:
@@ -379,7 +380,7 @@ def family_sets(lattice: IdealLattice) -> FamilySets:
     ring = lattice.ring
     y = ring.algebra
     if y.unit is None:
-        raise MissingUnit("the families are defined through χ_U")
+        raise MissingUnit(FAMILIES_NOTE)
     if not lattice.classified:
         classify_primes(lattice)
     ends = (1 << ring.index(ring.theta), (1 << len(ring.elements)) - 1)

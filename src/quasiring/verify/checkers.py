@@ -34,6 +34,7 @@ from ..funcspace import (
     vanishing_elements,
 )
 from ..ideals import (
+    FAMILIES_NOTE,
     MULTIPLICATIVE,
     RIGHT,
     RING,
@@ -352,8 +353,8 @@ HYPOTHESES = {
     "two_components": (lambda ctx: len(ctx.ring.classes) >= 2,
                        "needs at least two quasi-components"),
     "primes": (lambda ctx: bool(ctx.primes), "no prime ideals on this instance"),
-    "families": (lambda ctx: ctx.algebra.unit is not None,
-                 "the families are defined through χ_U"),
+    # `unit` under the note of the MissingUnit that family_sets raises
+    "families": (lambda ctx: ctx.algebra.unit is not None, FAMILIES_NOTE),
 }
 
 

@@ -6,13 +6,9 @@ directory, runs every named test there once unmutated (they must pass),
 then applies each edit in turn and runs the tests named for it.  A mutant
 is killed when those tests fail.
 
-It exits 1 when a mutant survives, when a mutant listed as an expected
-survivor is killed (the list is then out of date), when an edit no longer
-matches the source exactly once, or when the named tests fail unmutated.
-
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named mutants only
-    python tests/mutants.py --list
+It exits 1 when a mutant survives, when an edit no longer matches the
+source exactly once, or when the named tests fail unmutated.  Run it as
+``python tests/mutants.py``.
 
 Standard library only; each run is ``python -m pytest`` in a subprocess,
 so pytest must be importable.  It is not a test module, so the tier-1
@@ -38,7 +34,6 @@ class Mutant(NamedTuple):
     old: str             # must occur exactly once in the file
     new: str
     tests: tuple         # pytest node ids, relative to the repository root
-    survives: str = ""   # why the tests cannot see it, for an expected survivor
 
 
 IDEALS = "tests/test_ideals.py"
@@ -107,13 +102,6 @@ MUTANTS = [
            "s = sum(m for m in masks if m & s)  # saturate",
            "pass  # saturate",
            (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",)),
-    Mutant("quotient-saturation-test", "topology.py",
-           "nbhds.append(mask_of(i for i, m in enumerate(masks) if m & s))",
-           "nbhds.append(mask_of(i for i, m in enumerate(masks) if m & s == m))",
-           (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",),
-           survives="the loop ends on a saturated set, a union of whole "
-                    "classes, so a class meets it exactly when it lies in "
-                    "it: the edit is equivalent"),
     Mutant("discrete-quotient", "topology.py",
            "return ExplicitSpace(len(masks), tuple(nbhds))",
            "return ExplicitSpace(len(masks), "
@@ -186,25 +174,16 @@ def _passes(tree: Path, tests) -> bool:
     return run.returncode == 0
 
 
-def main(argv) -> int:
-    if argv == ["--list"]:
-        for m in MUTANTS:
-            print(m.name + ("  (expected survivor)" if m.survives else ""))
-        return 0
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     bad = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         _copy(tree)
-        named = sorted({t for m in chosen for t in m.tests})
+        named = sorted({t for m in MUTANTS for t in m.tests})
         if not _passes(tree, named):
             print("the named tests fail on the unmutated source")
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             target = tree / "src" / "quasiring" / m.path
             source = target.read_text()
             hits = source.count(m.old)
@@ -217,19 +196,12 @@ def main(argv) -> int:
                 killed = not _passes(tree, m.tests)
             finally:
                 target.write_text(source)
-            if m.survives:
-                status = "killed, but listed as a survivor" if killed else (
-                    f"survived, as expected: {m.survives}")
-                ok = not killed
-            else:
-                status = "killed" if killed else "SURVIVED"
-                ok = killed
-            print(f"{m.name}: {status}")
-            if not ok:
+            print(f"{m.name}: {'killed' if killed else 'SURVIVED'}")
+            if not killed:
                 bad.append(m.name)
-    print(f"{len(chosen) - len(bad)} of {len(chosen)} mutants as expected")
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
