@@ -74,6 +74,7 @@ class FunctionRing:
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
         self._rows = {}
         self._row_entries = 0
+        self._chi_tables = {}
 
     # -- element indices and Cayley tables ----------------------------------
 
@@ -147,19 +148,40 @@ class FunctionRing:
         return frozenset(p for p in self.space.points
                          if f[self.class_of[p]] == b)
 
-    def chi(self, u, a: int | None = None) -> FnElement:
-        """Characteristic function: zero on the clopen set u, value a off it."""
-        u = frozenset(u)
-        if not self.space.is_clopen(u):
-            raise NotClopen(f"{sorted(u)} is not clopen")
+    def _off_value(self, a: int | None) -> int:
+        """The off-value of a χ_U: a, or the unit when a is None."""
         if a is None:
             if self.algebra.unit is None:
                 raise MissingUnit("default off-value needs a unit")
             a = self.algebra.unit
         if a == self.algebra.zero:
             raise ZeroValue("off-value 0 would collapse to the zero function")
+        return a
+
+    def chi(self, u, a: int | None = None) -> FnElement:
+        """Characteristic function: zero on the clopen set u, value a off it."""
+        u = frozenset(u)
+        if not self.space.is_clopen(u):
+            raise NotClopen(f"{sorted(u)} is not clopen")
+        a = self._off_value(a)
         z = self.algebra.zero
         return tuple(z if c <= u else a for c in self.classes)
+
+    def chi_table(self, a: int | None = None) -> tuple:
+        """Per class mask c (bit j for ``classes[j]``), the index of χ_U
+        with off-value a, U the union of c's classes; cached per a.  Class
+        j doubles the table: the masks without bit j (digit a), then with
+        it (digit 0)."""
+        a = self._off_value(a)
+        if a not in self._chi_tables:
+            m, z = self.algebra.carrier_size, self.algebra.zero
+            q = len(self.classes)
+            table = [0]
+            for j in range(q):
+                w = m ** (q - 1 - j)
+                table = [x + a * w for x in table] + [x + z * w for x in table]
+            self._chi_tables[a] = tuple(table)
+        return self._chi_tables[a]
 
     def __repr__(self):
         return (f"FunctionRing({self.space.point_count}pt space, "

@@ -378,18 +378,14 @@ class FamilySets:
 
 def family_sets(lattice: IdealLattice) -> FamilySets:
     ring = lattice.ring
-    y = ring.algebra
-    if y.unit is None:
+    if ring.algebra.unit is None:
         raise MissingUnit(FAMILIES_NOTE)
     if not lattice.classified:
         classify_primes(lattice)
     ends = (1 << ring.index(ring.theta), (1 << len(ring.elements)) - 1)
     P = tuple(i for i in lattice.ideals
               if i.meta.get("is_prime") or i.bits in ends)
-    q = len(ring.classes)
-    chi = tuple(ring.index(tuple(y.zero if c >> j & 1 else y.unit
-                                 for j in range(q)))
-                for c in range(1 << q))
+    chi = ring.chi_table()
     U = {i.bits: bitset(c for c, x in enumerate(chi) if i.bits >> x & 1)
          for i in lattice.ideals}
     return FamilySets(lattice, P, chi, U)

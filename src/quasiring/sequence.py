@@ -114,12 +114,6 @@ class SequenceRing:
             return SeqSet(support, cofinal=True, infinity=True)
         return SeqSet(zeros)
 
-    def zero_set_V(self, fns) -> SeqSet:
-        out = SeqSet.full()
-        for f in fns:
-            out = out.intersection(self.zero_set(f))
-        return out
-
     def chi(self, u: SeqSet, a: int | None = None) -> SeqFn:
         """Characteristic function of a clopen set u: zero on u, a off it."""
         from .topology import SequenceSpace

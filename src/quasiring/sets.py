@@ -74,9 +74,6 @@ class SeqSet:
     def complement(self) -> "SeqSet":
         return SeqSet(self.finite, not self.cofinal, not self.infinity)
 
-    def is_empty(self) -> bool:
-        return not self.cofinal and not self.finite and not self.infinity
-
     def union(self, other: "SeqSet") -> "SeqSet":
         a, b = self, other
         if a.cofinal and b.cofinal:
@@ -91,9 +88,6 @@ class SeqSet:
 
     def intersection(self, other: "SeqSet") -> "SeqSet":
         return self.complement().union(other.complement()).complement()
-
-    def issubset(self, other: "SeqSet") -> bool:
-        return self.intersection(other) == self
 
     def __repr__(self):
         nat = "N\\" + repr(set(self.finite) or {}) if self.cofinal else repr(set(self.finite) or {})

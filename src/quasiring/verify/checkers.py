@@ -76,8 +76,9 @@ class Context:
 
     Ring-level data lives on element indices: a set of elements is a bitset
     (bit i for ``ring.elements[i]``), and a set of quasi-components a class
-    mask (bit c for ``ring.classes[c]``).  Every cache is built once per
-    context, when a checker first needs it.
+    mask (bit c for ``ring.classes[c]``).  On a finite space every clopen
+    set is a union of quasi-components, so a clopen is its class mask.
+    Every cache is built once per context, when a checker first needs it.
     """
 
     def __init__(self, space, algebra, side: str = RIGHT, mode: str | None = None,
@@ -88,6 +89,8 @@ class Context:
         self.flags = structure_flags(algebra)
         if mode is None:
             mode = RING if algebra.add is not None else MULTIPLICATIVE
+        if mode == RING and algebra.add is None:
+            raise MissingAddition("ring mode needs an addition table")
         self.mode = mode
         self.budget = budget
         self.seed = seed
@@ -122,8 +125,9 @@ class Context:
         return [i for i in self.lattice.ideals if i.meta.get("is_prime")]
 
     @cached_property
-    def clopens(self):
-        return [frozenset(u) for u in clopen_family(self.space)]
+    def clopens(self) -> range:
+        """Every clopen set, as its class mask."""
+        return range(1 << len(self.ring.classes))
 
     @cached_property
     def families(self):
@@ -156,12 +160,14 @@ class Context:
             out = self._memo[key] = make()
         return out
 
-    def chi(self, u, a=None) -> int:
-        """The index of χ_U with off-value a, cached; a bad call raises
-        every time."""
-        u = frozenset(u)
-        return self._cached(("chi", u, a),
-                            lambda: self.ring.index(self.ring.chi(u, a)))
+    def chi(self, c: int, a=None) -> int:
+        """The index of χ_U with off-value a, U the class mask c."""
+        return self.ring.chi_table(a)[c]
+
+    @cached_property
+    def chi_set(self) -> tuple:
+        """The χ_U indices, ascending."""
+        return tuple(sorted(self.ring.chi_table()))
 
     @cached_property
     def value_bits(self) -> list:
@@ -559,21 +565,27 @@ def _t17(ctx):  # annihilating pairs split Z into complementary clopen zero sets
     return None
 
 
+def _nested(u: int, w: int) -> bool:
+    """U ⊆ W, on class masks."""
+    return u & ~w == 0
+
+
 def _chi_pairs(ctx) -> list:
     """(U, χ_U, χ_{Z−U}) per clopen U."""
-    return [(u, ctx.chi(u), ctx.chi(ctx.space.full - u)) for u in ctx.clopens]
+    chi = ctx.ring.chi_table()
+    return [(u, chi[u], chi[ctx.all_classes ^ u]) for u in ctx.clopens]
 
 
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    chis = [(u, ctx.chi(u)) for u in ctx.clopens]
+    chi = ctx.ring.chi_table()
     for i1 in ctx.primes:
         for i2 in ctx.lattice.proper():
             if not i1 <= i2:
                 continue
-            for u, c in chis:
-                if (i1.bits >> c & 1) != (i2.bits >> c & 1):
-                    return {"I1": i1, "I2": i2, "U": u}
+            for u in ctx.clopens:
+                if (i1.bits ^ i2.bits) >> chi[u] & 1:
+                    return {"I1": i1, "I2": i2, "U": ctx.points(u)}
     return None
 
 
@@ -599,7 +611,7 @@ def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
                 continue
             for u, a, b in pairs:
                 if (i.bits >> a & 1) == (i.bits >> b & 1):
-                    return {"J": j, "I": i, "U": u}
+                    return {"J": j, "I": i, "U": ctx.points(u)}
     return None
 
 
@@ -607,16 +619,11 @@ def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
 # The characteristic-function subring
 # --------------------------------------------------------------------------
 
-def _chi_set(ctx) -> list:
-    """The distinct χ_U indices, ascending."""
-    return sorted({ctx.chi(u) for u in ctx.clopens})
-
-
 @_checker("T21", "assoc_comm", "unit")
 def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
     ring = ctx.ring
     el = ring.elements
-    chis = _chi_set(ctx)
+    chis = ctx.chi_set
     inside = set(chis)
     for f in chis:
         row = ring.row("mul", f)
@@ -646,7 +653,7 @@ def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
 def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
     ring = ctx.ring
     el = ring.elements
-    chis = _chi_set(ctx)
+    chis = ctx.chi_set
     for i in ctx.primes:
         xi = [f for f in chis if i.bits >> f & 1]
         inside = set(xi)
@@ -698,17 +705,17 @@ _checker("T25", "unit")(_t24)
 
 @_checker("T26", "assoc_comm", "unit")
 def _t26(ctx):  # literal statement; admits finite counterexamples
-    chis = [(u, ctx.chi(u)) for u in ctx.clopens]
+    chi = ctx.ring.chi_table()
     for j in ctx.primes:
         if j.is_trivial():
             continue
-        for u1, chi1 in chis:
-            if not j.bits >> chi1 & 1 or u1 == ctx.space.full:
+        for u1 in ctx.clopens:
+            if not j.bits >> chi[u1] & 1 or u1 == ctx.all_classes:
                 continue
-            for u, chi_u in chis:
-                if u & u1 and not j.bits >> chi_u & 1:
-                    return {"J": j, "U1": u1, "U": u,
-                            "chi_u": ctx.ring.elements[chi_u]}
+            for u in ctx.clopens:
+                if u & u1 and not j.bits >> chi[u] & 1:
+                    return {"J": j, "U1": ctx.points(u1), "U": ctx.points(u),
+                            "chi_u": ctx.ring.elements[chi[u]]}
     return None
 
 
@@ -782,7 +789,8 @@ def _t34(ctx):  # zero-divisor-free value algebra: trivial prime radical
 def _escape(ctx, cols, skip_theta: bool):
     """The first (I, f, U, a) with f·χ_U or f·χ_{Z−U} outside I, over the
     proper ideals I, their members f ascending (θ skipped when asked) and
-    cols, a list of (U, a, χ_U index, χ_{Z−U} index); None when none."""
+    cols, a list of (U's class mask, a, χ_U index, χ_{Z−U} index); U is
+    returned as its points, and None when there is none."""
     ring = ctx.ring
     proper = ctx.lattice.proper()
     flat = [c for _, _, x, y in cols for c in (x, y)]
@@ -795,7 +803,7 @@ def _escape(ctx, cols, skip_theta: bool):
                 row = ring.row("mul", f)
                 for u, a, x, y in cols:
                     if not (i.bits >> row[x] & 1 and i.bits >> row[y] & 1):
-                        return i, ring.elements[f], u, a
+                        return i, ring.elements[f], ctx.points(u), a
     return None
 
 
@@ -832,7 +840,7 @@ def _t37(ctx):  # f outside a prime: exactly one chi slice lands inside
             for u, x, y in pairs:
                 a = i.bits >> row[x] & 1
                 if a == i.bits >> row[y] & 1:
-                    return {"I": i, "f": ring.elements[f], "U": u,
+                    return {"I": i, "f": ring.elements[f], "U": ctx.points(u),
                             "both" if a else "neither": True}
     return None
 
@@ -1010,38 +1018,36 @@ def _l31(ctx):  # no zero divisors + associative: no nontrivial nilpotents
 
 @_checker("L32", "unit")
 def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
-    full = ctx.space.full
-    for u1 in ctx.clopens:
+    for c in ctx.clopens:
+        u1, rest = ctx.points(c), ctx.points(ctx.all_classes ^ c)
         for u2 in ctx.point_sets:
-            if (full - u1) & u2:
-                if ctx.vanishing(u1) == ctx.vanishing(u2):
-                    return {"U1": u1, "U2": u2}
+            if rest & u2 and ctx.vanishing(u1) == ctx.vanishing(u2):
+                return {"U1": u1, "U2": u2}
     return None
 
 
 @_checker("L33", "unit")
 def _l33(ctx):
-    full = ctx.space.full
     nested = [(u, u1, a, ctx.chi(u, a), ctx.chi(u1, a))
-              for u in ctx.clopens for u1 in ctx.clopens if u <= u1
+              for u in ctx.clopens for u1 in ctx.clopens if _nested(u, u1)
               for a in ctx.nonzero]
     for i in ctx.lattice.proper():
         for u, u1, a, x, y in nested:
             if i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": u, "U1": u1, "a": a}
-    pairs = [(u, a, ctx.chi(u, a), ctx.chi(full - u, a))
+                return {"I": i, "U": ctx.points(u), "U1": ctx.points(u1),
+                        "a": a}
+    pairs = [(u, a, ctx.chi(u, a), ctx.chi(ctx.all_classes ^ u, a))
              for u in ctx.clopens for a in ctx.nonzero]
     for i in ctx.primes:
         for u, a, x, y in pairs:
             if not i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": u, "a": a}
+                return {"I": i, "U": ctx.points(u), "a": a}
     return None
 
 
 @_checker("L34", "right_absorption", "unit")
 def _l34(ctx):  # members absorb chi factors on the right
-    full = ctx.space.full
-    cols = [(u, a, ctx.chi(u, a), ctx.chi(full - u, a))
+    cols = [(u, a, ctx.chi(u, a), ctx.chi(ctx.all_classes ^ u, a))
             for u in ctx.clopens for a in ctx.nonzero]
     out = _escape(ctx, cols, skip_theta=False)
     if out is not None:
@@ -1101,8 +1107,8 @@ def _l39(ctx):  # V(f) over U: (f) inside (chi_U)
     for u in ctx.clopens:
         pu = ctx.principal(ctx.chi(u))
         for f, v in enumerate(ctx.zero_classes):
-            if u <= ctx.points(v) and ctx.principal(f) & ~pu:
-                return {"f": ctx.ring.elements[f], "U": u}
+            if u & ~v == 0 and ctx.principal(f) & ~pu:
+                return {"f": ctx.ring.elements[f], "U": ctx.points(u)}
     return None
 
 
@@ -1160,8 +1166,7 @@ def _l44(ctx):  # quotient transport carries I(x) to I([x])
 # --------------------------------------------------------------------------
 # Family-set lemmas
 # --------------------------------------------------------------------------
-# A clopen U is its class mask c, a family of clopens a bitset over class
-# masks, and each family is read off ``FamilySets.U``: U^c_I flips U_I's
+# A family of clopens is a bitset over class masks, and each family is read off ``FamilySets.U``: U^c_I flips U_I's
 # masks, P_u and Φ_u are U_I's column c, X_I is the χ_U of U_I.
 
 def _flip(ctx, family: int) -> int:
@@ -1203,16 +1208,8 @@ def _l45(ctx):
     return None
 
 
-@_checker("L46", "unit_addition_closed")
-def _l46(ctx):  # prime below a proper ideal: same chi-membership families
-    fam = ctx.families
-    for i1 in ctx.primes:
-        for i2 in ctx.lattice.proper():
-            differ = fam.U[i1.bits] ^ fam.U[i2.bits]
-            if i1 <= i2 and differ:
-                return {"I1": i1, "I2": i2,
-                        "U": ctx.points(members(differ)[0])}
-    return None
+# prime below a proper ideal: the same chi-membership families, U_I1 = U_I2
+_checker("L46", "unit_addition_closed")(_t18)
 
 
 @_checker("L47", "unit_addition_closed")
@@ -1395,7 +1392,8 @@ def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
 
 def _chi_grid(ctx, keep=lambda u, w: True) -> list:
     """(U, W, χ_U, χ_W) over the pairs of clopens that `keep` admits."""
-    return [(u, w, ctx.chi(u), ctx.chi(w))
+    chi = ctx.ring.chi_table()
+    return [(u, w, chi[u], chi[w])
             for u in ctx.clopens for w in ctx.clopens if keep(u, w)]
 
 
@@ -1412,11 +1410,11 @@ def _l59_1(ctx):
     for u in ctx.clopens:
         chi = ctx.chi(u)
         if _mul(ctx, chi, chi) != chi:
-            return {"U": u}
+            return {"U": ctx.points(u)}
     if ctx.algebra.add is not None:
         for u, x, y in _chi_pairs(ctx):
             if _add(ctx, x, y) != ctx.one:
-                return {"U": u, "law": "chi_u + chi_uc = Id"}
+                return {"U": ctx.points(u), "law": "chi_u + chi_uc = Id"}
     return None
 
 
@@ -1425,39 +1423,38 @@ def _l59_2(ctx):
     joins = [(u, w, x, y, ctx.chi(u | w)) for u, w, x, y in _chi_grid(ctx)]
     for u, w, x, y, xy in joins:
         if _mul(ctx, x, y) != xy:
-            return {"U": u, "W": w}
+            return {"U": ctx.points(u), "W": ctx.points(w)}
     for i in ctx.lattice.ideals:
         for u, w, x, _, xy in joins:
             if i.bits >> x & 1 and not i.bits >> xy & 1:
-                return {"I": i, "U": u, "W": w}
+                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.3", "char_two", "unit")
 def _l59_3(ctx):
     chi = ctx.chi
-    full = ctx.space.full
     for u in ctx.clopens:
         if _add(ctx, chi(u), chi(u)) != ctx.theta:
-            return {"U": u, "law": "chi + chi = theta"}
+            return {"U": ctx.points(u), "law": "chi + chi = theta"}
         for w in ctx.clopens:
-            target = (u & w) | (full - (u | w))
+            target = (u & w) | (ctx.all_classes ^ (u | w))
             if _add(ctx, chi(u), chi(w)) != chi(target):
-                return {"U": u, "W": w}
+                return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.4", "unit")
 def _l59_4(ctx):
-    for u, w, x, y in _chi_grid(ctx, lambda u, w: u <= w):
+    for u, w, x, y in _chi_grid(ctx, _nested):
         if _mul(ctx, y, x) != y:
-            return {"U": u, "W": w}
+            return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.5", "unit")
 def _l59_5(ctx):
-    if len({ctx.chi(u) for u in ctx.clopens}) != len(ctx.clopens):
+    if len(set(ctx.chi_set)) != len(ctx.clopens):
         return {"law": "distinct clopens share a chi"}
     return None
 
@@ -1465,8 +1462,8 @@ def _l59_5(ctx):
 @_checker("L59.6", "unit")
 def _l59_6(ctx):
     for u, w, _, _ in _chi_grid(ctx):
-        if ctx.points(ctx.zero_classes[ctx.chi(u & w)]) != u & w:
-            return {"U": u, "W": w}
+        if ctx.zero_classes[ctx.chi(u & w)] != u & w:
+            return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1474,9 +1471,8 @@ def _l59_6(ctx):
 def _l59_7(ctx):
     zc = ctx.zero_classes
     for u, w, x, y in _chi_grid(ctx):
-        lhs = ctx.points(zc[x] | zc[y])
-        if lhs != u | w or ctx.points(zc[_mul(ctx, x, y)]) != u | w:
-            return {"U": u, "W": w}
+        if zc[x] | zc[y] != u | w or zc[_mul(ctx, x, y)] != u | w:
+            return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1486,17 +1482,17 @@ def _l59_8(ctx):
     for i in ctx.primes:
         for u, x, y in pairs:
             if not i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": u}
+                return {"I": i, "U": ctx.points(u)}
     return None
 
 
 @_checker("L59.9", "unit")
 def _l59_9(ctx):
-    nested = _chi_grid(ctx, lambda u, w: u <= w)
+    nested = _chi_grid(ctx, _nested)
     for i in ctx.lattice.ideals:
         for u, w, x, y in nested:
             if i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": u, "W": w}
+                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1506,7 +1502,7 @@ def _l59_10(ctx):
     for i in ctx.primes:
         for u1, u2, x, y in disjoint:
             if i.bits >> x & 1 and i.bits >> y & 1:
-                return {"I": i, "U1": u1, "U2": u2}
+                return {"I": i, "U1": ctx.points(u1), "U2": ctx.points(u2)}
     return None
 
 
@@ -1517,30 +1513,28 @@ def _l59_11(ctx):
         for u, w, x, y in pairs:
             if (i.bits >> x & 1 and i.bits >> y & 1
                     and not i.bits >> _add(ctx, x, y) & 1):
-                return {"I": i, "U": u, "W": w}
+                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.12", "ring_ops", "unit")
 def _l59_12(ctx):
-    full = ctx.space.full
     for u, x, y in _chi_pairs(ctx):
-        if not u or u == full:
+        if not u or u == ctx.all_classes:
             continue
         a = ctx.principal(x, MULTIPLICATIVE)
         b = ctx.principal(y, MULTIPLICATIVE)
         if a & b != 1 << ctx.theta:
-            return {"U": u, "law": "meet"}
+            return {"U": ctx.points(u), "law": "meet"}
         total = closure(ctx.ring, members(ctx.sums(a, b)), ctx.side, RING)
         if total != ctx.whole:
-            return {"U": u, "law": "join"}
+            return {"U": ctx.points(u), "law": "join"}
     return None
 
 
 @_checker("L59.13", "unit")
 def _l59_13(ctx):
-    if (ctx.chi(frozenset()) != ctx.one
-            or ctx.chi(ctx.space.full) != ctx.theta):
+    if ctx.chi(0) != ctx.one or ctx.chi(ctx.all_classes) != ctx.theta:
         return {"law": "chi_empty = Id, chi_Z = theta"}
     for i in ctx.lattice.ideals:
         if not i.bits >> ctx.theta & 1:
@@ -1550,7 +1544,7 @@ def _l59_13(ctx):
 
 def _chi_content(ctx, i) -> tuple:
     """(the χ indices in the ideal i ascending, the same as a set)."""
-    xi = [f for f in _chi_set(ctx) if i.bits >> f & 1]
+    xi = [f for f in ctx.chi_set if i.bits >> f & 1]
     return xi, set(xi)
 
 
@@ -1576,7 +1570,7 @@ def _l59_14(ctx):
 @_checker("L59.15", "unit")
 def _l59_15(ctx):
     el = ctx.ring.elements
-    chis = _chi_set(ctx)
+    chis = ctx.chi_set
     for i in ctx.lattice.ideals:
         xi, inside = _chi_content(ctx, i)
         for g in xi:
@@ -1594,7 +1588,7 @@ def _l59_16(ctx):
 @_checker("L59.17", "unit", "primes")
 def _l59_17(ctx):
     el = ctx.ring.elements
-    chis = _chi_set(ctx)
+    chis = ctx.chi_set
     for i in ctx.primes:
         _, inside = _chi_content(ctx, i)
         for f in chis:
@@ -1612,7 +1606,7 @@ def _l59_18(ctx):
         for u, w, x, y in pairs:
             if (i.bits >> x & 1 and _add(ctx, x, y) == ctx.theta
                     and not i.bits >> y & 1):
-                return {"I": i, "U": u, "W": w}
+                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1623,7 +1617,7 @@ def _l59_19(ctx):
         for v, u, x, y in pairs:
             if (i.bits >> _mul(ctx, x, y) & 1
                     and i.bits >> _add(ctx, x, y) & 1 and not (v & u)):
-                return {"I": i, "V": v, "U": u}
+                return {"I": i, "V": ctx.points(v), "U": ctx.points(u)}
     return None
 
 
@@ -1672,9 +1666,9 @@ def _l64(ctx):
             continue
         pc = ctx.principal(y, MULTIPLICATIVE)
         if pc in degenerate:
-            return {"U": u, "law": "complement degenerate"}
+            return {"U": ctx.points(u), "law": "complement degenerate"}
         if pu & pc != 1 << ctx.theta:
-            return {"U": u, "law": "meet not trivial"}
+            return {"U": ctx.points(u), "law": "meet not trivial"}
     return None
 
 
@@ -1694,23 +1688,23 @@ def _l65(ctx):  # the nonzero indicator on Y is multiplicative
 def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
     from ..algebra import make_zmod
     two = FunctionRing(ctx.space, make_zmod(2), ctx.budget)
-    if len(two.elements) != len(ctx.clopens):
-        return {"clopens": len(ctx.clopens), "functions": len(two.elements)}
+    clopens = clopen_family(ctx.space)
+    if len(two.elements) != len(clopens):
+        return {"clopens": len(clopens), "functions": len(two.elements)}
     zsets = {two.zero_set(f) for f in two.elements}
-    if zsets != set(ctx.clopens):
+    if zsets != set(clopens):
         return {"law": "zero sets miss a clopen"}
     return None
 
 
 @_checker("L67", "char_two_ring", "unit")
 def _l67(ctx):  # complement identity for products of chi pairs
-    chi = ctx.chi
-    full = ctx.space.full
+    chi, every = ctx.chi, ctx.all_classes
     for u, w, _, _ in _chi_grid(ctx):
-        lhs = _add(ctx, _mul(ctx, chi(full - u), chi(full - w)),
-                   chi(full - (u | w)))
+        lhs = _add(ctx, _mul(ctx, chi(every ^ u), chi(every ^ w)),
+                   chi(every ^ (u | w)))
         if lhs != _add(ctx, chi(u | w), chi(u & w)):
-            return {"U": u, "W": w}
+            return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1729,14 +1723,13 @@ def _l68(ctx):  # componentwise product structure of the ring
 
 @_checker("L69", "ring_mode", "unit")
 def _l69(ctx):  # I(U) = (chi_U); I(U) and I(U^c) are comaximal
-    full = ctx.space.full
     for u in ctx.clopens:
-        iu = ctx.vanishing(u)
+        iu = ctx.vanishing(ctx.points(u))
         if iu != ctx.principal(ctx.chi(u)):
-            return {"U": u, "law": "I(U) = (chi_U)"}
-        sums = ctx.sums(iu, ctx.vanishing(full - u))
+            return {"U": ctx.points(u), "law": "I(U) = (chi_U)"}
+        sums = ctx.sums(iu, ctx.vanishing(ctx.points(ctx.all_classes ^ u)))
         if closure(ctx.ring, members(sums), ctx.side, ctx.mode) != ctx.whole:
-            return {"U": u, "law": "comaximal"}
+            return {"U": ctx.points(u), "law": "comaximal"}
     return None
 
 
@@ -1759,13 +1752,13 @@ def _l71(ctx):  # f vanishing beyond {z}: (f) strictly inside I(z)
 
 @_checker("L72")
 def _l72(ctx):  # the clopens at z intersect to the component itself
-    for c in ctx.ring.classes:
-        inter = ctx.space.full
+    for k, c in enumerate(ctx.ring.classes):
+        inter = ctx.all_classes
         for u in ctx.clopens:
-            if c <= u:
+            if u >> k & 1:
                 inter &= u
-        if ctx.vanishing(inter) != ctx.vanishing(c):
-            return {"z": c, "intersection": inter}
+        if ctx.vanishing(ctx.points(inter)) != ctx.vanishing(c):
+            return {"z": c, "intersection": ctx.points(inter)}
     return None
 
 
@@ -1809,7 +1802,7 @@ def _l75(ctx):  # both chi slices in I force f in I
             row = ring.row("mul", f)
             for u, x, y in pairs:
                 if i.bits >> row[x] & 1 and i.bits >> row[y] & 1:
-                    return {"I": i, "f": ring.elements[f], "U": u}
+                    return {"I": i, "f": ring.elements[f], "U": ctx.points(u)}
     return None
 
 
@@ -1829,16 +1822,15 @@ def _l76(ctx):  # an ideal escaping finitely many primes escapes their union
 
 @_checker("L31.C", "unit", "two_components")
 def _l31_c(ctx):  # disconnection surrogate: complementary idempotent pairs
-    full = ctx.space.full
     for u, a, b in _chi_pairs(ctx):
-        if not u or u == full:
+        if not u or u == ctx.all_classes:
             continue
         if _mul(ctx, a, a) != a or _mul(ctx, b, b) != b:
-            return {"U": u, "idempotent": False}
+            return {"U": ctx.points(u), "idempotent": False}
         if _mul(ctx, a, b) != ctx.theta:
-            return {"U": u, "product": "not theta"}
+            return {"U": ctx.points(u), "product": "not theta"}
         if ctx.algebra.add is not None and _add(ctx, a, b) != ctx.one:
-            return {"U": u, "sum": "not identity"}
+            return {"U": ctx.points(u), "sum": "not identity"}
     return None
 
 

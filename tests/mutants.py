@@ -42,6 +42,7 @@ FUNCSPACE = "tests/test_funcspace.py"
 CLI = "tests/test_cli.py"
 FAMILY = f"{IDEALS}::test_family_sets_incidence"
 GREEN = "tests/test_checkers.py::test_green_suite_on_fixed_instances"
+CHI_INDEX = "tests/test_context.py::test_chi_index_is_the_index_of_chi"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -138,13 +139,26 @@ MUTANTS = [
     Mutant("chi-clopen-test", "funcspace.py",
            "if not self.space.is_clopen(u):", "if not self.space.is_open(u):",
            (f"{FUNCSPACE}::test_chi_tests_clopenness_against_the_clopen_masks",)),
-    Mutant("chi-cache-key", "verify/checkers.py",
-           'return self._cached(("chi", u, a),', 'return self._cached(("chi", u),',
-           ("tests/test_context.py::test_chi_index_is_the_index_of_chi",)),
+    Mutant("chi-cache-key", "funcspace.py",
+           "if a not in self._chi_tables:", "if not self._chi_tables:",
+           (CHI_INDEX,)),
     Mutant("chi-content-backwards", "verify/checkers.py",
-           "return sorted({ctx.chi(u) for u in ctx.clopens})",
-           "return sorted({ctx.chi(u) for u in ctx.clopens}, reverse=True)",
+           "return tuple(sorted(self.ring.chi_table()))",
+           "return tuple(sorted(self.ring.chi_table(), reverse=True))",
            ("tests/test_context.py::test_planted_set_fails_the_chi_content_laws",)),
+
+    # -- clopens as class masks -------------------------------------------
+    Mutant("chi-table-digits-swapped", "funcspace.py",
+           "[x + a * w for x in table] + [x + z * w for x in table]",
+           "[x + z * w for x in table] + [x + a * w for x in table]",
+           (CHI_INDEX, FAMILY)),
+    Mutant("chi-pairs-complement-off-by-one-class", "verify/checkers.py",
+           "chi[ctx.all_classes ^ u]) for u in ctx.clopens]",
+           "chi[ctx.all_classes >> 1 ^ u]) for u in ctx.clopens]",
+           (GREEN,)),
+    Mutant("nested-grid-subset-reversed", "verify/checkers.py",
+           "return u & ~w == 0", "return w & ~u == 0",
+           (GREEN,)),
 
     # -- the command line -------------------------------------------------
     Mutant("cli-primes-check", "cli.py",

@@ -1,14 +1,20 @@
 import pytest
 
+from quasiring import topology
 from quasiring.algebra import make_table, make_zmod
 from quasiring.errors import (
     BudgetExceeded,
+    MissingAddition,
     MissingUnit,
-    NotClopen,
     UnknownChecker,
     ZeroValue,
 )
-from quasiring.topology import SequenceSpace, discrete_space, sierpinski_space
+from quasiring.topology import (
+    SequenceSpace,
+    discrete_space,
+    disjoint_union,
+    sierpinski_space,
+)
 from quasiring.verify import (
     BUDGET_EXCEEDED,
     Context,
@@ -130,7 +136,8 @@ def test_declared_hypotheses_exist():
 
 def test_unmet_notes_are_declared_without_a_unit():
     # 2Z_8 = {0, 2, 4, 6} as 0..3: a ring without a unit; and a magma
-    # without a unit or an addition.  Ring mode needs an addition table.
+    # without a unit or an addition (a·b = a for nonzero a, b), for which
+    # a ring-mode context is refused.
     two_z8 = make_table([[2 * a * b % 4 for b in range(4)] for a in range(4)],
                         zero=0, add=[[(a + b) % 4 for b in range(4)]
                                      for a in range(4)])
@@ -148,6 +155,10 @@ def test_unmet_notes_are_declared_without_a_unit():
                         assert r.note in declared, (cid, side, mode, r.note)
                         unmet += 1
     assert unmet > 100
+    for side in (RIGHT, LEFT, TWO_SIDED):
+        with pytest.raises(MissingAddition,
+                           match="ring mode needs an addition table"):
+            Context(discrete_space(2), no_add, side, RING)
 
 
 class _BodylessContext(Context):
@@ -171,14 +182,14 @@ def test_unmet_is_decided_before_the_body():
 def test_aliases_match_their_originals():
     checked = 0
     for c in fixed_contexts():
-        pairs = [("T25", "T24")]
+        pairs = [("T25", "T24"), ("L46", "T18")]
         if c.flags.zero_divisor_free:
             pairs.append(("L70", "L40"))
         for alias, original in pairs:
             a, b = run_checker(alias, c), run_checker(original, c)
             assert (a.verdict, a.witness) == (b.verdict, b.witness)
             checked += 1
-    assert checked == 11
+    assert checked == 17
 
 
 def test_l59_is_unmet_when_no_item_can_run():
@@ -201,19 +212,45 @@ def test_l59_requires_what_its_items_share():
 
 
 def test_context_chi_caches_results_and_never_errors():
+    # a clopen is a class mask, so a non-clopen U cannot be asked for; the
+    # ring's own chi still refuses one (test_chi_values_and_refusals)
     c = Context(sierpinski_space(), make_zmod(3), mode=RING)
     full = frozenset({0, 1})
-    assert c.chi(full, 2) is c.chi({0, 1}, 2)
-    assert c.chi(full, 2) == c.ring.index(c.ring.chi(full, 2))
-    assert c.chi(frozenset(), 1) != c.chi(frozenset(), 2)
+    assert c.ring.chi_table(2) is c.ring.chi_table(2)
+    assert c.ring.chi_table() is c.ring.chi_table(1)
+    assert c.chi(1, 2) == c.ring.index(c.ring.chi(full, 2))
+    assert c.chi(0, 1) != c.chi(0, 2)
     for _ in range(2):
-        with pytest.raises(NotClopen):
-            c.chi({0})
         with pytest.raises(ZeroValue):
-            c.chi(full, 0)
+            c.chi(1, 0)
     nonunital = Context(discrete_space(1),
                         make_table(((0, 0), (0, 0)), zero=0, unit=None),
                         mode=MULTIPLICATIVE)
     for _ in range(2):
         with pytest.raises(MissingUnit):
-            nonunital.chi(frozenset())
+            nonunital.chi(0)
+
+
+def _refuse(masks):
+    raise AssertionError("a checker enumerated a family of sets")
+
+
+def test_checkers_walk_class_masks_not_clopen_families(monkeypatch):
+    # a clopen is its class mask; only L66, whose content is comparing
+    # clopen_family with the zero sets of C(Z, Z_2), enumerates a family
+    contexts = [
+        Context(discrete_space(3), make_zmod(2), mode=RING),
+        Context(disjoint_union(sierpinski_space(), discrete_space(1)),
+                make_zmod(3), LEFT, RING),
+        Context(discrete_space(2), make_zmod(4), TWO_SIDED, MULTIPLICATIVE),
+    ]
+    monkeypatch.setattr(topology, "all_unions", _refuse)
+    ran = 0
+    for c in contexts:
+        for cid in GREEN_SUITE:
+            if cid == "L66":
+                continue
+            r = run_checker(cid, c)
+            assert r.verdict in (PASS, HYPOTHESIS_UNMET), (cid, r)
+            ran += r.verdict == PASS
+    assert ran > 150

@@ -18,7 +18,7 @@ from quasiring.ideals import (
     ideal_lattice,
     vanishing_ideal,
 )
-from quasiring.topology import discrete_space
+from quasiring.topology import clopen_family, discrete_space
 from quasiring.verify import FAIL, run_checker
 from quasiring.verify.checkers import Context
 
@@ -65,10 +65,13 @@ def test_chi_index_is_the_index_of_chi():
     for ctx in corpus_contexts():
         ring = ctx.ring
         offs = list(ctx.nonzero) + ([None] if ring.identity else [])
-        for u in ctx.clopens:
+        for c in ctx.clopens:
             for a in offs:
-                assert ctx.chi(u, a) == ring.index(ring.chi(u, a))
+                assert ctx.chi(c, a) == ring.index(ring.chi(ctx.points(c), a))
                 checked += 1
+        if ring.identity:
+            assert ctx.chi_set == tuple(sorted(
+                ring.index(ring.chi(u)) for u in clopen_family(ring.space)))
     assert checked > 1000
 
 
@@ -76,7 +79,8 @@ def test_vanishing_bitsets_match_the_definition():
     checked = 0
     for ctx in corpus_contexts():
         ring = ctx.ring
-        sets = ctx.point_sets + ctx.clopens + list(ring.classes)
+        sets = (ctx.point_sets + list(map(ctx.points, ctx.clopens))
+                + list(ring.classes))
         for u in sets:
             for b in ring.algebra.elements:
                 want = {f for f in ring.elements
@@ -175,14 +179,22 @@ def _failing(ctx, cid):
     return report.witness
 
 
+def _clopens(ring):
+    """The clopens in class-mask order: bit k for ring.classes[k]."""
+    return [frozenset().union(*(c for k, c in enumerate(ring.classes)
+                                if m >> k & 1))
+            for m in range(1 << len(ring.classes))]
+
+
 def test_planted_set_fails_the_chi_absorption_laws():
     ctx = PlantedContext()
     ring, planted = ctx.ring, set(PLANTED)
     full = ctx.space.full
-    chi = {u: ring.chi(u) for u in ctx.clopens}
+    clopens = _clopens(ring)
+    chi = {u: ring.chi(u) for u in clopens}
 
     def escapes(f):
-        return next((u for u in ctx.clopens
+        return next((u for u in clopens
                      if pointwise(ring, "mul", f, chi[u]) not in planted
                      or pointwise(ring, "mul", f, chi[full - u])
                      not in planted), None)
@@ -199,7 +211,7 @@ def test_planted_set_fails_the_chi_absorption_laws():
 
     # the least f outside holding both χ slices inside
     def held(g):
-        return next((u for u in ctx.clopens
+        return next((u for u in clopens
                      if pointwise(ring, "mul", g, chi[u]) in planted
                      and pointwise(ring, "mul", g, chi[full - u])
                      in planted), None)
@@ -214,7 +226,7 @@ def test_planted_set_fails_the_chi_absorption_laws():
 def test_planted_set_fails_the_chi_content_laws():
     ctx = PlantedContext()
     ring, planted = ctx.ring, set(PLANTED)
-    chis = sorted({ring.chi(u) for u in ctx.clopens})
+    chis = sorted({ring.chi(u) for u in clopen_family(ring.space)})
     content = [f for f in chis if f in planted]
 
     def outside(f, g):
@@ -235,10 +247,7 @@ def test_planted_set_fails_the_family_laws():
     ctx = PlantedContext()
     ring, full = ctx.ring, ctx.space.full
     ideals = [i.elements for i in ctx.lattice.ideals]
-    # the clopens in class-mask order: bit k for ring.classes[k]
-    clopens = [frozenset().union(*(c for k, c in enumerate(ring.classes)
-                                   if m >> k & 1))
-               for m in range(1 << len(ring.classes))]
+    clopens = _clopens(ring)
 
     def phi(u):
         """Φ_u: the positions of the lattice members holding χ_U."""
