@@ -9,16 +9,21 @@ quotient.  Value tuples are what ``elements``, witnesses and
 
 The engine computes on element indices: index i is ``elements[i]``, read
 as a mixed-radix number over Y with class 0 the most significant digit, so
-index order is tuple order, and a set of elements is an int bitset.  Rows
-of the ring's Cayley tables (Froidure & Pin, "Algorithms for computing
-finite semigroups", 1997) are built on demand from Y's tables, one digit at
-a time, and cached up to a fixed number of entries per ring.
+index order is tuple order, and a set of elements is an int bitset.  No
+value tuple is stored up front: ``elements`` decodes index i when it is
+read (and keeps what it decoded), and the zero set V(f) of every element
+is a class mask from ``zero_classes``, built digit by digit.  Rows of the
+ring's Cayley tables (Froidure & Pin, "Algorithms for computing finite
+semigroups", 1997) are built on demand from Y's tables, one digit at a
+time, and cached up to a fixed number of entries per ring.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import AlgebraTable, structure_flags
@@ -46,6 +51,48 @@ ROW_CACHE_ENTRIES = 2 ** 22
 FnElement = tuple  # Y-index per quasi-component, in class order
 
 
+class Elements(Sequence):
+    """Y^q in index order, read-only: iteration runs ``itertools.product``,
+    and ``[i]`` decodes index i by mixed radix (class 0 the most significant
+    digit), keeping each decoded tuple."""
+
+    def __init__(self, carrier_size: int, q: int):
+        self._m = carrier_size
+        self._q = q
+        self._len = carrier_size ** q
+        self._memo = {}
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return itertools.product(range(self._m), repeat=self._q)
+
+    def __contains__(self, f) -> bool:
+        return (isinstance(f, tuple) and len(f) == self._q
+                and all(d in range(self._m) for d in f))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
+        i, n = operator.index(i), self._len
+        if i < 0:
+            i += n
+        f = self._memo.get(i)
+        if f is None:
+            if not 0 <= i < n:
+                raise IndexError("ring element index out of range")
+            f = self._memo[i] = self._decode(i)
+        return f
+
+    def _decode(self, i: int) -> FnElement:
+        digits = []
+        for _ in range(self._q):
+            i, d = divmod(i, self._m)
+            digits.append(d)
+        return tuple(digits[::-1])
+
+
 class FunctionRing:
     """C(Z, Y) for an explicit space Z and a table algebra Y."""
 
@@ -66,8 +113,7 @@ class FunctionRing:
             raise BudgetExceeded(
                 f"{count} functions exceed the enumeration budget {budget}",
                 cap=budget, reached=count)
-        self.elements: tuple = tuple(
-            itertools.product(algebra.elements, repeat=len(self.classes)))
+        self.elements = Elements(algebra.carrier_size, len(self.classes))
         self.flags = structure_flags(algebra)
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
@@ -75,6 +121,7 @@ class FunctionRing:
         self._rows = {}
         self._row_entries = 0
         self._chi_tables = {}
+        self._zero_classes = None
 
     # -- element indices and Cayley tables ----------------------------------
 
@@ -123,6 +170,20 @@ class FunctionRing:
         period = m * s
         repeat = ((1 << len(self.elements)) - 1) // ((1 << period) - 1)
         return (((1 << s) - 1) << (b * s)) * repeat
+
+    def zero_classes(self) -> list:
+        """Per element index, the class mask of its zero set V(f) (bit c
+        for ``classes[c]``); cached.  One class more turns the masks of the
+        shorter tuples into [mask | bit for mask in masks for bit in bits],
+        bits holding the class's bit for each value."""
+        if self._zero_classes is None:
+            z = self.algebra.zero
+            masks = [0]
+            for c in range(len(self.classes)):
+                bits = [(d == z) << c for d in self.algebra.elements]
+                masks = [mask | bit for mask in masks for bit in bits]
+            self._zero_classes = masks
+        return self._zero_classes
 
     def _y_table(self, op: str) -> tuple:
         y = self.algebra

@@ -10,9 +10,10 @@ the characteristic-function families all live here.
 The work runs on element indices and Python-int bitsets (bit i is
 ``ring.elements[i]``), through the ring's Cayley-table rows
 (``FunctionRing.row``): one worklist closure gives every generated ideal,
-the lattice is a join loop over principal bitsets, and primality and the
-min/max tests are bit tests.  An ``Ideal`` holds its bitset; the frozenset
-of value tuples is built from it only when ``Ideal.elements`` is read.
+the lattice is a join loop over principal bitsets, the subset-scan oracle
+returns bitsets, and primality and the min/max tests are bit tests.  An
+``Ideal`` holds its bitset; value tuples are decoded from the ring only
+when ``Ideal.elements`` or a witness reads them.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class Ideal:
 @dataclass
 class IdealLattice:
     ring: FunctionRing
-    ideals: tuple              # all ideals, sorted by (size, elements)
+    ideals: tuple              # all ideals, in ``lattice_key`` order
     side: str
     mode: str
     complete: bool = True
@@ -184,7 +185,14 @@ def is_ideal_set(ring: FunctionRing, bits: int, side: str, mode: str) -> bool:
 
 def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
                           mode: str | None = None) -> set[frozenset]:
-    """Independent oracle: scan every subset of the ring (|ring| <= 16).
+    """The subset scan's ideals as frozensets of value tuples."""
+    return {elements_of(ring, b) for b in subset_scan(ring, side, mode)}
+
+
+def subset_scan(ring: FunctionRing, side: str = RIGHT,
+                mode: str | None = None) -> set[int]:
+    """Independent oracle: every ideal, as a bitset, found by scanning every
+    subset of the ring (|ring| <= 16).
 
     A subset absorbs when the union of its members' absorbing rows lies in
     it; that union is looked up in two tables over the subsets of the low
@@ -221,7 +229,7 @@ def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
         if sums is not None and any(not mask >> sums[a][b] & 1
                                     for a in bits for b in bits):
             continue
-        found.add(frozenset(ring.elements[i] for i in bits))
+        found.add(mask)
     return found
 
 
@@ -266,16 +274,24 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
             if not complete:
                 break
         frontier = new
-    order = sorted(ideals, key=lambda b: (b.bit_count(), members(b)))
+    order = sorted(ideals, key=lattice_key(n))
     lattice = IdealLattice(
         ring,
         tuple(Ideal(ring, b, side, mode) for b in order),
         side, mode, complete)
     if complete and n <= 16:
-        if ({i.elements for i in lattice.ideals}
-                != all_ideals_bruteforce(ring, side, mode)):
+        if ({i.bits for i in lattice.ideals}
+                != subset_scan(ring, side, mode)):
             raise CrossCheckFailed("join-closure disagrees with subset scan")
     return lattice
+
+
+def lattice_key(n: int):
+    """The lattice order on bitsets over n elements: by size, then by the
+    ascending member list.  Of two member lists of one size, the one
+    holding the least index where they differ comes first, so the tie
+    break is the bitset's n-bit reversal, negated."""
+    return lambda b: (b.bit_count(), -int(f"{b:0{n}b}"[::-1], 2))
 
 
 def prime_witness(ring: FunctionRing, inside: int):

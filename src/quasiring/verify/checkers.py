@@ -176,15 +176,10 @@ class Context:
         return [[ring.value_bits(c, b) for b in self.algebra.elements]
                 for c in range(len(ring.classes))]
 
-    @cached_property
+    @property
     def zero_classes(self) -> list:
         """Per element index, the class mask of its zero set V(f)."""
-        z = self.algebra.zero
-        masks = [0]
-        for c in range(len(self.ring.classes)):
-            masks = [mask | (d == z) << c
-                     for mask in masks for d in self.algebra.elements]
-        return masks
+        return self.ring.zero_classes()
 
     @cached_property
     def all_classes(self) -> int:
@@ -478,7 +473,9 @@ def _t11(ctx):  # the continuous functions of T and T1 are the same set
     other = FunctionRing(t1, ctx.algebra, ctx.budget)
     if quasi_component_partition(t1) != ctx.ring.classes:
         return {"partitions": "differ"}
-    if set(other.elements) != set(ctx.ring.elements):
+    # both in index order, so equal sets are equal sequences
+    if any(f != g for f, g in itertools.zip_longest(other.elements,
+                                                    ctx.ring.elements)):
         return {"elements": "differ"}
     return None
 

@@ -87,18 +87,20 @@ def _union_gap(family) -> tuple | None:
 def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
     """All intersections of the single-function zero sets V(f).
 
-    V(f) is read off each element of the ring: the union of the classes
-    where f's value is zero.  Union closure is checked and reported (it holds
-    under the zero-divisor hypothesis: V(f) ∪ V(g) = V(f·g)).
+    V(f) is read off each element of the ring: its class mask in
+    ``ring.zero_classes()``, the classes where f's value is zero.  Every
+    element's mask is read, and each distinct one becomes a point set once.
+    Union closure is checked and reported (it holds under the zero-divisor
+    hypothesis: V(f) ∪ V(g) = V(f·g)).
     """
     _require_no_zero_divisors(ring)
     space = ring.space
     full = (1 << space.point_count) - 1
     class_masks = [mask_of(c) for c in ring.classes]
-    zero = ring.algebra.zero
-    # per element, the classes where it is zero; each distinct pattern is one V(f)
-    patterns = {tuple(map(zero.__eq__, f)) for f in ring.elements}
-    basic = {sum(m for m, hit in zip(class_masks, p) if hit) for p in patterns}
+    # each distinct class mask of a V(f) is one V(f)
+    patterns = set(ring.zero_classes())
+    basic = {sum(m for c, m in enumerate(class_masks) if p >> c & 1)
+             for p in patterns}
     basic.add(full)  # V of the empty set
     # the cap counts only once the closure adds sets beyond the V(f)
     closed = _meet_closure(basic, max(MATERIALIZE_CAP, len(basic)))

@@ -43,6 +43,8 @@ CLI = "tests/test_cli.py"
 FAMILY = f"{IDEALS}::test_family_sets_incidence"
 GREEN = "tests/test_checkers.py::test_green_suite_on_fixed_instances"
 CHI_INDEX = "tests/test_context.py::test_chi_index_is_the_index_of_chi"
+DECODE = "tests/test_context.py::test_elements_decode_in_product_order"
+ZERO_CLASSES = "tests/test_context.py::test_zero_classes_match_the_value_tuples"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -78,6 +80,9 @@ MUTANTS = [
            "(b & o == b) if grow else (b & o == o)",
            "(b & o == o) if grow else (b & o == b)",
            (f"{IDEALS}::test_classification_matches_the_definitions",)),
+    Mutant("lattice-key-tie-break-not-negated", "ideals.py",
+           '-int(f"{b:0{n}b}"[::-1], 2)', 'int(f"{b:0{n}b}"[::-1], 2)',
+           (f"{IDEALS}::test_lattice_key_orders_as_the_member_lists",)),
     Mutant("subset-scan-addition-all-for-any", "ideals.py",
            "if sums is not None and any(", "if sums is not None and all(",
            (f"{IDEALS}::test_subset_scan_matches_the_ideal_laws",)),
@@ -125,8 +130,8 @@ MUTANTS = [
            "if len(family) > DEFAULT_ENUM_BUDGET + 1:",
            (f"{TOPOLOGY}::test_open_family_past_the_budget_is_refused",)),
     Mutant("zero-sets-complemented", "zariski.py",
-           "for m, hit in zip(class_masks, p) if hit)",
-           "for m, hit in zip(class_masks, p) if not hit)",
+           "for c, m in enumerate(class_masks) if p >> c & 1)",
+           "for c, m in enumerate(class_masks) if not p >> c & 1)",
            (f"{TOPOLOGY}::test_zariski_family_is_read_off_the_ring_elements",)),
 
     # -- rings, χ_U and the context ---------------------------------------
@@ -146,6 +151,21 @@ MUTANTS = [
            "return tuple(sorted(self.ring.chi_table()))",
            "return tuple(sorted(self.ring.chi_table(), reverse=True))",
            ("tests/test_context.py::test_planted_set_fails_the_chi_content_laws",)),
+
+    # -- value tuples decoded on demand, zero sets as class masks ----------
+    Mutant("decoder-digits-reversed", "funcspace.py",
+           "return tuple(digits[::-1])", "return tuple(digits)",
+           (DECODE,)),
+    Mutant("negative-index-not-wrapped", "funcspace.py",
+           "            i += n\n", "            pass\n",
+           (DECODE,)),
+    Mutant("decode-memo-keyed-by-wrapped-index", "funcspace.py",
+           "f = self._memo.get(i)", "f = self._memo.get(i % n)",
+           (DECODE,)),
+    Mutant("zero-classes-bits-reversed", "funcspace.py",
+           "bits = [(d == z) << c for d",
+           "bits = [(d == z) << (len(self.classes) - 1 - c) for d",
+           (ZERO_CLASSES,)),
 
     # -- clopens as class masks -------------------------------------------
     Mutant("chi-table-digits-swapped", "funcspace.py",

@@ -1,9 +1,12 @@
 """The checker context's index-level data against definitions on value
 tuples, and FAIL witnesses on a lattice with a planted non-ideal set."""
 
+import itertools
 from functools import cached_property
 
-from quasiring.algebra import make_zmod
+import pytest
+
+from quasiring.algebra import make_table, make_zmod
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
     LEFT,
@@ -18,7 +21,12 @@ from quasiring.ideals import (
     ideal_lattice,
     vanishing_ideal,
 )
-from quasiring.topology import clopen_family, discrete_space
+from quasiring.topology import (
+    clopen_family,
+    discrete_space,
+    disjoint_union,
+    sierpinski_space,
+)
 from quasiring.verify import FAIL, run_checker
 from quasiring.verify.checkers import Context
 
@@ -58,6 +66,50 @@ def _least_ideal(ring, f, side, mode):
         if grown == out:
             return out
         out = grown
+
+
+def _rings_with_merged_classes():
+    """The small corpus plus rings over spaces with a non-singleton
+    quasi-component, one with zero at Y-index 2."""
+    sier = disjoint_union(sierpinski_space(), discrete_space(2))
+    y = make_table([[1, 0, 2], [0, 1, 2], [2, 2, 2]], zero=2)
+    return [*small_ring_corpus(), FunctionRing(sier, make_zmod(3)),
+            FunctionRing(sier, y), FunctionRing(discrete_space(3), y)]
+
+
+def test_elements_decode_in_product_order():
+    for ring in _rings_with_merged_classes():
+        el, q = ring.elements, len(ring.classes)
+        want = list(itertools.product(ring.algebra.elements, repeat=q))
+        n = len(want)
+        assert len(el) == n
+        assert list(el) == want
+        assert [el[i] for i in range(n)] == want
+        assert [el[i] for i in range(-n, 0)] == want
+        assert el[-1] == want[-1] and el[-n] == want[0]
+        for cut in (slice(None), slice(1, -1, 2), slice(None, None, -1),
+                    slice(-3, None), slice(n, None)):
+            assert el[cut] == tuple(want[cut])
+        assert all(f in el for f in want)
+        m = ring.algebra.carrier_size
+        for f in [(0,) * (q + 1), (m,) * q, (-1,) * q, [0] * q, None]:
+            assert f not in el
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                el[i]
+        assert [ring.index(el[i]) for i in range(n)] == list(range(n))
+
+
+def test_zero_classes_match_the_value_tuples():
+    for ring in _rings_with_merged_classes():
+        z = ring.algebra.zero
+        want = [sum(1 << c for c, v in enumerate(f) if v == z)
+                for f in itertools.product(ring.algebra.elements,
+                                           repeat=len(ring.classes))]
+        assert ring.zero_classes() == want
+        ctx = Context(ring.space, ring.algebra)
+        assert ctx.zero_classes == want
+        assert ctx.zero_classes is ctx.ring.zero_classes()
 
 
 def test_chi_index_is_the_index_of_chi():

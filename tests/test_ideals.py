@@ -19,6 +19,8 @@ from quasiring.ideals import (
     generate_ideal,
     ideal_lattice,
     is_prime,
+    lattice_key,
+    members,
     prime_radical,
     principal_ideal,
     vanishing_ideal,
@@ -143,8 +145,8 @@ def test_lattice_budget_cut():
 
 def test_lattice_oracle_disagreement_raises(d2z3, monkeypatch):
     # the subset-scan cross-check must survive `python -O`
-    monkeypatch.setattr(ideals, "all_ideals_bruteforce",
-                        lambda ring, side, mode: {frozenset({ring.theta})})
+    monkeypatch.setattr(ideals, "subset_scan", lambda ring, side, mode: {
+        1 << ring.index(ring.theta)})
     with pytest.raises(CrossCheckFailed):
         ideal_lattice(d2z3, mode=RING)
 
@@ -211,6 +213,30 @@ def test_generate_ideal_is_the_least_ideal_of_the_subset_scan():
                     assert got.elements == least, (ring, seed, side, mode)
                     checked += 1
     assert checked > 1000
+
+
+def _member_list_key(b):
+    return b.bit_count(), members(b)
+
+
+def test_lattice_key_orders_as_the_member_lists():
+    rng = random.Random(11)
+    for n in range(1, 12):
+        bits = [rng.getrandbits(n) for _ in range(300)]
+        assert (sorted(bits, key=lattice_key(n))
+                == sorted(bits, key=_member_list_key))
+    lattices = 0
+    for ring in small_ring_corpus():
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                bits = [i.bits for i in ideal_lattice(ring, side, mode).ideals]
+                want = sorted(bits, key=_member_list_key)
+                assert bits == want
+                shuffled = bits[::-1]
+                rng.shuffle(shuffled)
+                assert sorted(shuffled, key=lattice_key(len(ring))) == want
+                lattices += 1
+    assert lattices > 100
 
 
 def test_classification_matches_the_definitions():

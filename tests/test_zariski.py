@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
+from quasiring import funcspace
 from quasiring.algebra import make_zmod
+from quasiring.cli import main
 from quasiring.errors import ZeroDivisorHypothesis
 from quasiring.funcspace import FunctionRing
 from quasiring.sets import SeqSet
@@ -54,3 +58,25 @@ def test_symbolic_zariski_closed_sets():
     assert z.is_closed(SeqSet.cofinite([0], infinity=True))
     assert not z.is_closed(SeqSet.cofinite([0], infinity=False))
     assert z.is_closed(SeqSet(frozenset(), False, True))  # just {inf}
+
+
+def _refuse(*args):
+    raise AssertionError("a value tuple was decoded")
+
+
+def test_zero_sets_and_analyze_decode_no_value_tuple(monkeypatch, tmp_path,
+                                                      capsys):
+    # 5^7 = 78125 elements: every V(f) comes from the per-element zero
+    # masks, without one value tuple being decoded or iterated
+    monkeypatch.setattr(funcspace.Elements, "_decode", _refuse)
+    monkeypatch.setattr(funcspace.Elements, "__iter__", _refuse)
+    ring = FunctionRing(discrete_space(7), make_zmod(5))
+    assert len(ring.elements) == 5 ** 7
+    zt = zariski_closed_family(ring)
+    assert len(zt.closed_family) == 2 ** 7 and zt.union_closed
+    spec = tmp_path / "big.qr"
+    spec.write_text("space Z discrete 7\nalgebra Y zmod 5\nring R = C(Z, Y)\n")
+    assert main(["analyze", str(spec), "--json"]) == 0
+    entry = json.loads(capsys.readouterr().out)["rings"][0]
+    assert entry["elements"] == 5 ** 7
+    assert entry["topology_comparisons"]["T1_vs_TZ"] == "equal"
