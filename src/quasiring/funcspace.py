@@ -26,7 +26,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import AlgebraTable, structure_flags
+from .algebra import AlgebraTable
 from .errors import (
     BudgetExceeded,
     InfiniteBackend,
@@ -54,7 +54,8 @@ FnElement = tuple  # Y-index per quasi-component, in class order
 class Elements(Sequence):
     """Y^q in index order, read-only: iteration runs ``itertools.product``,
     and ``[i]`` decodes index i by mixed radix (class 0 the most significant
-    digit), keeping each decoded tuple."""
+    digit), keeping each decoded tuple; ``take`` decodes many indices in
+    one call."""
 
     def __init__(self, carrier_size: int, q: int):
         self._m = carrier_size
@@ -74,16 +75,23 @@ class Elements(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
-        i, n = operator.index(i), self._len
-        if i < 0:
-            i += n
-        f = self._memo.get(i)
-        if f is None:
-            if not 0 <= i < n:
-                raise IndexError("ring element index out of range")
-            f = self._memo[i] = self._decode(i)
-        return f
+            return tuple(self.take(range(*i.indices(self._len))))
+        i = operator.index(i)
+        return self.take((i + self._len if i < 0 else i,))[0]
+
+    def take(self, indices) -> list:
+        """``[self[i] for i in indices]`` in one call, through the same memo;
+        an index outside range(len(self)) raises IndexError."""
+        memo, n = self._memo, self._len
+        out = []
+        for i in indices:
+            f = memo.get(i)
+            if f is None:
+                if not 0 <= i < n:
+                    raise IndexError("ring element index out of range")
+                f = memo[i] = self._decode(i)
+            out.append(f)
+        return out
 
     def _decode(self, i: int) -> FnElement:
         digits = []
@@ -114,7 +122,6 @@ class FunctionRing:
                 f"{count} functions exceed the enumeration budget {budget}",
                 cap=budget, reached=count)
         self.elements = Elements(algebra.carrier_size, len(self.classes))
-        self.flags = structure_flags(algebra)
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)

@@ -64,7 +64,7 @@ class Ideal:
         return self.bits == 1 << self.ring.index(self.ring.theta)
 
     def sorted_elements(self) -> list:
-        return [self.ring.elements[i] for i in members(self.bits)]
+        return self.ring.elements.take(members(self.bits))
 
     def __le__(self, other: "Ideal") -> bool:
         return self.bits & ~other.bits == 0
@@ -117,7 +117,7 @@ def bitset(indices) -> int:
 
 def elements_of(ring: FunctionRing, bits: int) -> frozenset:
     """The value tuples of the element indices in a bitset."""
-    return frozenset(ring.elements[i] for i in members(bits))
+    return frozenset(ring.elements.take(members(bits)))
 
 
 def _absorbing_rows(side: str) -> tuple:
@@ -191,13 +191,20 @@ def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
 
 def subset_scan(ring: FunctionRing, side: str = RIGHT,
                 mode: str | None = None) -> set[int]:
-    """Independent oracle: every ideal, as a bitset, found by scanning every
-    subset of the ring (|ring| <= 16).
+    """Independent oracle: every ideal, as a bitset, found by scanning the
+    subsets of the ring (|ring| <= 16).
 
-    A subset absorbs when the union of its members' absorbing rows lies in
-    it; that union is looked up in two tables over the subsets of the low
-    and of the high half of the indices.  Addition is tested only on the
-    subsets that absorb.
+    A subset absorbs when the union of its members' absorbing rows (its
+    reach) lies in it.  The indices split into a low and a high half, and
+    the reach of every subset of each half is tabled (Horowitz & Sahni,
+    JACM 1974).  A subset l | h << half holds θ and its reach exactly when
+    l holds the low part of its own reach, of h's reach and of θ, and h
+    holds the high part of its own reach, of l's reach and of θ.  So the
+    scan lists once the low halves closed under their own low reach,
+    skips every high half not closed under its own high reach or missing
+    θ's high bit, and pairs each remaining high half only with the listed
+    low halves that meet the two cross conditions.  Addition is tested
+    only on the subsets that absorb.
     """
     mode = default_mode(ring) if mode is None else mode
     n = len(ring.elements)
@@ -220,17 +227,21 @@ def subset_scan(ring: FunctionRing, side: str = RIGHT,
     sums = ([ring.row("add", a) for a in range(n)] if mode == RING
             else None)
     zbit = 1 << ring.index(ring.theta)
+    # the low halves closed under their low reach, each with its reach
+    # into the high half
+    lows = [(l, r >> half) for l, r in enumerate(reach_lo)
+            if not r & lo & ~l]
     found = set()
-    for mask in range(1 << n):
-        if not mask & zbit or (reach_lo[mask & lo]
-                               | reach_hi[mask >> half]) & ~mask:
+    for h, r in enumerate(reach_hi):
+        if (r | zbit) >> half & ~h:
             continue
-        bits = members(mask)
-        if sums is not None and any(not mask >> sums[a][b] & 1
-                                    for a in bits for b in bits):
-            continue
-        found.add(mask)
-    return found
+        need = (r | zbit) & lo
+        found.update(h << half | l for l, up in lows
+                     if l & need == need and not up & ~h)
+    if sums is None:
+        return found
+    return {mask for mask, bits in zip(found, map(members, found))
+            if all(mask >> sums[a][b] & 1 for a in bits for b in bits)}
 
 
 def ideal_lattice(ring: FunctionRing, side: str = RIGHT,

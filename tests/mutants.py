@@ -45,6 +45,8 @@ GREEN = "tests/test_checkers.py::test_green_suite_on_fixed_instances"
 CHI_INDEX = "tests/test_context.py::test_chi_index_is_the_index_of_chi"
 DECODE = "tests/test_context.py::test_elements_decode_in_product_order"
 ZERO_CLASSES = "tests/test_context.py::test_zero_classes_match_the_value_tuples"
+PLAIN_SCAN = f"{IDEALS}::test_pruned_subset_scan_matches_a_plain_scan"
+TAKE = f"{IDEALS}::test_take_decodes_a_bitset_as_indexing_does"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -84,8 +86,25 @@ MUTANTS = [
            '-int(f"{b:0{n}b}"[::-1], 2)', 'int(f"{b:0{n}b}"[::-1], 2)',
            (f"{IDEALS}::test_lattice_key_orders_as_the_member_lists",)),
     Mutant("subset-scan-addition-all-for-any", "ideals.py",
-           "if sums is not None and any(", "if sums is not None and all(",
+           "if all(mask >> sums[a][b] & 1", "if any(mask >> sums[a][b] & 1",
            (f"{IDEALS}::test_subset_scan_matches_the_ideal_laws",)),
+
+    # -- the subset scan's half-reach pruning: one mutant per condition ---
+    Mutant("scan-low-reach-into-low-dropped", "ideals.py",
+           "            if not r & lo & ~l]", "            if True]",
+           (PLAIN_SCAN,)),
+    Mutant("scan-high-reach-into-high-dropped", "ideals.py",
+           "if (r | zbit) >> half & ~h:", "if zbit >> half & ~h:",
+           (PLAIN_SCAN,)),
+    Mutant("scan-high-reach-into-low-dropped", "ideals.py",
+           "need = (r | zbit) & lo", "need = zbit & lo",
+           (PLAIN_SCAN,)),
+    Mutant("scan-low-reach-into-high-dropped", "ideals.py",
+           "if l & need == need and not up & ~h)", "if l & need == need)",
+           (PLAIN_SCAN,)),
+    Mutant("scan-theta-high-bit-ignored", "ideals.py",
+           "if (r | zbit) >> half & ~h:", "if r >> half & ~h:",
+           (PLAIN_SCAN,)),
 
     # -- spaces as minimal neighbourhoods ---------------------------------
     Mutant("nbhd-or-for-and", "topology.py", "u &= m", "u |= m",
@@ -157,11 +176,15 @@ MUTANTS = [
            "return tuple(digits[::-1])", "return tuple(digits)",
            (DECODE,)),
     Mutant("negative-index-not-wrapped", "funcspace.py",
-           "            i += n\n", "            pass\n",
+           "self.take((i + self._len if i < 0 else i,))",
+           "self.take((i,))",
            (DECODE,)),
     Mutant("decode-memo-keyed-by-wrapped-index", "funcspace.py",
-           "f = self._memo.get(i)", "f = self._memo.get(i % n)",
-           (DECODE,)),
+           "f = memo.get(i)", "f = memo.get(i % n)",
+           (DECODE, TAKE)),
+    Mutant("take-skips-the-range-check", "funcspace.py",
+           "if not 0 <= i < n:", "if not i < n:",
+           (TAKE,)),
     Mutant("zero-classes-bits-reversed", "funcspace.py",
            "bits = [(d == z) << c for d",
            "bits = [(d == z) << (len(self.classes) - 1 - c) for d",

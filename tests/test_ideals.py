@@ -8,13 +8,16 @@ from quasiring import ideals
 from quasiring.errors import CrossCheckFailed, IncompleteLattice, NotProper
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
+    Ideal,
     LEFT,
     MULTIPLICATIVE,
     RIGHT,
     RING,
     TWO_SIDED,
     all_ideals_bruteforce,
+    bitset,
     classify_primes,
+    elements_of,
     family_sets,
     generate_ideal,
     ideal_lattice,
@@ -197,6 +200,62 @@ def test_subset_scan_matches_the_ideal_laws():
     assert checked == 90
 
 
+def _plain_scan(ring, side):
+    """Every ideal in both modes, as bitsets, by testing each of the 2^n
+    subsets in turn: absorption one member's row at a time, then addition
+    pair by pair on the subsets that absorb."""
+    n, theta = len(ring), ring.index(ring.theta)
+    ops = {RIGHT: ("mul_t",), LEFT: ("mul",), TWO_SIDED: ("mul", "mul_t")}
+    rows = [(1 << g, bitset(ring.row(op, g)))
+            for g in range(n) for op in ops[side]]
+    absorbing = {mask for mask in range(1 << n) if mask >> theta & 1
+                 and not any(mask & gbit and row & ~mask
+                             for gbit, row in rows)}
+    closed = set()
+    for mask in absorbing:
+        bits = [g for g in range(n) if mask >> g & 1]
+        if all(mask >> ring.row("add", a)[b] & 1 for a in bits for b in bits):
+            closed.add(mask)
+    return {MULTIPLICATIVE: absorbing, RING: closed}
+
+
+def _relabelled(y, zero):
+    """y with its elements relabelled a -> (a + zero - y.zero) mod m, so the
+    copy's zero is the given index."""
+    m = y.carrier_size
+    to = [(a + zero - y.zero) % m for a in range(m)]
+    back = {b: a for a, b in enumerate(to)}
+
+    def table(t):
+        return [[to[t[back[a]][back[b]]] for b in range(m)] for a in range(m)]
+
+    return make_table(table(y.mul), zero=zero,
+                      unit=None if y.unit is None else to[y.unit],
+                      add=None if y.add is None else table(y.add))
+
+
+def test_pruned_subset_scan_matches_a_plain_scan():
+    """The half-reach pruning against a scan of all 2^n subsets, on the
+    corpus and on rings whose θ has its bit in the high half (Y's zero not
+    index 0), odd element counts among them."""
+    rings = list(small_ring_corpus())
+    rings += [FunctionRing(discrete_space(q), _relabelled(y, z))
+              for q, y, z in [(2, make_zmod(3), 2), (2, make_zmod(4), 3),
+                              (3, make_zmod(2), 1),
+                              (2, random_magma_ring(random.Random(9), 3), 1)]]
+    odd = high = 0
+    for ring in rings:
+        n, theta = len(ring), ring.index(ring.theta)
+        odd += n % 2
+        high += theta >= n // 2
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            want = _plain_scan(ring, side)
+            for mode in (MULTIPLICATIVE, RING):
+                assert (ideals.subset_scan(ring, side, mode)
+                        == want[mode]), (ring, side, mode)
+    assert odd >= 4 and high == 4
+
+
 def test_generate_ideal_is_the_least_ideal_of_the_subset_scan():
     rng = random.Random(5)
     checked = 0
@@ -213,6 +272,23 @@ def test_generate_ideal_is_the_least_ideal_of_the_subset_scan():
                     assert got.elements == least, (ring, seed, side, mode)
                     checked += 1
     assert checked > 1000
+
+
+def test_take_decodes_a_bitset_as_indexing_does():
+    rng = random.Random(13)
+    for ring in small_ring_corpus():
+        n = len(ring)
+        fresh = FunctionRing(ring.space, ring.algebra).elements
+        got = fresh.take(range(n))
+        assert all(fresh[i] is got[i] for i in range(n))    # one memo
+        for bits in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))]:
+            want = [ring.elements[i] for i in members(bits)]
+            assert ring.elements.take(members(bits)) == want
+            assert elements_of(ring, bits) == frozenset(want)
+            assert Ideal(ring, bits).sorted_elements() == want
+        for bad in ([n], [0, n + 3], [-1]):
+            with pytest.raises(IndexError):
+                ring.elements.take(bad)
 
 
 def _member_list_key(b):
