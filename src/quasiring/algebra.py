@@ -8,6 +8,7 @@ topology: a finite totally separated space has no other choice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,7 +25,9 @@ class StructureFlags:
     commutative: bool
     additive_associative: bool
     additive_commutative: bool
-    distributive: bool
+    left_distributive: bool         # a·(b+c) = a·b + a·c
+    right_distributive: bool        # (b+c)·a = b·a + c·a
+    distributive: bool              # both
     has_unit: bool
     char_two: bool
     zero_divisor_free: bool
@@ -133,16 +136,16 @@ def commutativity_witness(y: AlgebraTable, table=None):
     return None
 
 
+@functools.lru_cache(maxsize=64)
 def structure_flags(y: AlgebraTable) -> StructureFlags:
-    """Re-derive every hypothesis flag by exhaustive table scan."""
-    m = y.carrier_size
-    distributive = True
-    if y.add is not None:
-        for a, b, c in itertools.product(range(m), repeat=3):
-            if (y.times(a, y.plus(b, c)) != y.plus(y.times(a, b), y.times(a, c))
-                    or y.times(y.plus(b, c), a) != y.plus(y.times(b, a), y.times(c, a))):
-                distributive = False
-                break
+    """Re-derive every hypothesis flag by exhaustive table scan; kept for
+    the last 64 distinct tables (a table is immutable)."""
+    m, mul, add = y.carrier_size, y.mul, y.add
+    triples = list(itertools.product(range(m), repeat=3))
+    left = add is not None and all(
+        mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]] for a, b, c in triples)
+    right = add is not None and all(
+        mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]] for a, b, c in triples)
     char_two = (y.add is not None and y.unit is not None
                 and y.add[y.unit][y.unit] == y.zero)
     return StructureFlags(
@@ -152,7 +155,9 @@ def structure_flags(y: AlgebraTable) -> StructureFlags:
                               and associativity_witness(y, y.add) is None),
         additive_commutative=(y.add is not None
                               and commutativity_witness(y, y.add) is None),
-        distributive=y.add is not None and distributive,
+        left_distributive=left,
+        right_distributive=right,
+        distributive=left and right,
         has_unit=y.unit is not None,
         char_two=char_two,
         zero_divisor_free=not zero_divisors(y),

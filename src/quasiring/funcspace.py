@@ -129,6 +129,8 @@ class FunctionRing:
         self._row_entries = 0
         self._chi_tables = {}
         self._zero_classes = None
+        #: tables other modules derive from this ring, under their own keys
+        self.memo = {}
 
     # -- element indices and Cayley tables ----------------------------------
 

@@ -9,9 +9,11 @@ the characteristic-function families all live here.
 
 The work runs on element indices and Python-int bitsets (bit i is
 ``ring.elements[i]``), through the ring's Cayley-table rows
-(``FunctionRing.row``): one worklist closure gives every generated ideal,
-the lattice is a join loop over principal bitsets, the subset-scan oracle
-returns bitsets, and primality and the min/max tests are bit tests.  An
+(``FunctionRing.row``): one table per (side, mode) holds every principal
+ideal, ring-mode joins are additive spans where Y's tables allow it and
+worklist closures elsewhere, the lattice is a join loop over principal
+bitsets, the subset-scan oracle returns bitsets, and primality and the
+min/max tests are bit tests.  An
 ``Ideal`` holds its bitset; value tuples are decoded from the ring only
 when ``Ideal.elements`` or a witness reads them.
 """
@@ -22,12 +24,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
+    BudgetExceeded,
     CrossCheckFailed,
     IncompleteLattice,
     MissingAddition,
     MissingUnit,
     NotProper,
 )
+from .algebra import structure_flags
 from .funcspace import FnElement, FunctionRing, vanishing_elements
 
 RIGHT = "right"
@@ -158,6 +162,176 @@ def closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
     return bitset(seen)
 
 
+def span_applies(ring: FunctionRing, side: str) -> bool:
+    """Whether a ring-mode ideal is the additive span of its
+    multiplicative closure: Y's addition is associative and its
+    multiplication distributes over it on the side an ideal absorbs (f·g
+    on the right needs f·(a+b) = f·a + f·b, the left side the mirror law).
+    Then sums of absorbing elements absorb, so the span of an absorbing set
+    holding θ is an ideal.  The flags are cached on the ring."""
+    flags = ring.memo.get("flags")
+    if flags is None:
+        flags = ring.memo["flags"] = structure_flags(ring.algebra)
+    distributes = {RIGHT: flags.left_distributive,
+                   LEFT: flags.right_distributive,
+                   TWO_SIDED: flags.distributive}[side]
+    return flags.additive_associative and distributes
+
+
+#: byte 0 or 1 to the ASCII digit, for turning a 0/1 bytearray into a bitset
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def span(ring: FunctionRing, seeds) -> int:
+    """The additive span of θ and the seed indices, as a bitset, for an
+    associative addition: everything reached from θ by adding generators on
+    the right.  A BFS over ``add_t`` rows; a seed becomes a generator only
+    when the span so far lacks it, so the old members need only the new
+    generator's row and each new member needs every generator's row."""
+    n = len(ring.elements)
+    inside = bytearray(n)
+    theta = ring.index(ring.theta)
+    inside[theta] = 1
+    got = [theta]
+    rows = []
+    for g in seeds:
+        if inside[g]:
+            continue
+        row = ring.row("add_t", g)          # x -> x + g
+        rows.append(row)
+        todo = []
+        for y in map(row.__getitem__, got):
+            if not inside[y]:
+                inside[y] = 1
+                todo.append(y)
+        got += todo
+        while todo:
+            x = todo.pop()
+            for r in rows:
+                y = r[x]
+                if not inside[y]:
+                    inside[y] = 1
+                    todo.append(y)
+                    got.append(y)
+        if len(got) == n:
+            break
+    return int(inside.translate(_DIGITS)[::-1], 2)
+
+
+def _reach(ring: FunctionRing, side: str) -> list:
+    """Per element index g, the bitset of everything reachable from g in
+    the absorption graph (g -> each entry of g's absorbing rows), g
+    included.  Tarjan's SCCs (SIAM J. Comput. 1, 1972), iteratively: a
+    component is complete only after every component it reaches, so its
+    reach is its own members or-ed with those components' reaches."""
+    n = len(ring.elements)
+    ops = _absorbing_rows(side)
+
+    def successors(g):
+        return iter(set().union(*(ring.row(op, g) for op in ops)))
+
+    order = [-1] * n                # DFS discovery number
+    low = [0] * n
+    comp = [-1] * n                 # component of each finished vertex
+    reach = []                      # per component, in completion order
+    stack = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, successors(root))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, successors(w)))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:   # w on the stack
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    c = len(reach)
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = c
+                        scc.append(w)
+                        if w == v:
+                            break
+                    into = set()
+                    for u in scc:
+                        for op in ops:
+                            into.update(map(comp.__getitem__, ring.row(op, u)))
+                    bits = bitset(scc)
+                    for d in into - {c}:
+                        bits |= reach[d]
+                    reach.append(bits)
+    return [reach[c] for c in comp]
+
+
+#: the principal table holds n bitsets of n bits and walks n table rows of
+#: n entries; a ring past this many elements is refused
+PRINCIPAL_TABLE_CAP = 2 ** 12
+
+
+def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
+    """The principal ideal of every element index, as bitsets, built in
+    one pass and cached on the ring.
+
+    A multiplicative principal is θ's reach or-ed with the element's reach
+    in the absorption graph.  Under ``span_applies`` a ring-mode principal
+    is the additive span of the multiplicative one (each distinct one
+    spanned once); other tables close each element with ``closure``.
+    """
+    key = ("principals", side, mode)
+    table = ring.memo.get(key)
+    if table is not None:
+        return table
+    if mode == RING and ring.algebra.add is None:
+        raise MissingAddition("ring mode needs an addition table")
+    n = len(ring.elements)
+    if n > PRINCIPAL_TABLE_CAP:
+        raise BudgetExceeded(
+            f"the principal ideals of a {n}-element ring exceed the table "
+            f"cap {PRINCIPAL_TABLE_CAP}", cap=PRINCIPAL_TABLE_CAP, reached=n)
+    if mode == MULTIPLICATIVE:
+        reach = _reach(ring, side)
+        zero = reach[ring.index(ring.theta)]
+        table = tuple(r | zero for r in reach)
+    elif span_applies(ring, side):
+        mult = principal_table(ring, side, MULTIPLICATIVE)
+        spans = {m: span(ring, members(m)) for m in set(mult)}
+        table = tuple(map(spans.__getitem__, mult))
+    else:
+        table = tuple(closure(ring, [f], side, mode) for f in range(n))
+    ring.memo[key] = table
+    return table
+
+
+def join(ring: FunctionRing, a: int, b: int, side: str, mode: str) -> int:
+    """The least ideal holding the ideals a and b (each may also be any
+    bitset that holds θ and absorbs on the side).
+
+    Multiplicative ideals join as their union.  In ring mode under
+    ``span_applies`` the join is the span of a together with the members
+    of b that a lacks; other tables close the union with ``closure``.
+    """
+    if mode == MULTIPLICATIVE:
+        return a | b
+    if span_applies(ring, side):
+        return span(ring, members(a) + members(b & ~a))
+    return closure(ring, members(a | b), side, mode)
+
+
 def generate_ideal(ring: FunctionRing, seed, side: str = RIGHT,
                    mode: str | None = None) -> Ideal:
     """Least fixpoint of the ideal laws containing the seed set."""
@@ -249,17 +423,17 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     """All ideals, as the join-closure of the principal ideals.
 
     Complete on a finite ring because every ideal is a finite join of the
-    principal ideals of its elements.  The join of two multiplicative
-    ideals is their union (absorption on either side already covers every
-    internal product); in ring mode it is the closure of the union, and
-    each union is closed once.  Cross-validated against the subset scan
-    whenever the ring has at most 16 elements.
+    principal ideals of its elements.  The principals come from the ring's
+    ``principal_table``.  The join of two multiplicative ideals is their
+    union (absorption on either side already covers every internal
+    product); in ring mode it is ``join``, and each union is joined once.
+    Cross-validated against the subset scan whenever the ring has at most
+    16 elements.
     """
     mode = default_mode(ring) if mode is None else mode
     n = len(ring.elements)
     # bitsets, in the order found (dicts as ordered sets)
-    principals = dict.fromkeys(closure(ring, [f], side, mode)
-                               for f in range(n))
+    principals = dict.fromkeys(principal_table(ring, side, mode))
     ideals = dict(principals)
     tried = set(ideals)             # unions whose join is already listed
     complete = True
@@ -272,8 +446,7 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
                 if u in tried:
                     continue
                 tried.add(u)
-                j = (u if mode == MULTIPLICATIVE
-                     else closure(ring, members(u), side, mode))
+                j = join(ring, a, b, side, mode)
                 if j in ideals:
                     continue
                 tried.add(j)
@@ -306,25 +479,27 @@ def lattice_key(n: int):
 
 
 def prime_witness(ring: FunctionRing, inside: int):
-    """The least (f, g) with f·g inside and neither inside; None when the
-    proper ideal `inside` is prime."""
-    inner = set(members(inside))
-    outside = [g for g in range(len(ring.elements)) if g not in inner]
+    """The least index pair (f, g) with f·g inside and neither inside; None
+    when the proper ideal `inside` is prime.  Bit tests on the bitset."""
+    outside = members(~inside & (1 << len(ring.elements)) - 1)
     for f in outside:
         row = ring.row("mul", f)
-        if not inner.isdisjoint(map(row.__getitem__, outside)):
-            g = next(g for g in outside if row[g] in inner)
-            return ring.elements[f], ring.elements[g]
+        for g in outside:
+            if inside >> row[g] & 1:
+                return f, g
     return None
 
 
 def is_prime(ideal: Ideal):
-    """(verdict, witness): the least (f, g) with f·g inside, neither inside."""
+    """(verdict, witness): the least (f, g) with f·g inside, neither inside,
+    as value tuples."""
     ring = ideal.ring
     if not ideal.is_proper():
         raise NotProper("the whole ring is not a prime ideal")
     witness = prime_witness(ring, ideal.bits)
-    return witness is None, witness
+    if witness is None:
+        return True, None
+    return False, tuple(ring.elements.take(witness))
 
 
 def _outermost(bits: list, flags: dict, key: str, grow: bool):
@@ -355,10 +530,7 @@ def classify_primes(lattice: IdealLattice) -> IdealLattice:
         if b == whole:
             i.meta.update(is_prime=False, is_maximal=False)
             continue
-        witness = prime_witness(ring, b)
-        i.meta["is_prime"] = witness is None
-        if witness is not None:
-            i.meta["prime_witness"] = witness
+        i.meta["is_prime"] = prime_witness(ring, b) is None
     proper = [b for b in meta if b != whole]
     primes = [b for b in proper if meta[b]["is_prime"]]
     _outermost(proper, meta, "is_maximal", grow=True)

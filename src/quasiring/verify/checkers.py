@@ -42,14 +42,15 @@ from ..ideals import (
     Ideal,
     bitset,
     classify_primes,
-    closure,
     elements_of,
     family_sets,
     ideal_lattice,
     is_ideal_set,
+    join,
     members,
     prime_radical,
     prime_witness,
+    principal_table,
 )
 from ..topology import (
     SequenceSpace,
@@ -217,20 +218,21 @@ class Context:
         return out
 
     def principal(self, f: int, mode: str | None = None) -> int:
-        """The principal ideal of element index f as a bitset, cached; the
-        mode defaults to the context's."""
+        """The principal ideal of element index f as a bitset, read from
+        the ring's principal table; the mode defaults to the context's."""
         mode = self.mode if mode is None else mode
-        return self._cached(("principal", f, mode),
-                            lambda: closure(self.ring, [f], self.side, mode))
+        return principal_table(self.ring, self.side, mode)[f]
 
-    def sums(self, a: int, b: int) -> int:
-        """Every x + y with x in the bitset a and y in the bitset b."""
-        ring = self.ring
-        right = members(b)
-        out = set()
-        for x in members(a):
-            out.update(map(ring.row("add", x).__getitem__, right))
-        return bitset(out)
+    def join(self, a: int, b: int, mode: str | None = None) -> int:
+        """The least ideal holding the members of the bitsets a and b, both
+        holding θ; the mode defaults to the context's.  Or-ing in each
+        member's multiplicative principal makes b absorb before ``join``,
+        so a and b need not be ideals."""
+        mode = self.mode if mode is None else mode
+        mult = principal_table(self.ring, self.side, MULTIPLICATIVE)
+        for x in members(a | b):
+            b |= mult[x]
+        return join(self.ring, a, b, self.side, mode)
 
     def b_values(self):
         """All of Y on tiny carriers, just 0 otherwise."""
@@ -671,8 +673,7 @@ def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
 def _t23(ctx):  # with complements, prime + ideal stays prime while proper
     for i1 in ctx.primes:
         for i2 in ctx.lattice.ideals:
-            total = closure(ctx.ring, members(ctx.sums(i1.bits, i2.bits)),
-                            ctx.side, ctx.mode)
+            total = ctx.join(i1.bits, i2.bits)
             if total == ctx.whole:
                 continue
             found = ctx.lattice.find(total)
@@ -993,7 +994,7 @@ def _l30(ctx):
         for c in ring.classes:
             w = prime_witness(ring, ctx.vanishing(c))
             if w is not None:
-                return {"z": c, "witness": w}
+                return {"z": c, "witness": tuple(ring.elements.take(w))}
     return None
 
 
@@ -1523,7 +1524,7 @@ def _l59_12(ctx):
         b = ctx.principal(y, MULTIPLICATIVE)
         if a & b != 1 << ctx.theta:
             return {"U": ctx.points(u), "law": "meet"}
-        total = closure(ctx.ring, members(ctx.sums(a, b)), ctx.side, RING)
+        total = ctx.join(a, b, RING)
         if total != ctx.whole:
             return {"U": ctx.points(u), "law": "join"}
     return None
@@ -1645,8 +1646,7 @@ def _l61(ctx):
     if ctx.flags.char_two and ctx.mode == RING:
         for i1 in ctx.lattice.ideals:
             for i2 in ctx.lattice.ideals:
-                total = closure(ctx.ring, members(ctx.sums(i1.bits, i2.bits)),
-                                ctx.side, ctx.mode)
+                total = ctx.join(i1.bits, i2.bits)
                 if any(not total >> _add(ctx, f, g) & 1
                        for f in members(x[i1.bits])
                        for g in members(x[i2.bits])):
@@ -1724,8 +1724,8 @@ def _l69(ctx):  # I(U) = (chi_U); I(U) and I(U^c) are comaximal
         iu = ctx.vanishing(ctx.points(u))
         if iu != ctx.principal(ctx.chi(u)):
             return {"U": ctx.points(u), "law": "I(U) = (chi_U)"}
-        sums = ctx.sums(iu, ctx.vanishing(ctx.points(ctx.all_classes ^ u)))
-        if closure(ctx.ring, members(sums), ctx.side, ctx.mode) != ctx.whole:
+        iuc = ctx.vanishing(ctx.points(ctx.all_classes ^ u))
+        if ctx.join(iu, iuc) != ctx.whole:
             return {"U": ctx.points(u), "law": "comaximal"}
     return None
 

@@ -47,6 +47,9 @@ DECODE = "tests/test_context.py::test_elements_decode_in_product_order"
 ZERO_CLASSES = "tests/test_context.py::test_zero_classes_match_the_value_tuples"
 PLAIN_SCAN = f"{IDEALS}::test_pruned_subset_scan_matches_a_plain_scan"
 TAKE = f"{IDEALS}::test_take_decodes_a_bitset_as_indexing_does"
+PRINCIPALS = f"{IDEALS}::test_principal_table_matches_per_element_closure"
+JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
+SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -88,6 +91,26 @@ MUTANTS = [
     Mutant("subset-scan-addition-all-for-any", "ideals.py",
            "if all(mask >> sums[a][b] & 1", "if any(mask >> sums[a][b] & 1",
            (f"{IDEALS}::test_subset_scan_matches_the_ideal_laws",)),
+
+    # -- one principal table, ring-mode joins as additive spans -----------
+    Mutant("scc-reach-drops-a-successor", "ideals.py",
+           "for d in into - {c}:", "for d in into - {c, c - 1}:",
+           (PRINCIPALS,)),
+    Mutant("span-skips-its-last-generator", "ideals.py",
+           "            for r in rows:\n", "            for r in rows[:-1]:\n",
+           (SPAN,)),
+    Mutant("span-hypothesis-forced-true", "ideals.py",
+           "return flags.additive_associative and distributes", "return True",
+           (PRINCIPALS, JOIN)),
+    Mutant("context-join-skips-absorption", "verify/checkers.py",
+           "            b |= mult[x]\n", "            pass\n",
+           (JOIN,)),
+    Mutant("span-hypothesis-sides-swapped", "ideals.py",
+           "{RIGHT: flags.left_distributive,\n"
+           "                   LEFT: flags.right_distributive,",
+           "{RIGHT: flags.right_distributive,\n"
+           "                   LEFT: flags.left_distributive,",
+           (PRINCIPALS,)),
 
     # -- the subset scan's half-reach pruning: one mutant per condition ---
     Mutant("scan-low-reach-into-low-dropped", "ideals.py",

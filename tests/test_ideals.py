@@ -3,9 +3,14 @@ import random
 
 import pytest
 
-from quasiring.algebra import make_table, make_zmod
+from quasiring.algebra import make_table, make_zmod, structure_flags
 from quasiring import ideals
-from quasiring.errors import CrossCheckFailed, IncompleteLattice, NotProper
+from quasiring.errors import (
+    BudgetExceeded,
+    CrossCheckFailed,
+    IncompleteLattice,
+    NotProper,
+)
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
     Ideal,
@@ -17,15 +22,19 @@ from quasiring.ideals import (
     all_ideals_bruteforce,
     bitset,
     classify_primes,
+    closure,
     elements_of,
     family_sets,
     generate_ideal,
     ideal_lattice,
     is_prime,
+    join,
     lattice_key,
     members,
     prime_radical,
     principal_ideal,
+    principal_table,
+    span_applies,
     vanishing_ideal,
 )
 from quasiring import topology
@@ -272,6 +281,149 @@ def test_generate_ideal_is_the_least_ideal_of_the_subset_scan():
                     assert got.elements == least, (ring, seed, side, mode)
                     checked += 1
     assert checked > 1000
+
+
+SIDES = (RIGHT, LEFT, TWO_SIDED)
+
+
+def one_sided_rings():
+    """C(discrete 2, Y) for a 3-element Y whose addition is max (so
+    associative) and whose multiplication distributes over it on the left
+    only, then for its mirror, which distributes on the right only."""
+    add = [[max(a, b) for b in range(3)] for a in range(3)]
+    mul = [[0, 0, 0], [0, 0, 2], [0, 1, 1]]
+    mirror = [list(col) for col in zip(*mul)]
+    return [FunctionRing(discrete_space(2), make_table(t, zero=0, add=add))
+            for t in (mul, mirror)]
+
+
+def test_principal_table_matches_per_element_closure():
+    """The one-pass table against ``closure`` of each element, on every
+    side and mode; rings whose addition is not associative or does not
+    distribute on the side take the fallback path."""
+    left, right = one_sided_rings()
+    fallback = spanned = 0
+    for ring in [*small_ring_corpus(), left, right]:
+        flags = structure_flags(ring.algebra)
+        both = flags.additive_associative and flags.distributive
+        paths = [span_applies(ring, side) for side in SIDES]
+        if ring is left:
+            assert paths == [True, False, False]
+        elif ring is right:
+            assert paths == [False, True, False]
+        else:
+            assert paths == [both] * 3
+        for side, fast in zip(SIDES, paths):
+            modes = [MULTIPLICATIVE]
+            if ring.algebra.add is not None:
+                modes.append(RING)
+                fallback += not fast
+                spanned += fast
+            for mode in modes:
+                want = [closure(ring, [f], side, mode)
+                        for f in range(len(ring))]
+                assert list(principal_table(ring, side, mode)) == want, (
+                    ring, side, mode)
+    assert fallback >= 20 and spanned >= 20
+
+
+def _sum_closure(ring, seeds):
+    """θ and the seeds, closed under addition pair by pair."""
+    out = {ring.index(ring.theta), *seeds}
+    while True:
+        grown = out | {ring.row("add", a)[b] for a in out for b in out}
+        if grown == out:
+            return bitset(out)
+        out = grown
+
+
+def test_span_is_the_additive_closure():
+    """``span`` of arbitrary seeds (not absorbing) against closing under
+    addition pair by pair, on every ring whose addition is associative."""
+    rng = random.Random(17)
+    checked = 0
+    for ring in [*small_ring_corpus(), *one_sided_rings()]:
+        y = ring.algebra
+        if y.add is None or not structure_flags(y).additive_associative:
+            continue
+        n = len(ring)
+        for k in (1, 1, 2, 3):
+            seeds = rng.sample(range(n), min(k, n))
+            assert ideals.span(ring, seeds) == _sum_closure(ring, seeds)
+            checked += 1
+    assert checked > 30
+
+
+def zero_left_absorbing_ring():
+    """C(discrete 2, Y) for a 3-element Y under max whose zero absorbs on
+    the left only (1·0 = 1), so its vanishing sets do not absorb f·g."""
+    add = [[max(a, b) for b in range(3)] for a in range(3)]
+    mul = [[0, 0, 0], [1, 1, 2], [1, 2, 2]]
+    return FunctionRing(discrete_space(2),
+                        make_table(mul, zero=0, zero_side=LEFT, add=add))
+
+
+def test_join_matches_closure_of_the_union():
+    """The joins the checkers take, against ``closure`` of the union:
+    lattice ideals (T23, L59.19), multiplicative principals (L59.12),
+    I(U) with I(U^c) (L69) and random sets holding θ, through
+    ``Context.join``; the ideal pairs through ``join`` too."""
+    rng = random.Random(23)
+    checked = 0
+    for ring in [*small_ring_corpus(), *one_sided_rings(),
+                 zero_left_absorbing_ring()]:
+        n, classes = len(ring), ring.classes
+        everything = (1 << len(classes)) - 1
+
+        def vanishing(c):
+            return ideals.vanishing_elements(ring, [
+                p for k, cls in enumerate(classes) if c >> k & 1 for p in cls])
+
+        modes = [MULTIPLICATIVE] if ring.algebra.add is None else [
+            MULTIPLICATIVE, RING]
+        for side in SIDES:
+            mult = principal_table(ring, side, MULTIPLICATIVE)
+            for mode in modes:
+                ideal_pairs = [(a, b) for a in mult for b in mult]
+                if mode == RING:
+                    lattice = [i.bits for i in
+                               ideal_lattice(ring, side, mode).ideals]
+                    ideal_pairs += [(a, b) for a in lattice for b in lattice]
+                theta = 1 << ring.index(ring.theta)
+                other_pairs = [(vanishing(c), vanishing(everything ^ c))
+                               for c in range(everything + 1)]
+                other_pairs += [(theta | rng.getrandbits(n),
+                                 theta | rng.getrandbits(n))
+                                for _ in range(8)]
+                ctx = Context(ring.space, ring.algebra, side, mode)
+                for a, b in ideal_pairs + other_pairs:
+                    want = closure(ring, members(a | b), side, mode)
+                    assert ctx.join(a, b) == want, (ring, side, mode)
+                    checked += 1
+                for a, b in ideal_pairs:
+                    assert join(ring, a, b, side, mode) == closure(
+                        ring, members(a | b), side, mode)
+    assert checked > 5000
+
+
+def test_ring_mode_lattices_past_the_subset_scan():
+    """Ring-mode lattices of Z_n^q past 16 elements: τ(n)^q ideals, q·ω(n)
+    primes, a radical of (n/rad n)^q elements."""
+    for q, n, count, primes, radical in [(4, 4, 81, 4, 16), (5, 3, 32, 5, 1)]:
+        ring = FunctionRing(discrete_space(q), make_zmod(n))
+        lat = classify_primes(ideal_lattice(ring, mode=RING))
+        assert lat.complete and len(lat.ideals) == count
+        assert len(lat.primes()) == primes
+        assert len(prime_radical(lat)) == radical
+
+
+def test_principal_table_past_its_cap_is_refused():
+    ring = FunctionRing(discrete_space(13), make_zmod(2))
+    for mode in (MULTIPLICATIVE, RING):
+        with pytest.raises(BudgetExceeded) as exc:
+            principal_table(ring, RIGHT, mode)
+        assert (exc.value.cap, exc.value.reached) == (
+            ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)
 
 
 def test_take_decodes_a_bitset_as_indexing_does():
