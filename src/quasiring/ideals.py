@@ -98,8 +98,11 @@ class IdealLattice:
             self._index = {i.bits: i for i in self.ideals}
         return self._index.get(bits)
 
-    def proper(self) -> list[Ideal]:
-        return [i for i in self.ideals if i.is_proper()]
+    def proper(self) -> tuple:
+        """The ideals other than the whole ring, built once."""
+        if not hasattr(self, "_proper"):
+            self._proper = tuple(i for i in self.ideals if i.is_proper())
+        return self._proper
 
     def primes(self) -> list[Ideal]:
         if not self.classified:

@@ -13,13 +13,10 @@ repository notes).
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from collections.abc import Callable
-from functools import cached_property
 from typing import NamedTuple
 
-from ..algebra import structure_flags
 from ..errors import (
     BudgetExceeded,
     IncompleteLattice,
@@ -27,33 +24,21 @@ from ..errors import (
     MissingUnit,
     UnknownChecker,
 )
-from ..funcspace import (
-    DEFAULT_ENUM_BUDGET,
-    FunctionRing,
-    transport,
-    vanishing_elements,
-)
+from ..funcspace import FunctionRing, transport, vanishing_elements
 from ..ideals import (
     FAMILIES_NOTE,
     MULTIPLICATIVE,
-    RIGHT,
     RING,
     TWO_SIDED,
     Ideal,
     bitset,
-    classify_primes,
     elements_of,
-    family_sets,
-    ideal_lattice,
     is_ideal_set,
-    join,
     members,
     prime_radical,
     prime_witness,
-    principal_table,
 )
 from ..topology import (
-    SequenceSpace,
     clopen_base_topology,
     clopen_family,
     quasi_component,
@@ -62,6 +47,7 @@ from ..topology import (
 )
 from ..sets import INF, SeqSet
 from ..zariski import compare_T1_TZ_T, zariski_closed_family
+from .context import Context
 from .report import (
     BUDGET_EXCEEDED,
     FAIL,
@@ -70,207 +56,6 @@ from .report import (
     SKIPPED_INFINITE,
     TheoremReport,
 )
-
-
-class Context:
-    """Lazily built derived data for one (space, algebra, side, mode).
-
-    Ring-level data lives on element indices: a set of elements is a bitset
-    (bit i for ``ring.elements[i]``), and a set of quasi-components a class
-    mask (bit c for ``ring.classes[c]``).  On a finite space every clopen
-    set is a union of quasi-components, so a clopen is its class mask.
-    Every cache is built once per context, when a checker first needs it.
-    """
-
-    def __init__(self, space, algebra, side: str = RIGHT, mode: str | None = None,
-                 budget: int = DEFAULT_ENUM_BUDGET, seed: int = 0):
-        self.space = space
-        self.algebra = algebra
-        self.side = side
-        self.flags = structure_flags(algebra)
-        if mode is None:
-            mode = RING if algebra.add is not None else MULTIPLICATIVE
-        if mode == RING and algebra.add is None:
-            raise MissingAddition("ring mode needs an addition table")
-        self.mode = mode
-        self.budget = budget
-        self.seed = seed
-        self.is_sequence = isinstance(space, SequenceSpace)
-        self._memo = {}
-
-    @cached_property
-    def ring(self) -> FunctionRing:
-        return FunctionRing(self.space, self.algebra, self.budget)
-
-    #: bail out of lattice enumeration past this many ideals, and skip
-    #: lattice work altogether on rings past this many elements; the
-    #: checkers then report BUDGET_EXCEEDED instead of stalling
-    lattice_budget = 1200
-    lattice_ring_cap = 160
-
-    @cached_property
-    def lattice(self):
-        n = len(self.ring.elements)
-        if n > self.lattice_ring_cap:
-            raise BudgetExceeded(
-                f"lattice classification on a {n}-element ring exceeds the "
-                f"checker budget (cap {self.lattice_ring_cap})",
-                cap=self.lattice_ring_cap, reached=n)
-        lat = ideal_lattice(self.ring, self.side, self.mode,
-                            budget=self.lattice_budget)
-        classify_primes(lat)
-        return lat
-
-    @cached_property
-    def primes(self):
-        return [i for i in self.lattice.ideals if i.meta.get("is_prime")]
-
-    @cached_property
-    def clopens(self) -> range:
-        """Every clopen set, as its class mask."""
-        return range(1 << len(self.ring.classes))
-
-    @cached_property
-    def families(self):
-        return family_sets(self.lattice)
-
-    @cached_property
-    def nonzero(self):
-        z = self.algebra.zero
-        return [a for a in self.algebra.elements if a != z]
-
-    @cached_property
-    def whole(self) -> int:
-        """Every element of the ring, as a bitset."""
-        return (1 << len(self.ring.elements)) - 1
-
-    @cached_property
-    def theta(self) -> int:
-        """The index of the zero function."""
-        return self.ring.index(self.ring.theta)
-
-    @cached_property
-    def one(self) -> int:
-        """The index of the identity function (Y must have a unit)."""
-        return self.ring.index(self.ring.identity)
-
-    def _cached(self, key, make):
-        """The value under key, made by make() on first use and kept."""
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = make()
-        return out
-
-    def chi(self, c: int, a=None) -> int:
-        """The index of χ_U with off-value a, U the class mask c."""
-        return self.ring.chi_table(a)[c]
-
-    @cached_property
-    def chi_set(self) -> tuple:
-        """The χ_U indices, ascending."""
-        return tuple(sorted(self.ring.chi_table()))
-
-    @cached_property
-    def value_bits(self) -> list:
-        """Per class c and value b, the elements equal to b on c."""
-        ring = self.ring
-        return [[ring.value_bits(c, b) for b in self.algebra.elements]
-                for c in range(len(ring.classes))]
-
-    @property
-    def zero_classes(self) -> list:
-        """Per element index, the class mask of its zero set V(f)."""
-        return self.ring.zero_classes()
-
-    @cached_property
-    def all_classes(self) -> int:
-        return (1 << len(self.ring.classes)) - 1
-
-    def points(self, classes: int) -> frozenset:
-        """The points of the classes in a class mask, cached."""
-        return self._cached(("points", classes), lambda: frozenset().union(
-            *(self.ring.classes[c] for c in members(classes))))
-
-    def vanishing(self, points: frozenset, b=None) -> int:
-        """I(U, b) as a bitset, cached: the AND over the classes meeting U
-        of the elements equal to b there."""
-        return self._cached(("I", points, b),
-                            lambda: vanishing_elements(self.ring, points, b))
-
-    def zero_locus(self, bits: int, b=None) -> int:
-        """V(J, b) as a class mask: the classes on which every member of
-        the bitset J equals b (every class when J is empty)."""
-        b = self.algebra.zero if b is None else b
-        out = 0
-        for c, by_value in enumerate(self.value_bits):
-            if bits & ~by_value[b] == 0:
-                out |= 1 << c
-        return out
-
-    def equiv(self, bits: int, x: int) -> int:
-        """[x]_J as a class mask: the classes on which every member of the
-        bitset J takes its value at x."""
-        at_x = self.value_bits[self.ring.class_of[x]]
-        out = 0
-        for c, by_value in enumerate(self.value_bits):
-            if all(bits & vx & ~vc == 0 for vx, vc in zip(at_x, by_value)):
-                out |= 1 << c
-        return out
-
-    def principal(self, f: int, mode: str | None = None) -> int:
-        """The principal ideal of element index f as a bitset, read from
-        the ring's principal table; the mode defaults to the context's."""
-        mode = self.mode if mode is None else mode
-        return principal_table(self.ring, self.side, mode)[f]
-
-    def join(self, a: int, b: int, mode: str | None = None) -> int:
-        """The least ideal holding the members of the bitsets a and b, both
-        holding θ; the mode defaults to the context's.  Or-ing in each
-        member's multiplicative principal makes b absorb before ``join``,
-        so a and b need not be ideals."""
-        mode = self.mode if mode is None else mode
-        mult = principal_table(self.ring, self.side, MULTIPLICATIVE)
-        for x in members(a | b):
-            b |= mult[x]
-        return join(self.ring, a, b, self.side, mode)
-
-    def b_values(self):
-        """All of Y on tiny carriers, just 0 otherwise."""
-        if self.algebra.carrier_size <= 4:
-            return list(self.algebra.elements)
-        return [self.algebra.zero]
-
-    @cached_property
-    def fn_families(self) -> list:
-        """Families J as bitsets: {θ}, the ring, four seeded samples."""
-        n = len(self.ring.elements)
-        rng = random.Random(self.seed * 7919 + 11)
-        fams = [1 << self.theta, self.whole]
-        for _ in range(4):
-            k = rng.randint(1, min(4, n))
-            fams.append(bitset(rng.sample(range(n), k)))
-        return fams
-
-    @cached_property
-    def point_sets(self) -> list:
-        """The space, each point and four seeded samples, without repeats."""
-        pts = list(self.space.points)
-        rng = random.Random(self.seed * 104729 + 3)
-        out = [frozenset(pts)] + [frozenset({p}) for p in pts]
-        for _ in range(4):
-            k = rng.randint(1, len(pts))
-            out.append(frozenset(rng.sample(pts, k)))
-        return list(dict.fromkeys(out))
-
-    def ideal_pool(self, limit: int = 96):
-        """The whole lattice when small, else a seeded sample of it."""
-        ideals = self.lattice.ideals
-        if len(ideals) <= limit:
-            return list(ideals)
-        rng = random.Random(self.seed * 31337 + 5)
-        keep = {0, len(ideals) - 1}
-        keep.update(rng.sample(range(len(ideals)), limit - 2))
-        return [ideals[k] for k in sorted(keep)]
 
 
 # --------------------------------------------------------------------------
@@ -390,17 +175,30 @@ def _unmet(ctx, checker: Checker) -> str | None:
         names += REGISTRY[member].requires
     for name in names:
         holds, note = HYPOTHESES[name]
-        if not holds(ctx):
+        # booleans only: a predicate that raises is asked again next time
+        ok = ctx.memo.get(name)
+        if ok is None:
+            ok = ctx.memo[name] = holds(ctx)
+        if not ok:
             return note
     return None
 
 
+def _body(ctx, body):
+    """body(ctx), run once per context and kept in ``ctx.memo`` under the
+    body, so aliases and bundles share it; an exception is not kept."""
+    memo = ctx.memo
+    if body not in memo:
+        memo[body] = body(ctx)
+    return memo[body]
+
+
 def _run(checker: Checker, ctx):
     for member in checker.members:
-        witness = REGISTRY[member].body(ctx)
+        witness = _body(ctx, REGISTRY[member].body)
         if witness is not None:
             return witness
-    return checker.body(ctx)
+    return _body(ctx, checker.body)
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +326,7 @@ def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
         if i.is_trivial():
             continue
         if not any(f != t and zc[f] and zc[f] != ctx.all_classes
-                   and ctx.space.is_clopen(ctx.points(zc[f]))
+                   and ctx.is_clopen(zc[f])
                    for f in members(i.bits)):
             return {"ideal": i}
     return None
@@ -558,8 +356,7 @@ def _t17(ctx):  # annihilating pairs split Z into complementary clopen zero sets
             pair = {"f": ring.elements[f], "g": ring.elements[g]}
             if vf | vg != ctx.all_classes:
                 return pair
-            if not (ctx.space.is_clopen(ctx.points(vf))
-                    and ctx.space.is_clopen(ctx.points(vg))):
+            if not (ctx.is_clopen(vf) and ctx.is_clopen(vg)):
                 return {**pair, "clopen": False}
     return None
 
@@ -577,9 +374,9 @@ def _chi_pairs(ctx) -> list:
 
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    chi = ctx.ring.chi_table()
+    chi, proper = ctx.ring.chi_table(), ctx.lattice.proper()
     for i1 in ctx.primes:
-        for i2 in ctx.lattice.proper():
+        for i2 in proper:
             if not i1 <= i2:
                 continue
             for u in ctx.clopens:
@@ -603,9 +400,9 @@ def _t19(ctx):  # prime with nonempty zero set pins a unique point
 
 @_checker("T20", "unit_addition_closed")
 def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
-    pairs = _chi_pairs(ctx)
+    pairs, proper = _chi_pairs(ctx), ctx.lattice.proper()
     for j in ctx.primes:
-        for i in ctx.lattice.proper():
+        for i in proper:
             if not j < i:
                 continue
             for u, a, b in pairs:
@@ -872,13 +669,13 @@ def _t38(ctx):  # a non-open quasi-component is a unique cluster point
 
 @_checker("L8")
 def _l8(ctx):  # J ⊆ A  ⇒  [x] ⊆ [x]_A ⊆ [x]_J
+    of, full = ctx.ring.class_of, ctx.alike(ctx.whole)
     for fam in ctx.fn_families:
         bigger = fam | ctx.fn_families[0]
+        ex_a, ex_j = ctx.alike(bigger), ctx.alike(fam)
         for x in ctx.space.points:
-            ex_full = ctx.equiv(ctx.whole, x)
-            ex_a = ctx.equiv(bigger, x)
-            ex_j = ctx.equiv(fam, x)
-            if ex_full & ~ex_a or ex_a & ~ex_j:
+            c = of[x]
+            if full[c] & ~ex_a[c] or ex_a[c] & ~ex_j[c]:
                 return {"x": x, "J": elements_of(ctx.ring, fam),
                         "A": elements_of(ctx.ring, bigger)}
     return None
@@ -886,10 +683,10 @@ def _l8(ctx):  # J ⊆ A  ⇒  [x] ⊆ [x]_A ⊆ [x]_J
 
 @_checker("L9")
 def _l9(ctx):  # J ⊆ A ⊆ F  ⇒  V(F,b) ⊆ V(A,b) ⊆ V(J,b)
+    full = [(b, ctx.zero_locus(ctx.whole, b)) for b in ctx.b_values]
     for fam in ctx.fn_families:
         bigger = fam | ctx.fn_families[0]
-        for b in ctx.b_values():
-            vf = ctx.zero_locus(ctx.whole, b)
+        for b, vf in full:
             va = ctx.zero_locus(bigger, b)
             vj = ctx.zero_locus(fam, b)
             if vf & ~va or va & ~vj:
@@ -901,20 +698,22 @@ def _l9(ctx):  # J ⊆ A ⊆ F  ⇒  V(F,b) ⊆ V(A,b) ⊆ V(J,b)
 @_checker("L10")
 def _l10(ctx):  # I(U,b)_J ⊆ J
     for fam in ctx.fn_families:
-        for u in ctx.point_sets:
-            for b in ctx.b_values():
-                if ctx.vanishing(u, b) & fam & ~fam:
+        for u, row in zip(ctx.point_sets, ctx.vanishing_grid):
+            for b, iu in zip(ctx.b_values, row):
+                if iu & fam & ~fam:
                     return {"U": u, "b": b}
     return None
 
 
 @_checker("L11")
 def _l11(ctx):  # U ⊆ V(I(U,b)_J, b)
+    of = ctx.ring.class_of
+    rows = [(u, bitset(of[p] for p in u), row)         # U's class mask
+            for u, row in zip(ctx.point_sets, ctx.vanishing_grid)]
     for fam in ctx.fn_families:
-        for u in ctx.point_sets:
-            for b in ctx.b_values():
-                iu = ctx.vanishing(u, b) & fam
-                if not u <= ctx.points(ctx.zero_locus(iu, b)):
+        for u, mask, row in rows:
+            for b, iu in zip(ctx.b_values, row):
+                if mask & ~ctx.zero_locus(iu & fam, b):
                     return {"U": u, "b": b, "J": elements_of(ctx.ring, fam)}
     return None
 
@@ -922,7 +721,7 @@ def _l11(ctx):  # U ⊆ V(I(U,b)_J, b)
 @_checker("L12")
 def _l12(ctx):  # J ⊆ I(V(J,b), b)
     for fam in ctx.fn_families:
-        for b in ctx.b_values():
+        for b in ctx.b_values:
             v = ctx.points(ctx.zero_locus(fam, b))
             if fam & ~ctx.vanishing(v, b):
                 return {"b": b, "J": elements_of(ctx.ring, fam)}
@@ -933,9 +732,8 @@ def _l12(ctx):  # J ⊆ I(V(J,b), b)
 def _l13(ctx):  # J ⊆ A  ⇒  I(U,b)_J ⊆ I(U,b)_A
     for fam in ctx.fn_families:
         bigger = fam | ctx.fn_families[0]
-        for u in ctx.point_sets:
-            for b in ctx.b_values():
-                iu = ctx.vanishing(u, b)
+        for u, row in zip(ctx.point_sets, ctx.vanishing_grid):
+            for b, iu in zip(ctx.b_values, row):
                 if iu & fam & ~(iu & bigger):
                     return {"U": u, "b": b}
     return None
@@ -943,17 +741,14 @@ def _l13(ctx):  # J ⊆ A  ⇒  I(U,b)_J ⊆ I(U,b)_A
 
 @_checker("L14")
 def _l14(ctx):  # U1 ⊆ U2  ⇒  I(U2,b)_J ⊆ I(U1,b)_J
-    sets = ctx.point_sets
+    rows = list(zip(ctx.point_sets, ctx.vanishing_grid))
+    # per U1 ⊆ U2 and b, the members of I(U2,b) outside I(U1,b)
+    gaps = [(u1, u2, b, i2 & ~i1) for u1, r1 in rows for u2, r2 in rows
+            if u1 <= u2 for b, i1, i2 in zip(ctx.b_values, r1, r2)]
     for fam in ctx.fn_families:
-        for u1 in sets:
-            for u2 in sets:
-                if not u1 <= u2:
-                    continue
-                for b in ctx.b_values():
-                    i2 = ctx.vanishing(u2, b) & fam
-                    i1 = ctx.vanishing(u1, b) & fam
-                    if i2 & ~i1:
-                        return {"U1": u1, "U2": u2, "b": b}
+        for u1, u2, b, gap in gaps:
+            if gap & fam:
+                return {"U1": u1, "U2": u2, "b": b}
     return None
 
 
@@ -1026,7 +821,8 @@ def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
 
 @_checker("L33", "unit")
 def _l33(ctx):
-    nested = [(u, u1, a, ctx.chi(u, a), ctx.chi(u1, a))
+    chi = {a: ctx.ring.chi_table(a) for a in ctx.nonzero}
+    nested = [(u, u1, a, chi[a][u], chi[a][u1])
               for u in ctx.clopens for u1 in ctx.clopens if _nested(u, u1)
               for a in ctx.nonzero]
     for i in ctx.lattice.proper():
@@ -1034,7 +830,7 @@ def _l33(ctx):
             if i.bits >> x & 1 and not i.bits >> y & 1:
                 return {"I": i, "U": ctx.points(u), "U1": ctx.points(u1),
                         "a": a}
-    pairs = [(u, a, ctx.chi(u, a), ctx.chi(ctx.all_classes ^ u, a))
+    pairs = [(u, a, chi[a][u], chi[a][ctx.all_classes ^ u])
              for u in ctx.clopens for a in ctx.nonzero]
     for i in ctx.primes:
         for u, a, x, y in pairs:
@@ -1055,9 +851,10 @@ def _l34(ctx):  # members absorb chi factors on the right
 
 @_checker("L35", "unit")
 def _l35(ctx):  # subideal of I(z) with a bigger zero set is not prime
+    proper = ctx.lattice.proper()
     for k, c in enumerate(ctx.ring.classes):
         iz = ctx.vanishing(c)
-        for j in ctx.lattice.proper():
+        for j in proper:
             if j.bits & ~iz == 0 and ctx.zero_locus(j.bits) != 1 << k:
                 if j.meta.get("is_prime"):
                     return {"z": c, "J": j}
@@ -1081,7 +878,7 @@ def _l37(ctx):  # nonzero function with nonempty clopen zero set is a
     # zero divisor (a nowhere-vanishing function may well be invertible)
     ring, t = ctx.ring, ctx.theta
     for f, v in enumerate(ctx.zero_classes):
-        if f == t or not v or not ctx.space.is_clopen(ctx.points(v)):
+        if f == t or not v or not ctx.is_clopen(v):
             continue
         right, left = ring.row("mul", f), ring.row("mul_t", f)
         if not any(g != t and (right[g] == t or left[g] == t)
@@ -1172,9 +969,21 @@ def _flip(ctx, family: int) -> int:
     return bitset(ctx.all_classes ^ c for c in members(family))
 
 
-def _x(fam) -> dict:
-    """X_I per ideal bitset, as an element bitset."""
+def _x(ctx) -> dict:
+    """X_I per ideal bitset, as an element bitset (read through ``_body``)."""
+    fam = ctx.families
     return {b: bitset(fam.chi[c] for c in members(u)) for b, u in fam.U.items()}
+
+
+def _exact(ctx) -> bool:
+    """Whether the χ_U are distinct and each X_I is the χ content of I, so
+    each U_I is the clopens whose χ I holds (read through ``_body``).  Then
+    U and X meet, join and grow with the ideals on every pair, and the pair
+    scans of L52, L53, L58 and L61 have nothing to find."""
+    chi = ctx.families.chi
+    every = bitset(chi)
+    return (len(set(chi)) == len(chi)
+            and all(xb == b & every for b, xb in _body(ctx, _x).items()))
 
 
 def _columns(fam, ideals) -> list:
@@ -1280,7 +1089,7 @@ def _l51(ctx):  # proper primes split the clopens
 @_checker("L52", "families")
 def _l52(ctx):  # chi-membership distributes over ideal intersection
     fam = ctx.families
-    pool = ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
             a, b = i1.bits, i2.bits
@@ -1293,7 +1102,7 @@ def _l52(ctx):  # chi-membership distributes over ideal intersection
 def _l53(ctx):  # and over union when the union happens to be an ideal
     fam = ctx.families
     primes = {p.bits for p in ctx.primes}
-    pool = ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
             a, b = i1.bits, i2.bits
@@ -1305,7 +1114,7 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
 @_checker("L54", "families")
 def _l54(ctx):
     fam = ctx.families
-    x = _x(fam)
+    x = _body(ctx, _x)
     if x[1 << ctx.theta] != 1 << ctx.theta:
         return {"law": "X_(theta) = {theta}"}
     if x[ctx.whole] != bitset(fam.chi):
@@ -1325,7 +1134,7 @@ def _l54(ctx):
 @_checker("L55", "addition_closed", "families")
 def _l55(ctx):  # proper primes split the characteristic functions
     fam = ctx.families
-    x, every = _x(fam), bitset(fam.chi)
+    x, every = _body(ctx, _x), bitset(fam.chi)
     for p in ctx.primes:        # X^c_P: the χ_U of the U in U^c_P
         xc = bitset(fam.chi[c] for c in members(_flip(ctx, fam.U[p.bits])))
         if x[p.bits] ^ xc != every:
@@ -1358,9 +1167,9 @@ def _l57(ctx):  # summary bundle B: the U_I laws, all carried by its members
 
 @_checker("L58", "unit", members=("L54",))
 def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
-    x = _x(ctx.families)
+    x = _body(ctx, _x)
     primes = {p.bits for p in ctx.primes}
-    pool = ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
     for i1 in pool:
         for i2 in pool:
             a, b = i1.bits, i2.bits
@@ -1382,7 +1191,7 @@ def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
     for k in range(1, 20):
         item = REGISTRY[f"L59.{k}"]
         if _unmet(ctx, item) is None:
-            out = item.body(ctx)
+            out = _body(ctx, item.body)
             if out is not None:
                 return {"item": k, "witness": out}
     return None
@@ -1403,6 +1212,23 @@ def _add(ctx, f: int, g: int) -> int:
     return ctx.ring.row("add", f)[g]
 
 
+def _implied(ctx, rules):
+    """The first ideal I, in lattice order, and rule (U, W, x, y), in
+    order, with x in I and y not, as a witness; None if there is none.  An
+    ideal is scanned only if it misses a y implied by some x it holds."""
+    need = {}
+    for _, _, x, y in rules:
+        need[x] = need.get(x, 0) | 1 << y
+    need = list(need.items())
+    for i in ctx.lattice.ideals:
+        bits = i.bits
+        if any(bits >> x & 1 and ys & ~bits for x, ys in need):
+            for u, w, x, y in rules:
+                if bits >> x & 1 and not bits >> y & 1:
+                    return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
+    return None
+
+
 @_checker("L59.1", "unit")
 def _l59_1(ctx):
     for u in ctx.clopens:
@@ -1418,26 +1244,24 @@ def _l59_1(ctx):
 
 @_checker("L59.2", "unit")
 def _l59_2(ctx):
-    joins = [(u, w, x, y, ctx.chi(u | w)) for u, w, x, y in _chi_grid(ctx)]
-    for u, w, x, y, xy in joins:
-        if _mul(ctx, x, y) != xy:
+    chi = ctx.ring.chi_table()
+    joins = [(u, w, x, chi[u | w]) for u, w, x, _ in _chi_grid(ctx)]
+    for u, w, x, xy in joins:
+        if _mul(ctx, x, chi[w]) != xy:
             return {"U": ctx.points(u), "W": ctx.points(w)}
-    for i in ctx.lattice.ideals:
-        for u, w, x, _, xy in joins:
-            if i.bits >> x & 1 and not i.bits >> xy & 1:
-                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
-    return None
+    return _implied(ctx, joins)
 
 
 @_checker("L59.3", "char_two", "unit")
 def _l59_3(ctx):
-    chi = ctx.chi
+    chi = ctx.ring.chi_table()
     for u in ctx.clopens:
-        if _add(ctx, chi(u), chi(u)) != ctx.theta:
+        row = ctx.ring.row("add", chi[u])
+        if row[chi[u]] != ctx.theta:
             return {"U": ctx.points(u), "law": "chi + chi = theta"}
         for w in ctx.clopens:
             target = (u & w) | (ctx.all_classes ^ (u | w))
-            if _add(ctx, chi(u), chi(w)) != chi(target):
+            if row[chi[w]] != chi[target]:
                 return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
@@ -1459,8 +1283,9 @@ def _l59_5(ctx):
 
 @_checker("L59.6", "unit")
 def _l59_6(ctx):
+    chi = ctx.ring.chi_table()
     for u, w, _, _ in _chi_grid(ctx):
-        if ctx.zero_classes[ctx.chi(u & w)] != u & w:
+        if ctx.zero_classes[chi[u & w]] != u & w:
             return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
@@ -1486,12 +1311,7 @@ def _l59_8(ctx):
 
 @_checker("L59.9", "unit")
 def _l59_9(ctx):
-    nested = _chi_grid(ctx, _nested)
-    for i in ctx.lattice.ideals:
-        for u, w, x, y in nested:
-            if i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
-    return None
+    return _implied(ctx, _chi_grid(ctx, _nested))
 
 
 @_checker("L59.10", "addition_closed", "unit")
@@ -1506,12 +1326,15 @@ def _l59_10(ctx):
 
 @_checker("L59.11", "char_two", "addition_closed", "unit")
 def _l59_11(ctx):
-    pairs = _chi_grid(ctx)
+    chi = ctx.ring.chi_table()
+    sums = [[_add(ctx, chi[u], chi[w]) for w in ctx.clopens]
+            for u in ctx.clopens]
     for i in ctx.lattice.ideals:
-        for u, w, x, y in pairs:
-            if (i.bits >> x & 1 and i.bits >> y & 1
-                    and not i.bits >> _add(ctx, x, y) & 1):
-                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
+        held = [u for u in ctx.clopens if i.bits >> chi[u] & 1]
+        for u in held:
+            for w in held:
+                if not i.bits >> sums[u][w] & 1:
+                    return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1540,22 +1363,17 @@ def _l59_13(ctx):
     return None
 
 
-def _chi_content(ctx, i) -> tuple:
-    """(the χ indices in the ideal i ascending, the same as a set)."""
-    xi = [f for f in ctx.chi_set if i.bits >> f & 1]
-    return xi, set(xi)
-
-
 def _content_closed(ctx, op: str):
     """The first (I, f, g) with f, g in the χ content of the ideal I and
     f·g (op "mul") or f+g (op "add") outside it, as a witness."""
-    el = ctx.ring.elements
+    el, every = ctx.ring.elements, bitset(ctx.chi_set)
     for i in ctx.lattice.ideals:
-        xi, inside = _chi_content(ctx, i)
+        inside = i.bits & every                # the χ content of I
+        xi = members(inside)
         for f in xi:
             row = ctx.ring.row(op, f)
             for g in xi:
-                if row[g] not in inside:
+                if not inside >> row[g] & 1:
                     return {"I": i, "f": el[f], "g": el[g]}
     return None
 
@@ -1567,14 +1385,17 @@ def _l59_14(ctx):
 
 @_checker("L59.15", "unit")
 def _l59_15(ctx):
-    el = ctx.ring.elements
-    chis = ctx.chi_set
+    el, chis = ctx.ring.elements, ctx.chi_set
+    every = bitset(chis)
+    by_g = [[_mul(ctx, f, g) for f in chis] for g in chis]   # f·g per g
+    hits = [bitset(col) for col in by_g]
     for i in ctx.lattice.ideals:
-        xi, inside = _chi_content(ctx, i)
-        for g in xi:
-            for f in chis:
-                if _mul(ctx, f, g) not in inside:
-                    return {"I": i, "f": el[f], "g": el[g]}
+        inside = i.bits & every                # the χ content of I
+        for g, col, hit in zip(chis, by_g, hits):
+            if inside >> g & 1 and hit & ~inside:
+                f = next(f for f, fg in zip(chis, col)
+                         if not inside >> fg & 1)
+                return {"I": i, "f": el[f], "g": el[g]}
     return None
 
 
@@ -1585,36 +1406,32 @@ def _l59_16(ctx):
 
 @_checker("L59.17", "unit", "primes")
 def _l59_17(ctx):
-    el = ctx.ring.elements
-    chis = ctx.chi_set
+    el, chis = ctx.ring.elements, ctx.chi_set
+    every = bitset(chis)
+    prods = {f: {g: _mul(ctx, f, g) for g in chis} for f in chis}
     for i in ctx.primes:
-        _, inside = _chi_content(ctx, i)
-        for f in chis:
-            for g in chis:
-                if (_mul(ctx, f, g) in inside and f not in inside
-                        and g not in inside):
+        inside = i.bits & every                # the χ content of I
+        out = [f for f in chis if not inside >> f & 1]
+        for f in out:
+            for g in out:
+                if inside >> prods[f][g] & 1:
                     return {"I": i, "f": el[f], "g": el[g]}
     return None
 
 
 @_checker("L59.18", "distributive", "unit")
 def _l59_18(ctx):
-    pairs = _chi_grid(ctx)
-    for i in ctx.lattice.ideals:
-        for u, w, x, y in pairs:
-            if (i.bits >> x & 1 and _add(ctx, x, y) == ctx.theta
-                    and not i.bits >> y & 1):
-                return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
-    return None
+    return _implied(ctx, [(u, w, x, y) for u, w, x, y in _chi_grid(ctx)
+                          if _add(ctx, x, y) == ctx.theta])
 
 
 @_checker("L59.19", "char_two", "addition_closed", "unit", "primes")
 def _l59_19(ctx):
-    pairs = _chi_grid(ctx)
+    pairs = [(v, u, _mul(ctx, x, y), _add(ctx, x, y))
+             for v, u, x, y in _chi_grid(ctx, lambda v, u: not v & u)]
     for i in ctx.primes:
-        for v, u, x, y in pairs:
-            if (i.bits >> _mul(ctx, x, y) & 1
-                    and i.bits >> _add(ctx, x, y) & 1 and not (v & u)):
+        for v, u, m, s in pairs:
+            if i.bits >> m & 1 and i.bits >> s & 1:
                 return {"I": i, "V": ctx.points(v), "U": ctx.points(u)}
     return None
 
@@ -1625,31 +1442,39 @@ def _l59_19(ctx):
 
 @_checker("L61", "families")
 def _l61(ctx):
-    x = _x(ctx.families)
-    pool = ctx.ideal_pool()
+    x = _body(ctx, _x)
+    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
     for i1 in pool:
+        a, xa = i1.bits, x[i1.bits]
         for i2 in pool:
-            a, b = i1.bits, i2.bits
-            if i1 <= i2 and x[a] & ~x[b]:
+            b, xb = i2.bits, x[i2.bits]
+            if not a & ~b and xa & ~xb:
                 return {"item": 1, "I1": i1, "I2": i2}
-            if a & b in x and x[a & b] != x[a] & x[b]:
+            if a & b in x and x[a & b] != xa & xb:
                 return {"item": 2, "I1": i1, "I2": i2}
+    ring, t, ideals = ctx.ring, ctx.theta, ctx.lattice.ideals
     if ctx.algebra.add is not None:
-        t = ctx.theta
-        for i in ctx.lattice.ideals:
-            xs = set(members(x[i.bits]))
-            if {_add(ctx, f, t) for f in xs} != xs:
+        plus_t, times_t = ring.row("add_t", t), ring.row("mul_t", t)
+        for i in ideals:                       # f+θ and f·θ per f in X_I
+            xs = members(x[i.bits])
+            if {plus_t[f] for f in xs} != set(xs):
                 return {"item": 4, "I": i}
-            times = {_mul(ctx, f, t) for f in xs}
-            if not i.is_trivial() and xs and times != {t}:
+            if not i.is_trivial() and xs and {times_t[f] for f in xs} != {t}:
                 return {"item": 5, "I": i}
     if ctx.flags.char_two and ctx.mode == RING:
-        for i1 in ctx.lattice.ideals:
-            for i2 in ctx.lattice.ideals:
-                total = ctx.join(i1.bits, i2.bits)
-                if any(not total >> _add(ctx, f, g) & 1
-                       for f in members(x[i1.bits])
-                       for g in members(x[i2.bits])):
+        sums = {}                              # (f, X_I) -> {f+g : g in X_I}
+        for i1 in ideals:
+            xs = members(x[i1.bits])
+            for i2 in ideals:
+                a, b, xb, out = i1.bits, i2.bits, x[i2.bits], 0
+                for f in xs:
+                    s = sums.get((f, xb))
+                    if s is None:
+                        row = ring.row("add", f)
+                        s = sums[f, xb] = bitset(row[g] for g in members(xb))
+                    out |= s
+                # the sum of the two ideals holds both, so join only then
+                if out & ~(a | b) and out & ~ctx.join(a, b):
                     return {"item": 8, "I1": i1, "I2": i2}
     return None
 
@@ -1696,11 +1521,11 @@ def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
 
 @_checker("L67", "char_two_ring", "unit")
 def _l67(ctx):  # complement identity for products of chi pairs
-    chi, every = ctx.chi, ctx.all_classes
+    chi, every = ctx.ring.chi_table(), ctx.all_classes
     for u, w, _, _ in _chi_grid(ctx):
-        lhs = _add(ctx, _mul(ctx, chi(every ^ u), chi(every ^ w)),
-                   chi(every ^ (u | w)))
-        if lhs != _add(ctx, chi(u | w), chi(u & w)):
+        lhs = _add(ctx, _mul(ctx, chi[every ^ u], chi[every ^ w]),
+                   chi[every ^ (u | w)])
+        if lhs != _add(ctx, chi[u | w], chi[u & w]):
             return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
@@ -1762,11 +1587,12 @@ def _l72(ctx):  # the clopens at z intersect to the component itself
 @_checker("L73")
 def _l73(ctx):  # intersection of vanishing ideals = ideal of the union
     sets = list(dict.fromkeys(ctx.point_sets + [frozenset()]))
+    izs = dict(zip(sets, map(ctx.vanishing, sets)))
     for k in (2, 3):
         for combo in itertools.combinations(sets, min(k, len(sets))):
             inter = ctx.whole
             for a in combo:
-                inter &= ctx.vanishing(a)
+                inter &= izs[a]
             if inter != ctx.vanishing(frozenset().union(*combo)):
                 return {"family": combo}
     return None

@@ -50,6 +50,9 @@ TAKE = f"{IDEALS}::test_take_decodes_a_bitset_as_indexing_does"
 PRINCIPALS = f"{IDEALS}::test_principal_table_matches_per_element_closure"
 JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
 SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
+PLANTED = "tests/test_planted_reports.py::test_planted_reports_match_the_golden"
+ONCE = "tests/test_checkers.py::test_bodies_run_once_per_context"
+VANISHING = "tests/test_context.py::test_vanishing_bitsets_match_the_definition"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -102,7 +105,7 @@ MUTANTS = [
     Mutant("span-hypothesis-forced-true", "ideals.py",
            "return flags.additive_associative and distributes", "return True",
            (PRINCIPALS, JOIN)),
-    Mutant("context-join-skips-absorption", "verify/checkers.py",
+    Mutant("context-join-skips-absorption", "verify/context.py",
            "            b |= mult[x]\n", "            pass\n",
            (JOIN,)),
     Mutant("span-hypothesis-sides-swapped", "ideals.py",
@@ -189,7 +192,7 @@ MUTANTS = [
     Mutant("chi-cache-key", "funcspace.py",
            "if a not in self._chi_tables:", "if not self._chi_tables:",
            (CHI_INDEX,)),
-    Mutant("chi-content-backwards", "verify/checkers.py",
+    Mutant("chi-content-backwards", "verify/context.py",
            "return tuple(sorted(self.ring.chi_table()))",
            "return tuple(sorted(self.ring.chi_table(), reverse=True))",
            ("tests/test_context.py::test_planted_set_fails_the_chi_content_laws",)),
@@ -224,6 +227,34 @@ MUTANTS = [
            (GREEN,)),
     Mutant("nested-grid-subset-reversed", "verify/checkers.py",
            "return u & ~w == 0", "return w & ~u == 0",
+           (GREEN,)),
+
+    # -- checker bodies: hoisted reads, per-context memos ------------------
+    Mutant("body-memo-keyed-without-the-body", "verify/checkers.py",
+           "    if body not in memo:\n"
+           "        memo[body] = body(ctx)\n"
+           "    return memo[body]\n",
+           "    if _run not in memo:\n"
+           "        memo[_run] = body(ctx)\n"
+           "    return memo[_run]\n",
+           (ONCE, PLANTED)),
+    Mutant("implied-prefilter-always-skips", "verify/checkers.py",
+           "if any(bits >> x & 1 and ys & ~bits for x, ys in need):",
+           "if False and any(bits >> x & 1 and ys & ~bits for x, ys in need):",
+           (PLANTED,)),
+    Mutant("l59-18-filter-not-theta", "verify/checkers.py",
+           "if _add(ctx, x, y) == ctx.theta])",
+           "if _add(ctx, x, y) != ctx.theta])",
+           (GREEN,)),
+    Mutant("vanishing-grid-b-order-reversed", "verify/context.py",
+           "for b in self.b_values]", "for b in self.b_values[::-1]]",
+           (VANISHING,)),
+    Mutant("pool-scans-skipped-on-inexact-families", "verify/checkers.py",
+           "    return (len(set(chi)) == len(chi)\n",
+           "    return True or (len(set(chi)) == len(chi)\n",
+           (PLANTED,)),
+    Mutant("l61-sums-against-the-union-only", "verify/checkers.py",
+           "and out & ~ctx.join(a, b):", "and out & ~(a | b):",
            (GREEN,)),
 
     # -- the command line -------------------------------------------------

@@ -180,16 +180,71 @@ def test_unmet_is_decided_before_the_body():
 
 
 def test_aliases_match_their_originals():
+    # a body's result is kept per context, so each side gets a fresh one
     checked = 0
-    for c in fixed_contexts():
+    for c, d in zip(fixed_contexts(), fixed_contexts()):
         pairs = [("T25", "T24"), ("L46", "T18")]
         if c.flags.zero_divisor_free:
             pairs.append(("L70", "L40"))
         for alias, original in pairs:
-            a, b = run_checker(alias, c), run_checker(original, c)
+            a, b = run_checker(alias, c), run_checker(original, d)
             assert (a.verdict, a.witness) == (b.verdict, b.witness)
             checked += 1
     assert checked == 17
+
+
+def _counted(monkeypatch, cid, body):
+    """Register body under cid for this test, recording each context it
+    runs on."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return body(c)
+    monkeypatch.setitem(REGISTRY, cid, REGISTRY[cid]._replace(body=counted))
+    return calls
+
+
+def test_bodies_run_once_per_context(monkeypatch):
+    calls = _counted(monkeypatch, "L54", REGISTRY["L54"].body)
+    c, d = ctx(), ctx()
+    for cid in ("L58", "L54", "L58", "L54"):
+        assert run_checker(cid, c).verdict == PASS
+    assert calls == [c]
+    assert run_checker("L54", d).verdict == PASS
+    assert calls == [c, d]
+    # the result is kept under the body, the key an alias shares
+    e = ctx()
+    witness = run_checker("T26", e).witness
+    assert witness is not None and e.memo[REGISTRY["T26"].body] is witness
+
+
+def test_a_body_over_budget_runs_again(monkeypatch):
+    def over(c):
+        raise BudgetExceeded("planted", cap=1, reached=2)
+    calls = _counted(monkeypatch, "L54", over)
+    c = ctx()
+    for cid in ("L58", "L54", "L58"):
+        r = run_checker(cid, c)
+        assert (r.verdict, r.note) == (BUDGET_EXCEEDED, "planted")
+    assert calls == [c, c, c]
+
+
+def test_hypotheses_are_kept_but_not_their_exceptions(monkeypatch):
+    holds, note = HYPOTHESES["complements"]
+    asked = []
+    monkeypatch.setitem(HYPOTHESES, "complements",
+                        (lambda c: asked.append(c) or holds(c), note))
+    c = ctx()
+    for other in (c, ctx(), c):
+        assert run_checker("T23", other).verdict == PASS
+    assert len(asked) == 2
+    # the lattice is past its cap: every run asking for primes raises anew
+    big = Context(discrete_space(5), make_zmod(3), mode=RING)
+    for cid in ("T22", "L59.17", "T22"):
+        r = run_checker(cid, big)
+        assert r.verdict == BUDGET_EXCEEDED and "cap 160" in r.note
+    assert "primes" not in big.memo
 
 
 def test_l59_is_unmet_when_no_item_can_run():

@@ -143,6 +143,9 @@ def test_vanishing_bitsets_match_the_definition():
                     assert (_tuples(ring, got & fam)
                             == want & _tuples(ring, fam))
                 checked += 1
+        grid = [[ctx.vanishing(u, b) for b in ctx.b_values]
+                for u in ctx.point_sets]
+        assert ctx.vanishing_grid == grid
     assert checked > 3000
 
 
