@@ -33,6 +33,7 @@ from .errors import (
 )
 from .algebra import structure_flags
 from .funcspace import FnElement, FunctionRing, vanishing_elements
+from .sets import mask_key
 
 RIGHT = "right"
 LEFT = "left"
@@ -86,7 +87,7 @@ class Ideal:
 @dataclass
 class IdealLattice:
     ring: FunctionRing
-    ideals: tuple              # all ideals, in ``lattice_key`` order
+    ideals: tuple              # all ideals, in ``mask_key`` order
     side: str
     mode: str
     complete: bool = True
@@ -461,7 +462,7 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
             if not complete:
                 break
         frontier = new
-    order = sorted(ideals, key=lattice_key(n))
+    order = sorted(ideals, key=mask_key(n))
     lattice = IdealLattice(
         ring,
         tuple(Ideal(ring, b, side, mode) for b in order),
@@ -471,14 +472,6 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
                 != subset_scan(ring, side, mode)):
             raise CrossCheckFailed("join-closure disagrees with subset scan")
     return lattice
-
-
-def lattice_key(n: int):
-    """The lattice order on bitsets over n elements: by size, then by the
-    ascending member list.  Of two member lists of one size, the one
-    holding the least index where they differ comes first, so the tie
-    break is the bitset's n-bit reversal, negated."""
-    return lambda b: (b.bit_count(), -int(f"{b:0{n}b}"[::-1], 2))
 
 
 def prime_witness(ring: FunctionRing, inside: int):

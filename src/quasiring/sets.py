@@ -1,10 +1,10 @@
 """Set representations for the two space backends.
 
 Explicit spaces use plain frozensets of small ints (O(1) membership, cheap
-hashing).  The convergent-sequence space needs sets over the infinite carrier
-N ∪ {∞}; those are restricted to the finite/cofinite algebra, which is closed
-under complement, union and intersection and contains every set the sequence
-backend ever produces.
+hashing) and int bitmasks, ordered by ``mask_key``.  The convergent-sequence
+space needs sets over the infinite carrier N ∪ {∞}; those are restricted to
+the finite/cofinite algebra, which is closed under complement, union and
+intersection and contains every set the sequence backend ever produces.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ class _Infinity:
 INF = _Infinity()
 
 
-def sort_family(family: Iterable[frozenset]) -> list[frozenset]:
-    """Deterministic order for set families: by cardinality, then pointwise."""
-    return sorted(family, key=lambda s: (len(s), sorted(s)))
+def mask_key(n: int):
+    """The one order on bitsets over n bits (element bitsets, point masks):
+    by size, then by the ascending member list.  Of two member lists of one
+    size, the one holding the least bit where they differ comes first, so
+    the tie break is the bitset's n-bit reversal, negated."""
+    return lambda b: (b.bit_count(), -int(f"{b:0{n}b}"[::-1], 2))
 
 
 @dataclass(frozen=True)

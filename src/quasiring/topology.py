@@ -29,7 +29,7 @@ from .errors import (
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
 )
-from .sets import INF, SeqSet, sort_family
+from .sets import INF, SeqSet, mask_key
 
 #: the most open sets (or, for a FunctionRing, elements) any one family may
 #: enumerate before the construction is refused; a space of n points holds
@@ -55,6 +55,13 @@ def points_of(mask: int) -> frozenset:
     return frozenset(out)
 
 
+def _family_refused(reached: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"a family of more than {DEFAULT_ENUM_BUDGET} sets "
+        f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}",
+        cap=DEFAULT_ENUM_BUDGET, reached=reached)
+
+
 def all_unions(masks: Iterable[int]) -> set:
     """Every union of the given masks, the empty union 0 included.
 
@@ -65,10 +72,7 @@ def all_unions(masks: Iterable[int]) -> set:
         for u in list(family):
             family.add(u | m)
             if len(family) > DEFAULT_ENUM_BUDGET:
-                raise BudgetExceeded(
-                    f"a family of more than {DEFAULT_ENUM_BUDGET} sets "
-                    f"exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}",
-                    cap=DEFAULT_ENUM_BUDGET, reached=len(family))
+                raise _family_refused(len(family))
     return family
 
 
@@ -271,8 +275,25 @@ def disjoint_union(a: ExplicitSpace, b: ExplicitSpace) -> ExplicitSpace:
 
 
 def clopen_family(space: ExplicitSpace) -> list[frozenset]:
-    """All clopen sets, sorted: the unions of the quasi-components."""
-    return sort_family(map(points_of, all_unions(_quasi_classes(space))))
+    """All clopen sets, in ``mask_key`` order: the unions of the
+    quasi-components.
+
+    Masks and point sets are built together by doubling: each class adds,
+    to every union so far, that union with the class.  A family of more
+    than ``DEFAULT_ENUM_BUDGET`` sets is refused up front, with the error
+    an enumeration one set at a time raises at its first set past the
+    budget.
+    """
+    classes = _quasi_classes(space)
+    if 1 << len(classes) > DEFAULT_ENUM_BUDGET:
+        raise _family_refused(DEFAULT_ENUM_BUDGET + 1)
+    masks, sets = [0], [frozenset()]
+    for q in classes:
+        c = points_of(q)
+        masks += [m | q for m in masks]
+        sets += [s | c for s in sets]
+    of_mask = dict(zip(masks, sets))
+    return [of_mask[m] for m in sorted(masks, key=mask_key(space.point_count))]
 
 
 def quasi_component(space: Space, x) -> frozenset | SeqSet:
@@ -315,14 +336,16 @@ def is_totally_separated(space: ExplicitSpace) -> bool:
 
 
 def _first_open_not_in(a: ExplicitSpace, b: ExplicitSpace) -> frozenset | None:
-    """The first open set of a, in ``sort_family`` order, that b lacks.
+    """The first open set of a, in ``mask_key`` order, that b lacks.
 
     Such a set W is the union of the U_x of a for x in W, so one of those
     U_x is not open in b either; it is no larger than W, and equal to W when
     as large, so it comes first.
     """
-    missing = [points_of(u) for u in set(a.nbhds) if not b._is_open_mask(u)]
-    return sort_family(missing)[0] if missing else None
+    missing = [u for u in set(a.nbhds) if not b._is_open_mask(u)]
+    if not missing:
+        return None
+    return points_of(min(missing, key=mask_key(a.point_count)))
 
 
 def compare_topologies(a: ExplicitSpace, b: ExplicitSpace) -> TopologyComparison:

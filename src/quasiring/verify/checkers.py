@@ -46,7 +46,7 @@ from ..topology import (
     quotient_space,
 )
 from ..sets import INF, SeqSet
-from ..zariski import compare_T1_TZ_T, zariski_closed_family
+from ..zariski import compare_T1_TZ_T, zariski_closed_family, zero_set_space
 from .context import Context
 from .report import (
     BUDGET_EXCEEDED,
@@ -149,31 +149,33 @@ HYPOTHESES = {
 class Checker(NamedTuple):
     body: Callable           # ctx -> None (PASS) or a witness (FAIL)
     requires: tuple          # HYPOTHESES names, checked in this order
-    members: tuple = ()      # bundled checker ids, run before the body
+    members: tuple           # bundled checker ids, run before the body
+    hypotheses: tuple        # every HYPOTHESES name `_unmet` checks, in order
 
 
 REGISTRY: dict[str, Checker] = {}
 
 
 def _checker(checker_id: str, *requires: str, members: tuple = ()):
-    """Register the decorated body under `checker_id` with its hypotheses."""
+    """Register the decorated body under `checker_id` with its hypotheses.
+
+    Every checker needs a finite space unless it declares the sequence one;
+    a bundle needs its own hypotheses, then those of its members, which are
+    registered before it.
+    """
+    hypotheses = (() if "sequence" in requires else ("finite",)) + requires
+    for member in members:
+        hypotheses += REGISTRY[member].requires
+
     def register(body):
-        REGISTRY[checker_id] = Checker(body, requires, members)
+        REGISTRY[checker_id] = Checker(body, requires, members, hypotheses)
         return body
     return register
 
 
 def _unmet(ctx, checker: Checker) -> str | None:
-    """The note of the first failing hypothesis, or None when all hold.
-
-    Every checker needs a finite space unless it declares the sequence one;
-    a bundle needs its own hypotheses, then those of its members.
-    """
-    names = [] if "sequence" in checker.requires else ["finite"]
-    names += checker.requires
-    for member in checker.members:
-        names += REGISTRY[member].requires
-    for name in names:
+    """The note of the first failing hypothesis, or None when all hold."""
+    for name in checker.hypotheses:
         holds, note = HYPOTHESES[name]
         # booleans only: a predicate that raises is asked again next time
         ok = ctx.memo.get(name)
@@ -258,7 +260,7 @@ def _t9(ctx):  # T1 = TZ ⊆ T
 @_checker("T10", "no_zero_divisors")
 def _t10(ctx):  # quasi-components of T, T1, TZ coincide
     t1 = clopen_base_topology(ctx.space)
-    tz = zariski_closed_family(ctx.ring).as_space()
+    tz = zero_set_space(ctx.ring)
     base = quasi_component_partition(ctx.space)
     if quasi_component_partition(t1) != base:
         return {"differs": "T1"}

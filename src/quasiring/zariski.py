@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from .algebra import zero_divisors
 from .errors import ZeroDivisorHypothesis
 from .funcspace import FunctionRing
-from .sets import sort_family
+from .sets import mask_key
 from .topology import (
     ExplicitSpace,
     clopen_base_topology,
     compare_topologies,
     mask_of,
     points_of,
-    validate_topology,
 )
 
 MATERIALIZE_CAP = 2 ** 16
@@ -32,15 +31,6 @@ class ZariskiTopology:
     closed_family: tuple | None        # sorted; None past the closure cap
     union_closed: bool
     union_witness: tuple | None = None
-
-    def as_space(self) -> ExplicitSpace:
-        """TZ as a space: its opens are the complements of the closed sets."""
-        if self.closed_family is None:
-            raise ValueError("family not materialized")
-        full = self.space.full
-        return validate_topology(self.space.point_count,
-                                 [full - c for c in self.closed_family],
-                                 auto_close=True)
 
 
 def _require_no_zero_divisors(ring: FunctionRing):
@@ -84,39 +74,73 @@ def _union_gap(family) -> tuple | None:
     return None
 
 
-def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
-    """All intersections of the single-function zero sets V(f).
+def _zero_set_masks(ring: FunctionRing) -> set:
+    """The point mask of each distinct single-function zero set V(f).
 
     V(f) is read off each element of the ring: its class mask in
     ``ring.zero_classes()``, the classes where f's value is zero.  Every
-    element's mask is read, and each distinct one becomes a point set once.
+    element's mask is read, so a ring missing elements shows in TZ.  A
+    class mask p becomes a point mask through a table over all 2^q class
+    masks, built by doubling: entry p holds the points of the classes whose
+    bits p sets, so class c appends each entry below 2^c with c's points
+    or-ed in.
+    """
+    points = [0]
+    for c in ring.classes:
+        m = mask_of(c)
+        points += [p | m for p in points]
+    return {points[p] for p in set(ring.zero_classes())}
+
+
+def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
+    """All intersections of the single-function zero sets V(f), in
+    ``mask_key`` order.
+
     Union closure is checked and reported (it holds under the zero-divisor
     hypothesis: V(f) ∪ V(g) = V(f·g)).
     """
     _require_no_zero_divisors(ring)
     space = ring.space
-    full = (1 << space.point_count) - 1
-    class_masks = [mask_of(c) for c in ring.classes]
-    # each distinct class mask of a V(f) is one V(f)
-    patterns = set(ring.zero_classes())
-    basic = {sum(m for c, m in enumerate(class_masks) if p >> c & 1)
-             for p in patterns}
-    basic.add(full)  # V of the empty set
+    basic = _zero_set_masks(ring)
+    basic.add((1 << space.point_count) - 1)  # V of the empty set
     # the cap counts only once the closure adds sets beyond the V(f)
     closed = _meet_closure(basic, max(MATERIALIZE_CAP, len(basic)))
     if closed is None:
         return ZariskiTopology(space, None, True)
     witness = _union_gap(closed)
-    return ZariskiTopology(space, tuple(sort_family(map(points_of, closed))),
+    order = sorted(closed, key=mask_key(space.point_count))
+    return ZariskiTopology(space, tuple(map(points_of, order)),
                            witness is None, witness)
+
+
+def zero_set_space(ring: FunctionRing) -> ExplicitSpace:
+    """TZ as its minimal neighbourhoods: U_x = Z − ∪{V(f) : x ∉ V(f)}.
+
+    The closed sets of TZ are the intersections of the V(f), and U_x, the
+    least open set holding x, is Z minus the union of the closed sets that
+    miss x.  A closed set ∩ V(f_i) missing x lies in some V(f_i) missing
+    x, so that union is the union of the V(f) missing x, and no
+    intersection is formed.
+    """
+    _require_no_zero_divisors(ring)
+    n = ring.space.point_count
+    full = (1 << n) - 1
+    basic = _zero_set_masks(ring)
+    nbhds = []
+    for x in range(n):
+        away = 0
+        for b in basic:
+            if not b >> x & 1:
+                away |= b
+        nbhds.append(full & ~away)
+    return ExplicitSpace(n, tuple(nbhds))
 
 
 def compare_T1_TZ_T(ring: FunctionRing):
     """(T1 vs TZ, TZ vs T, T1 vs T) for ring = C((Z,T), Y)."""
-    _require_no_zero_divisors(ring)
     space = ring.space
     t1 = clopen_base_topology(space)
-    tz = zariski_closed_family(ring).as_space()
+    tz = zero_set_space(ring)
     return (compare_topologies(t1, tz),
             compare_topologies(tz, space),
             compare_topologies(t1, space))

@@ -53,6 +53,9 @@ SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
 PLANTED = "tests/test_planted_reports.py::test_planted_reports_match_the_golden"
 ONCE = "tests/test_checkers.py::test_bodies_run_once_per_context"
 VANISHING = "tests/test_context.py::test_vanishing_bitsets_match_the_definition"
+TZ_SPACE = f"{TOPOLOGY}::test_zero_set_space_matches_the_closed_family_reference"
+FAMILY_ORDERS = f"{TOPOLOGY}::test_family_orders_match_sort_family"
+GOLDENS = "tests/test_analyze_goldens.py"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -88,7 +91,7 @@ MUTANTS = [
            "(b & o == b) if grow else (b & o == o)",
            "(b & o == o) if grow else (b & o == b)",
            (f"{IDEALS}::test_classification_matches_the_definitions",)),
-    Mutant("lattice-key-tie-break-not-negated", "ideals.py",
+    Mutant("lattice-key-tie-break-not-negated", "sets.py",
            '-int(f"{b:0{n}b}"[::-1], 2)', 'int(f"{b:0{n}b}"[::-1], 2)',
            (f"{IDEALS}::test_lattice_key_orders_as_the_member_lists",)),
     Mutant("subset-scan-addition-all-for-any", "ideals.py",
@@ -163,8 +166,8 @@ MUTANTS = [
            "ExplicitSpace(space.point_count, space.nbhds)",
            (f"{TOPOLOGY}::test_clopen_base_topology_coarser_than_original",)),
     Mutant("open-witness-last", "topology.py",
-           "return sort_family(missing)[0] if missing",
-           "return sort_family(missing)[-1] if missing",
+           "return points_of(min(missing, key=mask_key(a.point_count)))",
+           "return points_of(max(missing, key=mask_key(a.point_count)))",
            (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",)),
     Mutant("no-point-cap", "topology.py",
            "if point_count * point_count > DEFAULT_ENUM_BUDGET:",
@@ -175,9 +178,21 @@ MUTANTS = [
            "if len(family) > DEFAULT_ENUM_BUDGET + 1:",
            (f"{TOPOLOGY}::test_open_family_past_the_budget_is_refused",)),
     Mutant("zero-sets-complemented", "zariski.py",
-           "for c, m in enumerate(class_masks) if p >> c & 1)",
-           "for c, m in enumerate(class_masks) if not p >> c & 1)",
+           "return {points[p] for p in set(ring.zero_classes())}",
+           "return {points[~p] for p in set(ring.zero_classes())}",
            (f"{TOPOLOGY}::test_zariski_family_is_read_off_the_ring_elements",)),
+
+    # -- the zero-set topology and clopens on point masks ------------------
+    Mutant("tz-nbhds-without-complement", "zariski.py",
+           "nbhds.append(full & ~away)", "nbhds.append(full & away)",
+           (TZ_SPACE,)),
+    Mutant("clopen-doubling-drops-last-class", "topology.py",
+           "    for q in classes:\n", "    for q in classes[:-1]:\n",
+           (FAMILY_ORDERS,)),
+    Mutant("shared-key-tie-break-sign-flipped", "sets.py",
+           'return lambda b: (b.bit_count(), -int(',
+           'return lambda b: (b.bit_count(), +int(',
+           (FAMILY_ORDERS, GOLDENS)),
 
     # -- rings, χ_U and the context ---------------------------------------
     Mutant("ring-budget-ignored", "funcspace.py",

@@ -30,6 +30,7 @@ from quasiring.verify import (
     checker_ids,
     run_checker,
 )
+from quasiring.verify import checkers
 from quasiring.verify.checkers import HYPOTHESES
 from quasiring.ideals import LEFT, MULTIPLICATIVE, RIGHT, RING, TWO_SIDED
 from quasiring.sets import SeqSet
@@ -300,6 +301,7 @@ def test_checkers_walk_class_masks_not_clopen_families(monkeypatch):
         Context(discrete_space(2), make_zmod(4), TWO_SIDED, MULTIPLICATIVE),
     ]
     monkeypatch.setattr(topology, "all_unions", _refuse)
+    monkeypatch.setattr(checkers, "clopen_family", _refuse)
     ran = 0
     for c in contexts:
         for cid in GREEN_SUITE:

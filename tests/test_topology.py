@@ -1,10 +1,11 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from quasiring import topology, zariski
-from quasiring.algebra import make_table, make_zmod
+from quasiring.algebra import make_table, make_zmod, zero_divisors
 from quasiring.dsl import parse_spec
 from quasiring.errors import (
     BudgetExceeded,
@@ -12,7 +13,7 @@ from quasiring.errors import (
     NotClosedUnderUnion,
 )
 from quasiring.funcspace import FunctionRing
-from quasiring.sets import INF, SeqSet, sort_family
+from quasiring.sets import INF, SeqSet
 from quasiring.topology import (
     ExplicitSpace,
     SequenceSpace,
@@ -31,7 +32,11 @@ from quasiring.topology import (
     validate_topology,
 )
 from quasiring.verify import InstanceSpec, random_instance
-from quasiring.zariski import compare_T1_TZ_T, zariski_closed_family
+from quasiring.zariski import (
+    compare_T1_TZ_T,
+    zariski_closed_family,
+    zero_set_space,
+)
 
 
 def test_discrete_space_all_sets_open():
@@ -131,6 +136,21 @@ def test_random_instances_are_topologies():
 
 
 # -- set-level oracles for the bitmask layer ---------------------------------
+
+def sort_family(family):
+    """The order of set families, by definition: by size, then by the
+    ascending member list."""
+    return sorted(family, key=lambda s: (len(s), sorted(s)))
+
+
+def zariski_as_space(zt):
+    """TZ by its definition: the topology generated by the complements of
+    the closed family."""
+    full = zt.space.full
+    return validate_topology(zt.space.point_count,
+                             [full - c for c in zt.closed_family],
+                             auto_close=True)
+
 
 def pairwise_closure(n, sets, auto_close=True):
     """Close a family under pairwise union and intersection, round by round;
@@ -302,8 +322,10 @@ def test_zariski_family_matches_the_per_element_closure():
                 closed, union_closed = zero_set_closure(ring)
                 zt = zariski_closed_family(ring)
                 assert set(zt.closed_family) == closed
-                assert list(zt.closed_family) == topology.sort_family(closed)
-                assert zt.as_space().opens == {space.full - c for c in closed}
+                assert list(zt.closed_family) == sort_family(closed)
+                tz = zariski_as_space(zt)
+                assert tz.opens == {space.full - c for c in closed}
+                assert zero_set_space(ring) == tz
                 assert zt.union_closed == union_closed
                 assert zt.union_witness is None
 
@@ -332,6 +354,65 @@ def test_zariski_family_is_read_off_the_ring_elements(monkeypatch):
     assert zt.union_witness == (frozenset({0}), frozenset({1}))
     monkeypatch.setattr(zariski, "MATERIALIZE_CAP", 2)
     assert zariski_closed_family(ring).closed_family is None
+
+
+def corpus_rings():
+    """The finite rings of the spec corpus, zero-divisor-free or not."""
+    for path in sorted((Path(__file__).parent / "specs").glob("*.qr")):
+        spec = parse_spec(path.read_text())
+        for d in spec.ring_defs.values():
+            space = spec.spaces[d.space]
+            if isinstance(space, ExplicitSpace):
+                yield FunctionRing(space, spec.algebras[d.algebra])
+
+
+def test_zero_set_space_matches_the_closed_family_reference(monkeypatch):
+    # U_x read straight off the V(f) against the topology generated by the
+    # complements of their ∩-closure, on the corpus and on partial rings
+    rings = [r for r in corpus_rings() if not zero_divisors(r.algebra)]
+    assert len(rings) >= 8
+    for ring in rings:
+        assert zero_set_space(ring) == zariski_as_space(
+            zariski_closed_family(ring))
+    partial = [((2, make_zmod(2)), ((0, 0), (1, 0), (1, 1))),
+               ((3, make_zmod(2)), ((0, 1, 1), (1, 0, 1))),
+               ((3, make_zmod(3)), ((0, 1, 2), (2, 0, 0), (1, 1, 0)))]
+    for (n, algebra), elements in partial:
+        ring = FunctionRing(discrete_space(n), algebra)
+        only_elements(monkeypatch, ring, *elements)
+        tz = zero_set_space(ring)
+        assert tz == zariski_as_space(zariski_closed_family(ring))
+        assert tz != discrete_space(n)
+
+
+def test_family_orders_match_sort_family():
+    rng = random.Random(29)
+    for n in range(1, 11):
+        for _ in range(8):
+            space = validate_topology(n, random_subbasis(rng, n),
+                                      auto_close=True)
+            clopens = clopen_family(space)
+            assert clopens == sort_family(clopens_by_definition(n, space.opens))
+            ring = FunctionRing(space, make_zmod(2))
+            closed = zariski_closed_family(ring).closed_family
+            assert list(closed) == sort_family(closed)
+            assert set(closed) == set(clopens)
+
+
+def test_clopen_family_is_refused_as_the_enumeration_is(monkeypatch):
+    # the doubling stops where all_unions would, with the same error
+    for budget, n in ((64, 7), (64, 9), (100, 7), (2 ** 20, 21)):
+        space = discrete_space(n)
+        monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", budget)
+        with pytest.raises(BudgetExceeded) as want:
+            topology.all_unions(topology._quasi_classes(space))
+        with pytest.raises(BudgetExceeded) as got:
+            clopen_family(space)
+        assert (got.value.cap, got.value.reached, str(got.value)) == (
+            want.value.cap, want.value.reached, str(want.value))
+        monkeypatch.undo()
+    monkeypatch.setattr(topology, "DEFAULT_ENUM_BUDGET", 64)
+    assert len(clopen_family(discrete_space(6))) == 64
 
 
 def test_closure_helpers_on_families_that_are_not_closed():

@@ -14,7 +14,13 @@ from quasiring.topology import (
     disjoint_union,
     sierpinski_space,
 )
-from quasiring.zariski import compare_T1_TZ_T, zariski_closed_family
+from quasiring.zariski import (
+    compare_T1_TZ_T,
+    zariski_closed_family,
+    zero_set_space,
+)
+
+from test_topology import zariski_as_space
 
 
 def test_discrete_zariski_is_discrete():
@@ -23,7 +29,8 @@ def test_discrete_zariski_is_discrete():
     assert set(zt.closed_family) == {frozenset(), frozenset({0}),
                                      frozenset({1}), frozenset({0, 1})}
     assert zt.union_closed
-    assert zt.as_space() == discrete_space(2)
+    assert zariski_as_space(zt) == discrete_space(2)
+    assert zero_set_space(ring) == discrete_space(2)
 
 
 def test_sierpinski_zariski_collapses():
