@@ -55,7 +55,7 @@ ONCE = "tests/test_checkers.py::test_bodies_run_once_per_context"
 VANISHING = "tests/test_context.py::test_vanishing_bitsets_match_the_definition"
 TZ_SPACE = f"{TOPOLOGY}::test_zero_set_space_matches_the_closed_family_reference"
 FAMILY_ORDERS = f"{TOPOLOGY}::test_family_orders_match_sort_family"
-GOLDENS = "tests/test_analyze_goldens.py"
+GOLDENS = "tests/test_cli_goldens.py"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
