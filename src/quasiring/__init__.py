@@ -9,11 +9,9 @@ from .ideals import (
     Ideal,
     IdealLattice,
     classify_primes,
-    generate_ideal,
     ideal_lattice,
     is_prime,
     prime_radical,
-    principal_ideal,
     vanishing_ideal,
 )
 from .sequence import SeqFn, SequenceRing

@@ -305,31 +305,3 @@ def _build(spec: SpecFile):
 def parse_spec(text: str) -> SpecFile:
     return _Parser(text).parse()
 
-
-def render_spec(spec: SpecFile) -> str:
-    """Canonical text form; parsing the result rebuilds an equal SpecFile."""
-    out = []
-    for d in spec.space_defs.values():
-        if d.kind == "discrete":
-            out.append(f"space {d.name} discrete {d.n}")
-        elif d.kind == "seq":
-            out.append(f"space {d.name} seq")
-        else:
-            sets = " ".join("{" + " ".join(str(p) for p in sorted(s)) + "}"
-                            for s in d.opens)
-            out.append(f"space {d.name} opens {{ {sets} }}")
-    for d in spec.algebra_defs.values():
-        if d.kind == "zmod":
-            out.append(f"algebra {d.name} zmod {d.n}")
-        else:
-            mul = " ".join(str(v) for row in d.mul for v in row)
-            line = f"algebra {d.name} table {d.n} {{ {mul} }}"
-            if d.add is not None:
-                add = " ".join(str(v) for row in d.add for v in row)
-                line += f" add {{ {add} }}"
-            out.append(line)
-    for d in spec.ring_defs.values():
-        out.append(f"ring {d.name} = C({d.space}, {d.algebra})")
-    if spec.checks:
-        out.append("check " + " ".join(spec.checks))
-    return "\n".join(out) + ("\n" if out else "")

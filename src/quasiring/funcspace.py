@@ -24,7 +24,6 @@ import itertools
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .algebra import AlgebraTable
 from .errors import (
@@ -201,9 +200,6 @@ class FunctionRing:
             raise MissingAddition("algebra has no addition table")
         return tuple(zip(*table)) if op.endswith("_t") else table
 
-    def value_at(self, f: FnElement, point: int) -> int:
-        return f[self.class_of[point]]
-
     def __len__(self):
         return len(self.elements)
 
@@ -258,16 +254,6 @@ class FunctionRing:
                 f"{self.algebra!r}, {len(self.elements)} elements)")
 
 
-def is_continuous(space: ExplicitSpace, algebra: AlgebraTable, values) -> bool:
-    """Whether a raw point -> Y-index map is continuous (Y discrete)."""
-    values = tuple(values)
-    for b in algebra.elements:
-        pre = frozenset(p for p in space.points if values[p] == b)
-        if not space.is_open(pre):
-            return False
-    return True
-
-
 def vanishing_elements(ring: FunctionRing, u, value: int | None = None) -> int:
     """All functions equal to b on the points u, as a bitset: the AND over
     the classes meeting u of the elements equal to b there."""
@@ -278,60 +264,22 @@ def vanishing_elements(ring: FunctionRing, u, value: int | None = None) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Transport:
-    """Inverse isomorphisms between C(X, Y) and C(Π, Y).
+def transport(ring: FunctionRing) -> tuple:
+    """(target, carry) for ring = C(X, Y): target is C(Π, Y) over the
+    quotient Π of X by its quasi-components, and carry[i] is the index in
+    target of element i, an isomorphism of the two rings.
 
-    Both rings index elements by quasi-component, so the maps reconcile the
-    class orders of the two sides; composing them is the identity.
+    Π is totally separated, so its classes are singletons, and each class
+    of X lands on the class of its point of Π; carry permutes the digits
+    accordingly.  Like ``chi_table`` it is built by mixed-radix doubling:
+    class j of X turns the indices of the shorter tuples into
+    [x + d·w for x in carry for d in Y], w the weight of j's target class.
     """
-
-    source: FunctionRing        # C(X, Y)
-    target: FunctionRing        # C(Π, Y)
-    class_map: tuple            # source class index -> target class index
-
-    def G(self, f: FnElement) -> FnElement:
-        out = [None] * len(self.target.classes)
-        for i, j in enumerate(self.class_map):
-            out[j] = f[i]
-        return tuple(out)
-
-    def H(self, fhat: FnElement) -> FnElement:
-        return tuple(fhat[j] for j in self.class_map)
-
-
-def transport(ring: FunctionRing) -> Transport:
-    """Build the C(X,Y) <-> C(Π,Y) transport for ring = C(X, Y)."""
     q = quotient_space(ring.space)
-    pi = q.as_space()
-    target = FunctionRing(pi, ring.algebra)
-    class_map = []
+    target = FunctionRing(q.as_space(), ring.algebra)
+    m, k = ring.algebra.carrier_size, len(target.classes)
+    carry = [0]
     for c in ring.classes:
-        i = q.class_index(min(c))
-        # Π is totally separated: its classes are singleton class indices
-        class_map.append(next(k for k, tc in enumerate(target.classes) if i in tc))
-    return Transport(ring, target, tuple(class_map))
-
-
-def embed_J(chi_ring: FunctionRing, target: FunctionRing) -> dict:
-    """Value-pattern embedding of C(Z, Z_2) into C(Z, Y); multiplicative.
-
-    Maps 0 to the target zero and 1 to the target unit, coordinatewise.
-    """
-    if target.algebra.unit is None:
-        raise MissingUnit("embedding needs a unit in the target algebra")
-    if chi_ring.algebra.carrier_size != 2 or chi_ring.algebra.unit is None:
-        raise ValueError("source must be the two-element ring with 0 and 1")
-    lut = {chi_ring.algebra.zero: target.algebra.zero,
-           chi_ring.algebra.unit: target.algebra.unit}
-    return {f: tuple(lut[v] for v in f) for f in chi_ring.elements}
-
-
-def project_L(ring: FunctionRing) -> dict:
-    """Pointwise nonzero-indicator into C(Z, Z_2); surjective.
-
-    Multiplicativity holds exactly when Y is free of zero divisors; callers
-    check the flag themselves.
-    """
-    z = ring.algebra.zero
-    return {f: tuple(0 if v == z else 1 for v in f) for f in ring.elements}
+        w = m ** (k - 1 - target.class_of[q.class_index(min(c))])
+        carry = [x + d * w for x in carry for d in range(m)]
+    return target, tuple(carry)

@@ -32,7 +32,7 @@ from .errors import (
     NotProper,
 )
 from .algebra import structure_flags
-from .funcspace import FnElement, FunctionRing, vanishing_elements
+from .funcspace import FunctionRing, vanishing_elements
 from .sets import mask_key
 
 RIGHT = "right"
@@ -336,19 +336,6 @@ def join(ring: FunctionRing, a: int, b: int, side: str, mode: str) -> int:
     return closure(ring, members(a | b), side, mode)
 
 
-def generate_ideal(ring: FunctionRing, seed, side: str = RIGHT,
-                   mode: str | None = None) -> Ideal:
-    """Least fixpoint of the ideal laws containing the seed set."""
-    mode = default_mode(ring) if mode is None else mode
-    bits = closure(ring, [ring.index(f) for f in seed], side, mode)
-    return Ideal(ring, bits, side, mode)
-
-
-def principal_ideal(ring: FunctionRing, f: FnElement, side: str = RIGHT,
-                    mode: str | None = None) -> Ideal:
-    return generate_ideal(ring, [f], side, mode)
-
-
 def vanishing_ideal(ring: FunctionRing, points, side: str = RIGHT,
                     mode: str | None = None) -> Ideal:
     """I(U): every function vanishing on the given raw points."""
@@ -359,12 +346,6 @@ def vanishing_ideal(ring: FunctionRing, points, side: str = RIGHT,
 def is_ideal_set(ring: FunctionRing, bits: int, side: str, mode: str) -> bool:
     """Whether the elements of a bitset already form an ideal."""
     return closure(ring, members(bits), side, mode) == bits
-
-
-def all_ideals_bruteforce(ring: FunctionRing, side: str = RIGHT,
-                          mode: str | None = None) -> set[frozenset]:
-    """The subset scan's ideals as frozensets of value tuples."""
-    return {elements_of(ring, b) for b in subset_scan(ring, side, mode)}
 
 
 def subset_scan(ring: FunctionRing, side: str = RIGHT,

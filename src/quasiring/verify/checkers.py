@@ -947,15 +947,12 @@ def _l43(ctx):  # division ring: members of proper ideals must vanish somewhere
 
 @_checker("L44")
 def _l44(ctx):  # quotient transport carries I(x) to I([x])
-    ring = ctx.ring
-    tr = transport(ring)
+    target, carry = transport(ctx.ring)
     q = quotient_space(ctx.space)
     for x in ctx.space.points:
         src = ctx.vanishing(frozenset({x}))
-        dst = vanishing_elements(tr.target, {q.class_index(x)})
-        moved = bitset(tr.target.index(tr.G(ring.elements[f]))
-                       for f in members(src))
-        if moved != dst:
+        dst = vanishing_elements(target, {q.class_index(x)})
+        if bitset(carry[f] for f in members(src)) != dst:
             return {"x": x}
     return None
 
@@ -1455,12 +1452,12 @@ def _l61(ctx):
             if a & b in x and x[a & b] != xa & xb:
                 return {"item": 2, "I1": i1, "I2": i2}
     ring, t, ideals = ctx.ring, ctx.theta, ctx.lattice.ideals
+    # item 4, X_I + θ = X_I, is not tested: AlgebraTable makes θ the
+    # additive identity, so it cannot fail
     if ctx.algebra.add is not None:
-        plus_t, times_t = ring.row("add_t", t), ring.row("mul_t", t)
-        for i in ideals:                       # f+θ and f·θ per f in X_I
+        times_t = ring.row("mul_t", t)
+        for i in ideals:                       # f·θ per f in X_I
             xs = members(x[i.bits])
-            if {plus_t[f] for f in xs} != set(xs):
-                return {"item": 4, "I": i}
             if not i.is_trivial() and xs and {times_t[f] for f in xs} != {t}:
                 return {"item": 5, "I": i}
     if ctx.flags.char_two and ctx.mode == RING:
@@ -1515,7 +1512,8 @@ def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
     clopens = clopen_family(ctx.space)
     if len(two.elements) != len(clopens):
         return {"clopens": len(clopens), "functions": len(two.elements)}
-    zsets = {two.zero_set(f) for f in two.elements}
+    zsets = {frozenset().union(*(two.classes[c] for c in members(mask)))
+             for mask in two.zero_classes()}
     if zsets != set(clopens):
         return {"law": "zero sets miss a clopen"}
     return None

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from ..algebra import structure_flags
 from ..errors import BudgetExceeded, MissingAddition
-from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing
+from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing, vanishing_elements
 from ..ideals import (
     MULTIPLICATIVE,
     RIGHT,
@@ -158,14 +158,11 @@ class Context:
         return out
 
     def vanishing(self, points: frozenset, b=None) -> int:
-        """I(U, b) as a bitset, cached: the AND over the classes meeting U
-        of the elements equal to b there."""
+        """I(U, b) as a bitset (``vanishing_elements``), cached."""
         out = self._vanishing.get((points, b))
         if out is None:
-            out, z = self.whole, self.algebra.zero if b is None else b
-            for c in {self.ring.class_of[p] for p in points}:
-                out &= self.value_bits[c][z]
-            self._vanishing[points, b] = out
+            out = self._vanishing[points, b] = vanishing_elements(
+                self.ring, points, b)
         return out
 
     def zero_locus(self, bits: int, b=None) -> int:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from ..algebra import AlgebraTable, zero_divisors
 from ..errors import CrossCheckFailed, MissingAddition, ZeroDivisorHypothesis
-from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing
+from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing, vanishing_elements
 from ..ideals import (
     RIGHT,
     RING,
     classify_primes,
     ideal_lattice,
     prime_radical,
-    vanishing_ideal,
 )
 from ..topology import discrete_space
 
@@ -48,11 +47,10 @@ def generate_prescribed_ring(n_primes: int, y: AlgebraTable,
     ring = FunctionRing(space, y, budget)
     lattice = classify_primes(ideal_lattice(ring, side, RING))
     primes = [i for i in lattice.ideals if i.meta.get("is_prime")]
-    point_ideals = {vanishing_ideal(ring, c, side, RING).elements
-                    for c in ring.classes}
+    point_ideals = {vanishing_elements(ring, c) for c in ring.classes}
     inventory = {
         "proper_primes": len(primes),
-        "all_point_ideals": all(p.elements in point_ideals for p in primes),
+        "all_point_ideals": all(p.bits in point_ideals for p in primes),
         "all_min_max": all(p.meta.get("is_min_max") for p in primes),
         "prime_radical": prime_radical(lattice),
         "primes": primes,

@@ -56,6 +56,8 @@ VANISHING = "tests/test_context.py::test_vanishing_bitsets_match_the_definition"
 TZ_SPACE = f"{TOPOLOGY}::test_zero_set_space_matches_the_closed_family_reference"
 FAMILY_ORDERS = f"{TOPOLOGY}::test_family_orders_match_sort_family"
 GOLDENS = "tests/test_cli_goldens.py"
+CHECK_GOLDEN = f"{GOLDENS}::test_cli_matches_the_golden[check-discrete_zmod]"
+TRANSPORT = f"{FUNCSPACE}::test_transport_round_trip_and_multiplicativity"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -268,9 +270,29 @@ MUTANTS = [
            "    return (len(set(chi)) == len(chi)\n",
            "    return True or (len(set(chi)) == len(chi)\n",
            (PLANTED,)),
+    Mutant("l61-item-5-never-fails", "verify/checkers.py",
+           "and {times_t[f] for f in xs} != {t}:",
+           "and {times_t[f] for f in xs} != {times_t[f] for f in xs}:",
+           ("tests/test_checkers.py::"
+            "test_l61_item_5_fails_when_the_unit_times_zero_is_not_zero",)),
     Mutant("l61-sums-against-the-union-only", "verify/checkers.py",
            "and out & ~ctx.join(a, b):", "and out & ~(a | b):",
            (GREEN,)),
+
+    # -- the transport and C(Z, Z_2) on indices ----------------------------
+    Mutant("transport-carry-digits-reversed", "funcspace.py",
+           "w = m ** (k - 1 - target.class_of[q.class_index(min(c))])",
+           "w = m ** target.class_of[q.class_index(min(c))]",
+           (TRANSPORT, GREEN)),
+    Mutant("l66-zero-set-drops-its-first-class", "verify/checkers.py",
+           "for c in members(mask)))", "for c in members(mask)[1:]))",
+           (GREEN, CHECK_GOLDEN)),
+
+    # -- the behaviour contract ---------------------------------------------
+    Mutant("t26-witness-sets-swapped", "verify/checkers.py",
+           '"U1": ctx.points(u1), "U": ctx.points(u),',
+           '"U1": ctx.points(u), "U": ctx.points(u1),',
+           (CHECK_GOLDEN,)),
 
     # -- the command line -------------------------------------------------
     Mutant("cli-primes-check", "cli.py",

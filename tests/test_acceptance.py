@@ -12,11 +12,12 @@ from quasiring.algebra import make_zmod, zero_divisors
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
     RING,
-    all_ideals_bruteforce,
     classify_primes,
+    elements_of,
     ideal_lattice,
     is_prime,
     prime_radical,
+    subset_scan,
     vanishing_ideal,
 )
 from quasiring.sequence import (
@@ -100,7 +101,8 @@ def test_criterion_04_full_classification():
                 assert all(q.meta["is_min_max"] for q in primes)
                 assert prime_radical(lat) == frozenset({ring.theta})
                 if len(ring) <= 16:
-                    oracle = all_ideals_bruteforce(ring, mode=RING)
+                    oracle = {elements_of(ring, b)
+                              for b in subset_scan(ring, mode=RING)}
                     assert {i.elements for i in lat.ideals} == oracle
 
 
@@ -114,7 +116,8 @@ def test_criterion_05_zero_divisor_regime():
         }
         # independent subset-scan oracle for the complete prime inventory
         oracle_primes = set()
-        for elems in all_ideals_bruteforce(ring, mode=RING):
+        for bits in subset_scan(ring, mode=RING):
+            elems = elements_of(ring, bits)
             if len(elems) == len(ring):
                 continue
             ok = True

@@ -75,6 +75,17 @@ def test_expected_fail_with_witness():
     assert r.note == EXPECTED_FAIL_NOTES["T26"]
 
 
+def test_l61_item_5_fails_when_the_unit_times_zero_is_not_zero():
+    # a left-only zero under a right-only unit leaves 1·0 free: here 1·0 = 1,
+    # so χ_U·θ is not θ, and item 5 (X_I·θ = {θ}) has something to test
+    y = make_table([[0, 0], [1, 1]], zero=0, zero_side=LEFT, unit=1,
+                   unit_side=RIGHT, add=[[0, 1], [1, 0]])
+    for side in (RIGHT, LEFT, TWO_SIDED):
+        for mode in (MULTIPLICATIVE, RING):
+            r = run_checker("L61", Context(discrete_space(2), y, side, mode))
+            assert r.verdict == FAIL and r.witness["item"] == 5
+
+
 def test_hypothesis_unmet_without_addition():
     mul = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
     c = Context(discrete_space(2), make_table(mul, zero=0, unit=1),

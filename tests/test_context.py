@@ -17,7 +17,7 @@ from quasiring.ideals import (
     Ideal,
     IdealLattice,
     classify_primes,
-    generate_ideal,
+    closure,
     ideal_lattice,
     vanishing_ideal,
 )
@@ -136,7 +136,7 @@ def test_vanishing_bitsets_match_the_definition():
         for u in sets:
             for b in ring.algebra.elements:
                 want = {f for f in ring.elements
-                        if all(ring.value_at(f, p) == b for p in u)}
+                        if all(f[ring.class_of[p]] == b for p in u)}
                 got = ctx.vanishing(u, b)
                 assert _tuples(ring, got) == want
                 for fam in ctx.fn_families:
@@ -164,7 +164,7 @@ def test_zero_sets_and_equivalence_classes_match_the_definition():
             for x in ring.space.points:
                 want = frozenset(
                     y for y in ring.space.points
-                    if all(ring.value_at(f, y) == ring.value_at(f, x)
+                    if all(f[ring.class_of[y]] == f[ring.class_of[x]]
                            for f in members))
                 assert ctx.points(ctx.equiv(fam, x)) == want
 
@@ -187,8 +187,8 @@ def test_ideal_bits_are_the_indices_of_its_elements():
         ring = ctx.ring
         ideals = list(ctx.lattice.ideals)
         ideals.append(vanishing_ideal(ring, {0}, ctx.side, ctx.mode))
-        ideals.append(generate_ideal(ring, ring.elements[-1:], ctx.side,
-                                     ctx.mode))
+        ideals.append(Ideal(ring, closure(ring, [len(ring) - 1], ctx.side,
+                                          ctx.mode), ctx.side, ctx.mode))
         for ideal in ideals:
             indices = {ring.index(f) for f in ideal.elements}
             assert ideal.bits == sum(1 << i for i in indices)

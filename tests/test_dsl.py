@@ -1,6 +1,6 @@
 import pytest
 
-from quasiring.dsl import parse_spec, render_spec
+from quasiring.dsl import parse_spec
 from quasiring.errors import DslSyntaxError, DuplicateName, UnknownReference
 from quasiring.topology import SequenceSpace, discrete_space, sierpinski_space
 
@@ -71,18 +71,3 @@ def test_table_arity_checked():
     with pytest.raises(DslSyntaxError):
         parse_spec("algebra Y table 2 { 0 0 0 }")
 
-
-def test_render_round_trip():
-    text = ("space Z discrete 3\n"
-            "space W opens { {} {0} {0 1} }\n"
-            "algebra Y zmod 2\n"
-            "algebra T table 2 { 0 0 0 1 } add { 0 1 1 0 }\n"
-            "ring R = C(Z, Y)\n"
-            "ring S = C(W, T)\n"
-            "check T34\n")
-    first = parse_spec(text)
-    second = parse_spec(render_spec(first))
-    assert second.space_defs == first.space_defs
-    assert second.algebra_defs == first.algebra_defs
-    assert second.ring_defs == first.ring_defs
-    assert second.checks == first.checks

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,20 +11,16 @@ from quasiring.errors import (
     NotClopen,
     ZeroValue,
 )
-from quasiring.funcspace import (
-    FunctionRing,
-    embed_J,
-    is_continuous,
-    project_L,
-    transport,
-    vanishing_elements,
-)
+from quasiring.funcspace import FunctionRing, transport, vanishing_elements
 from quasiring.topology import (
     SequenceSpace,
     discrete_space,
     disjoint_union,
+    quotient_space,
     sierpinski_space,
+    validate_topology,
 )
+from quasiring.verify import PASS, run_checker
 from quasiring.verify.checkers import Context
 
 
@@ -36,7 +33,8 @@ def test_sierpinski_collapses_to_constants():
     # one quasi-component, so only the constant functions are continuous
     ring = FunctionRing(sierpinski_space(), make_zmod(3))
     assert len(ring) == 3
-    assert ring.value_at(ring.elements[1], 0) == ring.value_at(ring.elements[1], 1)
+    f = ring.elements[1]
+    assert f[ring.class_of[0]] == f[ring.class_of[1]]
 
 
 def test_budget_refusal():
@@ -55,11 +53,6 @@ def pointwise(ring, op, f, g):
     Y's table: an oracle that does not go through the ring."""
     table = ring.algebra.mul if op == "mul" else ring.algebra.add
     return tuple(table[a][b] for a, b in zip(f, g))
-
-
-def times(ring, f, g):
-    """The ring's own product of two value tuples, read off its table row."""
-    return ring.elements[ring.row("mul", ring.index(f))[ring.index(g)]]
 
 
 def test_pointwise_arithmetic():
@@ -84,8 +77,8 @@ def test_zero_set_V_of_empty_family_is_full():
 def test_chi_values_and_refusals():
     ring = FunctionRing(discrete_space(3), make_zmod(3))
     f = ring.chi({0}, 2)
-    assert ring.value_at(f, 0) == 0
-    assert ring.value_at(f, 1) == 2
+    assert f[ring.class_of[0]] == 0
+    assert f[ring.class_of[1]] == 2
     with pytest.raises(ZeroValue):
         ring.chi({0}, 0)
     sp_ring = FunctionRing(sierpinski_space(), make_zmod(2))
@@ -93,11 +86,26 @@ def test_chi_values_and_refusals():
         sp_ring.chi({0})
 
 
+def is_continuous(space, y, values) -> bool:
+    """Whether a raw point -> Y-index map is continuous (Y discrete): the
+    preimage of every value is open."""
+    return all(space.is_open(frozenset(p for p in space.points
+                                       if values[p] == b))
+               for b in y.elements)
+
+
 def test_is_continuous_matches_class_constancy():
     space = sierpinski_space()
     y = make_zmod(2)
     assert is_continuous(space, y, (1, 1))
     assert not is_continuous(space, y, (0, 1))
+    # the continuous maps are the ring's elements read at each point
+    for z in (space, disjoint_union(sierpinski_space(), discrete_space(1)),
+              validate_topology(4, [{0}, {0, 1}, {2, 3}], auto_close=True)):
+        ring = FunctionRing(z, y)
+        maps = itertools.product(y.elements, repeat=z.point_count)
+        assert {v for v in maps if is_continuous(z, y, v)} == {
+            tuple(f[ring.class_of[p]] for p in z.points) for f in ring}
 
 
 def test_vanishing_elements_counts():
@@ -115,26 +123,34 @@ def test_equiv_class_separation():
 def test_transport_round_trip_and_multiplicativity():
     space = disjoint_union(sierpinski_space(), discrete_space(2))
     ring = FunctionRing(space, make_zmod(3))
-    t = transport(ring)
-    for f in ring:
-        assert t.H(t.G(f)) == f
-    for f in ring.elements[:5]:
-        for g in ring.elements[:5]:
-            assert t.G(times(ring, f, g)) == times(t.target, t.G(f), t.G(g))
+    target, carry = transport(ring)
+    # a bijection that keeps each function's value at every point
+    assert sorted(carry) == list(range(len(target)))
+    q = quotient_space(space)
+    for f, fhat in zip(ring.elements, target.elements.take(carry)):
+        for x in space.points:
+            assert f[ring.class_of[x]] == fhat[target.class_of[q.class_index(x)]]
+    for f in range(5):
+        for g in range(5):
+            assert (carry[ring.row("mul", f)[g]]
+                    == target.row("mul", carry[f])[carry[g]])
 
 
 def test_embed_and_project():
-    space = discrete_space(2)
-    chi_ring = FunctionRing(space, make_zmod(2))
-    target = FunctionRing(space, make_zmod(5))
-    j = embed_J(chi_ring, target)
-    assert len(set(j.values())) == len(chi_ring)          # injective
-    ell = project_L(target)
-    assert set(ell.values()) == set(chi_ring.elements)    # surjective
+    """J: C(Z, Z_2) -> C(Z, Y) sends 0 to 0 and 1 to the unit, so the image
+    of the function with zero set U is χ_U; L sends f to its nonzero
+    indicator, the complement of V(f).  T32 and L59.5 check them."""
+    ctx = Context(discrete_space(2), make_zmod(5))
+    assert [run_checker(cid, ctx, "C(discrete 2, Z_5)").verdict
+            for cid in ("T32", "L59.5")] == [PASS, PASS]
+    ring, every = ctx.ring, ctx.all_classes
+    assert len(set(ring.chi_table())) == 2 ** len(ring.classes)  # J injective
+    ell = [every & ~z for z in ring.zero_classes()]
+    assert set(ell) == set(range(2 ** len(ring.classes)))        # L surjective
     # L is multiplicative because Z_5 has no zero divisors
-    for f in target.elements[:6]:
-        for g in target.elements[:6]:
-            assert ell[times(target, f, g)] == times(chi_ring, ell[f], ell[g])
+    for f in range(6):
+        for g in range(6):
+            assert ell[ring.row("mul", f)[g]] == ell[f] & ell[g]
 
 
 def random_magma_ring(rng, m):

@@ -19,21 +19,19 @@ from quasiring.ideals import (
     RIGHT,
     RING,
     TWO_SIDED,
-    all_ideals_bruteforce,
     bitset,
     classify_primes,
     closure,
     elements_of,
     family_sets,
-    generate_ideal,
     ideal_lattice,
     is_prime,
     join,
     members,
     prime_radical,
-    principal_ideal,
     principal_table,
     span_applies,
+    subset_scan,
     vanishing_ideal,
 )
 from quasiring import topology
@@ -60,15 +58,22 @@ def d2z4():
     return FunctionRing(discrete_space(2), make_zmod(4))
 
 
+def scanned(ring, side=RIGHT, mode=None):
+    """The subset scan's ideals as frozensets of value tuples."""
+    return {elements_of(ring, b) for b in subset_scan(ring, side, mode)}
+
+
 def test_generate_ideal_closure(d2z3):
-    i = generate_ideal(d2z3, [(0, 1)], mode=RING)
+    i = elements_of(d2z3, closure(d2z3, [d2z3.index((0, 1))], RIGHT, RING))
     # (0,1) generates everything vanishing at the first point
-    assert i.elements == frozenset({(0, 0), (0, 1), (0, 2)})
+    assert i == frozenset({(0, 0), (0, 1), (0, 2)})
 
 
 def test_principal_ideal_multiplicative_vs_ring(d2z3):
-    m = principal_ideal(d2z3, (0, 1), mode=MULTIPLICATIVE)
-    r = principal_ideal(d2z3, (0, 1), mode=RING)
+    f = d2z3.index((0, 1))
+    m = Ideal(d2z3, principal_table(d2z3, RIGHT, MULTIPLICATIVE)[f],
+              RIGHT, MULTIPLICATIVE)
+    r = Ideal(d2z3, principal_table(d2z3, RIGHT, RING)[f], RIGHT, RING)
     assert m.elements <= r.elements
     assert (0, 2) in r and (0, 2) in m  # (0,1)·(0,2) = (0,2)
 
@@ -85,7 +90,8 @@ def test_is_prime_on_point_ideal(d2z3):
 
 
 def test_is_prime_rejects_whole_ring(d2z3):
-    whole = generate_ideal(d2z3, list(d2z3), mode=RING)
+    whole = Ideal(d2z3, closure(d2z3, range(len(d2z3)), RIGHT, RING),
+                  RIGHT, RING)
     with pytest.raises(NotProper):
         is_prime(whole)
 
@@ -103,8 +109,7 @@ def test_lattice_matches_bruteforce_small():
         ring = FunctionRing(discrete_space(2), make_zmod(2))
         lat = ideal_lattice(ring, mode=mode)
         assert lat.complete
-        assert {i.elements for i in lat.ideals} == all_ideals_bruteforce(
-            ring, mode=mode)
+        assert {i.elements for i in lat.ideals} == scanned(ring, mode=mode)
 
 
 def test_classification_d2z3(d2z3):
@@ -135,7 +140,7 @@ def test_mult_only_algebra_lattice():
     lat = ideal_lattice(ring)
     assert lat.mode == MULTIPLICATIVE
     assert lat.complete
-    assert {i.elements for i in lat.ideals} == all_ideals_bruteforce(
+    assert {i.elements for i in lat.ideals} == scanned(
         ring, mode=MULTIPLICATIVE)
 
 
@@ -205,7 +210,7 @@ def test_subset_scan_matches_the_ideal_laws():
         for side in (RIGHT, LEFT, TWO_SIDED):
             for mode in (MULTIPLICATIVE, RING):
                 want = {s for s in subsets if _is_ideal(ring, s, side, mode)}
-                assert all_ideals_bruteforce(ring, side, mode) == want
+                assert scanned(ring, side, mode) == want
                 checked += 1
     assert checked == 90
 
@@ -274,12 +279,13 @@ def test_generate_ideal_is_the_least_ideal_of_the_subset_scan():
                                        for _ in range(4)]
         for side in (RIGHT, LEFT, TWO_SIDED):
             for mode in (MULTIPLICATIVE, RING):
-                every = all_ideals_bruteforce(ring, side, mode)
+                every = scanned(ring, side, mode)
                 for seed in seeds:
                     least = frozenset.intersection(
                         *(i for i in every if i >= frozenset(seed)))
-                    got = generate_ideal(ring, seed, side, mode)
-                    assert got.elements == least, (ring, seed, side, mode)
+                    got = closure(ring, map(ring.index, seed), side, mode)
+                    assert elements_of(ring, got) == least, (
+                        ring, seed, side, mode)
                     checked += 1
     assert checked > 1000
 
