@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import AlgebraTable, make_table, make_zmod
 from .errors import DslSyntaxError, DuplicateName, UnknownReference
@@ -44,8 +45,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # "int" | "name" | one of "{}(),=" | "eof"
     value: str
     line: int

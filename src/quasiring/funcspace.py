@@ -181,15 +181,17 @@ class FunctionRing:
 
     def zero_classes(self) -> list:
         """Per element index, the class mask of its zero set V(f) (bit c
-        for ``classes[c]``); cached.  One class more turns the masks of the
-        shorter tuples into [mask | bit for mask in masks for bit in bits],
-        bits holding the class's bit for each value."""
+        for ``classes[c]``); cached.  Built from the least significant
+        class up: class c turns the masks over the classes after it into
+        one copy of them per Y value, in value order, with bit c set in
+        the zero's copy."""
         if self._zero_classes is None:
-            z = self.algebra.zero
+            z, m = self.algebra.zero, self.algebra.carrier_size
             masks = [0]
-            for c in range(len(self.classes)):
-                bits = [(d == z) << c for d in self.algebra.elements]
-                masks = [mask | bit for mask in masks for bit in bits]
+            for c in reversed(range(len(self.classes))):
+                k = len(masks)
+                masks = masks * m
+                masks[z * k:(z + 1) * k] = map((1 << c).__or__, masks[:k])
             self._zero_classes = masks
         return self._zero_classes
 

@@ -278,22 +278,26 @@ def clopen_family(space: ExplicitSpace) -> list[frozenset]:
     """All clopen sets, in ``mask_key`` order: the unions of the
     quasi-components.
 
-    Masks and point sets are built together by doubling: each class adds,
-    to every union so far, that union with the class.  A family of more
-    than ``DEFAULT_ENUM_BUDGET`` sets is refused up front, with the error
-    an enumeration one set at a time raises at its first set past the
-    budget.
+    Point sets and sort keys are built together by doubling: each class
+    adds, to every union so far, that union with the class.  A set b of n
+    points is keyed by size·2^n − rev_n(b), rev_n the n-bit reversal,
+    which orders as ``mask_key`` does; both parts add over disjoint sets,
+    so a union's key is its classes' keys summed.  A family of more than
+    ``DEFAULT_ENUM_BUDGET`` sets is refused up front, with the error an
+    enumeration one set at a time raises at its first set past the budget.
     """
     classes = _quasi_classes(space)
     if 1 << len(classes) > DEFAULT_ENUM_BUDGET:
         raise _family_refused(DEFAULT_ENUM_BUDGET + 1)
-    masks, sets = [0], [frozenset()]
+    n = space.point_count
+    keys, sets = [0], [frozenset()]
     for q in classes:
         c = points_of(q)
-        masks += [m | q for m in masks]
-        sets += [s | c for s in sets]
-    of_mask = dict(zip(masks, sets))
-    return [of_mask[m] for m in sorted(masks, key=mask_key(space.point_count))]
+        key = (len(c) << n) - sum(1 << n - 1 - p for p in c)
+        keys += [*map(key.__add__, keys)]
+        sets += [*map(c.__or__, sets)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [*map(sets.__getitem__, order)]
 
 
 def quasi_component(space: Space, x) -> frozenset | SeqSet:

@@ -143,6 +143,10 @@ HYPOTHESES = {
     "primes": (lambda ctx: bool(ctx.primes), "no prime ideals on this instance"),
     # `unit` under the note of the MissingUnit that family_sets raises
     "families": (lambda ctx: ctx.algebra.unit is not None, FAMILIES_NOTE),
+    # the families have a U_I and an X_I only for the ideals of the lattice
+    "theta_ideal": (
+        lambda ctx: is_ideal_set(ctx.ring, 1 << ctx.theta, ctx.side, ctx.mode),
+        "needs {theta} to be an ideal on the side"),
 }
 
 
@@ -1039,7 +1043,7 @@ def _l48(ctx):  # P_u lands inside P_{u∪w} ∩ P_{u∪w^c}
     return None
 
 
-@_checker("L49", "families")
+@_checker("L49", "families", "theta_ideal")
 def _l49(ctx):
     fam = ctx.families
     every = (1 << len(fam.chi)) - 1
@@ -1110,7 +1114,7 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
     return None
 
 
-@_checker("L54", "families")
+@_checker("L54", "families", "theta_ideal")
 def _l54(ctx):
     fam = ctx.families
     x = _body(ctx, _x)

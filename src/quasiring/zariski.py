@@ -9,6 +9,9 @@ pair that breaks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import filterfalse
+from operator import or_
 
 from .algebra import zero_divisors
 from .errors import ZeroDivisorHypothesis
@@ -128,10 +131,7 @@ def zero_set_space(ring: FunctionRing) -> ExplicitSpace:
     basic = _zero_set_masks(ring)
     nbhds = []
     for x in range(n):
-        away = 0
-        for b in basic:
-            if not b >> x & 1:
-                away |= b
+        away = reduce(or_, filterfalse((1 << x).__and__, basic), 0)
         nbhds.append(full & ~away)
     return ExplicitSpace(n, tuple(nbhds))
 

@@ -191,6 +191,23 @@ MUTANTS = [
     Mutant("clopen-doubling-drops-last-class", "topology.py",
            "    for q in classes:\n", "    for q in classes[:-1]:\n",
            (FAMILY_ORDERS,)),
+    Mutant("clopen-key-reversal-sign-flipped", "topology.py",
+           "key = (len(c) << n) - sum(", "key = (len(c) << n) + sum(",
+           (FAMILY_ORDERS,)),
+    Mutant("clopen-key-drops-the-size", "topology.py",
+           "key = (len(c) << n) - sum(", "key = -sum(",
+           (FAMILY_ORDERS,)),
+    Mutant("clopen-key-drops-the-reversal", "topology.py",
+           "key = (len(c) << n) - sum(1 << n - 1 - p for p in c)",
+           "key = len(c) << n",
+           (FAMILY_ORDERS,)),
+    Mutant("zero-classes-walked-forward", "funcspace.py",
+           "for c in reversed(range(len(self.classes))):",
+           "for c in range(len(self.classes)):",
+           (ZERO_CLASSES,)),
+    Mutant("tz-away-from-the-sets-holding-x", "zariski.py",
+           "reduce(or_, filterfalse(", "reduce(or_, filter(",
+           (TZ_SPACE,)),
     Mutant("shared-key-tie-break-sign-flipped", "sets.py",
            'return lambda b: (b.bit_count(), -int(',
            'return lambda b: (b.bit_count(), +int(',
@@ -229,8 +246,8 @@ MUTANTS = [
            "if not 0 <= i < n:", "if not i < n:",
            (TAKE,)),
     Mutant("zero-classes-bits-reversed", "funcspace.py",
-           "bits = [(d == z) << c for d",
-           "bits = [(d == z) << (len(self.classes) - 1 - c) for d",
+           "map((1 << c).__or__",
+           "map((1 << (len(self.classes) - 1 - c)).__or__",
            (ZERO_CLASSES,)),
 
     # -- clopens as class masks -------------------------------------------

@@ -27,6 +27,7 @@ from quasiring.verify import (
     PASS,
     REGISTRY,
     SKIPPED_INFINITE,
+    TheoremReport,
     checker_ids,
     run_checker,
 )
@@ -171,6 +172,27 @@ def test_unmet_notes_are_declared_without_a_unit():
         with pytest.raises(MissingAddition,
                            match="ring mode needs an addition table"):
             Context(discrete_space(2), no_add, side, RING)
+
+
+def test_every_checker_reports_when_the_zero_absorbs_on_the_left_only():
+    # 0·y = 0 but y·0 = y: {θ} is a left ideal and neither a right nor a
+    # two-sided one, so the lattice has no U_(θ) or X_(θ) on those sides
+    y = make_table([[0, 0], [1, 1]], zero_side="left", unit=1,
+                   unit_side="right", add=[[0, 1], [1, 0]])
+    note = HYPOTHESES["theta_ideal"][1]
+    unmet = set()
+    for space in (discrete_space(1), discrete_space(2), discrete_space(3),
+                  sierpinski_space()):
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in (MULTIPLICATIVE, RING):
+                c = Context(space, y, side, mode)
+                for cid in checker_ids():
+                    r = run_checker(cid, c)
+                    assert isinstance(r, TheoremReport), (cid, side, mode)
+                    if r.note == note:
+                        unmet.add((cid, side))
+    assert unmet == {(cid, side) for cid in ("L49", "L54", "L57", "L58")
+                     for side in (RIGHT, TWO_SIDED)}
 
 
 class _BodylessContext(Context):

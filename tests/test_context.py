@@ -25,6 +25,7 @@ from quasiring.topology import (
     clopen_family,
     discrete_space,
     disjoint_union,
+    indiscrete_space,
     sierpinski_space,
 )
 from quasiring.verify import FAIL, run_checker
@@ -101,7 +102,16 @@ def test_elements_decode_in_product_order():
 
 
 def test_zero_classes_match_the_value_tuples():
-    for ring in _rings_with_merged_classes():
+    # the zero as the middle value, where its copy is neither end of the
+    # doubled list, and rings of a single class
+    y = make_table([[0, 1, 2], [1, 1, 1], [2, 1, 0]], zero=1)
+    sier = disjoint_union(sierpinski_space(), discrete_space(2))
+    extra = [FunctionRing(sier, y), FunctionRing(discrete_space(4), y),
+             FunctionRing(indiscrete_space(3), y),
+             FunctionRing(discrete_space(1), make_zmod(4)),
+             FunctionRing(sierpinski_space(), make_zmod(2))]
+    assert [len(r.classes) for r in extra] == [3, 4, 1, 1, 1]
+    for ring in [*_rings_with_merged_classes(), *extra]:
         z = ring.algebra.zero
         want = [sum(1 << c for c, v in enumerate(f) if v == z)
                 for f in itertools.product(ring.algebra.elements,

@@ -385,18 +385,36 @@ def test_zero_set_space_matches_the_closed_family_reference(monkeypatch):
         assert tz != discrete_space(n)
 
 
+def glued_blocks(rng, sizes):
+    """A sum of connected blocks on shuffled labels: a block on b0..bk is
+    generated by {b0} and the pairs {b0, bi}."""
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    sets, base = [], 0
+    for m in sizes:
+        block = labels[base:base + m]
+        sets += [{block[0]}, *({block[0], b} for b in block[1:])]
+        base += m
+    return validate_topology(len(labels), sets, auto_close=True)
+
+
 def test_family_orders_match_sort_family():
     rng = random.Random(29)
-    for n in range(1, 11):
-        for _ in range(8):
-            space = validate_topology(n, random_subbasis(rng, n),
-                                      auto_close=True)
-            clopens = clopen_family(space)
-            assert clopens == sort_family(clopens_by_definition(n, space.opens))
-            ring = FunctionRing(space, make_zmod(2))
-            closed = zariski_closed_family(ring).closed_family
-            assert list(closed) == sort_family(closed)
-            assert set(closed) == set(clopens)
+    spaces = [validate_topology(n, random_subbasis(rng, n), auto_close=True)
+              for n in range(1, 11) for _ in range(8)]
+    spaces += [discrete_space(n) for n in range(11, 15)]
+    spaces += [glued_blocks(rng, sizes)
+               for sizes in ((3, 1, 1, 1, 1, 1, 1), (4, 2, 2, 1, 1),
+                             (3, 3, 2, 2, 1), (4, 3, 2, 2), (3, 3, 3, 1, 1),
+                             (2, 1, 1, 1, 1, 1, 1, 1))]
+    for space in spaces:
+        clopens = clopen_family(space)
+        assert clopens == sort_family(
+            clopens_by_definition(space.point_count, space.opens))
+        ring = FunctionRing(space, make_zmod(2))
+        closed = zariski_closed_family(ring).closed_family
+        assert list(closed) == sort_family(closed)
+        assert set(closed) == set(clopens)
 
 
 def test_clopen_family_is_refused_as_the_enumeration_is(monkeypatch):
