@@ -294,6 +294,7 @@ def clopen_family(space: ExplicitSpace) -> list[frozenset]:
     for q in classes:
         c = points_of(q)
         key = (len(c) << n) - sum(1 << n - 1 - p for p in c)
+        # listed first: a list extended by a map over itself never ends
         keys += [*map(key.__add__, keys)]
         sets += [*map(c.__or__, sets)]
     order = sorted(range(len(keys)), key=keys.__getitem__)

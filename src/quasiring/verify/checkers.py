@@ -143,7 +143,7 @@ HYPOTHESES = {
     "primes": (lambda ctx: bool(ctx.primes), "no prime ideals on this instance"),
     # `unit` under the note of the MissingUnit that family_sets raises
     "families": (lambda ctx: ctx.algebra.unit is not None, FAMILIES_NOTE),
-    # the families have a U_I and an X_I only for the ideals of the lattice
+    # U_I and X_I exist only for lattice ideals; L49 and L54 read them at {θ}
     "theta_ideal": (
         lambda ctx: is_ideal_set(ctx.ring, 1 << ctx.theta, ctx.side, ctx.mode),
         "needs {theta} to be an ideal on the side"),
