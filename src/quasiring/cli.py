@@ -5,8 +5,8 @@
 
 Commands:
 
-* ``analyze``  — quasi-components, clopen sets, and topology comparisons for
-  every ring bound in the spec file.
+* ``analyze``  — quasi-components, the clopen count (2^q for q components),
+  and topology comparisons for every ring bound in the spec file.
 * ``ideals``   — ideal lattice, prime classification, and prime radical.
 * ``check``    — run checkers by id (``quasiring check T34 spec.qr``); ids may
   also come from ``check`` directives in the spec file, and ``all`` runs the
@@ -33,7 +33,6 @@ from .algebra import make_zmod, zero_divisors
 from .dsl import parse_spec
 from .errors import (
     BudgetExceeded,
-    DslError,
     IncompleteLattice,
     QuasiringError,
     UnknownChecker,
@@ -48,7 +47,7 @@ from .ideals import (
     ideal_lattice,
     prime_radical,
 )
-from .topology import SequenceSpace, clopen_family, quasi_component_partition
+from .topology import SequenceSpace, quasi_component_partition
 from .verify import (
     BUDGET_EXCEEDED,
     FAIL,
@@ -121,13 +120,13 @@ def cmd_analyze(args) -> tuple[dict, int]:
                         "quasi-components are singletons",
             })
             continue
+        classes = quasi_component_partition(space)
         entry = {
             "ring": name,
             "points": space.point_count,
             "elements": len(ring.elements),
-            "quasi_components": serialize(
-                tuple(quasi_component_partition(space))),
-            "clopen_sets": serialize(tuple(clopen_family(space))),
+            "quasi_components": serialize(classes),
+            "clopen_count": 2 ** len(classes),
         }
         if zero_divisors(algebra):
             entry["topology_comparisons"] = None
@@ -337,7 +336,7 @@ def _split_args(arguments) -> tuple[list, str | None]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handler = {
@@ -350,16 +349,10 @@ def main(argv=None) -> int:
     try:
         args.ids, args.spec_file = _split_args(args.args)
         payload, code = handler(args)
-    except (DslError, UnknownChecker) as exc:
-        print(f"quasiring: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BudgetExceeded, IncompleteLattice) as exc:
         print(f"quasiring: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"quasiring: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QuasiringError as exc:
+    except (QuasiringError, FileNotFoundError) as exc:
         print(f"quasiring: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.as_json:

@@ -40,7 +40,6 @@ from ..ideals import (
 )
 from ..topology import (
     clopen_base_topology,
-    clopen_family,
     quasi_component,
     quasi_component_partition,
     quotient_space,
@@ -982,7 +981,10 @@ def _exact(ctx) -> bool:
     """Whether the χ_U are distinct and each X_I is the χ content of I, so
     each U_I is the clopens whose χ I holds (read through ``_body``).  Then
     U and X meet, join and grow with the ideals on every pair, and the pair
-    scans of L52, L53, L58 and L61 have nothing to find."""
+    scans of L52, L53, L58 and L61 have nothing to find.  ``family_sets``
+    builds U_I as that content, so this holds unless ``FamilySets`` was
+    tampered with, as in ``tests/planted_reports.jsonl``; only then can L52,
+    L53, L54, L58 or L61 items 1–2 fail."""
     chi = ctx.families.chi
     every = bitset(chi)
     return (len(set(chi)) == len(chi)
@@ -1091,6 +1093,7 @@ def _l51(ctx):  # proper primes split the clopens
 
 @_checker("L52", "families")
 def _l52(ctx):  # chi-membership distributes over ideal intersection
+    """Fails only on a tampered ``FamilySets``: ``_exact`` holds otherwise."""
     fam = ctx.families
     pool = () if _body(ctx, _exact) else ctx.ideal_pool()
     for i1 in pool:
@@ -1103,6 +1106,7 @@ def _l52(ctx):  # chi-membership distributes over ideal intersection
 
 @_checker("L53", "families")
 def _l53(ctx):  # and over union when the union happens to be an ideal
+    """Fails only on a tampered ``FamilySets``: ``_exact`` holds otherwise."""
     fam = ctx.families
     primes = {p.bits for p in ctx.primes}
     pool = () if _body(ctx, _exact) else ctx.ideal_pool()
@@ -1116,6 +1120,8 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
 
 @_checker("L54", "families", "theta_ideal")
 def _l54(ctx):
+    """The X_I laws; they fail only on a tampered ``FamilySets``, since
+    ``_exact`` holds on every other context."""
     fam = ctx.families
     x = _body(ctx, _x)
     if x[1 << ctx.theta] != 1 << ctx.theta:
@@ -1170,6 +1176,7 @@ def _l57(ctx):  # summary bundle B: the U_I laws, all carried by its members
 
 @_checker("L58", "unit", members=("L54",))
 def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
+    """Fails only on a tampered ``FamilySets``: ``_exact`` holds otherwise."""
     x = _body(ctx, _x)
     primes = {p.bits for p in ctx.primes}
     pool = () if _body(ctx, _exact) else ctx.ideal_pool()
@@ -1445,6 +1452,8 @@ def _l59_19(ctx):
 
 @_checker("L61", "families")
 def _l61(ctx):
+    """Items 1–2 fail only on a tampered ``FamilySets``, since ``_exact``
+    holds on every other context."""
     x = _body(ctx, _x)
     pool = () if _body(ctx, _exact) else ctx.ideal_pool()
     for i1 in pool:
@@ -1513,12 +1522,10 @@ def _l65(ctx):  # the nonzero indicator on Y is multiplicative
 def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
     from ..algebra import make_zmod
     two = FunctionRing(ctx.space, make_zmod(2), ctx.budget)
-    clopens = clopen_family(ctx.space)
-    if len(two.elements) != len(clopens):
-        return {"clopens": len(clopens), "functions": len(two.elements)}
-    zsets = {frozenset().union(*(two.classes[c] for c in members(mask)))
-             for mask in two.zero_classes()}
-    if zsets != set(clopens):
+    if len(two.elements) != len(ctx.clopens):
+        return {"clopens": len(ctx.clopens), "functions": len(two.elements)}
+    zsets = set(two.zero_classes())     # V(f) per f, over the same classes
+    if len(zsets) != len(ctx.clopens) or not all(map(ctx.is_clopen, zsets)):
         return {"law": "zero sets miss a clopen"}
     return None
 

@@ -301,8 +301,9 @@ MUTANTS = [
            "w = m ** (k - 1 - target.class_of[q.class_index(min(c))])",
            "w = m ** target.class_of[q.class_index(min(c))]",
            (TRANSPORT, GREEN)),
-    Mutant("l66-zero-set-drops-its-first-class", "verify/checkers.py",
-           "for c in members(mask)))", "for c in members(mask)[1:]))",
+    Mutant("l66-zero-sets-drop-the-first-function", "verify/checkers.py",
+           "zsets = set(two.zero_classes())",
+           "zsets = set(two.zero_classes()[1:])",
            (GREEN, CHECK_GOLDEN)),
 
     # -- the behaviour contract ---------------------------------------------

@@ -1,11 +1,14 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from quasiring import cli, topology
 from quasiring.cli import main
 
 SPEC = "space Z discrete 2\nalgebra Y zmod 3\nring R = C(Z, Y)\n"
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 @pytest.fixture
@@ -35,6 +38,51 @@ def test_analyze_json_schema(capsys, spec_file):
     assert payload["rings"][0]["elements"] == 9
     # round trip: serialized output parses back to the same structure
     assert json.loads(json.dumps(payload)) == payload
+
+
+def _refuse(space):
+    raise AssertionError("analyze enumerated the clopen family")
+
+
+def test_analyze_counts_the_clopens_without_listing_them(
+        capsys, tmp_path, monkeypatch):
+    big = tmp_path / "d12.qr"
+    big.write_text("space Z discrete 12\nalgebra Y zmod 2\nring R = C(Z, Y)\n")
+    monkeypatch.setattr(topology, "clopen_family", _refuse)
+    assert not hasattr(cli, "clopen_family")
+    counted = 0
+    for spec in [big, *sorted(SPECS.glob("*.qr"))]:
+        code, out, _ = run(capsys, "analyze", str(spec), "--json")
+        assert code == 0
+        for entry in json.loads(out)["rings"]:
+            if "quasi_components" in entry:
+                assert entry["clopen_count"] == 2 ** len(
+                    entry["quasi_components"])
+                counted += 1
+    assert counted == 14
+
+
+SEQ = str(SPECS / "seq.qr")
+
+
+@pytest.mark.parametrize("orders", [
+    [("analyze", SEQ, "--json"), ("analyze", "--json", SEQ)],
+    [("check", "T34", SEQ, "--seed", "1"),
+     ("check", "--seed", "1", "T34", SEQ),
+     ("check", "T34", "--seed", "1", SEQ)],
+])
+def test_options_may_precede_or_split_the_positionals(capsys, orders):
+    first, *others = orders
+    expected = run(capsys, *first)
+    assert expected[0] == 0
+    for argv in others:
+        assert run(capsys, *argv) == expected
+
+
+def test_json_flag_between_a_checker_id_and_the_spec(capsys):
+    code, out, _ = run(capsys, "check", "T34", "--json", SEQ)
+    assert code == 0
+    assert [r["checker"] for r in json.loads(out)["reports"]] == ["T34"] * 2
 
 
 def test_ideals_lists_primes(capsys, spec_file):

@@ -42,7 +42,6 @@ from quasiring.topology import (
     sierpinski_space,
 )
 from quasiring.sets import mask_key
-from quasiring.verify import checkers
 from quasiring.verify.checkers import Context
 
 from test_funcspace import pointwise, random_magma_ring
@@ -511,7 +510,6 @@ def test_family_sets_incidence(monkeypatch):
     cases = [(ring, clopen_family(ring.space)) for ring in rings]
     monkeypatch.setattr(topology, "all_unions", _refuse)
     monkeypatch.setattr(topology, "clopen_family", _refuse)
-    monkeypatch.setattr(checkers, "clopen_family", _refuse)
     checked = 0
     for ring, clopens in cases:
         ends = {frozenset({ring.theta}), frozenset(ring.elements)}
