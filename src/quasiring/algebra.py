@@ -60,6 +60,8 @@ class AlgebraTable:
                 raise BadTable("declared zero is not right-absorbing")
         if self.unit is not None:
             e = self.unit
+            if e == z:
+                raise BadTable("declared unit is the zero element")
             if self.unit_side in (LEFT, TWO_SIDED):
                 if any(self.mul[e][a] != a for a in range(m)):
                     raise BadTable("declared unit fails its left law")
@@ -76,11 +78,6 @@ class AlgebraTable:
 
     def times(self, a: int, b: int) -> int:
         return self.mul[a][b]
-
-    def plus(self, a: int, b: int) -> int:
-        if self.add is None:
-            raise BadTable("algebra has no addition table")
-        return self.add[a][b]
 
     def __repr__(self):
         tag = self.name or f"table{self.carrier_size}"

@@ -173,7 +173,12 @@ class _Parser:
         tok = self.here
         if tok.kind == "name" and tok.value == "discrete":
             self.take()
-            spec.space_defs[name] = SpaceDef(name, "discrete", self.int_value())
+            count = self.here
+            n = self.int_value()
+            if n < 1:
+                raise DslSyntaxError("a discrete space needs at least one point",
+                                     count.line, count.column)
+            spec.space_defs[name] = SpaceDef(name, "discrete", n)
         elif tok.kind == "name" and tok.value == "seq":
             self.take()
             spec.space_defs[name] = SpaceDef(name, "seq")

@@ -40,7 +40,6 @@ from .topology import (
     SequenceSpace,
     Space,
     quasi_component_partition,
-    quotient_space,
 )
 
 #: a ring keeps built table rows while they hold at most this many entries
@@ -265,23 +264,3 @@ def vanishing_elements(ring: FunctionRing, u, value: int | None = None) -> int:
         out &= ring.value_bits(c, b)
     return out
 
-
-def transport(ring: FunctionRing) -> tuple:
-    """(target, carry) for ring = C(X, Y): target is C(Π, Y) over the
-    quotient Π of X by its quasi-components, and carry[i] is the index in
-    target of element i, an isomorphism of the two rings.
-
-    Π is totally separated, so its classes are singletons, and each class
-    of X lands on the class of its point of Π; carry permutes the digits
-    accordingly.  Like ``chi_table`` it is built by mixed-radix doubling:
-    class j of X turns the indices of the shorter tuples into
-    [x + d·w for x in carry for d in Y], w the weight of j's target class.
-    """
-    q = quotient_space(ring.space)
-    target = FunctionRing(q.as_space(), ring.algebra)
-    m, k = ring.algebra.carrier_size, len(target.classes)
-    carry = [0]
-    for c in ring.classes:
-        w = m ** (k - 1 - target.class_of[q.class_index(min(c))])
-        carry = [x + d * w for x in carry for d in range(m)]
-    return target, tuple(carry)

@@ -6,9 +6,10 @@ for point p).  A finite topology is exactly the unions of these sets
 (Alexandroff, "Diskrete Räume", 1937), so every family is derived from them:
 a set is open when it holds U_x for each of its points x; the quasi-component
 of x is the least clopen set around it; the clopen sets and the clopen-base
-topology are the unions of the quasi-components; a quotient gives each class
-the least saturated open set around it.  A family of sets is enumerated only
-on demand, by ``all_unions``, and never past ``DEFAULT_ENUM_BUDGET`` sets.
+topology are the unions of the quasi-components.  Each quasi-component is
+clopen, so the quotient by them is the discrete space on the classes.  A
+family of sets is enumerated only on demand, by ``all_unions``, and never
+past ``DEFAULT_ENUM_BUDGET`` sets.
 
 The sequence backend models the one-limit-point space N ∪ {∞} (every
 natural isolated, neighborhoods of ∞ cofinite) through the finite/cofinite
@@ -187,34 +188,6 @@ Space = Union[ExplicitSpace, SequenceSpace]
 
 
 @dataclass(frozen=True)
-class QuotientSpace:
-    """Quotient of a space by its quasi-component partition."""
-
-    parent: ExplicitSpace
-    classes: tuple          # tuple of frozensets, deterministic order
-
-    def class_index(self, point: int) -> int:
-        for i, c in enumerate(self.classes):
-            if point in c:
-                return i
-        raise ValueError(f"point {point} not in any class")
-
-    def as_space(self) -> ExplicitSpace:
-        """Class i's U_i: the classes in the least saturated open set around it."""
-        masks = [mask_of(c) for c in self.classes]
-        nbhds = []
-        for c in masks:
-            s, before = c, 0
-            while s != before:
-                before = s
-                for x in points_of(s):
-                    s |= self.parent.nbhds[x]
-                s = sum(m for m in masks if m & s)  # saturate
-            nbhds.append(mask_of(i for i, m in enumerate(masks) if m & s))
-        return ExplicitSpace(len(masks), tuple(nbhds))
-
-
-@dataclass(frozen=True)
 class TopologyComparison:
     verdict: str            # equal | first-strictly-coarser | first-strictly-finer | incomparable
     only_in_first: frozenset | None = None
@@ -254,6 +227,8 @@ def validate_topology(point_count: int, opens, auto_close: bool = False) -> Expl
 
 
 def discrete_space(n: int) -> ExplicitSpace:
+    if n < 1:
+        raise ValueError("point_count must be >= 1")
     _check_size(n)
     return ExplicitSpace(n, tuple(1 << x for x in range(n)))
 
@@ -323,11 +298,6 @@ def _quasi_classes(space: ExplicitSpace) -> list[int]:
 
 def quasi_component_partition(space: ExplicitSpace) -> tuple:
     return tuple(map(points_of, _quasi_classes(space)))
-
-
-def quotient_space(space: ExplicitSpace) -> QuotientSpace:
-    """Quotient by quasi-components; totally separated by construction."""
-    return QuotientSpace(space, quasi_component_partition(space))
 
 
 def clopen_base_topology(space: ExplicitSpace) -> ExplicitSpace:

@@ -35,11 +35,6 @@ def serialize(obj):
     if hasattr(obj, "sorted_elements"):        # Ideal
         return {"elements": serialize(obj.sorted_elements()),
                 "side": obj.side, "mode": obj.mode}
-    if hasattr(obj, "prefix") and hasattr(obj, "tail"):
-        out = {"prefix": list(obj.prefix), "tail": obj.tail}
-        if hasattr(obj, "at_inf"):
-            out["at_inf"] = obj.at_inf
-        return out
     return repr(obj)
 
 

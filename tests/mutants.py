@@ -57,7 +57,6 @@ TZ_SPACE = f"{TOPOLOGY}::test_zero_set_space_matches_the_closed_family_reference
 FAMILY_ORDERS = f"{TOPOLOGY}::test_family_orders_match_sort_family"
 GOLDENS = "tests/test_cli_goldens.py"
 CHECK_GOLDEN = f"{GOLDENS}::test_cli_matches_the_golden[check-discrete_zmod]"
-TRANSPORT = f"{FUNCSPACE}::test_transport_round_trip_and_multiplicativity"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -154,15 +153,6 @@ MUTANTS = [
            "self._is_open_mask(((1 << self.point_count) - 1) & ~mask_of(s))",
            "self._is_open_mask(mask_of(s))",
            (f"{FUNCSPACE}::test_chi_tests_clopenness_against_the_clopen_masks",)),
-    Mutant("quotient-no-saturation", "topology.py",
-           "s = sum(m for m in masks if m & s)  # saturate",
-           "pass  # saturate",
-           (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",)),
-    Mutant("discrete-quotient", "topology.py",
-           "return ExplicitSpace(len(masks), tuple(nbhds))",
-           "return ExplicitSpace(len(masks), "
-           "tuple(1 << i for i in range(len(masks))))",
-           (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",)),
     Mutant("t1-from-nbhds", "topology.py",
            "ExplicitSpace(space.point_count, space.quasi_masks)",
            "ExplicitSpace(space.point_count, space.nbhds)",
@@ -296,11 +286,16 @@ MUTANTS = [
            "and out & ~ctx.join(a, b):", "and out & ~(a | b):",
            (GREEN,)),
 
-    # -- the transport and C(Z, Z_2) on indices ----------------------------
-    Mutant("transport-carry-digits-reversed", "funcspace.py",
-           "w = m ** (k - 1 - target.class_of[q.class_index(min(c))])",
-           "w = m ** target.class_of[q.class_index(min(c))]",
-           (TRANSPORT, GREEN)),
+    # -- the quotient by quasi-components and C(Z, Z_2) on indices ---------
+    Mutant("t6-tests-points-not-classes", "verify/checkers.py",
+           "enumerate(quasi_component_partition(space))",
+           "enumerate(map(frozenset, zip(space.points)))",
+           (GREEN,)),
+    Mutant("l44-quotient-classes-reversed", "verify/checkers.py",
+           "vanishing_elements(target, {ring.class_of[x]})",
+           "vanishing_elements(target, "
+           "{len(ring.classes) - 1 - ring.class_of[x]})",
+           (GREEN,)),
     Mutant("l66-zero-sets-drop-the-first-function", "verify/checkers.py",
            "zsets = set(two.zero_classes())",
            "zsets = set(two.zero_classes()[1:])",

@@ -43,6 +43,14 @@ def test_make_table_rejects_out_of_range():
         make_table([[0, 5], [1, 0]])
 
 
+def test_make_table_rejects_a_unit_equal_to_the_zero():
+    # 0 absorbs on the left and acts as a unit on the right; χ_U would
+    # need an off-value other than the zero, so the table is refused
+    with pytest.raises(BadTable, match="unit is the zero"):
+        make_table(((0, 0), (1, 1)), zero=0, zero_side="left", unit=0,
+                   unit_side="right", add=((0, 1), (1, 0)))
+
+
 def test_nonassociative_table_flagged():
     mul = [[0, 0, 0], [0, 2, 1], [0, 1, 1]]
     f = structure_flags(make_table(mul, zero=0))

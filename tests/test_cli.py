@@ -151,6 +151,18 @@ def test_empty_opens_block_is_a_parse_error(capsys, tmp_path):
         "quasiring: 2:9: an opens block needs at least one point"]
 
 
+@pytest.mark.parametrize("command", [("analyze",), ("ideals",),
+                                     ("check", "all")])
+def test_discrete_space_without_points_is_a_parse_error(capsys, tmp_path,
+                                                        command):
+    p = tmp_path / "d0.qr"
+    p.write_text("space Z discrete 0\nalgebra Y zmod 2\nring R = C(Z, Y)\n")
+    code, _, err = run(capsys, *command, str(p))
+    assert code == 2
+    assert err.strip().splitlines() == [
+        "quasiring: 1:18: a discrete space needs at least one point"]
+
+
 def test_missing_file_exit_two(capsys):
     code, _, _ = run(capsys, "analyze", "/does/not/exist.qr")
     assert code == 2

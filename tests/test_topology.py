@@ -27,11 +27,16 @@ from quasiring.topology import (
     is_totally_separated,
     quasi_component,
     quasi_component_partition,
-    quotient_space,
     sierpinski_space,
     validate_topology,
 )
-from quasiring.verify import InstanceSpec, random_instance
+from quasiring.verify import (
+    PASS,
+    Context,
+    InstanceSpec,
+    random_instance,
+    run_checker,
+)
 from quasiring.zariski import (
     compare_T1_TZ_T,
     zariski_closed_family,
@@ -81,11 +86,9 @@ def test_disjoint_union_of_sierpinskis():
 
 
 def test_quotient_space_is_totally_separated():
+    # T6: each of the two classes is clopen, so the quotient is discrete
     z = disjoint_union(sierpinski_space(), sierpinski_space())
-    q = quotient_space(z)
-    assert len(q.classes) == 2
-    assert is_totally_separated(q.as_space())
-    assert q.class_index(0) == q.class_index(1) != q.class_index(2)
+    assert run_checker("T6", Context(z, make_zmod(2))).verdict == PASS
 
 
 def test_clopen_family_discrete():
@@ -231,18 +234,12 @@ def test_neighbourhood_topology_matches_pairwise_closure():
             assert set(clopen_family(space)) == clopens
             t1 = clopen_base_topology(space)
             assert t1.opens == pairwise_closure(n, clopens)
-            q = quotient_space(space)
-            assert q.classes == classes
-            assert q.as_space().opens == quotient_opens_by_subset_scan(
-                n, want, classes)
-            # by any other partition, too: the quotient topology is not
-            # simply discrete
-            label = [rng.randrange(n) for _ in range(n)]
-            blocks = tuple(sorted({frozenset(p for p in range(n)
-                                             if label[p] == k)
-                                   for k in label}, key=min))
-            assert topology.QuotientSpace(space, blocks).as_space().opens == (
-                quotient_opens_by_subset_scan(n, want, blocks))
+            # the quotient by the quasi-components is discrete: every set
+            # of classes has an open union
+            q = len(classes)
+            assert quotient_opens_by_subset_scan(n, want, classes) == {
+                frozenset(s) for k in range(q + 1)
+                for s in itertools.combinations(range(q), k)}
             # verdicts and witnesses against the enumerated families, for
             # random pairs, the space against its clopen base and itself
             pairs = [(space, t1), (t1, space),
@@ -441,6 +438,11 @@ def test_closure_helpers_on_families_that_are_not_closed():
     assert zariski._union_gap({0b000, 0b001, 0b011, 0b111}) is None
     assert zariski._union_gap({0b000, 0b001, 0b010, 0b111}) == (
         frozenset({0}), frozenset({1}))
+
+
+def test_discrete_space_needs_a_point():
+    with pytest.raises(ValueError, match="point_count must be >= 1"):
+        discrete_space(0)
 
 
 def test_discrete_space_past_the_budget_is_refused_up_front():
