@@ -17,8 +17,12 @@ Commands:
 
 The spec file argument may be ``-`` for stdin.  Exit codes: 0 when every
 verdict is PASS or HYPOTHESIS_UNMET, 1 on any FAIL, 2 on usage or parse
-errors, 3 when a budget was exceeded.  The environment variable
-QUASIRING_BUDGET overrides the default enumeration budget.
+errors, 3 when a budget was exceeded.  ``--budget``, else the environment
+variable QUASIRING_BUDGET, overrides the default enumeration budget.
+
+``analyze``, ``ideals`` and ``check`` read each ring of the spec file
+through one ``Context`` built under that budget; every finite ring is built
+before any output, so a ring past the budget stops the command with exit 3.
 """
 
 from __future__ import annotations
@@ -38,16 +42,9 @@ from .errors import (
     UnknownChecker,
     ZeroDivisorHypothesis,
 )
-from .funcspace import DEFAULT_ENUM_BUDGET, FunctionRing
-from .ideals import (
-    MULTIPLICATIVE,
-    RING,
-    classify_primes,
-    default_mode,
-    ideal_lattice,
-    prime_radical,
-)
-from .topology import SequenceSpace, quasi_component_partition
+from .funcspace import DEFAULT_ENUM_BUDGET
+from .ideals import classify_primes, ideal_lattice, prime_radical
+from .topology import quasi_component_partition
 from .verify import (
     BUDGET_EXCEEDED,
     FAIL,
@@ -91,28 +88,26 @@ def _read_spec(args):
     return parse_spec(text)
 
 
-def _bound_rings(spec, budget):
-    """(name, ring-or-None, space, algebra); ring is None for seq spaces."""
+def _contexts(spec, budget: int, seed: int) -> list:
+    """(name, Context) per ring of the spec.  Each finite ring is built
+    here, so one past the budget stops the command before it reports
+    anything."""
     out = []
     for name, d in spec.ring_defs.items():
-        space = spec.spaces[d.space]
-        algebra = spec.algebras[d.algebra]
-        if isinstance(space, SequenceSpace):
-            out.append((name, None, space, algebra))
-        else:
-            out.append((name, FunctionRing(space, algebra, budget),
-                        space, algebra))
+        ctx = Context(spec.spaces[d.space], spec.algebras[d.algebra],
+                      budget=budget, seed=seed)
+        if not ctx.is_sequence:
+            ctx.ring
+        out.append((name, ctx))
     return out
 
 
 # -- commands ---------------------------------------------------------------
 
 def cmd_analyze(args) -> tuple[dict, int]:
-    spec = _read_spec(args)
-    budget = _budget(args)
     rings = []
-    for name, ring, space, algebra in _bound_rings(spec, budget):
-        if ring is None:
+    for name, ctx in _contexts(_read_spec(args), _budget(args), args.seed):
+        if ctx.is_sequence:
             rings.append({
                 "ring": name,
                 "backend": "sequence",
@@ -120,20 +115,20 @@ def cmd_analyze(args) -> tuple[dict, int]:
                         "quasi-components are singletons",
             })
             continue
-        classes = quasi_component_partition(space)
+        classes = quasi_component_partition(ctx.space)
         entry = {
             "ring": name,
-            "points": space.point_count,
-            "elements": len(ring.elements),
+            "points": ctx.space.point_count,
+            "elements": len(ctx.ring.elements),
             "quasi_components": serialize(classes),
             "clopen_count": 2 ** len(classes),
         }
-        if zero_divisors(algebra):
+        if zero_divisors(ctx.algebra):
             entry["topology_comparisons"] = None
             entry["note"] = ("zero divisors in the value algebra; "
                              "zero-set topology not formed")
         else:
-            t1_tz, tz_t, t1_t = compare_T1_TZ_T(ring)
+            t1_tz, tz_t, t1_t = compare_T1_TZ_T(ctx.ring)
             entry["topology_comparisons"] = {
                 "T1_vs_TZ": t1_tz.verdict, "TZ_vs_T": tz_t.verdict,
                 "T1_vs_T": t1_t.verdict}
@@ -142,12 +137,10 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 
 def cmd_ideals(args) -> tuple[dict, int]:
-    spec = _read_spec(args)
-    budget = _budget(args)
     rings = []
     code = EXIT_OK
-    for name, ring, space, algebra in _bound_rings(spec, budget):
-        if ring is None:
+    for name, ctx in _contexts(_read_spec(args), _budget(args), args.seed):
+        if ctx.is_sequence:
             rings.append({
                 "ring": name,
                 "backend": "sequence",
@@ -155,10 +148,9 @@ def cmd_ideals(args) -> tuple[dict, int]:
                         "use the check command for its bounded properties",
             })
             continue
-        mode = default_mode(ring)
-        lat = ideal_lattice(ring, mode=mode, budget=budget)
+        lat = ideal_lattice(ctx.ring, mode=ctx.mode, budget=ctx.budget)
         if not lat.complete:
-            rings.append({"ring": name, "mode": mode, "complete": False,
+            rings.append({"ring": name, "mode": ctx.mode, "complete": False,
                           "ideal_count": len(lat.ideals)})
             code = EXIT_BUDGET
             continue
@@ -166,7 +158,7 @@ def cmd_ideals(args) -> tuple[dict, int]:
         radical = prime_radical(lat)
         rings.append({
             "ring": name,
-            "mode": mode,
+            "mode": ctx.mode,
             "complete": True,
             "ideal_count": len(lat.ideals),
             "ideals": [
@@ -195,8 +187,7 @@ def cmd_check(args) -> tuple[dict, int]:
         if bad:
             raise UnknownChecker(f"unknown checker id(s): {', '.join(bad)}")
     reports = []
-    for name, ring, space, algebra in _bound_rings(spec, budget):
-        ctx = Context(space, algebra, seed=args.seed)
+    for name, ctx in _contexts(spec, budget, args.seed):
         for cid in ids:
             reports.append(run_checker(cid, ctx, instance=name))
     summary = {}
@@ -286,8 +277,6 @@ def _render_text(payload: dict) -> str:
         for f in payload["failures"]:
             lines.append(f"FAIL {f['checker']} on {f['instance']}: "
                          f"witness={json.dumps(f['witness'])}")
-    else:
-        lines.append(json.dumps(payload, indent=2))
     return "\n".join(lines) + "\n"
 
 

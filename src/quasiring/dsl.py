@@ -12,9 +12,16 @@ line)::
     ring    := "ring" NAME "=" "C" "(" NAME "," NAME ")"
     check   := "check" (NAME | "all")+
 
-A ``table`` algebra lists its n x n multiplication table row by row; ``add``
-optionally supplies an addition table of the same shape.  0 is always the
-zero element; a two-sided unit is detected from the table when present.
+A ``discrete`` space needs at least one point and a ``zmod`` modulus is at
+least 2.  A ``table`` algebra lists its n x n multiplication table row by
+row; ``add`` optionally supplies an addition table of the same shape.  0 is
+always the zero element; a two-sided unit is detected from the table when
+present.
+
+Each space and algebra is built as soon as its statement is parsed, so the
+first error in source order is the one reported, whether it is a syntax
+error, a refused table or a space past its budget.  A ring may name a space
+or algebra defined later in the file; references are checked at the end.
 
 ``check`` directives name checker ids to run by default; they are plumbing
 for spec files driven through the command line.
@@ -26,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .algebra import AlgebraTable, make_table, make_zmod
+from .algebra import make_table, make_zmod
 from .errors import DslSyntaxError, DuplicateName, UnknownReference
 from .topology import (
     SequenceSpace,
@@ -78,25 +85,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- AST --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceDef:
-    name: str
-    kind: str                   # "discrete" | "seq" | "opens"
-    n: int = 0
-    opens: tuple = ()           # for "opens": tuple of frozensets as given
-
-
-@dataclass(frozen=True)
-class AlgebraDef:
-    name: str
-    kind: str                   # "zmod" | "table"
-    n: int = 0
-    mul: tuple = ()
-    add: tuple | None = None
-
-
 @dataclass(frozen=True)
 class RingDef:
     name: str
@@ -106,12 +94,10 @@ class RingDef:
 
 @dataclass
 class SpecFile:
-    space_defs: dict = field(default_factory=dict)
-    algebra_defs: dict = field(default_factory=dict)
-    ring_defs: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)      # checker ids, or "all"
     spaces: dict = field(default_factory=dict)      # name -> built space
     algebras: dict = field(default_factory=dict)    # name -> AlgebraTable
+    ring_defs: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)      # checker ids, or "all"
 
 
 # -- parser -----------------------------------------------------------------
@@ -130,37 +116,47 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def _expected(self, want: str):
+        """Raise "expected <want>, got <token>" at the current token."""
         tok = self.here
-        if tok.kind != kind:
-            want = what or kind
-            got = tok.value or "end of input"
-            raise DslSyntaxError(f"expected {want}, got {got!r}",
-                                 tok.line, tok.column)
+        got = tok.value or "end of input"
+        raise DslSyntaxError(f"expected {want}, got {got!r}",
+                             tok.line, tok.column)
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        if self.here.kind != kind:
+            self._expected(what or kind)
         return self.take()
 
     def expect_word(self, word: str) -> Token:
-        tok = self.here
-        if tok.kind != "name" or tok.value != word:
-            got = tok.value or "end of input"
-            raise DslSyntaxError(f"expected {word!r}, got {got!r}",
-                                 tok.line, tok.column)
+        if self.here.kind != "name" or self.here.value != word:
+            self._expected(repr(word))
         return self.take()
 
     def int_value(self) -> int:
         return int(self.expect("int", "an integer").value)
+
+    def int_at_least(self, low: int, message: str) -> int:
+        tok = self.here
+        n = self.int_value()
+        if n < low:
+            raise DslSyntaxError(message, tok.line, tok.column)
+        return n
 
     def parse(self) -> SpecFile:
         spec = SpecFile()
         while self.here.kind != "eof":
             tok = self.here
             if tok.kind != "name" or tok.value not in _STMT_KEYWORDS:
-                got = tok.value or "end of input"
-                raise DslSyntaxError(
-                    f"expected one of space/algebra/ring/check, got {got!r}",
-                    tok.line, tok.column)
+                self._expected("one of space/algebra/ring/check")
             getattr(self, "_stmt_" + tok.value)(spec)
-        _build(spec)
+        for d in spec.ring_defs.values():
+            if d.space not in spec.spaces:
+                raise UnknownReference(
+                    f"ring {d.name!r} references undefined space {d.space!r}")
+            if d.algebra not in spec.algebras:
+                raise UnknownReference(
+                    f"ring {d.name!r} references undefined algebra {d.algebra!r}")
         return spec
 
     # statements
@@ -168,20 +164,16 @@ class _Parser:
     def _stmt_space(self, spec: SpecFile):
         self.take()
         name = self.expect("name", "a space name").value
-        if name in spec.space_defs:
+        if name in spec.spaces:
             raise DuplicateName(f"space {name!r} defined twice")
         tok = self.here
         if tok.kind == "name" and tok.value == "discrete":
             self.take()
-            count = self.here
-            n = self.int_value()
-            if n < 1:
-                raise DslSyntaxError("a discrete space needs at least one point",
-                                     count.line, count.column)
-            spec.space_defs[name] = SpaceDef(name, "discrete", n)
+            spec.spaces[name] = discrete_space(self.int_at_least(
+                1, "a discrete space needs at least one point"))
         elif tok.kind == "name" and tok.value == "seq":
             self.take()
-            spec.space_defs[name] = SpaceDef(name, "seq")
+            spec.spaces[name] = SequenceSpace()
         elif tok.kind == "name" and tok.value == "opens":
             self.take()
             self.expect("{")
@@ -198,21 +190,20 @@ class _Parser:
             if n == 0:
                 raise DslSyntaxError("an opens block needs at least one point",
                                      tok.line, tok.column)
-            spec.space_defs[name] = SpaceDef(name, "opens", n, tuple(sets))
+            spec.spaces[name] = validate_topology(n, sets, auto_close=True)
         else:
-            got = tok.value or "end of input"
-            raise DslSyntaxError(
-                f"expected discrete/seq/opens, got {got!r}", tok.line, tok.column)
+            self._expected("discrete/seq/opens")
 
     def _stmt_algebra(self, spec: SpecFile):
         self.take()
         name = self.expect("name", "an algebra name").value
-        if name in spec.algebra_defs:
+        if name in spec.algebras:
             raise DuplicateName(f"algebra {name!r} defined twice")
         tok = self.here
         if tok.kind == "name" and tok.value == "zmod":
             self.take()
-            spec.algebra_defs[name] = AlgebraDef(name, "zmod", self.int_value())
+            spec.algebras[name] = make_zmod(self.int_at_least(
+                2, "zmod needs a modulus of at least 2"))
         elif tok.kind == "name" and tok.value == "table":
             self.take()
             n = self.int_value()
@@ -221,11 +212,10 @@ class _Parser:
             if self.here.kind == "name" and self.here.value == "add":
                 self.take()
                 add = self._rows(n)
-            spec.algebra_defs[name] = AlgebraDef(name, "table", n, mul, add)
+            spec.algebras[name] = make_table(
+                mul, zero=0, unit=_detect_unit(mul), add=add, name=name)
         else:
-            got = tok.value or "end of input"
-            raise DslSyntaxError(
-                f"expected zmod/table, got {got!r}", tok.line, tok.column)
+            self._expected("zmod/table")
 
     def _rows(self, n: int) -> tuple:
         open_tok = self.expect("{")
@@ -266,11 +256,7 @@ class _Parser:
             spec.checks.append(self.take().value)
             got_any = True
         if not got_any:
-            tok = self.here
-            got = tok.value or "end of input"
-            raise DslSyntaxError(
-                f"expected checker ids after 'check', got {got!r}",
-                tok.line, tok.column)
+            self._expected("checker ids after 'check'")
 
 
 def _detect_unit(mul: tuple) -> int | None:
@@ -281,32 +267,5 @@ def _detect_unit(mul: tuple) -> int | None:
     return None
 
 
-def _build(spec: SpecFile):
-    """Resolve definitions into space and algebra objects."""
-    for d in spec.space_defs.values():
-        if d.kind == "discrete":
-            spec.spaces[d.name] = discrete_space(d.n)
-        elif d.kind == "seq":
-            spec.spaces[d.name] = SequenceSpace()
-        else:
-            spec.spaces[d.name] = validate_topology(d.n, d.opens,
-                                                    auto_close=True)
-    for d in spec.algebra_defs.values():
-        if d.kind == "zmod":
-            spec.algebras[d.name] = make_zmod(d.n)
-        else:
-            spec.algebras[d.name] = make_table(
-                d.mul, zero=0, unit=_detect_unit(d.mul), add=d.add,
-                name=d.name)
-    for d in spec.ring_defs.values():
-        if d.space not in spec.space_defs:
-            raise UnknownReference(
-                f"ring {d.name!r} references undefined space {d.space!r}")
-        if d.algebra not in spec.algebra_defs:
-            raise UnknownReference(
-                f"ring {d.name!r} references undefined algebra {d.algebra!r}")
-
-
 def parse_spec(text: str) -> SpecFile:
     return _Parser(text).parse()
-

@@ -306,10 +306,6 @@ def clopen_base_topology(space: ExplicitSpace) -> ExplicitSpace:
     return ExplicitSpace(space.point_count, space.quasi_masks)
 
 
-def is_totally_separated(space: ExplicitSpace) -> bool:
-    return all(q == 1 << p for p, q in enumerate(space.quasi_masks))
-
-
 def _first_open_not_in(a: ExplicitSpace, b: ExplicitSpace) -> frozenset | None:
     """The first open set of a, in ``mask_key`` order, that b lacks.
 

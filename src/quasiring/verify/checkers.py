@@ -1093,7 +1093,7 @@ def _l51(ctx):  # proper primes split the clopens
 def _l52(ctx):  # chi-membership distributes over ideal intersection
     """Fails only on a tampered ``FamilySets``: ``_exact`` holds otherwise."""
     fam = ctx.families
-    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.lattice.ideals
     for i1 in pool:
         for i2 in pool:
             a, b = i1.bits, i2.bits
@@ -1107,7 +1107,7 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
     """Fails only on a tampered ``FamilySets``: ``_exact`` holds otherwise."""
     fam = ctx.families
     primes = {p.bits for p in ctx.primes}
-    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.lattice.ideals
     for i1 in pool:
         for i2 in pool:
             a, b = i1.bits, i2.bits
@@ -1177,7 +1177,7 @@ def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
     """Fails only on a tampered ``FamilySets``: ``_exact`` holds otherwise."""
     x = _body(ctx, _x)
     primes = {p.bits for p in ctx.primes}
-    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.lattice.ideals
     for i1 in pool:
         for i2 in pool:
             a, b = i1.bits, i2.bits
@@ -1453,7 +1453,7 @@ def _l61(ctx):
     """Items 1–2 fail only on a tampered ``FamilySets``, since ``_exact``
     holds on every other context."""
     x = _body(ctx, _x)
-    pool = () if _body(ctx, _exact) else ctx.ideal_pool()
+    pool = () if _body(ctx, _exact) else ctx.lattice.ideals
     for i1 in pool:
         a, xa = i1.bits, x[i1.bits]
         for i2 in pool:

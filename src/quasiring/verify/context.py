@@ -44,7 +44,6 @@ class Context:
         self.space = space
         self.algebra = algebra
         self.side = side
-        self.flags = structure_flags(algebra)
         if mode is None:
             mode = RING if algebra.add is not None else MULTIPLICATIVE
         if mode == RING and algebra.add is None:
@@ -58,6 +57,10 @@ class Context:
         #: through ``checkers._body`` under that function
         self.memo = {}
         self._points, self._clopen, self._vanishing = {}, {}, {}
+
+    @cached_property
+    def flags(self):
+        return structure_flags(self.algebra)
 
     @cached_property
     def ring(self) -> FunctionRing:
@@ -239,13 +242,3 @@ class Context:
             k = rng.randint(1, len(pts))
             out.append(frozenset(rng.sample(pts, k)))
         return list(dict.fromkeys(out))
-
-    def ideal_pool(self, limit: int = 96):
-        """The whole lattice when small, else a seeded sample of it."""
-        ideals = self.lattice.ideals
-        if len(ideals) <= limit:
-            return list(ideals)
-        rng = random.Random(self.seed * 31337 + 5)
-        keep = {0, len(ideals) - 1}
-        keep.update(rng.sample(range(len(ideals)), limit - 2))
-        return [ideals[k] for k in sorted(keep)]

@@ -36,23 +36,20 @@ class CampaignResult:
         }
 
 
-def campaign_specs(seed: int, instances: int,
-                   max_points: int = DEFAULT_MAX_POINTS,
-                   max_carrier: int = DEFAULT_MAX_CARRIER):
+def campaign_specs(seed: int, instances: int):
     """Deterministic instance descriptions: kinds cycle, seeds derive."""
     for k in range(instances):
         yield InstanceSpec(
             seed=seed * 1_000_003 + k,
             space_kind=_SPACE_KINDS[k % len(_SPACE_KINDS)],
             algebra_kind=_ALGEBRA_KINDS[k % len(_ALGEBRA_KINDS)],
-            max_points=max_points,
-            max_carrier=max_carrier,
+            max_points=DEFAULT_MAX_POINTS,
+            max_carrier=DEFAULT_MAX_CARRIER,
         )
 
 
 def run_campaign(seed: int = 0, instances: int = DEFAULT_INSTANCES,
-                 checkers=None, max_points: int = DEFAULT_MAX_POINTS,
-                 max_carrier: int = DEFAULT_MAX_CARRIER) -> CampaignResult:
+                 checkers=None) -> CampaignResult:
     """Run the suite over seeded random instances, in both ideal modes.
 
     Aggregation is sorted by (checker, instance) so the result is independent
@@ -60,7 +57,7 @@ def run_campaign(seed: int = 0, instances: int = DEFAULT_INSTANCES,
     """
     ids = list(checkers) if checkers is not None else list(GREEN_SUITE)
     result = CampaignResult(seed, instances)
-    for spec in campaign_specs(seed, instances, max_points, max_carrier):
+    for spec in campaign_specs(seed, instances):
         space, algebra = random_instance(spec)
         modes = [MULTIPLICATIVE]
         if algebra.add is not None:

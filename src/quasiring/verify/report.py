@@ -70,8 +70,6 @@ class InstanceSpec:
     algebra_kind: str = "zmod-n"          # zmod-n | table
     max_points: int = 6
     max_carrier: int = 6
-    points: int | None = None             # exact sizes for the discrete-n / zmod-n kinds
-    carrier: int | None = None
 
     def describe(self) -> str:
         return (f"{self.space_kind}/{self.algebra_kind}"
@@ -84,14 +82,14 @@ def random_instance(spec: InstanceSpec):
     if spec.space_kind == "sequence":
         space = SequenceSpace()
     elif spec.space_kind == "discrete-n":
-        space = discrete_space(spec.points or rng.randint(1, spec.max_points))
+        space = discrete_space(rng.randint(1, spec.max_points))
     elif spec.space_kind == "sierpinski-sum":
-        pairs = spec.points or rng.randint(1, max(1, spec.max_points // 2))
+        pairs = rng.randint(1, max(1, spec.max_points // 2))
         space = sierpinski_space()
         for _ in range(pairs - 1):
             space = disjoint_union(space, sierpinski_space())
     elif spec.space_kind == "explicit-random":
-        n = spec.points or rng.randint(1, spec.max_points)
+        n = rng.randint(1, spec.max_points)
         subbasis = [frozenset(p for p in range(n) if rng.random() < 0.5)
                     for _ in range(rng.randint(0, n + 2))]
         space = validate_topology(n, subbasis, auto_close=True)
@@ -99,9 +97,9 @@ def random_instance(spec: InstanceSpec):
         raise ValueError(f"unknown space kind {spec.space_kind!r}")
 
     if spec.algebra_kind == "zmod-n":
-        algebra = make_zmod(spec.carrier or rng.randint(2, spec.max_carrier))
+        algebra = make_zmod(rng.randint(2, spec.max_carrier))
     elif spec.algebra_kind == "table":
-        algebra = _random_table(rng, spec.carrier or rng.randint(2, spec.max_carrier))
+        algebra = _random_table(rng, rng.randint(2, spec.max_carrier))
     else:
         raise ValueError(f"unknown algebra kind {spec.algebra_kind!r}")
     return space, algebra

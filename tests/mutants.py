@@ -314,6 +314,13 @@ MUTANTS = [
     Mutant("cli-zmod-check", "cli.py",
            "int(m.group(1)) < 2:", "int(m.group(1)) < 1:",
            (f"{CLI}::test_generate_bad_arguments_are_usage_errors",)),
+    Mutant("dsl-zmod-bound", "dsl.py",
+           '2, "zmod needs a modulus of at least 2"',
+           '1, "zmod needs a modulus of at least 2"',
+           (f"{CLI}::test_zmod_below_two_is_a_parse_error",)),
+    Mutant("cli-contexts-drop-budget", "cli.py",
+           "budget=budget, seed=seed)", "seed=seed)",
+           (f"{CLI}::test_check_reads_its_rings_under_the_budget",)),
 ]
 
 

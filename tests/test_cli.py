@@ -163,6 +163,31 @@ def test_discrete_space_without_points_is_a_parse_error(capsys, tmp_path,
         "quasiring: 1:18: a discrete space needs at least one point"]
 
 
+@pytest.mark.parametrize("modulus", ["0", "1"])
+@pytest.mark.parametrize("command", [("analyze",), ("ideals",),
+                                     ("check", "all")])
+def test_zmod_below_two_is_a_parse_error(capsys, tmp_path, command, modulus):
+    p = tmp_path / "z.qr"
+    p.write_text(f"space Z discrete 2\nalgebra Y zmod {modulus}\n"
+                 "ring R = C(Z, Y)\n")
+    code, out, err = run(capsys, *command, str(p))
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines() == [
+        "quasiring: 2:16: zmod needs a modulus of at least 2"]
+
+
+def test_spec_errors_are_reported_in_source_order(capsys, tmp_path):
+    p = tmp_path / "order.qr"
+    p.write_text("algebra Y table 2 { 0 1 1 1 }\nspace Z discrete\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 2
+    assert err == "quasiring: declared zero is not left-absorbing\n"
+    p.write_text("space Z discrete 2000\nfoo\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 3
+    assert "budget 1048576" in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _, _ = run(capsys, "analyze", "/does/not/exist.qr")
     assert code == 2
@@ -179,6 +204,50 @@ def test_budget_env_override(capsys, spec_file, monkeypatch):
     code, _, err = run(capsys, "analyze", spec_file)
     assert code == 3
     assert "budget" in err
+
+
+def test_budget_env_must_be_an_integer(capsys, spec_file, monkeypatch):
+    monkeypatch.setenv("QUASIRING_BUDGET", "abc")
+    code, out, err = run(capsys, "analyze", spec_file)
+    assert (code, out) == (2, "")
+    assert err == "quasiring: QUASIRING_BUDGET='abc' is not an integer\n"
+
+
+def test_check_reads_its_rings_under_the_budget(capsys, monkeypatch):
+    # C(discrete 21, Z_2) has 2^21 elements, past the default budget
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "space Z discrete 21\nalgebra Y zmod 2\nring R = C(Z, Y)\n"))
+    code, out, err = run(capsys, "check", "T11", "-", "--budget", "4000000")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["T11  PASS               R",
+                                'summary: {"PASS": 1}']
+
+
+def test_unknown_checker_in_a_check_directive_exit_two(capsys, tmp_path):
+    p = tmp_path / "s.qr"
+    p.write_text(SPEC + "check T34 T99\n")
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err == "quasiring: unknown checker id(s): T99\n"
+
+
+def test_ideals_past_the_lattice_budget_exit_three(capsys, tmp_path):
+    p = tmp_path / "s.qr"
+    p.write_text("space Z discrete 3\nalgebra Y table 2 { 0 0 0 0 }\n"
+                 "ring R = C(Z, Y)\n")
+    code, out, _ = run(capsys, "ideals", str(p), "--budget", "8", "--json")
+    assert code == 3
+    assert json.loads(out)["rings"] == [
+        {"ring": "R", "mode": "multiplicative", "complete": False,
+         "ideal_count": 9}]
+
+
+def test_check_without_rings_reports_no_checks(capsys, tmp_path):
+    p = tmp_path / "s.qr"
+    p.write_text("space Z discrete 2\nalgebra Y zmod 2\n")
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0
+    assert out == "0 checks\nsummary: {}\n"
 
 
 def test_budget_flag_beats_env(capsys, spec_file, monkeypatch):

@@ -71,3 +71,9 @@ def test_table_arity_checked():
     with pytest.raises(DslSyntaxError):
         parse_spec("algebra Y table 2 { 0 0 0 }")
 
+
+
+def test_a_ring_may_name_definitions_made_later():
+    spec = parse_spec("ring R = C(Z, Y)\nspace Z discrete 2\nalgebra Y zmod 2")
+    assert spec.ring_defs["R"].algebra == "Y"
+    assert spec.spaces["Z"] == discrete_space(2)

@@ -24,7 +24,6 @@ from quasiring.topology import (
     discrete_space,
     disjoint_union,
     indiscrete_space,
-    is_totally_separated,
     quasi_component,
     quasi_component_partition,
     sierpinski_space,
@@ -48,7 +47,7 @@ def test_discrete_space_all_sets_open():
     z = discrete_space(3)
     assert len(z.opens) == 8
     assert z.is_clopen({1})
-    assert is_totally_separated(z)
+    assert z.quasi_masks == (0b001, 0b010, 0b100)
 
 
 def test_indiscrete_space_two_opens():
@@ -61,7 +60,7 @@ def test_sierpinski_quasi_component_not_separated():
     z = sierpinski_space()
     assert z.is_open({0}) and not z.is_open({1})
     assert quasi_component(z, 0) == frozenset({0, 1})
-    assert not is_totally_separated(z)
+    assert z.quasi_masks == (0b11, 0b11)
 
 
 def test_validate_topology_auto_close():
@@ -468,7 +467,7 @@ def test_spaces_are_built_without_enumerating_their_opens(monkeypatch):
     spec = parse_spec(f"space S opens {{ {singletons} }}\n")
     for space in (discrete_space(40), spec.spaces["S"]):
         assert space.point_count == 40
-        assert is_totally_separated(space)
+        assert space.quasi_masks == tuple(1 << p for p in range(40))
     monkeypatch.undo()
     # enumeration still stops at the cap
     with pytest.raises(BudgetExceeded, match="budget 1048576") as exc:
