@@ -423,6 +423,23 @@ def test_ring_mode_lattices_past_the_subset_scan():
         assert len(prime_radical(lat)) == radical
 
 
+def test_multiplicative_inventories_past_the_subset_scan():
+    """Multiplicative lattices of Z_n^q past 16 elements: (k+1)^q − 1
+    primes and q·m minimal primes (k the primes of Z_n as a monoid, m its
+    minimal primes), none of them min-max for q ≥ 2."""
+    for q, n, count, primes, minimal, radical in [
+            (3, 4, 979, 7, 3, 8), (4, 3, 167, 15, 4, 1),
+            (2, 6, 167, 15, 4, 1)]:
+        ring = FunctionRing(discrete_space(q), make_zmod(n))
+        lat = classify_primes(ideal_lattice(ring, mode=MULTIPLICATIVE))
+        assert lat.complete and len(lat.ideals) == count
+        got = lat.primes()
+        assert len(got) == primes
+        assert sum(p.meta["is_minimal_prime"] for p in got) == minimal
+        assert not any(p.meta["is_min_max"] for p in got)
+        assert len(prime_radical(lat)) == radical
+
+
 def test_principal_table_past_its_cap_is_refused():
     ring = FunctionRing(discrete_space(13), make_zmod(2))
     for mode in (MULTIPLICATIVE, RING):
