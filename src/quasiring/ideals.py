@@ -11,17 +11,21 @@ The work runs on element indices and Python-int bitsets (bit i is
 ``ring.elements[i]``), through the ring's Cayley-table rows
 (``FunctionRing.row``): one table per (side, mode) holds every principal
 ideal, ring-mode joins are additive spans where Y's tables allow it and
-worklist closures elsewhere, the lattice is a join loop over principal
-bitsets, the subset-scan oracle returns bitsets, and primality and the
-min/max tests are bit tests.  An
-``Ideal`` holds its bitset; value tuples are decoded from the ring only
-when ``Ideal.elements`` or a witness reads them.
+worklist closures elsewhere, the lattice is one pass of joins over the
+distinct principal bitsets, and the subset-scan oracle returns bitsets.
+A lattice also holds its columns, the bitset over lattice positions of
+the ideals holding each element; primality and U_I are read off them for
+every ideal at once, and the min/max tests are bit tests.  An ``Ideal``
+holds its bitset; value tuples are decoded from the ring only when
+``Ideal.elements`` or a witness reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import islice
+from operator import and_, or_
 
 from .errors import (
     BudgetExceeded,
@@ -105,6 +109,13 @@ class IdealLattice:
             self._proper = tuple(i for i in self.ideals if i.is_proper())
         return self._proper
 
+    @cached_property
+    def held(self) -> list:
+        """The lattice's columns: per element index x, the lattice positions
+        of the ideals holding x, as a bitset (bit k: ``ideals[k]`` holds x)."""
+        return _transpose([i.bits for i in self.ideals],
+                          len(self.ring.elements))
+
     def primes(self) -> list[Ideal]:
         if not self.classified:
             classify_primes(self)
@@ -114,6 +125,18 @@ class IdealLattice:
 def members(bits: int) -> list[int]:
     """The element indices in a bitset, ascending."""
     return [i for i, c in enumerate(reversed(bin(bits))) if c == "1"]
+
+
+def _transpose(rows: list, width: int) -> list:
+    """The columns of a bit matrix: bit j of out[k] is bit k of rows[j], for
+    each k < width (every row must fit in width bits).  The rows are written
+    as binary numerals of `width` digits, last row first, into one string,
+    so the digits of bit k are every width-th character from its offset."""
+    if not rows:
+        return [0] * width
+    fmt = f"0{width}b"
+    digits = "".join([format(r, fmt) for r in reversed(rows)])
+    return [int(digits[i::width], 2) for i in range(width - 1, -1, -1)]
 
 
 def bitset(indices) -> int:
@@ -405,52 +428,52 @@ def subset_scan(ring: FunctionRing, side: str = RIGHT,
 
 def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
                   mode: str | None = None, budget: int = 100_000) -> IdealLattice:
-    """All ideals, as the join-closure of the principal ideals.
+    """All ideals, as the joins of the distinct principal ideals.
 
-    Complete on a finite ring because every ideal is a finite join of the
-    principal ideals of its elements.  The principals come from the ring's
-    ``principal_table``.  The join of two multiplicative ideals is their
-    union (absorption on either side already covers every internal
-    product); in ring mode it is ``join``, and each union is joined once.
-    Cross-validated against the subset scan whenever the ring has at most
-    16 elements.
+    Every ideal of a finite ring is the join of the principal ideals of its
+    members, and join is associative, so one pass over the distinct
+    principals p, each taking the list L to L ∪ {a ∨ p : a ∈ L} from the
+    least ideal, lists every ideal (Ganter & Reuter, Order 8, 1991).  The
+    principals come from the ring's ``principal_table``.  Multiplicative
+    ideals join as their union (absorption on either side already covers
+    every internal product).  A ring-mode join depends only on the union
+    a | p, which ``join`` spans or closes: a union already in L is its own
+    join, and any other union is joined once.  The pass stops, leaving the
+    lattice incomplete, once L would hold more than `budget` ideals; it
+    then holds budget + 1.  Cross-validated against the subset scan
+    whenever the ring has at most 16 elements.
     """
     mode = default_mode(ring) if mode is None else mode
     n = len(ring.elements)
-    # bitsets, in the order found (dicts as ordered sets)
-    principals = dict.fromkeys(principal_table(ring, side, mode))
-    ideals = dict(principals)
-    tried = set(ideals)             # unions whose join is already listed
+    table = principal_table(ring, side, mode)
+    principals = dict.fromkeys(table)
+    found = {table[ring.index(ring.theta)]}     # the least ideal
+    joined = dict(zip(principals, principals))  # ring mode: union -> join
     complete = True
-    frontier = list(ideals)
-    while frontier and complete:
-        new = []
-        for a in frontier:
-            for b in principals:
-                u = a | b
-                if u in tried:
-                    continue
-                tried.add(u)
-                j = join(ring, a, b, side, mode)
-                if j in ideals:
-                    continue
-                tried.add(j)
-                ideals[j] = None
-                new.append(j)
-                if len(ideals) > budget:
-                    complete = False
-                    break
-            if not complete:
-                break
-        frontier = new
-    order = sorted(ideals, key=mask_key(n))
+    for p in principals:
+        if mode == MULTIPLICATIVE:
+            fresh = set(map(p.__or__, found))
+        else:
+            fresh = set()
+            for a in found:
+                u = a | p
+                if u not in joined:
+                    joined[u] = join(ring, a, p, side, mode)
+                fresh.add(joined[u])
+            joined.update(zip(fresh, fresh))    # an ideal is its own join
+        fresh -= found
+        if len(found) + len(fresh) > budget:
+            found.update(islice(sorted(fresh, key=mask_key(n)),
+                                budget + 1 - len(found)))
+            complete = False
+            break
+        found |= fresh
+    order = sorted(found, key=mask_key(n))
     lattice = IdealLattice(
-        ring,
-        tuple(Ideal(ring, b, side, mode) for b in order),
+        ring, tuple(Ideal(ring, b, side, mode) for b in order),
         side, mode, complete)
     if complete and n <= 16:
-        if ({i.bits for i in lattice.ideals}
-                != subset_scan(ring, side, mode)):
+        if found != subset_scan(ring, side, mode):
             raise CrossCheckFailed("join-closure disagrees with subset scan")
     return lattice
 
@@ -495,19 +518,38 @@ def _outermost(bits: list, flags: dict, key: str, grow: bool):
 
 
 def classify_primes(lattice: IdealLattice) -> IdealLattice:
-    """Annotate every ideal with primality and min/max structure."""
+    """Annotate every ideal with primality and min/max structure.
+
+    Primality is read for the whole lattice at once off its columns
+    (``IdealLattice.held``): the ideal at position k is not prime exactly
+    when some table entry (f, g, f·g) has bit k set in
+    held[f·g] & ~(held[f] | held[g]).  Each row f ands the complemented
+    column of every g with the column of f·g and or-s the results into one
+    bitset over the lattice positions, so only one row is read at a time.
+    """
     if not lattice.complete:
         raise IncompleteLattice("classification needs the full lattice")
     ring = lattice.ring
+    held = lattice.held
+    everywhere = (1 << len(lattice.ideals)) - 1
+    lacks = [everywhere & ~h for h in held]     # the ideals missing x
+    # x·y or y·x over every y: either holds each product once per pair, and
+    # the principal table has already read the side's absorbing rows
+    op = _absorbing_rows(lattice.side)[0]
+    composite = 0               # bit k: ideals[k] holds f·g, f and g outside
+    for x, out in enumerate(lacks):
+        if out:
+            products = map(held.__getitem__, ring.row(op, x))
+            composite |= reduce(or_, map(and_, lacks, products)) & out
     whole = (1 << len(ring.elements)) - 1
     meta = {}
-    for i in lattice.ideals:
+    for k, i in enumerate(lattice.ideals):
         b = i.bits
         meta[b] = i.meta
         if b == whole:
             i.meta.update(is_prime=False, is_maximal=False)
             continue
-        i.meta["is_prime"] = prime_witness(ring, b) is None
+        i.meta["is_prime"] = not composite >> k & 1
     proper = [b for b in meta if b != whole]
     primes = [b for b in proper if meta[b]["is_prime"]]
     _outermost(proper, meta, "is_maximal", grow=True)
@@ -553,6 +595,12 @@ class FamilySets:
 
 
 def family_sets(lattice: IdealLattice) -> FamilySets:
+    """The families of a lattice, classified first if need be.
+
+    U_I, the class masks c whose χ_U lies in I, is read off the lattice's
+    columns: for the ideal at position k, bit c of U_I is bit k of the
+    column of χ_U, so the U_I are the transpose of the 2^q χ_U columns.
+    """
     ring = lattice.ring
     if ring.algebra.unit is None:
         raise MissingUnit(FAMILIES_NOTE)
@@ -562,6 +610,7 @@ def family_sets(lattice: IdealLattice) -> FamilySets:
     P = tuple(i for i in lattice.ideals
               if i.meta.get("is_prime") or i.bits in ends)
     chi = ring.chi_table()
-    U = {i.bits: bitset(c for c, x in enumerate(chi) if i.bits >> x & 1)
-         for i in lattice.ideals}
+    held = lattice.held
+    U = dict(zip((i.bits for i in lattice.ideals),
+                 _transpose([held[x] for x in chi], len(lattice.ideals))))
     return FamilySets(lattice, P, chi, U)

@@ -699,6 +699,9 @@ def _l9(ctx):  # J ⊆ A ⊆ F  ⇒  V(F,b) ⊆ V(A,b) ⊆ V(J,b)
 
 @_checker("L10")
 def _l10(ctx):  # I(U,b)_J ⊆ J
+    """This check cannot fail: I(U,b)_J is held as the bitset iu & fam, and
+    iu & fam & ~fam is 0 for every pair of bitsets, so its PASS tests only
+    that the body runs."""
     for fam in ctx.fn_families:
         for u, row in zip(ctx.point_sets, ctx.vanishing_grid):
             for b, iu in zip(ctx.b_values, row):
@@ -732,6 +735,9 @@ def _l12(ctx):  # J ⊆ I(V(J,b), b)
 
 @_checker("L13")
 def _l13(ctx):  # J ⊆ A  ⇒  I(U,b)_J ⊆ I(U,b)_A
+    """This check cannot fail: A is built as fam | fn_families[0], so
+    A ⊇ J, and iu & fam & ~(iu & A) is then 0 for every pair of bitsets;
+    its PASS tests only that the body runs."""
     for fam in ctx.fn_families:
         bigger = fam | ctx.fn_families[0]
         for u, row in zip(ctx.point_sets, ctx.vanishing_grid):

@@ -46,6 +46,10 @@ CHI_INDEX = "tests/test_context.py::test_chi_index_is_the_index_of_chi"
 DECODE = "tests/test_context.py::test_elements_decode_in_product_order"
 ZERO_CLASSES = "tests/test_context.py::test_zero_classes_match_the_value_tuples"
 PLAIN_SCAN = f"{IDEALS}::test_pruned_subset_scan_matches_a_plain_scan"
+CLASSIFY = f"{IDEALS}::test_classification_matches_the_definitions"
+WITNESS = f"{IDEALS}::test_prime_witness_is_the_least_pair"
+INVENTORIES = f"{IDEALS}::test_multiplicative_inventories_past_the_subset_scan"
+RING_INVENTORIES = f"{IDEALS}::test_ring_mode_lattices_past_the_subset_scan"
 TAKE = f"{IDEALS}::test_take_decodes_a_bitset_as_indexing_does"
 PRINCIPALS = f"{IDEALS}::test_principal_table_matches_per_element_closure"
 JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
@@ -61,8 +65,8 @@ CHECK_GOLDEN = f"{GOLDENS}::test_cli_matches_the_golden[check-discrete_zmod]"
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
     Mutant("family-U-from-complement-chi", "ideals.py",
-           "bitset(c for c, x in enumerate(chi) if",
-           "bitset(c for c, x in enumerate(reversed(chi)) if",
+           "_transpose([held[x] for x in chi],",
+           "_transpose([held[x] for x in reversed(chi)],",
            (FAMILY, GREEN)),
     Mutant("family-complement-off-by-one-class", "verify/checkers.py",
            "bitset(ctx.all_classes ^ c for c in members(family))",
@@ -87,11 +91,11 @@ MUTANTS = [
            (f"{IDEALS}::test_subset_scan_matches_the_ideal_laws",)),
     Mutant("primality-scan-skips-first", "ideals.py",
            "    for f in outside:\n", "    for f in outside[1:]:\n",
-           (f"{IDEALS}::test_classification_matches_the_definitions",)),
+           (WITNESS,)),
     Mutant("min-max-scan-direction", "ideals.py",
            "(b & o == b) if grow else (b & o == o)",
            "(b & o == o) if grow else (b & o == b)",
-           (f"{IDEALS}::test_classification_matches_the_definitions",)),
+           (CLASSIFY,)),
     Mutant("lattice-key-tie-break-not-negated", "sets.py",
            '-int(f"{b:0{n}b}"[::-1], 2)', 'int(f"{b:0{n}b}"[::-1], 2)',
            (f"{IDEALS}::test_lattice_key_orders_as_the_member_lists",)),
@@ -118,6 +122,26 @@ MUTANTS = [
            "{RIGHT: flags.right_distributive,\n"
            "                   LEFT: flags.left_distributive,",
            (PRINCIPALS,)),
+
+    # -- one pass over the principals, primality off the lattice's columns -
+    Mutant("lattice-skips-the-last-principal", "ideals.py",
+           "    for p in principals:\n",
+           "    for p in list(principals)[:-1]:\n",
+           (INVENTORIES, RING_INVENTORIES)),
+    Mutant("ring-lattice-joins-as-unions", "ideals.py",
+           "joined[u] = join(ring, a, p, side, mode)", "joined[u] = u",
+           (RING_INVENTORIES,)),
+    Mutant("lattice-budget-cut-one-short", "ideals.py",
+           "budget + 1 - len(found)", "budget - len(found)",
+           (f"{IDEALS}::test_lattice_budget_cut",
+            f"{IDEALS}::test_ring_mode_lattice_budget_cut")),
+    Mutant("columns-read-in-reverse", "ideals.py",
+           "for i in range(width - 1, -1, -1)]", "for i in range(width)]",
+           (f"{IDEALS}::test_lattice_columns_are_the_membership_transpose",)),
+    Mutant("column-pass-drops-the-g-column", "ideals.py",
+           "map(and_, lacks, products)",
+           "map(and_, [everywhere] * len(lacks), products)",
+           (CLASSIFY, INVENTORIES)),
 
     # -- the subset scan's half-reach pruning: one mutant per condition ---
     Mutant("scan-low-reach-into-low-dropped", "ideals.py",

@@ -160,6 +160,15 @@ def test_lattice_budget_cut():
         classify_primes(lat)
 
 
+def test_ring_mode_lattice_budget_cut():
+    ring = FunctionRing(discrete_space(4), make_zmod(2))   # 16 ideals
+    assert len(ideal_lattice(ring, mode=RING).ideals) == 16
+    lat = ideal_lattice(ring, mode=RING, budget=10)
+    assert not lat.complete and len(lat.ideals) == 11
+    with pytest.raises(IncompleteLattice):
+        classify_primes(lat)
+
+
 def test_lattice_oracle_disagreement_raises(d2z3, monkeypatch):
     # the subset-scan cross-check must survive `python -O`
     monkeypatch.setattr(ideals, "subset_scan", lambda ring, side, mode: {
@@ -510,6 +519,43 @@ def test_classification_matches_the_definitions():
                             not any(q < e for q in primes))
                         assert meta["is_maximal_prime"] == (
                             not any(e < q for q in primes))
+
+
+def test_lattice_columns_are_the_membership_transpose():
+    for ring in small_ring_corpus():
+        for side in SIDES:
+            lat = ideal_lattice(ring, side, MULTIPLICATIVE)
+            assert len(lat.held) == len(ring)
+            for x, column in enumerate(lat.held):
+                assert column == bitset(
+                    k for k, i in enumerate(lat.ideals) if i.bits >> x & 1)
+
+
+def test_prime_witness_is_the_least_pair():
+    """``prime_witness`` against a scan of every index pair in order, with
+    products taken on value tuples, on every proper ideal of the corpus, on
+    all three sides and both modes."""
+    checked = witnessed = 0
+    for ring in small_ring_corpus():
+        n = len(ring)
+        product = [[ring.index(pointwise(ring, "mul", f, g)) for g in ring]
+                   for f in ring]
+        modes = [MULTIPLICATIVE] if ring.algebra.add is None else [
+            MULTIPLICATIVE, RING]
+        for side in SIDES:
+            for mode in modes:
+                for i in ideal_lattice(ring, side, mode).ideals:
+                    if not i.is_proper():
+                        continue
+                    want = next(
+                        ((f, g) for f in range(n) for g in range(n)
+                         if not i.bits >> f & 1 and not i.bits >> g & 1
+                         and i.bits >> product[f][g] & 1), None)
+                    assert ideals.prime_witness(ring, i.bits) == want, (
+                        ring, side, mode, i)
+                    checked += 1
+                    witnessed += want is not None
+    assert checked > 500 and witnessed > 300
 
 
 def _refuse(masks):
