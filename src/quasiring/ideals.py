@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import islice
 from operator import and_, or_
 
 from .errors import (
@@ -132,8 +131,6 @@ def _transpose(rows: list, width: int) -> list:
     each k < width (every row must fit in width bits).  The rows are written
     as binary numerals of `width` digits, last row first, into one string,
     so the digits of bit k are every width-th character from its offset."""
-    if not rows:
-        return [0] * width
     fmt = f"0{width}b"
     digits = "".join([format(r, fmt) for r in reversed(rows)])
     return [int(digits[i::width], 2) for i in range(width - 1, -1, -1)]
@@ -463,8 +460,8 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
             joined.update(zip(fresh, fresh))    # an ideal is its own join
         fresh -= found
         if len(found) + len(fresh) > budget:
-            found.update(islice(sorted(fresh, key=mask_key(n)),
-                                budget + 1 - len(found)))
+            keep = budget + 1 - len(found)
+            found.update(sorted(fresh, key=mask_key(n))[:keep])
             complete = False
             break
         found |= fresh
@@ -522,10 +519,11 @@ def classify_primes(lattice: IdealLattice) -> IdealLattice:
 
     Primality is read for the whole lattice at once off its columns
     (``IdealLattice.held``): the ideal at position k is not prime exactly
-    when some table entry (f, g, f·g) has bit k set in
-    held[f·g] & ~(held[f] | held[g]).  Each row f ands the complemented
-    column of every g with the column of f·g and or-s the results into one
-    bitset over the lattice positions, so only one row is read at a time.
+    when some product f·g has bit k set in held[f·g] & ~(held[f] | held[g]).
+    Each table row, x with every y, ands the complemented column of y with
+    the column of the product, or-s the results and keeps the positions
+    missing x; one bitset over the lattice positions gathers the rows, and
+    only one row is read at a time.
     """
     if not lattice.complete:
         raise IncompleteLattice("classification needs the full lattice")
