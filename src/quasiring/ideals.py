@@ -3,7 +3,8 @@
 An ideal here is the multiplicative notion: a subset containing the zero
 function, closed under the ring's multiplication, and absorbing on a declared
 side; "ring" mode additionally closes under addition.  Primality, the full
-ideal lattice (join-closure over principal ideals, cross-checked against a
+ideal lattice (join-closure over principal ideals, or in ring mode the
+products of Y's ideals over the quasi-components, cross-checked against a
 subset-scan oracle on small rings), classification, the prime radical, and
 the characteristic-function families all live here.
 
@@ -13,6 +14,12 @@ The work runs on element indices and Python-int bitsets (bit i is
 ideal, ring-mode joins are additive spans where Y's tables allow it and
 worklist closures elsewhere, the lattice is one pass of joins over the
 distinct principal bitsets, and the subset-scan oracle returns bitsets.
+``ideal_lattice`` skips the pass in ring mode over q ≥ 2 quasi-components
+when Y's declared unit and zero act on the absorbing side (``splits``):
+C(Z, Y) is then Y^q and every ideal a product of ideals of Y, so the
+lattice is Y's lattice to the power q, built by shifting bitsets.  The
+checkers and the prescribed-ring generator call ``enumerated_lattice``,
+the pass itself, since several of them state that product theorem.
 A lattice also holds its columns, the bitset over lattice positions of
 the ideals holding each element; primality and U_I are read off them for
 every ideal at once, and the min/max tests are bit tests.  An ``Ideal``
@@ -37,6 +44,7 @@ from .errors import (
 from .algebra import structure_flags
 from .funcspace import FunctionRing, vanishing_elements
 from .sets import mask_key
+from .topology import discrete_space
 
 RIGHT = "right"
 LEFT = "left"
@@ -423,8 +431,9 @@ def subset_scan(ring: FunctionRing, side: str = RIGHT,
             if all(mask >> sums[a][b] & 1 for a in bits for b in bits)}
 
 
-def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
-                  mode: str | None = None, budget: int = 100_000) -> IdealLattice:
+def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
+                       mode: str | None = None,
+                       budget: int = 100_000) -> IdealLattice:
     """All ideals, as the joins of the distinct principal ideals.
 
     Every ideal of a finite ring is the join of the principal ideals of its
@@ -473,6 +482,80 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
         if found != subset_scan(ring, side, mode):
             raise CrossCheckFailed("join-closure disagrees with subset scan")
     return lattice
+
+
+def splits(algebra, side: str) -> bool:
+    """Whether Y's declared unit and zero act on the side that cuts a
+    ring-mode ideal of C(Z, Y) into its class slices.  A right ideal
+    absorbs f·g, so it needs the unit's left law and a left-absorbing zero;
+    a left ideal needs the mirror laws, a two-sided ideal both."""
+    if algebra.unit is None:
+        return False
+    laws = {RIGHT: (LEFT,), LEFT: (RIGHT,), TWO_SIDED: (LEFT, RIGHT)}[side]
+    return all(algebra.unit_side in (law, TWO_SIDED)
+               and algebra.zero_side in (law, TWO_SIDED) for law in laws)
+
+
+def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
+                  mode: str | None = None, budget: int = 100_000) -> IdealLattice:
+    """All ideals: in ring mode, where Y ``splits`` on the side, the products
+    of Y's ideals, one factor per quasi-component; otherwise the one pass of
+    ``enumerated_lattice``.
+
+    The products are taken when the mode is ring, there are q ≥ 2 classes,
+    Y ``splits`` on the side, the ring has at most ``PRINCIPAL_TABLE_CAP``
+    elements, and Y's own lattice (``enumerated_lattice`` of C(discrete 1,
+    Y), under the same budget) is complete with k ideals, k^q ≤ `budget`.
+    Every other case is ``enumerated_lattice``'s, so an incomplete lattice
+    and ``BudgetExceeded`` come out exactly as they do there.
+
+    Why these are all the ideals (the paper's L68 and L69): take a right
+    ideal I, a member g and a class c, and let e be the unit on c and θ
+    elsewhere.  Then e·g is g on c, by the unit's left law, and θ
+    elsewhere, as θ absorbs on the left; so this slice of g lies in I.
+    The values π_c(I) of I's members on c are then the values of I's
+    slices on c, and they form an ideal of Y, since θ·θ = θ + θ = θ makes
+    products and sums of slices on c slices on c.  Any h with h(c) ∈ π_c(I)
+    for every c is the sum of its q slices, because θ is Y's additive
+    identity; so I = Π π_c(I).  Conversely every product of ideals of Y is
+    an ideal, the operations being componentwise.  A left ideal is the
+    mirror, with g·e.  The proof uses no associativity and no
+    distributivity.
+
+    A product is a bitset built by shift-or over the class digits, the
+    least significant class first: a product B over the classes after
+    class c becomes, with c's factor J, the or of B << a·m^j over a ∈ J
+    (m = |Y|, j = q − 1 − c).  The products are sorted by ``mask_key`` and
+    cross-checked against the subset scan whenever the ring has at most 16
+    elements.
+    """
+    mode = default_mode(ring) if mode is None else mode
+    q, n = len(ring.classes), len(ring.elements)
+    if (mode == RING and q >= 2 and n <= PRINCIPAL_TABLE_CAP
+            and splits(ring.algebra, side)):
+        factor = enumerated_lattice(
+            FunctionRing(discrete_space(1), ring.algebra), side, RING, budget)
+        if factor.complete and len(factor.ideals) ** q <= budget:
+            return _product_lattice(ring, factor, side)
+    return enumerated_lattice(ring, side, mode, budget)
+
+
+def _product_lattice(ring: FunctionRing, factor: IdealLattice,
+                     side: str) -> IdealLattice:
+    """Every product of `factor`'s ideals over the ring's classes."""
+    m, n = ring.algebra.carrier_size, len(ring.elements)
+    values = [members(i.bits) for i in factor.ideals]
+    products = [1]                      # over no class: the empty product
+    weight = 1
+    for _ in ring.classes:
+        products = [reduce(or_, [b << a * weight for a in j])
+                    for j in values for b in products]
+        weight *= m
+    products.sort(key=mask_key(n))
+    if n <= 16 and set(products) != subset_scan(ring, side, RING):
+        raise CrossCheckFailed("the product lattice disagrees with subset scan")
+    return IdealLattice(
+        ring, tuple(Ideal(ring, b, side, RING) for b in products), side, RING)
 
 
 def prime_witness(ring: FunctionRing, inside: int):

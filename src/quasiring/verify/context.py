@@ -20,8 +20,8 @@ from ..ideals import (
     RING,
     bitset,
     classify_primes,
+    enumerated_lattice,
     family_sets,
-    ideal_lattice,
     join,
     members,
     principal_table,
@@ -80,8 +80,8 @@ class Context:
                 f"lattice classification on a {n}-element ring exceeds the "
                 f"checker budget (cap {self.lattice_ring_cap})",
                 cap=self.lattice_ring_cap, reached=n)
-        lat = ideal_lattice(self.ring, self.side, self.mode,
-                            budget=self.lattice_budget)
+        lat = enumerated_lattice(self.ring, self.side, self.mode,
+                                 budget=self.lattice_budget)
         classify_primes(lat)
         return lat
 

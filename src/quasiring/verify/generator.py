@@ -16,7 +16,7 @@ from ..ideals import (
     RIGHT,
     RING,
     classify_primes,
-    ideal_lattice,
+    enumerated_lattice,
     prime_radical,
 )
 from ..topology import discrete_space
@@ -45,7 +45,7 @@ def generate_prescribed_ring(n_primes: int, y: AlgebraTable,
             "it every union of point ideals is one more prime")
     space = discrete_space(n_primes)
     ring = FunctionRing(space, y, budget)
-    lattice = classify_primes(ideal_lattice(ring, side, RING))
+    lattice = classify_primes(enumerated_lattice(ring, side, RING))
     primes = [i for i in lattice.ideals if i.meta.get("is_prime")]
     point_ideals = {vanishing_elements(ring, c) for c in ring.classes}
     inventory = {
