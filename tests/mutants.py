@@ -50,6 +50,7 @@ CLASSIFY = f"{IDEALS}::test_classification_matches_the_definitions"
 WITNESS = f"{IDEALS}::test_prime_witness_is_the_least_pair"
 INVENTORIES = f"{IDEALS}::test_multiplicative_inventories_past_the_subset_scan"
 RING_INVENTORIES = f"{IDEALS}::test_ring_mode_lattices_past_the_subset_scan"
+PRODUCT = f"{IDEALS}::test_ideal_lattice_matches_the_enumerated_lattice"
 TAKE = f"{IDEALS}::test_take_decodes_a_bitset_as_indexing_does"
 PRINCIPALS = f"{IDEALS}::test_principal_table_matches_per_element_closure"
 JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
@@ -142,6 +143,25 @@ MUTANTS = [
            "map(and_, lacks, products)",
            "map(and_, [everywhere] * len(lacks), products)",
            (CLASSIFY, INVENTORIES)),
+
+    # -- ring-mode lattices as products of Y's lattice --------------------
+    Mutant("split-gate-sides-swapped", "ideals.py",
+           "laws = {RIGHT: (LEFT,), LEFT: (RIGHT,),",
+           "laws = {RIGHT: (RIGHT,), LEFT: (LEFT,),",
+           (PRODUCT,)),
+    Mutant("product-drops-a-class-digit", "ideals.py",
+           "    for _ in ring.classes:\n", "    for _ in ring.classes[1:]:\n",
+           (PRODUCT, RING_INVENTORIES)),
+    Mutant("split-gate-ignores-the-table-cap", "ideals.py",
+           "if (mode == RING and q >= 2 and n <= PRINCIPAL_TABLE_CAP\n"
+           "            and splits(ring.algebra, side)):",
+           "if (mode == RING and q >= 2\n"
+           "            and splits(ring.algebra, side)):",
+           (PRODUCT,)),
+    Mutant("product-cross-check-dropped", "ideals.py",
+           "if n <= 16 and set(products) != subset_scan(ring, side, RING):",
+           "if False:",
+           (f"{IDEALS}::test_lattice_oracle_disagreement_raises",)),
 
     # -- the subset scan's half-reach pruning: one mutant per condition ---
     Mutant("scan-low-reach-into-low-dropped", "ideals.py",

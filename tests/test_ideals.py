@@ -23,6 +23,7 @@ from quasiring.ideals import (
     classify_primes,
     closure,
     elements_of,
+    enumerated_lattice,
     family_sets,
     ideal_lattice,
     is_prime,
@@ -31,6 +32,7 @@ from quasiring.ideals import (
     prime_radical,
     principal_table,
     span_applies,
+    splits,
     subset_scan,
     vanishing_ideal,
 )
@@ -169,12 +171,22 @@ def test_ring_mode_lattice_budget_cut():
         classify_primes(lat)
 
 
-def test_lattice_oracle_disagreement_raises(d2z3, monkeypatch):
-    # the subset-scan cross-check must survive `python -O`
-    monkeypatch.setattr(ideals, "subset_scan", lambda ring, side, mode: {
-        1 << ring.index(ring.theta)})
-    with pytest.raises(CrossCheckFailed):
-        ideal_lattice(d2z3, mode=RING)
+def test_lattice_oracle_disagreement_raises(monkeypatch):
+    """Both cross-checks must survive `python -O`: the subset scan of the
+    ring under test loses its least ideal (Y's own scan, which the product
+    path's factor runs, is left whole).  C(discrete 2, Z_3) takes the
+    product path; a ring over a table with no unit takes the pass."""
+    scan = ideals.subset_scan
+    for ring, product in [(FunctionRing(discrete_space(2), make_zmod(3)), True),
+                          (one_sided_rings()[0], False)]:
+        def lossy(r, side, mode, ring=ring):
+            found = scan(r, side, mode)
+            return found - {1 << r.index(r.theta)} if r is ring else found
+
+        monkeypatch.setattr(ideals, "subset_scan", lossy)
+        with pytest.raises(CrossCheckFailed):
+            ideal_lattice(ring, mode=RING)
+        assert (("principals", RIGHT, RING) in ring.memo) != product
 
 
 def small_ring_corpus(max_elements=16):
@@ -423,13 +435,108 @@ def test_join_matches_closure_of_the_union():
 
 def test_ring_mode_lattices_past_the_subset_scan():
     """Ring-mode lattices of Z_n^q past 16 elements: τ(n)^q ideals, q·ω(n)
-    primes, a radical of (n/rad n)^q elements."""
-    for q, n, count, primes, radical in [(4, 4, 81, 4, 16), (5, 3, 32, 5, 1)]:
-        ring = FunctionRing(discrete_space(q), make_zmod(n))
-        lat = classify_primes(ideal_lattice(ring, mode=RING))
-        assert lat.complete and len(lat.ideals) == count
-        assert len(lat.primes()) == primes
-        assert len(prime_radical(lat)) == radical
+    primes, a radical of (n/rad n)^q elements, through the product path and
+    through the pass (C(discrete 8, Z_2) through the product path only:
+    the pass takes seconds on it)."""
+    for q, n, count, primes, radical, paths in [
+            (4, 4, 81, 4, 16, (ideal_lattice, enumerated_lattice)),
+            (5, 3, 32, 5, 1, (ideal_lattice, enumerated_lattice)),
+            (3, 6, 64, 6, 1, (ideal_lattice, enumerated_lattice)),
+            (8, 2, 256, 8, 1, (ideal_lattice,))]:
+        for lattice in paths:
+            ring = FunctionRing(discrete_space(q), make_zmod(n))
+            lat = classify_primes(lattice(ring, mode=RING))
+            assert lat.complete and len(lat.ideals) == count
+            assert len(lat.primes()) == primes
+            assert len(prime_radical(lat)) == radical
+
+
+def split_tables():
+    """Y with addition whose zero and unit act on one side only.  The first
+    two are under max: a left-absorbing zero and a unit acting on the left
+    (a right ideal of C(Z, Y) splits into slices, a left one need not),
+    then the mirror.  The third has a Z_3 addition and the same one-sided
+    zero and unit.  The last is L49's table with Z_2 addition, its zero
+    absorbing on the left and its unit acting on the right, which splits
+    on no side."""
+    top = [[max(a, b) for b in range(3)] for a in range(3)]
+    mul = [[0, 0, 0], [0, 1, 2], [2, 2, 2]]
+    mirror = [list(col) for col in zip(*mul)]
+    z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    return [
+        make_table(mul, zero=0, zero_side=LEFT, unit=1, unit_side=LEFT,
+                   add=top),
+        make_table(mirror, zero=0, zero_side=RIGHT, unit=1, unit_side=RIGHT,
+                   add=top),
+        make_table([[0, 0, 0], [0, 1, 2], [1, 2, 0]], zero=0, zero_side=LEFT,
+                   unit=1, unit_side=LEFT, add=z3),
+        make_table([[0, 0], [1, 1]], zero=0, zero_side=LEFT, unit=1,
+                   unit_side=RIGHT, add=[[0, 1], [1, 0]]),
+    ]
+
+
+def _products(ring, side):
+    """Every Π J_c over the ring's classes, each J_c an ideal of Y from the
+    subset scan of C(discrete 1, Y), as sets of value tuples."""
+    one = FunctionRing(discrete_space(1), ring.algebra)
+    factors = [{f[0] for f in elements_of(one, b)}
+               for b in subset_scan(one, side, RING)]
+    return {frozenset(f for f in ring.elements
+                      if all(map(set.__contains__, js, f)))
+            for js in itertools.product(factors, repeat=len(ring.classes))}
+
+
+def test_ideal_lattice_matches_the_enumerated_lattice():
+    """``ideal_lattice`` against the pass of ``enumerated_lattice`` (same
+    bitsets in the same order, both complete) on every side, over Z_n^q up
+    to 81 elements, C(discrete 4, Z_4), C(Sierpiński + point, Z_4) and the
+    one-sided tables over discrete 2 and 3.  The product path, seen as the
+    ring's principal table left unbuilt, is taken exactly where the gate
+    admits and there are two classes or more, and it lists the products of
+    Y's ideals.  Where the gate refuses a one-sided table, the lattice of
+    C(discrete 2, Y) is not those products.  The budget cut and the
+    principal table's refusal come out of ``ideal_lattice`` as before."""
+    rings = [FunctionRing(discrete_space(q), make_zmod(n))
+             for n in range(2, 10) for q in range(1, 7) if n ** q <= 81]
+    rings += [FunctionRing(discrete_space(4), make_zmod(4)),
+              FunctionRing(disjoint_union(sierpinski_space(),
+                                          discrete_space(1)), make_zmod(4))]
+    tables = split_tables()
+    assert [[splits(y, side) for side in SIDES] for y in tables] == [
+        [True, False, False], [False, True, False], [True, False, False],
+        [False, False, False]]
+    rings += [FunctionRing(discrete_space(q), y) for y in tables
+              for q in (2, 3)]
+    taken = 0
+    for ring in rings:
+        for side in SIDES:
+            got = ideal_lattice(ring, side, RING)
+            product = ("principals", side, RING) not in ring.memo
+            assert product == (splits(ring.algebra, side)
+                               and len(ring.classes) >= 2), (ring, side)
+            want = enumerated_lattice(ring, side, RING)
+            assert [i.bits for i in got.ideals] == [i.bits for i in want.ideals]
+            assert got.complete and want.complete
+            if product:
+                assert {i.elements for i in got.ideals} == _products(ring, side)
+                taken += 1
+    assert taken == 57
+    for y, side in [(tables[0], LEFT), (tables[1], RIGHT), (tables[3], LEFT)]:
+        ring = FunctionRing(discrete_space(2), y)
+        got = {i.elements for i in ideal_lattice(ring, side, RING).ideals}
+        assert got != _products(ring, side)
+    ring = FunctionRing(discrete_space(4), make_zmod(2))
+    cut = [lattice(ring, mode=RING, budget=10)
+           for lattice in (ideal_lattice, enumerated_lattice)]
+    assert [[i.bits for i in lat.ideals] for lat in cut] == [
+        [i.bits for i in cut[1].ideals]] * 2
+    assert [(lat.complete, len(lat.ideals)) for lat in cut] == [(False, 11)] * 2
+    ring = FunctionRing(discrete_space(13), make_zmod(2))
+    for mode in (MULTIPLICATIVE, RING):
+        with pytest.raises(BudgetExceeded) as exc:
+            ideal_lattice(ring, mode=mode)
+        assert (exc.value.cap, exc.value.reached) == (
+            ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)
 
 
 def test_multiplicative_inventories_past_the_subset_scan():
