@@ -157,7 +157,7 @@ MUTANTS = [
            "            and splits(ring.algebra, side)):",
            "if (mode == RING and q >= 2\n"
            "            and splits(ring.algebra, side)):",
-           (PRODUCT,)),
+           (f"{IDEALS}::test_principal_table_past_its_cap_is_refused",)),
     Mutant("product-cross-check-dropped", "ideals.py",
            "if n <= 16 and set(products) != subset_scan(ring, side, RING):",
            "if False:",

@@ -167,6 +167,9 @@ def test_ring_mode_lattice_budget_cut():
     assert len(ideal_lattice(ring, mode=RING).ideals) == 16
     lat = ideal_lattice(ring, mode=RING, budget=10)
     assert not lat.complete and len(lat.ideals) == 11
+    # 2^4 products exceed the budget, so the cut is the pass's
+    assert [i.bits for i in lat.ideals] == [
+        i.bits for i in enumerated_lattice(ring, mode=RING, budget=10).ideals]
     with pytest.raises(IncompleteLattice):
         classify_primes(lat)
 
@@ -494,8 +497,7 @@ def test_ideal_lattice_matches_the_enumerated_lattice():
     ring's principal table left unbuilt, is taken exactly where the gate
     admits and there are two classes or more, and it lists the products of
     Y's ideals.  Where the gate refuses a one-sided table, the lattice of
-    C(discrete 2, Y) is not those products.  The budget cut and the
-    principal table's refusal come out of ``ideal_lattice`` as before."""
+    C(discrete 2, Y) is not those products."""
     rings = [FunctionRing(discrete_space(q), make_zmod(n))
              for n in range(2, 10) for q in range(1, 7) if n ** q <= 81]
     rings += [FunctionRing(discrete_space(4), make_zmod(4)),
@@ -525,18 +527,6 @@ def test_ideal_lattice_matches_the_enumerated_lattice():
         ring = FunctionRing(discrete_space(2), y)
         got = {i.elements for i in ideal_lattice(ring, side, RING).ideals}
         assert got != _products(ring, side)
-    ring = FunctionRing(discrete_space(4), make_zmod(2))
-    cut = [lattice(ring, mode=RING, budget=10)
-           for lattice in (ideal_lattice, enumerated_lattice)]
-    assert [[i.bits for i in lat.ideals] for lat in cut] == [
-        [i.bits for i in cut[1].ideals]] * 2
-    assert [(lat.complete, len(lat.ideals)) for lat in cut] == [(False, 11)] * 2
-    ring = FunctionRing(discrete_space(13), make_zmod(2))
-    for mode in (MULTIPLICATIVE, RING):
-        with pytest.raises(BudgetExceeded) as exc:
-            ideal_lattice(ring, mode=mode)
-        assert (exc.value.cap, exc.value.reached) == (
-            ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)
 
 
 def test_multiplicative_inventories_past_the_subset_scan():
@@ -557,12 +547,15 @@ def test_multiplicative_inventories_past_the_subset_scan():
 
 
 def test_principal_table_past_its_cap_is_refused():
+    """The table, and through it ``ideal_lattice``: 2^13 products would be
+    within the lattice budget, but the ring is past the table cap."""
     ring = FunctionRing(discrete_space(13), make_zmod(2))
-    for mode in (MULTIPLICATIVE, RING):
-        with pytest.raises(BudgetExceeded) as exc:
-            principal_table(ring, RIGHT, mode)
-        assert (exc.value.cap, exc.value.reached) == (
-            ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)
+    for build in (principal_table, ideal_lattice):
+        for mode in (MULTIPLICATIVE, RING):
+            with pytest.raises(BudgetExceeded) as exc:
+                build(ring, RIGHT, mode)
+            assert (exc.value.cap, exc.value.reached) == (
+                ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)
 
 
 def test_take_decodes_a_bitset_as_indexing_does():
