@@ -12,10 +12,11 @@ as a mixed-radix number over Y with class 0 the most significant digit, so
 index order is tuple order, and a set of elements is an int bitset.  No
 value tuple is stored up front: ``elements`` decodes index i when it is
 read (and keeps what it decoded), and the zero set V(f) of every element
-is a class mask from ``zero_classes``, built digit by digit.  Rows of the
+is a class mask from ``zero_classes``, built digit by digit.  Each of the
 ring's Cayley tables (Froidure & Pin, "Algorithms for computing finite
-semigroups", 1997) are built on demand from Y's tables, one digit at a
-time, and cached up to a fixed number of entries per ring.
+semigroups", 1997) is the q-fold Kronecker expansion of Y's table: on the
+first read of an operation its whole table is built in one pass, one class
+at a time, and cached up to a fixed number of entries per ring.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .topology import (
     quasi_component_partition,
 )
 
-#: a ring keeps built table rows while they hold at most this many entries
-#: in all (16 MB as 32-bit indices); past it each row is rebuilt when used
+#: a ring keeps built tables while they hold at most this many entries in
+#: all (16 MB as 32-bit indices); past it each row is rebuilt when used
 ROW_CACHE_ENTRIES = 2 ** 22
 
 FnElement = tuple  # Y-index per quasi-component, in class order
@@ -123,7 +124,7 @@ class FunctionRing:
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
-        self._rows = {}
+        self._tables = {}
         self._row_entries = 0
         self._chi_tables = {}
         self._zero_classes = None
@@ -148,23 +149,44 @@ class FunctionRing:
         """Element i combined with every element j, as indices in j order.
 
         op is "mul" for i·j, "mul_t" for j·i, "add" for i+j, "add_t" for
-        j+i.  The row is built digit by digit from Y's table: one class
-        more turns a row r into [a·m + b for a in r for b in y_row].
+        j+i.  The first read of op builds op's whole table and caches it,
+        charging its n² entries to ``ROW_CACHE_ENTRIES``; a table that does
+        not fit in what is left of that cap is not built, and each read
+        builds its one row instead.
         """
-        key = (op, i)
-        row = self._rows.get(key)
-        if row is None:
-            table = self._y_table(op)
-            m = self.algebra.carrier_size
-            row = [0]
-            for d in self.elements[i]:
-                y_row = table[d]
-                row = [a * m + b for a in row for b in y_row]
-            row = array("I", row)
-            if self._row_entries + len(row) <= ROW_CACHE_ENTRIES:
-                self._rows[key] = row
-                self._row_entries += len(row)
-        return row
+        table = self._tables.get(op)
+        if table is None:
+            n = len(self.elements)
+            if self._row_entries + n * n > ROW_CACHE_ENTRIES:
+                return self._row(op, i)
+            table = self._tables[op] = self._table(op)
+            self._row_entries += n * n
+        return table[i]
+
+    def _table(self, op: str) -> list:
+        """Every row of op, built level by level: the row of prefix p·m + d
+        at one class more is [a·m + b for a in row_p for b in y_row_d].
+        Each level is a generator over the one before, so a row of a level
+        is used for all m of its extensions and then dropped; only the
+        last level is kept, as arrays."""
+        y_rows = self._y_table(op)
+        m = self.algebra.carrier_size
+        rows = iter(([0],))
+        for _ in self.classes:
+            rows = ([a * m + b for a in row for b in y_row]
+                    for row in rows for y_row in y_rows)
+        return [array("I", row) for row in rows]
+
+    def _row(self, op: str, i: int) -> array:
+        """Row i of op alone, digit by digit: one class more turns a row r
+        into [a·m + b for a in r for b in y_row]."""
+        table = self._y_table(op)
+        m = self.algebra.carrier_size
+        row = [0]
+        for d in self.elements[i]:
+            y_row = table[d]
+            row = [a * m + b for a in row for b in y_row]
+        return array("I", row)
 
     def value_bits(self, c: int, b: int) -> int:
         """The elements equal to b on class c, as a bitset.

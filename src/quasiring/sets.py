@@ -30,12 +30,27 @@ class _Infinity:
 INF = _Infinity()
 
 
+#: byte k with its eight bits reversed, as a ``bytes.translate`` table
+_REVERSED_BYTES = bytes(int(f"{k:08b}"[::-1], 2) for k in range(256))
+
+
 def mask_key(n: int):
     """The one order on bitsets over n bits (element bitsets, point masks):
     by size, then by the ascending member list.  Of two member lists of one
     size, the one holding the least bit where they differ comes first, so
-    the tie break is the bitset's n-bit reversal, negated."""
-    return lambda b: (b.bit_count(), -int(f"{b:0{n}b}"[::-1], 2))
+    the tie break is the bitset's n-bit reversal rev, negated.  The key is
+    the int (size << n) | (2^n − 1 − rev).  rev is taken whole-bytes-wide
+    and shifted down: the little-endian bytes of b, each byte's bits
+    reversed through a table and read big-endian, are b's 8·⌈n/8⌉-bit
+    reversal."""
+    width = (n + 7) // 8
+    shift, low = 8 * width - n, (1 << n) - 1
+
+    def key(b: int) -> int:
+        rev = int.from_bytes(b.to_bytes(width, "little")
+                             .translate(_REVERSED_BYTES), "big") >> shift
+        return (b.bit_count() << n) | (low - rev)
+    return key
 
 
 @dataclass(frozen=True)

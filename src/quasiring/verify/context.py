@@ -12,7 +12,7 @@ import random
 from functools import cached_property
 
 from ..algebra import structure_flags
-from ..errors import BudgetExceeded, MissingAddition
+from ..errors import BudgetExceeded, IncompleteLattice, MissingAddition
 from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing, vanishing_elements
 from ..ideals import (
     MULTIPLICATIVE,
@@ -57,6 +57,7 @@ class Context:
         #: through ``checkers._body`` under that function
         self.memo = {}
         self._points, self._clopen, self._vanishing = {}, {}, {}
+        self._lattice = None     # the lattice, or the exception of its build
 
     @cached_property
     def flags(self):
@@ -72,8 +73,21 @@ class Context:
     lattice_budget = 1200
     lattice_ring_cap = 160
 
-    @cached_property
+    @property
     def lattice(self):
+        """The classified lattice, built on the first read.  A failed build
+        is kept as well: its ``BudgetExceeded`` or ``IncompleteLattice`` is
+        raised again on every later read, without a second build."""
+        if self._lattice is None:
+            try:
+                self._lattice = self._classified_lattice()
+            except (BudgetExceeded, IncompleteLattice) as exc:
+                self._lattice = exc
+        if isinstance(self._lattice, Exception):
+            raise self._lattice.with_traceback(None)
+        return self._lattice
+
+    def _classified_lattice(self):
         n = len(self.ring.elements)
         if n > self.lattice_ring_cap:
             raise BudgetExceeded(

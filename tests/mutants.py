@@ -62,6 +62,8 @@ TZ_SPACE = f"{TOPOLOGY}::test_zero_set_space_matches_the_closed_family_reference
 FAMILY_ORDERS = f"{TOPOLOGY}::test_family_orders_match_sort_family"
 GOLDENS = "tests/test_cli_goldens.py"
 CHECK_GOLDEN = f"{GOLDENS}::test_cli_matches_the_golden[check-discrete_zmod]"
+LATTICE_KEY = f"{IDEALS}::test_lattice_key_orders_as_the_member_lists"
+TABLE_ROWS = f"{FUNCSPACE}::test_table_rows_match_tuple_arithmetic"
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -98,8 +100,14 @@ MUTANTS = [
            "(b & o == o) if grow else (b & o == b)",
            (CLASSIFY,)),
     Mutant("lattice-key-tie-break-not-negated", "sets.py",
-           '-int(f"{b:0{n}b}"[::-1], 2)', 'int(f"{b:0{n}b}"[::-1], 2)',
-           (f"{IDEALS}::test_lattice_key_orders_as_the_member_lists",)),
+           "(low - rev)", "rev",
+           (LATTICE_KEY,)),
+    Mutant("lattice-key-shift-dropped", "sets.py",
+           '"big") >> shift', '"big")',
+           (LATTICE_KEY,)),
+    Mutant("lattice-key-shift-one-short", "sets.py",
+           "shift, low = 8 * width - n,", "shift, low = 8 * width - n - 1,",
+           (LATTICE_KEY,)),
     Mutant("subset-scan-addition-all-for-any", "ideals.py",
            "if all(mask >> sums[a][b] & 1", "if any(mask >> sums[a][b] & 1",
            (f"{IDEALS}::test_subset_scan_matches_the_ideal_laws",)),
@@ -243,11 +251,26 @@ MUTANTS = [
            "reduce(or_, filterfalse(", "reduce(or_, filter(",
            (TZ_SPACE,)),
     Mutant("shared-key-tie-break-sign-flipped", "sets.py",
-           'return lambda b: (b.bit_count(), -int(',
-           'return lambda b: (b.bit_count(), +int(',
+           "(low - rev)", "(low + rev)",
            (FAMILY_ORDERS, GOLDENS)),
 
     # -- rings, χ_U and the context ---------------------------------------
+    Mutant("kronecker-levels-swapped", "funcspace.py",
+           "for row in rows for y_row in y_rows)",
+           "for y_row in y_rows for row in rows)",
+           (TABLE_ROWS,)),
+    Mutant("kronecker-digits-swapped", "funcspace.py",
+           "rows = ([a * m + b for a in row for b in y_row]",
+           "rows = ([a * m + b for b in y_row for a in row]",
+           (TABLE_ROWS,)),
+    Mutant("table-cached-past-the-remaining-cap", "funcspace.py",
+           "if self._row_entries + n * n > ROW_CACHE_ENTRIES:",
+           "if n * n > ROW_CACHE_ENTRIES:",
+           (f"{FUNCSPACE}::test_a_table_is_cached_only_while_it_fits",)),
+    Mutant("lattice-failure-not-kept", "verify/context.py",
+           "                self._lattice = exc\n",
+           "                raise\n",
+           ("tests/test_context.py::test_a_failed_lattice_is_built_once",)),
     Mutant("ring-budget-ignored", "funcspace.py",
            "if count > budget:", "if count > DEFAULT_ENUM_BUDGET:",
            (f"{FUNCSPACE}::test_budget_refusal",)),

@@ -18,6 +18,7 @@ from quasiring.ideals import (
     IdealLattice,
     classify_primes,
     closure,
+    enumerated_lattice,
     ideal_lattice,
     vanishing_ideal,
 )
@@ -28,7 +29,13 @@ from quasiring.topology import (
     indiscrete_space,
     sierpinski_space,
 )
-from quasiring.verify import FAIL, run_checker
+from quasiring.verify import (
+    BUDGET_EXCEEDED,
+    FAIL,
+    GREEN_SUITE,
+    context,
+    run_checker,
+)
 from quasiring.verify.checkers import Context
 
 from test_funcspace import pointwise
@@ -324,3 +331,19 @@ def test_planted_set_fails_the_family_laws():
     assert want == (frozenset({0}), frozenset({1}))
     w = _failing(ctx, "L48")
     assert (w["U"], w["W"]) == want
+
+
+def test_a_failed_lattice_is_built_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerated_lattice(*args, **kwargs)
+    monkeypatch.setattr(context, "enumerated_lattice", counted)
+    c = Context(discrete_space(3), make_zmod(2), RIGHT, RING)
+    c.lattice_budget = 2                 # of the lattice's 8 ideals
+    reports = [run_checker(cid, c) for cid in GREEN_SUITE]
+    assert len(calls) == 1
+    over = [r for r in reports if r.verdict == BUDGET_EXCEEDED]
+    assert len(over) > 1
+    assert {r.note for r in over} == {"classification needs the full lattice"}

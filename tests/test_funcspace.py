@@ -223,3 +223,16 @@ def test_rows_past_the_cache_cap_are_rebuilt(monkeypatch):
             for op, want in _tuple_rows(ring, i).items():
                 assert list(ring.row(op, i)) == want
     assert ring._row_entries <= 20
+
+
+def test_a_table_is_cached_only_while_it_fits(monkeypatch):
+    # nine elements: one table of 81 entries fits under the cap, two do not
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 100)
+    ring = FunctionRing(discrete_space(2), random_magma_ring(
+        random.Random(5), 3))
+    for op in ("mul", "add_t", "mul", "add_t"):
+        for i in range(len(ring)):
+            assert list(ring.row(op, i)) == _tuple_rows(ring, i)[op]
+    assert ring._row_entries == 81
+    assert ring.row("mul", 4) is ring.row("mul", 4)
+    assert ring.row("add_t", 4) is not ring.row("add_t", 4)

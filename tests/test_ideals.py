@@ -581,8 +581,12 @@ def _member_list_key(b):
 
 def test_lattice_key_orders_as_the_member_lists():
     rng = random.Random(11)
-    for n in range(1, 12):
+    # across byte boundaries, the bench rings' widths 16, 27, 64 and 81
+    # among them; the single bits tie on size at every position
+    for n in range(1, 101):
         bits = [rng.getrandbits(n) for _ in range(300)]
+        bits += [1 << i for i in range(n)]
+        rng.shuffle(bits)
         assert (sorted(bits, key=mask_key(n))
                 == sorted(bits, key=_member_list_key))
     lattices = 0
