@@ -10,10 +10,14 @@ the characteristic-function families all live here.
 
 The work runs on element indices and Python-int bitsets (bit i is
 ``ring.elements[i]``), through the ring's Cayley-table rows
-(``FunctionRing.row``): one table per (side, mode) holds every principal
-ideal, ring-mode joins are additive spans where Y's tables allow it and
-worklist closures elsewhere, the lattice is one pass of joins over the
-distinct principal bitsets, and the subset-scan oracle returns bitsets.
+(``FunctionRing.row``).  One table per (side, mode) holds every principal
+ideal; its multiplicative entries are read off Y's step relations, with
+no ring row read, since C(Z, Y) is Y^q with componentwise operations.
+The lattice is one pass of joins over the distinct principal bitsets:
+ring-mode joins are sumsets where Y's addition is commutative and
+associative and distributes on the side, additive spans where it is not
+commutative, and worklist closures elsewhere.  The subset-scan oracle
+returns bitsets.
 ``ideal_lattice`` skips the pass in ring mode over q ≥ 2 quasi-components
 when Y's declared unit and zero act on the absorbing side (``splits``):
 C(Z, Y) is then Y^q and every ideal a product of ideals of Y, so the
@@ -30,7 +34,7 @@ holds its bitset; value tuples are decoded from the ring only when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import and_, or_
 
 from .errors import (
@@ -194,16 +198,22 @@ def closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
     return bitset(seen)
 
 
+def _flags(ring: FunctionRing):
+    """Y's ``structure_flags``, cached on the ring."""
+    flags = ring.memo.get("flags")
+    if flags is None:
+        flags = ring.memo["flags"] = structure_flags(ring.algebra)
+    return flags
+
+
 def span_applies(ring: FunctionRing, side: str) -> bool:
     """Whether a ring-mode ideal is the additive span of its
     multiplicative closure: Y's addition is associative and its
     multiplication distributes over it on the side an ideal absorbs (f·g
     on the right needs f·(a+b) = f·a + f·b, the left side the mirror law).
     Then sums of absorbing elements absorb, so the span of an absorbing set
-    holding θ is an ideal.  The flags are cached on the ring."""
-    flags = ring.memo.get("flags")
-    if flags is None:
-        flags = ring.memo["flags"] = structure_flags(ring.algebra)
+    holding θ is an ideal."""
+    flags = _flags(ring)
     distributes = {RIGHT: flags.left_distributive,
                    LEFT: flags.right_distributive,
                    TWO_SIDED: flags.distributive}[side]
@@ -250,69 +260,78 @@ def span(ring: FunctionRing, seeds) -> int:
     return int(inside.translate(_DIGITS)[::-1], 2)
 
 
+#: the principal table holds n bitsets of n bits, and its reach builds n
+#: product sets per relation on Y; a ring past this many elements, or a
+#: reach past this many relations, is refused
+PRINCIPAL_TABLE_CAP = 2 ** 12
+
+
+def _relations(y, side: str) -> list:
+    """Every relation on Y that a nonempty word of steps makes, each a
+    tuple over the values v of Y of the bitset over Y that v goes to.
+
+    One step of the absorption graph makes, within each class, the
+    relation ρ_R(v) = {x·v : x ∈ Y} for a right ideal, ρ_L(v) = {v·x} for
+    a left one, and either for a two-sided one.  The relations are the
+    semigroup these generate under composition, listed by composing each
+    listed relation with each step relation until no new relation appears;
+    the relation of a word r then s takes v to the union of s(u) over u in
+    r(v).  Past ``PRINCIPAL_TABLE_CAP`` relations the listing is refused.
+    """
+    m = y.carrier_size
+    right = tuple(bitset(row[v] for row in y.mul) for v in range(m))
+    left = tuple(map(bitset, y.mul))
+    steps = {RIGHT: (right,), LEFT: (left,), TWO_SIDED: (right, left)}[side]
+    found = list(dict.fromkeys(steps))
+    seen = set(found)
+    for r in found:                     # the list grows as it is walked
+        for s in steps:
+            t = tuple(reduce(or_, map(s.__getitem__, members(b)), 0)
+                      for b in r)
+            if t not in seen:
+                seen.add(t)
+                found.append(t)
+                if len(found) > PRINCIPAL_TABLE_CAP:
+                    raise BudgetExceeded(
+                        f"the step relations of a {side} reach over "
+                        f"{y!r} exceed the table cap {PRINCIPAL_TABLE_CAP}",
+                        cap=PRINCIPAL_TABLE_CAP, reached=len(found))
+    return found
+
+
+def _products(ring: FunctionRing, factors: list) -> list:
+    """Every product Π_c S_c of the Y-subsets in `factors` (each a list of
+    Y values) over the ring's classes, as bitsets, at the position read as
+    a q-digit number over positions in `factors`, class 0 the most
+    significant digit.  Built by shift-or from the least significant class:
+    a product B over the classes after class c becomes, with c's factor S,
+    the or of B << a·m^j over a ∈ S (m = |Y|, j = q − 1 − c)."""
+    m = ring.algebra.carrier_size
+    products = [1]                      # over no class: the empty product
+    weight = 1
+    for _ in ring.classes:
+        products = [reduce(or_, [b << a * weight for a in j])
+                    for j in factors for b in products]
+        weight *= m
+    return products
+
+
 def _reach(ring: FunctionRing, side: str) -> list:
     """Per element index g, the bitset of everything reachable from g in
     the absorption graph (g -> each entry of g's absorbing rows), g
-    included.  Tarjan's SCCs (SIAM J. Comput. 1, 1972), iteratively: a
-    component is complete only after every component it reaches, so its
-    reach is its own members or-ed with those components' reaches."""
-    n = len(ring.elements)
-    ops = _absorbing_rows(side)
+    included, read off Y's step relations; no ring row is read.
 
-    def successors(g):
-        return iter(set().union(*(ring.row(op, g) for op in ops)))
-
-    order = [-1] * n                # DFS discovery number
-    low = [0] * n
-    comp = [-1] * n                 # component of each finished vertex
-    reach = []                      # per component, in completion order
-    stack = []
-    count = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, successors(root))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    work.append((w, successors(w)))
-                    break
-                if comp[w] < 0 and order[w] < low[v]:   # w on the stack
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    c = len(reach)
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        comp[w] = c
-                        scc.append(w)
-                        if w == v:
-                            break
-                    into = set()
-                    for u in scc:
-                        for op in ops:
-                            into.update(map(comp.__getitem__, ring.row(op, u)))
-                    bits = bitset(scc)
-                    for d in into - {c}:
-                        bits |= reach[d]
-                    reach.append(bits)
-    return [reach[c] for c in comp]
-
-
-#: the principal table holds n bitsets of n bits and walks n table rows of
-#: n entries; a ring past this many elements is refused
-PRINCIPAL_TABLE_CAP = 2 ** 12
+    One step multiplies every class by its own value of Y on the side, so
+    the k-step reach of g is the union, over the words w of k steps, of
+    the product sets Π_c ρ_w(g_c).  The classes move in lockstep, one word
+    for all of them, so the reach is not the product of the per-class
+    reaches.  Each relation of ``_relations`` gives the product set of
+    every element at once through ``_products``.
+    """
+    reach = [1 << g for g in range(len(ring.elements))]
+    for rel in _relations(ring.algebra, side):
+        reach = list(map(or_, reach, _products(ring, list(map(members, rel)))))
+    return reach
 
 
 def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
@@ -320,9 +339,10 @@ def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
     one pass and cached on the ring.
 
     A multiplicative principal is θ's reach or-ed with the element's reach
-    in the absorption graph.  Under ``span_applies`` a ring-mode principal
-    is the additive span of the multiplicative one (each distinct one
-    spanned once); other tables close each element with ``closure``.
+    in the absorption graph, which ``_reach`` reads off Y's step relations
+    for every element at once.  Under ``span_applies`` a ring-mode
+    principal is the additive span of the multiplicative one (each distinct
+    one spanned once); other tables close each element with ``closure``.
     """
     key = ("principals", side, mode)
     table = ring.memo.get(key)
@@ -362,6 +382,20 @@ def join(ring: FunctionRing, a: int, b: int, side: str, mode: str) -> int:
     if span_applies(ring, side):
         return span(ring, members(a) + members(b & ~a))
     return closure(ring, members(a | b), side, mode)
+
+
+def sumset(ring: FunctionRing, a: int, b: int) -> int:
+    """a + b = {x + y : x ∈ a, y ∈ b} for an additively closed bitset a,
+    over a commutative associative addition: a, then the translate a + y,
+    read off y's ``add_t`` row, of each y in b that the result lacks so
+    far.  A y it holds is some x + y′ (x ∈ a, y′ taken before, or y′ = θ),
+    and then a + y = (a + x) + y′ ⊆ a + y′ adds nothing."""
+    xs = members(a)
+    out = a
+    for y in members(b & ~a):
+        if not out >> y & 1:
+            out |= bitset(map(ring.row("add_t", y).__getitem__, xs))
+    return out
 
 
 def vanishing_ideal(ring: FunctionRing, points, side: str = RIGHT,
@@ -443,8 +477,11 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
     principals come from the ring's ``principal_table``.  Multiplicative
     ideals join as their union (absorption on either side already covers
     every internal product).  A ring-mode join depends only on the union
-    a | p, which ``join`` spans or closes: a union already in L is its own
-    join, and any other union is joined once.  The pass stops, leaving the
+    a | p: a union already in L is its own join, and any other union is
+    joined once.  Under ``span_applies`` with a commutative addition the
+    join is the ``sumset`` a + p, which holds both ideals, is closed under
+    the addition and absorbs by distributivity; other tables take
+    ``join``, which spans or closes the union.  The pass stops, leaving the
     lattice incomplete, once L would hold more than `budget` ideals; it
     then holds budget + 1.  Cross-validated against the subset scan
     whenever the ring has at most 16 elements.
@@ -455,6 +492,11 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
     principals = dict.fromkeys(table)
     found = {table[ring.index(ring.theta)]}     # the least ideal
     joined = dict(zip(principals, principals))  # ring mode: union -> join
+    if (mode == RING and span_applies(ring, side)
+            and _flags(ring).additive_commutative):
+        combine = partial(sumset, ring)
+    else:
+        combine = partial(join, ring, side=side, mode=mode)
     complete = True
     for p in principals:
         if mode == MULTIPLICATIVE:
@@ -464,7 +506,7 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
             for a in found:
                 u = a | p
                 if u not in joined:
-                    joined[u] = join(ring, a, p, side, mode)
+                    joined[u] = combine(a, p)
                 fresh.add(joined[u])
             joined.update(zip(fresh, fresh))    # an ideal is its own join
         fresh -= found
@@ -522,10 +564,7 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     mirror, with g·e.  The proof uses no associativity and no
     distributivity.
 
-    A product is a bitset built by shift-or over the class digits, the
-    least significant class first: a product B over the classes after
-    class c becomes, with c's factor J, the or of B << a·m^j over a ∈ J
-    (m = |Y|, j = q − 1 − c).  The products are sorted by ``mask_key`` and
+    The products are built by ``_products``, sorted by ``mask_key`` and
     cross-checked against the subset scan whenever the ring has at most 16
     elements.
     """
@@ -543,14 +582,8 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
 def _product_lattice(ring: FunctionRing, factor: IdealLattice,
                      side: str) -> IdealLattice:
     """Every product of `factor`'s ideals over the ring's classes."""
-    m, n = ring.algebra.carrier_size, len(ring.elements)
-    values = [members(i.bits) for i in factor.ideals]
-    products = [1]                      # over no class: the empty product
-    weight = 1
-    for _ in ring.classes:
-        products = [reduce(or_, [b << a * weight for a in j])
-                    for j in values for b in products]
-        weight *= m
+    n = len(ring.elements)
+    products = _products(ring, [members(i.bits) for i in factor.ideals])
     products.sort(key=mask_key(n))
     if n <= 16 and set(products) != subset_scan(ring, side, RING):
         raise CrossCheckFailed("the product lattice disagrees with subset scan")

@@ -53,6 +53,11 @@ RING_INVENTORIES = f"{IDEALS}::test_ring_mode_lattices_past_the_subset_scan"
 PRODUCT = f"{IDEALS}::test_ideal_lattice_matches_the_enumerated_lattice"
 TAKE = f"{IDEALS}::test_take_decodes_a_bitset_as_indexing_does"
 PRINCIPALS = f"{IDEALS}::test_principal_table_matches_per_element_closure"
+REACH = f"{IDEALS}::test_reach_matches_a_search_of_the_absorbing_rows"
+LOCKSTEP = f"{IDEALS}::test_reach_moves_the_classes_in_lockstep"
+RELATION_CAP = f"{IDEALS}::test_reach_relations_past_the_cap_are_refused"
+SUMSET = f"{IDEALS}::test_sumset_lattices_match_the_join_lattices"
+SUMSET_GATE = f"{IDEALS}::test_a_noncommutative_addition_joins_by_closure"
 JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
 SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
 PLANTED = "tests/test_planted_reports.py::test_planted_reports_match_the_golden"
@@ -113,9 +118,6 @@ MUTANTS = [
            (f"{IDEALS}::test_subset_scan_matches_the_ideal_laws",)),
 
     # -- one principal table, ring-mode joins as additive spans -----------
-    Mutant("scc-reach-drops-a-successor", "ideals.py",
-           "for d in into - {c}:", "for d in into - {c, c - 1}:",
-           (PRINCIPALS,)),
     Mutant("span-skips-its-last-generator", "ideals.py",
            "            for r in rows:\n", "            for r in rows[:-1]:\n",
            (SPAN,)),
@@ -138,7 +140,7 @@ MUTANTS = [
            "    for p in list(principals)[:-1]:\n",
            (INVENTORIES, RING_INVENTORIES)),
     Mutant("ring-lattice-joins-as-unions", "ideals.py",
-           "joined[u] = join(ring, a, p, side, mode)", "joined[u] = u",
+           "joined[u] = combine(a, p)", "joined[u] = u",
            (RING_INVENTORIES,)),
     Mutant("lattice-budget-cut-one-short", "ideals.py",
            "budget + 1 - len(found)", "budget - len(found)",
@@ -151,6 +153,34 @@ MUTANTS = [
            "map(and_, lacks, products)",
            "map(and_, [everywhere] * len(lacks), products)",
            (CLASSIFY, INVENTORIES)),
+
+    # -- the reach off Y's step relations, ring-mode joins as sumsets -----
+    Mutant("reach-without-its-own-bit", "ideals.py",
+           "reach = [1 << g for g in range(len(ring.elements))]",
+           "reach = [0] * len(ring.elements)",
+           (REACH,)),
+    Mutant("two-sided-reach-with-one-step-relation", "ideals.py",
+           "TWO_SIDED: (right, left)}[side]", "TWO_SIDED: (right,)}[side]",
+           (REACH,)),
+    Mutant("step-relations-multiply-in-the-wrong-order", "ideals.py",
+           "steps = {RIGHT: (right,), LEFT: (left,),",
+           "steps = {RIGHT: (left,), LEFT: (right,),",
+           (REACH, LOCKSTEP)),
+    Mutant("product-class-weight-not-advanced", "ideals.py",
+           "        weight *= m\n", "",
+           (REACH, LOCKSTEP, PRODUCT)),
+    Mutant("sumset-covered-test-inverted", "ideals.py",
+           "if not out >> y & 1:", "if out >> y & 1:",
+           (SUMSET,)),
+    Mutant("sumset-gate-ignores-commutativity", "ideals.py",
+           "if (mode == RING and span_applies(ring, side)\n"
+           "            and _flags(ring).additive_commutative):",
+           "if mode == RING and span_applies(ring, side):",
+           (SUMSET_GATE,)),
+    Mutant("relation-cap-off-by-one", "ideals.py",
+           "if len(found) > PRINCIPAL_TABLE_CAP:",
+           "if len(found) >= PRINCIPAL_TABLE_CAP:",
+           (RELATION_CAP,)),
 
     # -- ring-mode lattices as products of Y's lattice --------------------
     Mutant("split-gate-sides-swapped", "ideals.py",

@@ -357,6 +357,117 @@ def test_principal_table_matches_per_element_closure():
     assert fallback >= 20 and spanned >= 20
 
 
+def _reach_tables(rng):
+    """Random Y for the reach: magmas with no unit (in general not
+    associative), magmas with the unit 1, and magmas whose zero absorbs on
+    one side only, each of 2-4 elements."""
+    tables = []
+    for m in (2, 3, 4):
+        for _ in range(2):
+            tables.append(random_magma_ring(rng, m))
+            mul = [[0 if 0 in (a, b) else b if a == 1 else a if b == 1
+                    else rng.randrange(m) for b in range(m)]
+                   for a in range(m)]
+            tables.append(make_table(mul, zero=0, unit=1))
+            for side in (LEFT, RIGHT):
+                mul = [[rng.randrange(m) for b in range(m)] for a in range(m)]
+                for a in range(m):
+                    if side == LEFT:
+                        mul[0][a] = 0
+                    else:
+                        mul[a][0] = 0
+                tables.append(make_table(mul, zero=0, zero_side=side))
+    return tables
+
+
+def _searched_reach(ring, side):
+    """Per element index, everything reachable from it along the absorbing
+    rows, itself included, by a breadth-first search."""
+    ops = {RIGHT: ("mul_t",), LEFT: ("mul",), TWO_SIDED: ("mul", "mul_t")}
+    out = []
+    for g in range(len(ring)):
+        seen, todo = {g}, [g]
+        while todo:
+            x = todo.pop()
+            for op in ops[side]:
+                fresh = set(ring.row(op, x)) - seen
+                seen |= fresh
+                todo.extend(fresh)
+        out.append(bitset(seen))
+    return out
+
+
+def test_reach_matches_a_search_of_the_absorbing_rows():
+    """``_reach``, read off Y's step relations, against a breadth-first
+    search of the ring's rows, on random tables with and without a unit,
+    not associative, with a one-sided zero, and on Z_n, over 1-3 classes
+    and every side."""
+    rng = random.Random(31)
+    checked = relations = 0
+    for y in [*_reach_tables(rng), make_zmod(4), make_zmod(6)]:
+        for q in (1, 2, 3):
+            if y.carrier_size ** q > 64:
+                continue
+            ring = FunctionRing(discrete_space(q), y)
+            for side in SIDES:
+                assert ideals._reach(ring, side) == _searched_reach(
+                    ring, side), (y, q, side)
+                checked += 1
+                relations = max(relations,
+                                len(ideals._relations(ring.algebra, side)))
+    assert checked > 200 and relations >= 8
+
+
+def test_reach_moves_the_classes_in_lockstep():
+    """One word of steps acts on every class at once: in Y below, 2 reaches
+    1 only by x·2 and 1 reaches nothing but 0, so the right principal of
+    (2, 1) over two classes lacks (1, 1), which the product of the two
+    classes' reaches would hold."""
+    y = make_table([[0, 0, 0], [0, 0, 0], [0, 0, 1]], zero=0)
+    ring = FunctionRing(discrete_space(2), y)
+    got = elements_of(ring, principal_table(ring, RIGHT, MULTIPLICATIVE)[
+        ring.index((2, 1))])
+    assert got == {(2, 1), (1, 0), (0, 0)}
+    one = FunctionRing(discrete_space(1), y)
+    per_class = [{f[0] for f in elements_of(one, r)}
+                 for r in ideals._reach(one, RIGHT)]
+    assert (1, 1) in set(itertools.product(per_class[2], per_class[1]))
+
+
+def _no_rows(op, i):
+    raise AssertionError("the principal table read a ring row")
+
+
+def test_multiplicative_principal_table_reads_no_rows(monkeypatch):
+    """The 4 096-element C(discrete 12, Z_2) at the table cap: its right
+    principals come from Y's one step relation with no ring row read, and
+    the principal of g is every h whose support lies in g's."""
+    ring = FunctionRing(discrete_space(12), make_zmod(2))
+    monkeypatch.setattr(ring, "row", _no_rows)
+    table = principal_table(ring, RIGHT, MULTIPLICATIVE)
+    assert len(table) == 4096
+    for g in random.Random(3).sample(range(4096), 12) + [0, 4095]:
+        assert table[g] == bitset(h for h in range(4096) if not h & ~g)
+
+
+def test_reach_relations_past_the_cap_are_refused(monkeypatch):
+    """A two-sided reach over a non-commutative Y whose step relations
+    generate k = 7 relations (one side alone gives 1 or 2): refused under a
+    cap of k − 1, naming the cap and k, and built under a cap of k."""
+    y = make_table([[0, 0, 0], [0, 2, 2], [0, 1, 0]], zero=0)
+    count = len(ideals._relations(y, TWO_SIDED))
+    assert (count, len(ideals._relations(y, RIGHT)),
+            len(ideals._relations(y, LEFT))) == (7, 1, 2)
+    monkeypatch.setattr(ideals, "PRINCIPAL_TABLE_CAP", count - 1)
+    ring = FunctionRing(discrete_space(1), y)   # 3 elements: within the cap
+    with pytest.raises(BudgetExceeded) as exc:
+        principal_table(ring, TWO_SIDED, MULTIPLICATIVE)
+    assert (exc.value.cap, exc.value.reached) == (count - 1, count)
+    monkeypatch.setattr(ideals, "PRINCIPAL_TABLE_CAP", count)
+    assert list(principal_table(ring, TWO_SIDED, MULTIPLICATIVE)) == [
+        closure(ring, [f], TWO_SIDED, MULTIPLICATIVE) for f in range(len(ring))]
+
+
 def _sum_closure(ring, seeds):
     """θ and the seeds, closed under addition pair by pair."""
     out = {ring.index(ring.theta), *seeds}
@@ -452,6 +563,62 @@ def test_ring_mode_lattices_past_the_subset_scan():
             assert lat.complete and len(lat.ideals) == count
             assert len(lat.primes()) == primes
             assert len(prime_radical(lat)) == radical
+
+
+def test_sumset_lattices_match_the_join_lattices(monkeypatch):
+    """Every ring-mode pass of the corpus, of Z_4^4 and of Z_2^6, on every
+    side, against the same pass with each sumset replaced by ``join``:
+    the same bitsets in the same order.  Over Z_n^q every ideal is
+    principal, so two rings with the zero multiplication, whose ideals are
+    the additive submonoids, add joins that no principal lists: Z_2
+    addition over 3 classes and max over 2."""
+    rings = [r for r in small_ring_corpus() if r.algebra.add is not None]
+    rings += [FunctionRing(discrete_space(4), make_zmod(4)),
+              FunctionRing(discrete_space(6), make_zmod(2))]
+    for q, add in [(3, [[0, 1], [1, 0]]),
+                   (2, [[max(a, b) for b in range(3)] for a in range(3)])]:
+        zero = [[0] * len(add)] * len(add)
+        rings.append(FunctionRing(discrete_space(q),
+                                  make_table(zero, zero=0, add=add)))
+    real, calls = ideals.sumset, []
+
+    def counted(ring, a, b):
+        calls.append(a)
+        return real(ring, a, b)
+
+    for ring in rings:
+        for side in SIDES:
+            monkeypatch.setattr(ideals, "sumset", counted)
+            got = [i.bits for i in enumerated_lattice(ring, side, RING).ideals]
+            monkeypatch.setattr(ideals, "sumset", lambda r, a, b, side=side:
+                                join(r, a, b, side, RING))
+            want = enumerated_lattice(ring, side, RING).ideals
+            assert got == [i.bits for i in want], (ring, side)
+    assert len(calls) > 5000
+
+
+def _no_sumset(ring, a, b):
+    raise AssertionError("the pass took a sumset")
+
+
+def test_a_noncommutative_addition_joins_by_closure(monkeypatch):
+    """Y under x + y = y for nonzero x, y (associative, not commutative)
+    with the zero multiplication passes ``span_applies`` but not the
+    sumset gate: over two classes {θ, 10, 11} + {θ, 22} lacks
+    22 + 10 = 12, so the pass must keep ``join``."""
+    add = [[b if a and b else a + b for b in range(3)] for a in range(3)]
+    ring = FunctionRing(discrete_space(2), make_table([[0] * 3] * 3, zero=0,
+                                                      add=add))
+    flags = structure_flags(ring.algebra)
+    assert flags.additive_associative and not flags.additive_commutative
+    a = bitset(map(ring.index, [(0, 0), (1, 0), (1, 1)]))
+    p = bitset(map(ring.index, [(0, 0), (2, 2)]))
+    assert ideals.sumset(ring, a, p) != join(ring, a, p, RIGHT, RING)
+    monkeypatch.setattr(ideals, "sumset", _no_sumset)
+    for side in SIDES:
+        assert span_applies(ring, side)
+        got = {i.bits for i in enumerated_lattice(ring, side, RING).ideals}
+        assert got == subset_scan(ring, side, RING)
 
 
 def split_tables():
