@@ -293,8 +293,8 @@ def _relations(y, side: str) -> list:
                 found.append(t)
                 if len(found) > PRINCIPAL_TABLE_CAP:
                     raise BudgetExceeded(
-                        f"the step relations of a {side} reach over "
-                        f"{y!r} exceed the table cap {PRINCIPAL_TABLE_CAP}",
+                        f"a {side} reach over {y!r} makes more step "
+                        f"relations than the table cap {PRINCIPAL_TABLE_CAP}",
                         cap=PRINCIPAL_TABLE_CAP, reached=len(found))
     return found
 
