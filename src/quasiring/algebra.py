@@ -1,9 +1,10 @@
 """Finite algebraic structures given by operation tables.
 
 A carrier {0..m-1} with a multiplication table, a distinguished null element
-(absorbing on a chosen side), an optional unit, and an optional addition table
-with the null element as identity.  The carrier always wears the discrete
-topology: a finite totally separated space has no other choice.
+absorbing on both sides, an optional unit acting on a chosen side, and an
+optional addition table with the null element as identity.  The carrier
+always wears the discrete topology: a finite totally separated space has no
+other choice.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class AlgebraTable:
     carrier_size: int
     mul: tuple                      # m x m tuple of tuples
     zero: int = 0
-    zero_side: str = TWO_SIDED
     unit: int | None = None
     unit_side: str = TWO_SIDED
     add: tuple | None = None
@@ -52,12 +52,10 @@ class AlgebraTable:
         if self.add is not None:
             _check_table(self.add, m, "add")
         z = self.zero
-        if self.zero_side in (LEFT, TWO_SIDED):
-            if any(self.mul[z][a] != z for a in range(m)):
-                raise BadTable("declared zero is not left-absorbing")
-        if self.zero_side in (RIGHT, TWO_SIDED):
-            if any(self.mul[a][z] != z for a in range(m)):
-                raise BadTable("declared zero is not right-absorbing")
+        if any(self.mul[z][a] != z for a in range(m)):
+            raise BadTable("declared zero is not left-absorbing")
+        if any(self.mul[a][z] != z for a in range(m)):
+            raise BadTable("declared zero is not right-absorbing")
         if self.unit is not None:
             e = self.unit
             if e == z:
@@ -93,11 +91,11 @@ def _check_table(table, m, what):
                 raise BadTable(f"{what} table entry {v} out of range")
 
 
-def make_table(mul, zero=0, zero_side=TWO_SIDED, unit=None, unit_side=TWO_SIDED,
-               add=None, name="") -> AlgebraTable:
+def make_table(mul, zero=0, unit=None, unit_side=TWO_SIDED, add=None,
+               name="") -> AlgebraTable:
     mul = tuple(tuple(row) for row in mul)
     add = tuple(tuple(row) for row in add) if add is not None else None
-    return AlgebraTable(len(mul), mul, zero, zero_side, unit, unit_side, add, name)
+    return AlgebraTable(len(mul), mul, zero, unit, unit_side, add, name)
 
 
 def make_zmod(n: int) -> AlgebraTable:
@@ -106,7 +104,7 @@ def make_zmod(n: int) -> AlgebraTable:
         raise ValueError("n must be >= 2")
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return AlgebraTable(n, mul, 0, TWO_SIDED, 1, TWO_SIDED, add, name=f"zmod{n}")
+    return AlgebraTable(n, mul, zero=0, unit=1, add=add, name=f"zmod{n}")
 
 
 def zero_divisors(y: AlgebraTable) -> list[tuple[int, int]]:

@@ -19,7 +19,7 @@ associative and distributes on the side, additive spans where it is not
 commutative, and worklist closures elsewhere.  The subset-scan oracle
 returns bitsets.
 ``ideal_lattice`` skips the pass in ring mode over q ≥ 2 quasi-components
-when Y's declared unit and zero act on the absorbing side (``splits``):
+when Y's declared unit acts on the absorbing side (``splits``):
 C(Z, Y) is then Y^q and every ideal a product of ideals of Y, so the
 lattice is Y's lattice to the power q, built by shifting bitsets.  The
 checkers and the prescribed-ring generator call ``enumerated_lattice``,
@@ -338,11 +338,11 @@ def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
     """The principal ideal of every element index, as bitsets, built in
     one pass and cached on the ring.
 
-    A multiplicative principal is θ's reach or-ed with the element's reach
-    in the absorption graph, which ``_reach`` reads off Y's step relations
-    for every element at once.  Under ``span_applies`` a ring-mode
-    principal is the additive span of the multiplicative one (each distinct
-    one spanned once); other tables close each element with ``closure``.
+    A multiplicative principal is the element's reach in the absorption
+    graph, θ included, which ``_reach`` reads off Y's step relations for
+    every element at once.  Under ``span_applies`` a ring-mode principal
+    is the additive span of the multiplicative one (each distinct one
+    spanned once); other tables close each element with ``closure``.
     """
     key = ("principals", side, mode)
     table = ring.memo.get(key)
@@ -356,9 +356,7 @@ def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
             f"the principal ideals of a {n}-element ring exceed the table "
             f"cap {PRINCIPAL_TABLE_CAP}", cap=PRINCIPAL_TABLE_CAP, reached=n)
     if mode == MULTIPLICATIVE:
-        reach = _reach(ring, side)
-        zero = reach[ring.index(ring.theta)]
-        table = tuple(r | zero for r in reach)
+        table = tuple(_reach(ring, side))
     elif span_applies(ring, side):
         mult = principal_table(ring, side, MULTIPLICATIVE)
         spans = {m: span(ring, members(m)) for m in set(mult)}
@@ -527,15 +525,14 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
 
 
 def splits(algebra, side: str) -> bool:
-    """Whether Y's declared unit and zero act on the side that cuts a
-    ring-mode ideal of C(Z, Y) into its class slices.  A right ideal
-    absorbs f·g, so it needs the unit's left law and a left-absorbing zero;
-    a left ideal needs the mirror laws, a two-sided ideal both."""
+    """Whether Y's declared unit acts on the side that cuts a ring-mode
+    ideal of C(Z, Y) into its class slices.  A right ideal absorbs f·g, so
+    it needs the unit's left law, a left ideal its right law, and a
+    two-sided ideal, absorbing both e·g and g·e, either."""
     if algebra.unit is None:
         return False
-    laws = {RIGHT: (LEFT,), LEFT: (RIGHT,), TWO_SIDED: (LEFT, RIGHT)}[side]
-    return all(algebra.unit_side in (law, TWO_SIDED)
-               and algebra.zero_side in (law, TWO_SIDED) for law in laws)
+    law = {RIGHT: LEFT, LEFT: RIGHT}.get(side)     # None: either law
+    return law is None or algebra.unit_side in (law, TWO_SIDED)
 
 
 def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
@@ -554,15 +551,15 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     Why these are all the ideals (the paper's L68 and L69): take a right
     ideal I, a member g and a class c, and let e be the unit on c and θ
     elsewhere.  Then e·g is g on c, by the unit's left law, and θ
-    elsewhere, as θ absorbs on the left; so this slice of g lies in I.
+    elsewhere, as θ·v = θ; so this slice of g lies in I.
     The values π_c(I) of I's members on c are then the values of I's
     slices on c, and they form an ideal of Y, since θ·θ = θ + θ = θ makes
     products and sums of slices on c slices on c.  Any h with h(c) ∈ π_c(I)
     for every c is the sum of its q slices, because θ is Y's additive
     identity; so I = Π π_c(I).  Conversely every product of ideals of Y is
     an ideal, the operations being componentwise.  A left ideal is the
-    mirror, with g·e.  The proof uses no associativity and no
-    distributivity.
+    mirror, with g·e, and a two-sided ideal holds both.  The proof uses
+    one law of the unit and no associativity or distributivity.
 
     The products are built by ``_products``, sorted by ``mask_key`` and
     cross-checked against the subset scan whenever the ring has at most 16

@@ -27,6 +27,7 @@ from ..errors import (
 from ..funcspace import FunctionRing, vanishing_elements
 from ..ideals import (
     FAMILIES_NOTE,
+    LEFT,
     MULTIPLICATIVE,
     RING,
     TWO_SIDED,
@@ -37,6 +38,7 @@ from ..ideals import (
     members,
     prime_radical,
     prime_witness,
+    splits,
 )
 from ..topology import (
     clopen_base_topology,
@@ -92,6 +94,18 @@ HYPOTHESES = {
     "sequence": (lambda ctx: ctx.is_sequence,
                  "finite explicit spaces have every quasi-component clopen"),
     "unit": (lambda ctx: ctx.algebra.unit is not None, "needs a unit in Y"),
+    # a unit's one-sided laws, the right ideal (g) holding f·g: L39, L45
+    # and L56 read f = f·1 in a right ideal that holds χ_U or 1
+    "unit_on_side": (
+        lambda ctx: (ctx.side == TWO_SIDED
+                     or ctx.algebra.unit_side in (ctx.side, TWO_SIDED)),
+        "needs the unit's law on the ideal's side"),
+    # L33 and T15 cut g in a right ideal to the slice e·g by 1·a = a
+    "unit_slices": (lambda ctx: splits(ctx.algebra, ctx.side),
+                    "needs the unit's law opposite the ideal's side"),
+    # L75 sums f = f·χ_U + f·χ_{Z−U} by a·1 = a on every side
+    "unit_right_law": (lambda ctx: ctx.algebra.unit_side != LEFT,
+                       "needs the unit's right law a·1 = a"),
     "addition_closed": (lambda ctx: ctx.mode == RING,
                         "needs addition-closed ideals"),
     "ring_mode": (lambda ctx: ctx.mode == RING, "needs ring-mode ideals"),
@@ -142,10 +156,6 @@ HYPOTHESES = {
     "primes": (lambda ctx: bool(ctx.primes), "no prime ideals on this instance"),
     # `unit` under the note of the MissingUnit that family_sets raises
     "families": (lambda ctx: ctx.algebra.unit is not None, FAMILIES_NOTE),
-    # U_I and X_I exist only for lattice ideals; L49 and L54 read them at {θ}
-    "theta_ideal": (
-        lambda ctx: is_ideal_set(ctx.ring, 1 << ctx.theta, ctx.side, ctx.mode),
-        "needs {theta} to be an ideal on the side"),
 }
 
 
@@ -321,7 +331,7 @@ def _t14(ctx):  # no zero divisors: I(U) prime iff U is a single component
     return None
 
 
-@_checker("T15", "unit", "two_components")
+@_checker("T15", "unit", "two_components", "unit_slices")
 def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
     zc, t = ctx.zero_classes, ctx.theta
     for i in ctx.lattice.proper():
@@ -583,11 +593,11 @@ def _t34(ctx):  # zero-divisor-free value algebra: trivial prime radical
     return None
 
 
-def _escape(ctx, cols, skip_theta: bool):
+def _escape(ctx, cols):
     """The first (I, f, U, a) with f·χ_U or f·χ_{Z−U} outside I, over the
-    proper ideals I, their members f ascending (θ skipped when asked) and
-    cols, a list of (U's class mask, a, χ_U index, χ_{Z−U} index); U is
-    returned as its points, and None when there is none."""
+    proper ideals I, their members f ascending and cols, a list of (U's
+    class mask, a, χ_U index, χ_{Z−U} index); U is returned as its points,
+    and None when there is none."""
     ring = ctx.ring
     proper = ctx.lattice.proper()
     flat = [c for _, _, x, y in cols for c in (x, y)]
@@ -596,7 +606,7 @@ def _escape(ctx, cols, skip_theta: bool):
                 for f in range(len(ring.elements))]
     for i in proper:
         for f in members(i.bits):
-            if products[f] & ~i.bits and not (skip_theta and f == ctx.theta):
+            if products[f] & ~i.bits:
                 row = ring.row("mul", f)
                 for u, a, x, y in cols:
                     if not (i.bits >> row[x] & 1 and i.bits >> row[y] & 1):
@@ -608,8 +618,7 @@ def _escape(ctx, cols, skip_theta: bool):
 def _t35(ctx):  # f in a proper ideal: both chi slices generate subideals
     # membership suffices: an ideal contains the subideal generated by any
     # of its members
-    out = _escape(ctx, [(u, None, x, y) for u, x, y in _chi_pairs(ctx)],
-                  skip_theta=True)
+    out = _escape(ctx, [(u, None, x, y) for u, x, y in _chi_pairs(ctx)])
     if out is not None:
         return {"I": out[0], "f": out[1], "U": out[2]}
     return None
@@ -827,7 +836,7 @@ def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
     return None
 
 
-@_checker("L33", "unit")
+@_checker("L33", "unit", "unit_slices")
 def _l33(ctx):
     chi = {a: ctx.ring.chi_table(a) for a in ctx.nonzero}
     nested = [(u, u1, a, chi[a][u], chi[a][u1])
@@ -851,7 +860,7 @@ def _l33(ctx):
 def _l34(ctx):  # members absorb chi factors on the right
     cols = [(u, a, ctx.chi(u, a), ctx.chi(ctx.all_classes ^ u, a))
             for u in ctx.clopens for a in ctx.nonzero]
-    out = _escape(ctx, cols, skip_theta=False)
+    out = _escape(ctx, cols)
     if out is not None:
         return {"I": out[0], "f": out[1], "U": out[2], "a": out[3]}
     return None
@@ -905,7 +914,7 @@ def _l38(ctx):  # V(f) over a component: (f) inside I(z)
     return None
 
 
-@_checker("L39", "unit")
+@_checker("L39", "unit", "unit_on_side")
 def _l39(ctx):  # V(f) over U: (f) inside (chi_U)
     for u in ctx.clopens:
         pu = ctx.principal(ctx.chi(u))
@@ -1003,7 +1012,7 @@ def _columns(fam, ideals) -> list:
             for c in range(len(fam.chi))]
 
 
-@_checker("L45", "families")
+@_checker("L45", "families", "unit_on_side")
 def _l45(ctx):
     fam = ctx.families
     if not all(fam.U[i.bits] >> ctx.all_classes & 1 for i in fam.P):
@@ -1049,7 +1058,7 @@ def _l48(ctx):  # P_u lands inside P_{u∪w} ∩ P_{u∪w^c}
     return None
 
 
-@_checker("L49", "families", "theta_ideal")
+@_checker("L49", "families")
 def _l49(ctx):
     fam = ctx.families
     every = (1 << len(fam.chi)) - 1
@@ -1122,7 +1131,7 @@ def _l53(ctx):  # and over union when the union happens to be an ideal
     return None
 
 
-@_checker("L54", "families", "theta_ideal")
+@_checker("L54", "families")
 def _l54(ctx):
     """The X_I laws; they fail only on a tampered ``FamilySets``, since
     ``_exact`` holds on every other context."""
@@ -1155,7 +1164,7 @@ def _l55(ctx):  # proper primes split the characteristic functions
     return None
 
 
-@_checker("L56", "unit")
+@_checker("L56", "unit", "unit_on_side")
 def _l56(ctx):  # summary bundle A: the P_u laws
     fam = ctx.families
     pu = _columns(fam, fam.P)
@@ -1468,15 +1477,9 @@ def _l61(ctx):
                 return {"item": 1, "I1": i1, "I2": i2}
             if a & b in x and x[a & b] != xa & xb:
                 return {"item": 2, "I1": i1, "I2": i2}
-    ring, t, ideals = ctx.ring, ctx.theta, ctx.lattice.ideals
-    # item 4, X_I + θ = X_I, is not tested: AlgebraTable makes θ the
-    # additive identity, so it cannot fail
-    if ctx.algebra.add is not None:
-        times_t = ring.row("mul_t", t)
-        for i in ideals:                       # f·θ per f in X_I
-            xs = members(x[i.bits])
-            if not i.is_trivial() and xs and {times_t[f] for f in xs} != {t}:
-                return {"item": 5, "I": i}
+    ring, ideals = ctx.ring, ctx.lattice.ideals
+    # items 4 and 5 (X_I + θ = X_I, X_I·θ = {θ}) are not tested: they cannot
+    # fail, as AlgebraTable makes θ the additive identity and absorbing
     if ctx.flags.char_two and ctx.mode == RING:
         sums = {}                              # (f, X_I) -> {f+g : g in X_I}
         for i1 in ideals:
@@ -1629,7 +1632,7 @@ def _l74(ctx):  # prime avoidance against the point ideals
     return None
 
 
-@_checker("L75", "ring_mode", "unit")
+@_checker("L75", "ring_mode", "unit", "unit_right_law")
 def _l75(ctx):  # both chi slices in I force f in I
     ring = ctx.ring
     pairs = _chi_pairs(ctx)

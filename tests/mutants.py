@@ -62,6 +62,9 @@ JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
 SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
 PLANTED = "tests/test_planted_reports.py::test_planted_reports_match_the_golden"
 ONCE = "tests/test_checkers.py::test_bodies_run_once_per_context"
+ONE_SIDED_UNIT = ("tests/test_checkers.py::"
+                  "test_every_checker_reports_under_a_one_sided_unit")
+ZERO_LAWS = "tests/test_algebra.py::test_make_table_rejects_a_one_sided_zero"
 VANISHING = "tests/test_context.py::test_vanishing_bitsets_match_the_definition"
 TZ_SPACE = f"{TOPOLOGY}::test_zero_set_space_matches_the_closed_family_reference"
 FAMILY_ORDERS = f"{TOPOLOGY}::test_family_orders_match_sort_family"
@@ -184,8 +187,12 @@ MUTANTS = [
 
     # -- ring-mode lattices as products of Y's lattice --------------------
     Mutant("split-gate-sides-swapped", "ideals.py",
-           "laws = {RIGHT: (LEFT,), LEFT: (RIGHT,),",
-           "laws = {RIGHT: (RIGHT,), LEFT: (LEFT,),",
+           "law = {RIGHT: LEFT, LEFT: RIGHT}.get(side)",
+           "law = {RIGHT: RIGHT, LEFT: LEFT}.get(side)",
+           (PRODUCT,)),
+    Mutant("split-gate-refuses-two-sided-ideals", "ideals.py",
+           "return law is None or algebra.unit_side in (law, TWO_SIDED)",
+           "return law is not None and algebra.unit_side in (law, TWO_SIDED)",
            (PRODUCT,)),
     Mutant("product-drops-a-class-digit", "ideals.py",
            "    for _ in ring.classes:\n", "    for _ in ring.classes[1:]:\n",
@@ -374,14 +381,27 @@ MUTANTS = [
            "    return (len(set(chi)) == len(chi)\n",
            "    return True or (len(set(chi)) == len(chi)\n",
            (PLANTED,)),
-    Mutant("l61-item-5-never-fails", "verify/checkers.py",
-           "and {times_t[f] for f in xs} != {t}:",
-           "and {times_t[f] for f in xs} != {times_t[f] for f in xs}:",
-           ("tests/test_checkers.py::"
-            "test_l61_item_5_fails_when_the_unit_times_zero_is_not_zero",)),
     Mutant("l61-sums-against-the-union-only", "verify/checkers.py",
            "and out & ~ctx.join(a, b):", "and out & ~(a | b):",
            (GREEN,)),
+
+    # -- one zero, and the unit laws the checkers declare -------------------
+    Mutant("zero-right-absorption-unchecked", "algebra.py",
+           "if any(self.mul[a][z] != z for a in range(m)):", "if False:",
+           (ZERO_LAWS,)),
+    Mutant("l39-drops-its-unit-law", "verify/checkers.py",
+           '@_checker("L39", "unit", "unit_on_side")', '@_checker("L39", "unit")',
+           (ONE_SIDED_UNIT,)),
+    Mutant("t15-drops-its-unit-law", "verify/checkers.py",
+           '"two_components", "unit_slices")', '"two_components")',
+           (ONE_SIDED_UNIT,)),
+    Mutant("l75-drops-its-unit-law", "verify/checkers.py",
+           '"unit", "unit_right_law")', '"unit")',
+           (ONE_SIDED_UNIT,)),
+    Mutant("unit-on-side-reads-the-opposite-law", "verify/checkers.py",
+           "or ctx.algebra.unit_side in (ctx.side, TWO_SIDED)),",
+           "or ctx.algebra.unit_side not in (ctx.side,)),",
+           (ONE_SIDED_UNIT,)),
 
     # -- the quotient by quasi-components and C(Z, Z_2) on indices ---------
     Mutant("t6-tests-points-not-classes", "verify/checkers.py",

@@ -44,11 +44,18 @@ def test_make_table_rejects_out_of_range():
 
 
 def test_make_table_rejects_a_unit_equal_to_the_zero():
-    # 0 absorbs on the left and acts as a unit on the right; χ_U would
-    # need an off-value other than the zero, so the table is refused
+    # χ_U would need an off-value other than the zero, so Z_2 declared with
+    # the unit 0 is refused
     with pytest.raises(BadTable, match="unit is the zero"):
-        make_table(((0, 0), (1, 1)), zero=0, zero_side="left", unit=0,
-                   unit_side="right", add=((0, 1), (1, 0)))
+        make_table(((0, 0), (0, 1)), zero=0, unit=0, add=((0, 1), (1, 0)))
+
+
+def test_make_table_rejects_a_one_sided_zero():
+    # 0·y = 0 but 1·0 = 1, then the mirror: each law has its own message
+    with pytest.raises(BadTable, match="^declared zero is not right-absorbing$"):
+        make_table(((0, 0), (1, 1)), zero=0)
+    with pytest.raises(BadTable, match="^declared zero is not left-absorbing$"):
+        make_table(((0, 1), (0, 1)), zero=0)
 
 
 def test_nonassociative_table_flagged():
