@@ -56,6 +56,8 @@ class AlgebraTable:
             raise BadTable("declared zero is not left-absorbing")
         if any(self.mul[a][z] != z for a in range(m)):
             raise BadTable("declared zero is not right-absorbing")
+        if self.unit_side not in (TWO_SIDED, LEFT, RIGHT):
+            raise BadTable(f"unknown unit side {self.unit_side!r}")
         if self.unit is not None:
             e = self.unit
             if e == z:

@@ -16,7 +16,16 @@ is a class mask from ``zero_classes``, built digit by digit.  Each of the
 ring's Cayley tables (Froidure & Pin, "Algorithms for computing finite
 semigroups", 1997) is the q-fold Kronecker expansion of Y's table: on the
 first read of an operation its whole table is built in one pass, one class
-at a time, and cached up to a fixed number of entries per ring.
+at a time.
+
+C(Z, Y) is Y^q, q the number of quasi-components, so all of this depends
+on Y and q alone.  It lives on a ``Core``, which every ring over the same
+(Y, q) shares: the elements, the Cayley tables and single rows, the χ and
+zero-class tables, and ``memo``, where other modules keep what they derive
+from the algebra (principal tables, checker lattices).  ``CORES`` keeps the
+cores of the last ``CORE_CACHE_SIZE`` pairs, and the tables and rows of all
+of them within ``ROW_CACHE_ENTRIES``.  The space, the classes and the
+points of each class stay on the ring.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
+from collections import OrderedDict
 from collections.abc import Sequence
 
 from .algebra import AlgebraTable
@@ -43,9 +53,13 @@ from .topology import (
     quasi_component_partition,
 )
 
-#: a ring keeps built tables while they hold at most this many entries in
-#: all (16 MB as 32-bit indices); past it each row is rebuilt when used
+#: the tables and single rows of all cached cores hold at most this many
+#: entries (16 MB as 32-bit indices), and so do those of any one core; a
+#: row that does not fit is rebuilt on each read
 ROW_CACHE_ENTRIES = 2 ** 22
+
+#: ``CORES`` keeps the cores of at most this many (Y, q) pairs
+CORE_CACHE_SIZE = 64
 
 FnElement = tuple  # Y-index per quasi-component, in class order
 
@@ -100,6 +114,73 @@ class Elements(Sequence):
         return tuple(digits[::-1])
 
 
+class Core:
+    """Y^q for one table algebra Y and q quasi-components: what every ring
+    over the same (Y, q) shares.  ``FunctionRing`` fills it on demand."""
+
+    def __init__(self, algebra: AlgebraTable, q: int):
+        self.key = (algebra, q)
+        self.elements = Elements(algebra.carrier_size, q)
+        self.tables = {}            # op -> every row of op
+        self.rows = {}              # (op, i) -> row i of op, op untabled
+        self.entries = 0            # entries in tables and rows
+        self.chi_tables = {}        # off-value -> χ_U indices by class mask
+        self.zero_classes = None
+        #: tables other modules derive from the algebra, under their own keys
+        self.memo = {}
+        self.cached = True          # still in ``CORES``
+
+
+class CoreCache:
+    """The cores of the last ``CORE_CACHE_SIZE`` (Y, q) pairs, least
+    recently used first, with the table entries they hold in all."""
+
+    def __init__(self):
+        self.cores = OrderedDict()
+        self.entries = 0
+
+    def get(self, algebra: AlgebraTable, q: int) -> Core:
+        """The core of (algebra, q), made and cached on its first request;
+        past ``CORE_CACHE_SIZE`` the least recently used core is dropped."""
+        key = (algebra, q)
+        core = self.cores.get(key)
+        if core is None:
+            core = self.cores[key] = Core(algebra, q)
+            if len(self.cores) > CORE_CACHE_SIZE:
+                self._drop(next(iter(self.cores)))
+        else:
+            self.cores.move_to_end(key)
+        return core
+
+    def admit(self, core: Core, k: int) -> bool:
+        """Whether core may keep k more entries, charging them if so.  They
+        must fit ``ROW_CACHE_ENTRIES`` with what core holds; for a cached
+        core, the least recently used other cores that hold entries are
+        dropped until they fit with what every cached core holds.  A
+        dropped core is charged alone: it lives on only in the rings that
+        still hold it."""
+        if core.entries + k > ROW_CACHE_ENTRIES:
+            return False
+        if core.cached:
+            self.cores.move_to_end(core.key)
+            holders = [c.key for c in self.cores.values() if c.entries]
+            for key in holders:
+                if self.entries + k <= ROW_CACHE_ENTRIES:
+                    break
+                self._drop(key)
+            self.entries += k
+        core.entries += k
+        return True
+
+    def _drop(self, key):
+        core = self.cores.pop(key)
+        core.cached = False
+        self.entries -= core.entries
+
+
+CORES = CoreCache()
+
+
 class FunctionRing:
     """C(Z, Y) for an explicit space Z and a table algebra Y."""
 
@@ -120,16 +201,14 @@ class FunctionRing:
             raise BudgetExceeded(
                 f"{count} functions exceed the enumeration budget {budget}",
                 cap=budget, reached=count)
-        self.elements = Elements(algebra.carrier_size, len(self.classes))
+        self._core = CORES.get(algebra, len(self.classes))
+        self.elements = self._core.elements
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
-        self._tables = {}
-        self._row_entries = 0
-        self._chi_tables = {}
-        self._zero_classes = None
-        #: tables other modules derive from this ring, under their own keys
-        self.memo = {}
+        #: tables other modules derive from the algebra, under their own
+        #: keys; shared by every ring over the same (Y, q)
+        self.memo = self._core.memo
 
     # -- element indices and Cayley tables ----------------------------------
 
@@ -149,27 +228,34 @@ class FunctionRing:
         """Element i combined with every element j, as indices in j order.
 
         op is "mul" for i·j, "mul_t" for j·i, "add" for i+j, "add_t" for
-        j+i.  The first read of op builds op's whole table and caches it,
-        charging its n² entries to ``ROW_CACHE_ENTRIES``; a table that does
-        not fit in what is left of that cap is not built, and each read
-        builds its one row instead.
+        j+i.  The first read of op builds op's whole table on the core when
+        ``CORES`` admits its n² entries; otherwise the read builds row i
+        alone, which the core keeps when its n entries are admitted.
         """
-        table = self._tables.get(op)
-        if table is None:
-            n = len(self.elements)
-            if self._row_entries + n * n > ROW_CACHE_ENTRIES:
-                return self._row(op, i)
-            table = self._tables[op] = self._table(op)
-            self._row_entries += n * n
-        return table[i]
-
-    def _table(self, op: str) -> list:
-        """Every row of op, built level by level: the row of prefix p·m + d
-        at one class more is [a·m + b for a in row_p for b in y_row_d].
-        Each level is a generator over the one before, so a row of a level
-        is used for all m of its extensions and then dropped; only the
-        last level is kept, as arrays."""
+        core = self._core
+        table = core.tables.get(op)
+        if table is not None:
+            return table[i]
+        row = core.rows.get((op, i))
+        if row is not None:
+            return row
         y_rows = self._y_table(op)
+        n = len(self.elements)
+        if CORES.admit(core, n * n):
+            table = core.tables[op] = self._table(y_rows)
+            return table[i]
+        row = self._row(y_rows, i)
+        if CORES.admit(core, n):
+            core.rows[op, i] = row
+        return row
+
+    def _table(self, y_rows) -> list:
+        """Every row of the operation whose rows on Y are `y_rows`, built
+        level by level: the row of prefix p·m + d at one class more is
+        [a·m + b for a in row_p for b in y_row_d].  Each level is a
+        generator over the one before, so a row of a level is used for all
+        m of its extensions and then dropped; only the last level is kept,
+        as arrays."""
         m = self.algebra.carrier_size
         rows = iter(([0],))
         for _ in self.classes:
@@ -177,14 +263,13 @@ class FunctionRing:
                     for row in rows for y_row in y_rows)
         return [array("I", row) for row in rows]
 
-    def _row(self, op: str, i: int) -> array:
-        """Row i of op alone, digit by digit: one class more turns a row r
-        into [a·m + b for a in r for b in y_row]."""
-        table = self._y_table(op)
+    def _row(self, y_rows, i: int) -> array:
+        """Row i alone, digit by digit: one class more turns a row r into
+        [a·m + b for a in r for b in y_row]."""
         m = self.algebra.carrier_size
         row = [0]
         for d in self.elements[i]:
-            y_row = table[d]
+            y_row = y_rows[d]
             row = [a * m + b for a in row for b in y_row]
         return array("I", row)
 
@@ -206,15 +291,16 @@ class FunctionRing:
         class up: class c turns the masks over the classes after it into
         one copy of them per Y value, in value order, with bit c set in
         the zero's copy."""
-        if self._zero_classes is None:
+        core = self._core
+        if core.zero_classes is None:
             z, m = self.algebra.zero, self.algebra.carrier_size
             masks = [0]
             for c in reversed(range(len(self.classes))):
                 k = len(masks)
                 masks = masks * m
                 masks[z * k:(z + 1) * k] = map((1 << c).__or__, masks[:k])
-            self._zero_classes = masks
-        return self._zero_classes
+            core.zero_classes = masks
+        return core.zero_classes
 
     def _y_table(self, op: str) -> tuple:
         y = self.algebra
@@ -262,15 +348,16 @@ class FunctionRing:
         j doubles the table: the masks without bit j (digit a), then with
         it (digit 0)."""
         a = self._off_value(a)
-        if a not in self._chi_tables:
+        tables = self._core.chi_tables
+        if a not in tables:
             m, z = self.algebra.carrier_size, self.algebra.zero
             q = len(self.classes)
             table = [0]
             for j in range(q):
                 w = m ** (q - 1 - j)
                 table = [x + a * w for x in table] + [x + z * w for x in table]
-            self._chi_tables[a] = tuple(table)
-        return self._chi_tables[a]
+            tables[a] = tuple(table)
+        return tables[a]
 
     def __repr__(self):
         return (f"FunctionRing({self.space.point_count}pt space, "

@@ -127,6 +127,11 @@ class IdealLattice:
         return _transpose([i.bits for i in self.ideals],
                           len(self.ring.elements))
 
+    @cached_property
+    def families(self) -> "FamilySets":
+        """``family_sets`` of this lattice, built on the first read."""
+        return family_sets(self)
+
     def primes(self) -> list[Ideal]:
         if not self.classified:
             classify_primes(self)
@@ -198,14 +203,6 @@ def closure(ring: FunctionRing, seed, side: str, mode: str) -> int:
     return bitset(seen)
 
 
-def _flags(ring: FunctionRing):
-    """Y's ``structure_flags``, cached on the ring."""
-    flags = ring.memo.get("flags")
-    if flags is None:
-        flags = ring.memo["flags"] = structure_flags(ring.algebra)
-    return flags
-
-
 def span_applies(ring: FunctionRing, side: str) -> bool:
     """Whether a ring-mode ideal is the additive span of its
     multiplicative closure: Y's addition is associative and its
@@ -213,7 +210,7 @@ def span_applies(ring: FunctionRing, side: str) -> bool:
     on the right needs f·(a+b) = f·a + f·b, the left side the mirror law).
     Then sums of absorbing elements absorb, so the span of an absorbing set
     holding θ is an ideal."""
-    flags = _flags(ring)
+    flags = structure_flags(ring.algebra)
     distributes = {RIGHT: flags.left_distributive,
                    LEFT: flags.right_distributive,
                    TWO_SIDED: flags.distributive}[side]
@@ -491,7 +488,7 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
     found = {table[ring.index(ring.theta)]}     # the least ideal
     joined = dict(zip(principals, principals))  # ring mode: union -> join
     if (mode == RING and span_applies(ring, side)
-            and _flags(ring).additive_commutative):
+            and structure_flags(ring.algebra).additive_commutative):
         combine = partial(sumset, ring)
     else:
         combine = partial(join, ring, side=side, mode=mode)

@@ -3,7 +3,11 @@
 A ``Context`` holds one (space, algebra, side, mode) and builds each piece
 of shared data (the ring, the lattice, the families, χ indices, zero sets,
 vanishing ideals, principal ideals) once, when a checker first needs it;
-every checker run on the context reads the same copies.
+every checker run on the context reads the same copies.  What depends on
+the algebra alone is shared further: the ring's tables, principal tables
+and classified lattice live on its core (``funcspace.Core``), which every
+ring over the same Y and the same number of quasi-components reads, and
+the families live on the lattice they were read off.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from ..ideals import (
     bitset,
     classify_primes,
     enumerated_lattice,
-    family_sets,
     join,
     members,
     principal_table,
@@ -36,7 +39,8 @@ class Context:
     (bit i for ``ring.elements[i]``), and a set of quasi-components a class
     mask (bit c for ``ring.classes[c]``).  On a finite space every clopen
     set is a union of quasi-components, so a clopen is its class mask.
-    Every cache is built once per context, when a checker first needs it.
+    Every cache is built once per context, when a checker first needs it;
+    the lattice and the families, once per core.
     """
 
     def __init__(self, space, algebra, side: str = RIGHT, mode: str | None = None,
@@ -57,7 +61,6 @@ class Context:
         #: through ``checkers._body`` under that function
         self.memo = {}
         self._points, self._clopen, self._vanishing = {}, {}, {}
-        self._lattice = None     # the lattice, or the exception of its build
 
     @cached_property
     def flags(self):
@@ -75,17 +78,24 @@ class Context:
 
     @property
     def lattice(self):
-        """The classified lattice, built on the first read.  A failed build
-        is kept as well: its ``BudgetExceeded`` or ``IncompleteLattice`` is
+        """The classified lattice, kept in ``ring.memo`` under (side, mode,
+        ``lattice_budget``, ``lattice_ring_cap``), so every context over the
+        same core with the same key reads one build.  A failed build is
+        kept as well: its ``BudgetExceeded`` or ``IncompleteLattice`` is
         raised again on every later read, without a second build."""
-        if self._lattice is None:
+        memo = self.ring.memo
+        key = ("lattice", self.side, self.mode, self.lattice_budget,
+               self.lattice_ring_cap)
+        lat = memo.get(key)
+        if lat is None:
             try:
-                self._lattice = self._classified_lattice()
+                lat = self._classified_lattice()
             except (BudgetExceeded, IncompleteLattice) as exc:
-                self._lattice = exc
-        if isinstance(self._lattice, Exception):
-            raise self._lattice.with_traceback(None)
-        return self._lattice
+                lat = exc
+            memo[key] = lat
+        if isinstance(lat, Exception):
+            raise lat.with_traceback(None)
+        return lat
 
     def _classified_lattice(self):
         n = len(self.ring.elements)
@@ -108,9 +118,10 @@ class Context:
         """Every clopen set, as its class mask."""
         return range(1 << len(self.ring.classes))
 
-    @cached_property
+    @property
     def families(self):
-        return family_sets(self.lattice)
+        """The families of the lattice, kept on the lattice itself."""
+        return self.lattice.families
 
     @cached_property
     def nonzero(self):

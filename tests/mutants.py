@@ -72,6 +72,9 @@ GOLDENS = "tests/test_cli_goldens.py"
 CHECK_GOLDEN = f"{GOLDENS}::test_cli_matches_the_golden[check-discrete_zmod]"
 LATTICE_KEY = f"{IDEALS}::test_lattice_key_orders_as_the_member_lists"
 TABLE_ROWS = f"{FUNCSPACE}::test_table_rows_match_tuple_arithmetic"
+SHARED_CORE = f"{FUNCSPACE}::test_rings_over_the_same_y_and_q_share_one_core"
+ONE_CORE_LATTICE = ("tests/test_context.py::"
+                    "test_contexts_over_one_core_read_one_lattice_build")
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -177,7 +180,8 @@ MUTANTS = [
            (SUMSET,)),
     Mutant("sumset-gate-ignores-commutativity", "ideals.py",
            "if (mode == RING and span_applies(ring, side)\n"
-           "            and _flags(ring).additive_commutative):",
+           "            and structure_flags(ring.algebra)"
+           ".additive_commutative):",
            "if mode == RING and span_applies(ring, side):",
            (SUMSET_GATE,)),
     Mutant("relation-cap-off-by-one", "ideals.py",
@@ -301,13 +305,40 @@ MUTANTS = [
            "rows = ([a * m + b for b in y_row for a in row]",
            (TABLE_ROWS,)),
     Mutant("table-cached-past-the-remaining-cap", "funcspace.py",
-           "if self._row_entries + n * n > ROW_CACHE_ENTRIES:",
-           "if n * n > ROW_CACHE_ENTRIES:",
+           "if core.entries + k > ROW_CACHE_ENTRIES:",
+           "if k > ROW_CACHE_ENTRIES:",
            (f"{FUNCSPACE}::test_a_table_is_cached_only_while_it_fits",)),
     Mutant("lattice-failure-not-kept", "verify/context.py",
-           "                self._lattice = exc\n",
+           "                lat = exc\n",
            "                raise\n",
            ("tests/test_context.py::test_a_failed_lattice_is_built_once",)),
+    Mutant("lattice-key-without-the-budget", "verify/context.py",
+           'key = ("lattice", self.side, self.mode, self.lattice_budget,',
+           'key = ("lattice", self.side, self.mode,',
+           (ONE_CORE_LATTICE,)),
+    Mutant("families-keyed-by-side-and-mode", "verify/context.py",
+           "return self.lattice.families",
+           "return self.ring.memo.setdefault(\n"
+           "            (\"families\", self.side, self.mode),\n"
+           "            self.lattice.families)",
+           ("tests/test_context.py::"
+            "test_a_planted_lattice_stays_out_of_the_shared_store",)),
+    Mutant("single-rows-not-kept", "funcspace.py",
+           "            core.rows[op, i] = row\n",
+           "            pass\n",
+           (f"{FUNCSPACE}::test_a_table_is_cached_only_while_it_fits",)),
+    Mutant("core-count-bound-ignored", "funcspace.py",
+           "if len(self.cores) > CORE_CACHE_SIZE:",
+           "if len(self.cores) > 10 ** 9:",
+           (f"{FUNCSPACE}::test_the_core_cache_keeps_64_cores",)),
+    Mutant("cached-tables-past-the-shared-cap", "funcspace.py",
+           "if self.entries + k <= ROW_CACHE_ENTRIES:",
+           "if True:",
+           (f"{FUNCSPACE}::test_the_cached_tables_stay_within_the_cap",)),
+    Mutant("core-keyed-by-the-algebra-alone", "funcspace.py",
+           "key = (algebra, q)\n        core = self.cores.get(key)",
+           "key = algebra\n        core = self.cores.get(key)",
+           (SHARED_CORE, ZERO_CLASSES)),
     Mutant("ring-budget-ignored", "funcspace.py",
            "if count > budget:", "if count > DEFAULT_ENUM_BUDGET:",
            (f"{FUNCSPACE}::test_budget_refusal",)),
@@ -318,7 +349,7 @@ MUTANTS = [
            "if not self.space.is_clopen(u):", "if not self.space.is_open(u):",
            (f"{FUNCSPACE}::test_chi_tests_clopenness_against_the_clopen_masks",)),
     Mutant("chi-cache-key", "funcspace.py",
-           "if a not in self._chi_tables:", "if not self._chi_tables:",
+           "if a not in tables:", "if not tables:",
            (CHI_INDEX,)),
     Mutant("chi-content-backwards", "verify/context.py",
            "return tuple(sorted(self.ring.chi_table()))",
@@ -389,6 +420,11 @@ MUTANTS = [
     Mutant("zero-right-absorption-unchecked", "algebra.py",
            "if any(self.mul[a][z] != z for a in range(m)):", "if False:",
            (ZERO_LAWS,)),
+    Mutant("unit-side-unchecked", "algebra.py",
+           "if self.unit_side not in (TWO_SIDED, LEFT, RIGHT):",
+           "if self.unit_side is None:",
+           ("tests/test_algebra.py::"
+            "test_make_table_rejects_an_unknown_unit_side",)),
     Mutant("l39-drops-its-unit-law", "verify/checkers.py",
            '@_checker("L39", "unit", "unit_on_side")', '@_checker("L39", "unit")',
            (ONE_SIDED_UNIT,)),

@@ -58,6 +58,14 @@ def test_make_table_rejects_a_one_sided_zero():
         make_table(((0, 1), (0, 1)), zero=0)
 
 
+def test_make_table_rejects_an_unknown_unit_side():
+    # 1·1 = 0: with the side unread, no unit law would be tested
+    with pytest.raises(BadTable, match="^unknown unit side 'both'$"):
+        make_table([[0, 0], [0, 0]], unit=1, unit_side="both")
+    with pytest.raises(BadTable, match="unknown unit side"):
+        make_table([[0, 0], [0, 1]], unit_side="both")
+
+
 def test_nonassociative_table_flagged():
     mul = [[0, 0, 0], [0, 2, 1], [0, 1, 1]]
     f = structure_flags(make_table(mul, zero=0))

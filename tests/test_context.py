@@ -347,3 +347,49 @@ def test_a_failed_lattice_is_built_once(monkeypatch):
     over = [r for r in reports if r.verdict == BUDGET_EXCEEDED]
     assert len(over) > 1
     assert {r.note for r in over} == {"classification needs the full lattice"}
+
+
+def test_contexts_over_one_core_read_one_lattice_build(monkeypatch):
+    """Discrete 3 and Sierpiński + discrete 2 over Z_2 share a core: a
+    failed build under a budget of 2 is made once for both and raised
+    again, and a context with the default budget builds its own, complete
+    lattice, which the next context with that budget reads."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerated_lattice(*args, **kwargs)
+    monkeypatch.setattr(context, "enumerated_lattice", counted)
+    spaces = [discrete_space(3),
+              disjoint_union(sierpinski_space(), discrete_space(2))]
+    failed = []
+    for space in spaces:
+        c = Context(space, make_zmod(2), RIGHT, RING)
+        c.lattice_budget = 2
+        reports = [run_checker(cid, c) for cid in GREEN_SUITE]
+        failed.append(sum(r.verdict == BUDGET_EXCEEDED for r in reports))
+    assert len(calls) == 1 and failed[0] == failed[1] > 1
+    whole = [Context(space, make_zmod(2), RIGHT, RING) for space in spaces]
+    assert whole[0].lattice is whole[1].lattice
+    assert whole[0].lattice.complete and len(whole[0].lattice.ideals) == 8
+    assert whole[0].families is whole[1].families
+    assert len(calls) == 2
+
+
+def test_a_planted_lattice_stays_out_of_the_shared_store():
+    """A context over the same core reads neither the planted lattice nor
+    families built from it, and the planted context reads neither of the
+    plain ones."""
+    plain = Context(discrete_space(3), make_zmod(2), RIGHT, RING)
+    lattice, families = plain.lattice, plain.families
+    planted = PlantedContext()
+    assert planted.ring.memo is plain.ring.memo
+    assert planted.lattice is not lattice
+    assert planted.families.lattice is planted.lattice
+    bits = sum(1 << planted.ring.index(f) for f in PLANTED)
+    assert bits in planted.families.U and bits not in families.U
+    assert run_checker("L48", planted).verdict == FAIL
+    after = Context(discrete_space(3), make_zmod(2), RIGHT, RING)
+    assert after.lattice is lattice and after.families is families
+    assert after.lattice.find(bits) is None
+    assert run_checker("L48", after).verdict != FAIL

@@ -12,6 +12,13 @@ from quasiring.errors import (
     ZeroValue,
 )
 from quasiring.funcspace import FunctionRing, vanishing_elements
+from quasiring.ideals import (
+    LEFT,
+    MULTIPLICATIVE,
+    RIGHT,
+    RING,
+    principal_table,
+)
 from quasiring.topology import (
     SequenceSpace,
     discrete_space,
@@ -208,7 +215,7 @@ def test_table_rows_match_tuple_arithmetic():
         flags = structure_flags(ring.algebra)
         assert not (flags.commutative or flags.associative
                     or flags.additive_commutative)
-        assert ring._row_entries == 0         # nothing built up front
+        assert ring._core.entries == 0        # nothing built up front
         for i in range(len(ring)):
             for op, want in _tuple_rows(ring, i).items():
                 assert list(ring.row(op, i)) == want, (m, i, op)
@@ -222,17 +229,85 @@ def test_rows_past_the_cache_cap_are_rebuilt(monkeypatch):
         for i in range(len(ring)):
             for op, want in _tuple_rows(ring, i).items():
                 assert list(ring.row(op, i)) == want
-    assert ring._row_entries <= 20
+    assert ring._core.entries <= 20
 
 
 def test_a_table_is_cached_only_while_it_fits(monkeypatch):
-    # nine elements: one table of 81 entries fits under the cap, two do not
+    # nine elements: one table of 81 entries fits under the cap, two do
+    # not; the second table's rows take what is left, two rows of 9
     monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 100)
     ring = FunctionRing(discrete_space(2), random_magma_ring(
         random.Random(5), 3))
     for op in ("mul", "add_t", "mul", "add_t"):
         for i in range(len(ring)):
             assert list(ring.row(op, i)) == _tuple_rows(ring, i)[op]
-    assert ring._row_entries == 81
+    assert ring._core.entries == funcspace.CORES.entries == 81 + 2 * 9
     assert ring.row("mul", 4) is ring.row("mul", 4)
+    assert ring.row("add_t", 1) is ring.row("add_t", 1)
     assert ring.row("add_t", 4) is not ring.row("add_t", 4)
+
+
+def test_rings_over_the_same_y_and_q_share_one_core():
+    """Discrete 3 and Sierpiński + discrete 2 both have three classes:
+    over Z_4 they read the same elements, tables and principal tables,
+    and keep their own spaces and classes."""
+    y = make_zmod(4)
+    a = FunctionRing(discrete_space(3), y)
+    b = FunctionRing(disjoint_union(sierpinski_space(), discrete_space(2)), y)
+    assert a.classes != b.classes and len(b.classes) == 3
+    assert a._core is b._core and a.memo is b.memo
+    assert a.elements is b.elements
+    for op in ("mul", "mul_t", "add", "add_t"):
+        assert a.row(op, 37) is b.row(op, 37)
+    assert a.zero_classes() is b.zero_classes()
+    assert a.chi_table(3) is b.chi_table(3)
+    for side, mode in [(RIGHT, MULTIPLICATIVE), (RIGHT, RING),
+                       (LEFT, RING)]:
+        assert principal_table(a, side, mode) is principal_table(b, side, mode)
+    others = [FunctionRing(discrete_space(2), y),
+              FunctionRing(discrete_space(3), make_zmod(5)),
+              FunctionRing(discrete_space(3), make_zmod(4))]
+    assert [r._core is a._core for r in others] == [False, False, True]
+
+
+def test_the_core_cache_keeps_64_cores():
+    """Past ``CORE_CACHE_SIZE`` pairs the least recently used core is
+    dropped; a ring still holding it keeps its tables, and a new ring over
+    its pair gets a fresh core."""
+    rng = random.Random(11)
+    algebras = list(dict.fromkeys(random_magma_ring(rng, 3)
+                                  for _ in range(80)))[:70]
+    rings = [FunctionRing(discrete_space(2), y) for y in algebras]
+    cores = funcspace.CORES.cores
+    assert len(cores) == funcspace.CORE_CACHE_SIZE == 64
+    assert [r._core.cached for r in rings] == [False] * 6 + [True] * 64
+    assert list(cores.values()) == [r._core for r in rings[6:]]
+    first = rings[0]
+    assert list(first.row("mul", 4)) == _tuple_rows(first, 4)["mul"]
+    assert first.row("mul", 4) is first.row("mul", 4)
+    assert funcspace.CORES.entries == 0     # a dropped core is not charged
+    again = FunctionRing(discrete_space(2), algebras[0])
+    assert again._core is not first._core and again._core.cached
+    assert not rings[6]._core.cached
+    FunctionRing(discrete_space(2), algebras[7])   # now the most recent
+    FunctionRing(discrete_space(3), algebras[0])   # a new pair
+    assert rings[7]._core.cached and not rings[8]._core.cached
+
+
+def test_the_cached_tables_stay_within_the_cap(monkeypatch):
+    """Two tables of 81 entries fit a cap of 200 together: each new table
+    drops the least recently used other core, and the entries charged are
+    those the cached cores hold."""
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 200)
+    rng = random.Random(12)
+    rings = [FunctionRing(discrete_space(2), random_magma_ring(rng, 3))
+             for _ in range(6)]
+    cache = funcspace.CORES
+    for k, ring in enumerate(rings):
+        ring.row("mul", 0)
+        held = [r._core.cached for r in rings[:k + 1]]
+        assert held == [False] * max(0, k - 1) + [True] * min(2, k + 1)
+        assert cache.entries == sum(c.entries for c in cache.cores.values())
+        assert cache.entries <= 200
+    rings[0].row("add", 0)      # a dropped core still tables on its own cap
+    assert rings[0]._core.entries == 162 and cache.entries == 162

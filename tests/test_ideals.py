@@ -646,15 +646,22 @@ def _products(ring, side):
             for js in itertools.product(factors, repeat=len(ring.classes))}
 
 
-def test_ideal_lattice_matches_the_enumerated_lattice():
+def test_ideal_lattice_matches_the_enumerated_lattice(monkeypatch):
     """``ideal_lattice`` against the pass of ``enumerated_lattice`` (same
     bitsets in the same order, both complete) on every side, over Z_n^q up
     to 81 elements, C(discrete 4, Z_4), C(Sierpiński + point, Z_4) and the
-    one-sided tables over discrete 2 and 3.  The product path, seen as the
-    ring's principal table left unbuilt, is taken exactly where the gate
-    admits and there are two classes or more, and it lists the products of
-    Y's ideals.  Where the gate refuses a one-sided table, the lattice of
+    one-sided tables over discrete 2 and 3.  The product path, seen as a
+    call of ``_product_lattice``, is taken exactly where the gate admits
+    and there are two classes or more, and it lists the products of Y's
+    ideals.  Where the gate refuses a one-sided table, the lattice of
     C(discrete 2, Y) is not those products."""
+    calls = []
+
+    def counted(ring, *args):
+        calls.append(ring)
+        return product_lattice(ring, *args)
+    product_lattice = ideals._product_lattice
+    monkeypatch.setattr(ideals, "_product_lattice", counted)
     rings = [FunctionRing(discrete_space(q), make_zmod(n))
              for n in range(2, 10) for q in range(1, 7) if n ** q <= 81]
     rings += [FunctionRing(discrete_space(4), make_zmod(4)),
@@ -670,7 +677,8 @@ def test_ideal_lattice_matches_the_enumerated_lattice():
     for ring in rings:
         for side in SIDES:
             got = ideal_lattice(ring, side, RING)
-            product = ("principals", side, RING) not in ring.memo
+            product = calls == [ring]
+            calls.clear()
             assert product == (splits(ring.algebra, side)
                                and len(ring.classes) >= 2), (ring, side)
             want = enumerated_lattice(ring, side, RING)
