@@ -37,7 +37,6 @@ from .algebra import make_zmod, zero_divisors
 from .dsl import parse_spec
 from .errors import (
     BudgetExceeded,
-    IncompleteLattice,
     QuasiringError,
     UnknownChecker,
     ZeroDivisorHypothesis,
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     try:
         args.ids, args.spec_file = _split_args(args.args)
         payload, code = handler(args)
-    except (BudgetExceeded, IncompleteLattice) as exc:
+    except BudgetExceeded as exc:
         print(f"quasiring: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (QuasiringError, FileNotFoundError) as exc:

@@ -76,8 +76,9 @@ class NotProper(QuasiringError):
     pass
 
 
-class IncompleteLattice(QuasiringError):
-    pass
+class IncompleteLattice(BudgetExceeded):
+    """A lattice pass stopped at its ideal budget `cap`, holding `reached`
+    = cap + 1 ideals."""
 
 
 class CrossCheckFailed(QuasiringError):

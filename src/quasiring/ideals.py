@@ -636,7 +636,10 @@ def classify_primes(lattice: IdealLattice) -> IdealLattice:
     only one row is read at a time.
     """
     if not lattice.complete:
-        raise IncompleteLattice("classification needs the full lattice")
+        reached = len(lattice.ideals)
+        raise IncompleteLattice(
+            f"classification needs the full lattice, which grows past "
+            f"{reached - 1} ideals", cap=reached - 1, reached=reached)
     ring = lattice.ring
     held = lattice.held
     everywhere = (1 << len(lattice.ideals)) - 1

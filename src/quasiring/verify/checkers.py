@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from ..errors import (
     BudgetExceeded,
-    IncompleteLattice,
     MissingAddition,
     MissingUnit,
     UnknownChecker,
@@ -1634,16 +1633,28 @@ def _l74(ctx):  # prime avoidance against the point ideals
 
 @_checker("L75", "ring_mode", "unit", "unit_right_law")
 def _l75(ctx):  # both chi slices in I force f in I
-    ring = ctx.ring
-    pairs = _chi_pairs(ctx)
-    for i in ctx.lattice.ideals:
-        for f in range(len(ring.elements)):
-            if i.bits >> f & 1:
-                continue
-            row = ring.row("mul", f)
-            for u, x, y in pairs:
-                if i.bits >> row[x] & 1 and i.bits >> row[y] & 1:
-                    return {"I": i, "f": ring.elements[f], "U": ctx.points(u)}
+    """Read off the lattice's columns (``IdealLattice.held``): bit k of
+    ``bad`` marks an ideal that holds f·χ_U and f·χ_{Z−U} but not f, for
+    some f and U.  Only the first marked ideal is searched for the witness,
+    which is the one a search of every ideal in lattice order finds."""
+    ring, lattice = ctx.ring, ctx.lattice
+    held, pairs = lattice.held, _chi_pairs(ctx)
+    bad = 0
+    for f in range(len(ring.elements)):
+        row, both = ring.row("mul", f), 0
+        for _, x, y in pairs:
+            both |= held[row[x]] & held[row[y]]
+        bad |= both & ~held[f]
+    if not bad:
+        return None
+    i = lattice.ideals[(bad & -bad).bit_length() - 1]
+    for f in range(len(ring.elements)):
+        if i.bits >> f & 1:
+            continue
+        row = ring.row("mul", f)
+        for u, x, y in pairs:
+            if i.bits >> row[x] & 1 and i.bits >> row[y] & 1:
+                return {"I": i, "f": ring.elements[f], "U": ctx.points(u)}
     return None
 
 
@@ -1728,7 +1739,7 @@ def run_checker(checker_id: str, ctx: Context, instance: str = "") -> TheoremRep
     except (MissingAddition, MissingUnit) as e:
         return TheoremReport(checker_id, instance, HYPOTHESIS_UNMET, None,
                              str(e), time.perf_counter() - start)
-    except (BudgetExceeded, IncompleteLattice) as e:
+    except BudgetExceeded as e:
         return TheoremReport(checker_id, instance, BUDGET_EXCEEDED, None,
                              str(e), time.perf_counter() - start)
     verdict = PASS if witness is None else FAIL

@@ -16,7 +16,7 @@ import random
 from functools import cached_property
 
 from ..algebra import structure_flags
-from ..errors import BudgetExceeded, IncompleteLattice, MissingAddition
+from ..errors import BudgetExceeded, MissingAddition
 from ..funcspace import DEFAULT_ENUM_BUDGET, FunctionRing, vanishing_elements
 from ..ideals import (
     MULTIPLICATIVE,
@@ -70,43 +70,31 @@ class Context:
     def ring(self) -> FunctionRing:
         return FunctionRing(self.space, self.algebra, self.budget)
 
-    #: bail out of lattice enumeration past this many ideals, and skip
-    #: lattice work altogether on rings past this many elements; the
-    #: checkers then report BUDGET_EXCEEDED instead of stalling
+    #: the checker lattice's one bound: its pass stops past this many
+    #: ideals, and the checkers that read it report BUDGET_EXCEEDED with
+    #: this cap instead of stalling (the ring's own caps bound its elements)
     lattice_budget = 1200
-    lattice_ring_cap = 160
 
     @property
     def lattice(self):
         """The classified lattice, kept in ``ring.memo`` under (side, mode,
-        ``lattice_budget``, ``lattice_ring_cap``), so every context over the
-        same core with the same key reads one build.  A failed build is
-        kept as well: its ``BudgetExceeded`` or ``IncompleteLattice`` is
-        raised again on every later read, without a second build."""
+        ``lattice_budget``), so every context over the same core with the
+        same key reads one build.  A failed build is kept as well: its
+        ``BudgetExceeded`` is raised again on every later read, without a
+        second build."""
         memo = self.ring.memo
-        key = ("lattice", self.side, self.mode, self.lattice_budget,
-               self.lattice_ring_cap)
+        key = ("lattice", self.side, self.mode, self.lattice_budget)
         lat = memo.get(key)
         if lat is None:
             try:
-                lat = self._classified_lattice()
-            except (BudgetExceeded, IncompleteLattice) as exc:
+                lat = classify_primes(enumerated_lattice(
+                    self.ring, self.side, self.mode,
+                    budget=self.lattice_budget))
+            except BudgetExceeded as exc:
                 lat = exc
             memo[key] = lat
         if isinstance(lat, Exception):
             raise lat.with_traceback(None)
-        return lat
-
-    def _classified_lattice(self):
-        n = len(self.ring.elements)
-        if n > self.lattice_ring_cap:
-            raise BudgetExceeded(
-                f"lattice classification on a {n}-element ring exceeds the "
-                f"checker budget (cap {self.lattice_ring_cap})",
-                cap=self.lattice_ring_cap, reached=n)
-        lat = enumerated_lattice(self.ring, self.side, self.mode,
-                                 budget=self.lattice_budget)
-        classify_primes(lat)
         return lat
 
     @cached_property

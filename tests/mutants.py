@@ -313,8 +313,8 @@ MUTANTS = [
            "                raise\n",
            ("tests/test_context.py::test_a_failed_lattice_is_built_once",)),
     Mutant("lattice-key-without-the-budget", "verify/context.py",
-           'key = ("lattice", self.side, self.mode, self.lattice_budget,',
-           'key = ("lattice", self.side, self.mode,',
+           'key = ("lattice", self.side, self.mode, self.lattice_budget)',
+           'key = ("lattice", self.side, self.mode)',
            (ONE_CORE_LATTICE,)),
     Mutant("families-keyed-by-side-and-mode", "verify/context.py",
            "return self.lattice.families",
@@ -434,6 +434,9 @@ MUTANTS = [
     Mutant("l75-drops-its-unit-law", "verify/checkers.py",
            '"unit", "unit_right_law")', '"unit")',
            (ONE_SIDED_UNIT,)),
+    Mutant("l75-marks-ideals-that-hold-f", "verify/checkers.py",
+           "bad |= both & ~held[f]", "bad |= both",
+           (PLANTED,)),
     Mutant("unit-on-side-reads-the-opposite-law", "verify/checkers.py",
            "or ctx.algebra.unit_side in (ctx.side, TWO_SIDED)),",
            "or ctx.algebra.unit_side not in (ctx.side,)),",

@@ -4,6 +4,7 @@ from quasiring import topology
 from quasiring.algebra import make_table, make_zmod
 from quasiring.errors import (
     BudgetExceeded,
+    IncompleteLattice,
     MissingAddition,
     MissingUnit,
     UnknownChecker,
@@ -105,11 +106,27 @@ def test_t38_fails_when_inf_is_isolated(monkeypatch):
 
 
 def test_budget_exceeded_on_large_ring():
-    c = Context(discrete_space(5), make_zmod(3), mode=RING)
-    assert run_checker("T34", c).verdict == BUDGET_EXCEEDED
+    """Past the principal table's cap the lattice is refused, naming that
+    cap; past the ideal budget its classification is."""
+    c = Context(discrete_space(13), make_zmod(2), mode=RING)
+    r = run_checker("T34", c)
+    assert r.verdict == BUDGET_EXCEEDED and "cap 4096" in r.note
     with pytest.raises(BudgetExceeded) as exc:
         c.lattice
-    assert (exc.value.cap, exc.value.reached) == (160, 3 ** 5)
+    assert (exc.value.cap, exc.value.reached) == (4096, 2 ** 13)
+    c = ctx(4, 4, mode=MULTIPLICATIVE)
+    with pytest.raises(IncompleteLattice) as exc:
+        c.lattice
+    assert (exc.value.cap, exc.value.reached) == (1200, 1201)
+
+
+def test_green_suite_decides_ring_mode_z4_over_four_points():
+    """C(discrete 4, Z_4), 256 elements with zero divisors on every class,
+    is within the ideal budget in ring mode: nothing is left undecided."""
+    c = ctx(4, 4)
+    verdicts = [run_checker(cid, c).verdict for cid in GREEN_SUITE]
+    assert (verdicts.count(PASS), verdicts.count(HYPOTHESIS_UNMET)) == (64, 23)
+    assert len(verdicts) == 64 + 23
 
 
 def test_green_suite_on_fixed_instances():
@@ -290,11 +307,11 @@ def test_hypotheses_are_kept_but_not_their_exceptions(monkeypatch):
     for other in (c, ctx(), c):
         assert run_checker("T23", other).verdict == PASS
     assert len(asked) == 2
-    # the lattice is past its cap: every run asking for primes raises anew
-    big = Context(discrete_space(5), make_zmod(3), mode=RING)
+    # the lattice is past its budget: every run asking for primes raises anew
+    big = ctx(4, 4, mode=MULTIPLICATIVE)
     for cid in ("T22", "L59.17", "T22"):
         r = run_checker(cid, big)
-        assert r.verdict == BUDGET_EXCEEDED and "cap 160" in r.note
+        assert r.verdict == BUDGET_EXCEEDED and "past 1200 ideals" in r.note
     assert "primes" not in big.memo
 
 

@@ -346,7 +346,8 @@ def test_a_failed_lattice_is_built_once(monkeypatch):
     assert len(calls) == 1
     over = [r for r in reports if r.verdict == BUDGET_EXCEEDED]
     assert len(over) > 1
-    assert {r.note for r in over} == {"classification needs the full lattice"}
+    assert {r.note for r in over} == {
+        "classification needs the full lattice, which grows past 2 ideals"}
 
 
 def test_contexts_over_one_core_read_one_lattice_build(monkeypatch):
