@@ -23,9 +23,9 @@ on Y and q alone.  It lives on a ``Core``, which every ring over the same
 (Y, q) shares: the elements, the Cayley tables and single rows, the χ and
 zero-class tables, and ``memo``, where other modules keep what they derive
 from the algebra (principal tables, checker lattices).  ``CORES`` keeps the
-cores of the last ``CORE_CACHE_SIZE`` pairs, and the tables and rows of all
-of them within ``ROW_CACHE_ENTRIES``.  The space, the classes and the
-points of each class stay on the ring.
+cores of the last ``CORE_CACHE_SIZE`` pairs, and the tables, rows and zero
+classes of all of them within ``ROW_CACHE_ENTRIES``.  The space, the
+classes and the points of each class stay on the ring.
 """
 
 from __future__ import annotations
@@ -53,13 +53,21 @@ from .topology import (
     quasi_component_partition,
 )
 
-#: the tables and single rows of all cached cores hold at most this many
-#: entries (16 MB as 32-bit indices), and so do those of any one core; a
-#: row that does not fit is rebuilt on each read
+#: the tables, single rows and zero-class tables of all cached cores hold
+#: at most this many entries (16 MB as 32-bit indices), and so do those of
+#: any one core; a row or zero-class table that does not fit is rebuilt on
+#: each read
 ROW_CACHE_ENTRIES = 2 ** 22
 
 #: ``CORES`` keeps the cores of at most this many (Y, q) pairs
 CORE_CACHE_SIZE = 64
+
+#: up to this many classes a zero-class mask fits a byte
+BYTE_MASK_CLASSES = 8
+
+#: per class c, the byte table that sets bit c of a class mask
+OR_BIT = tuple(bytes(v | 1 << c for v in range(256))
+               for c in range(BYTE_MASK_CLASSES))
 
 FnElement = tuple  # Y-index per quasi-component, in class order
 
@@ -123,7 +131,7 @@ class Core:
         self.elements = Elements(algebra.carrier_size, q)
         self.tables = {}            # op -> every row of op
         self.rows = {}              # (op, i) -> row i of op, op untabled
-        self.entries = 0            # entries in tables and rows
+        self.entries = 0            # entries in tables, rows, zero classes
         self.chi_tables = {}        # off-value -> χ_U indices by class mask
         self.zero_classes = None
         #: tables other modules derive from the algebra, under their own keys
@@ -285,22 +293,30 @@ class FunctionRing:
         repeat = ((1 << len(self.elements)) - 1) // ((1 << period) - 1)
         return (((1 << s) - 1) << (b * s)) * repeat
 
-    def zero_classes(self) -> list:
+    def zero_classes(self) -> bytes | list:
         """Per element index, the class mask of its zero set V(f) (bit c
-        for ``classes[c]``); cached.  Built from the least significant
-        class up: class c turns the masks over the classes after it into
-        one copy of them per Y value, in value order, with bit c set in
-        the zero's copy."""
+        for ``classes[c]``): bytes when every mask fits a byte (at most
+        ``BYTE_MASK_CLASSES`` classes), a list otherwise.  Built from the
+        least significant class up: class c turns the masks over the
+        classes after it into one copy of them per Y value, in value
+        order, with bit c set in the zero's copy (a ``bytes.translate``
+        through ``OR_BIT[c]`` for bytes).  Kept on the core while
+        ``CORES`` admits its entries, rebuilt on each call otherwise."""
         core = self._core
-        if core.zero_classes is None:
-            z, m = self.algebra.zero, self.algebra.carrier_size
-            masks = [0]
-            for c in reversed(range(len(self.classes))):
-                k = len(masks)
-                masks = masks * m
-                masks[z * k:(z + 1) * k] = map((1 << c).__or__, masks[:k])
+        if core.zero_classes is not None:
+            return core.zero_classes
+        z, m = self.algebra.zero, self.algebra.carrier_size
+        q = len(self.classes)
+        masks = b"\0" if q <= BYTE_MASK_CLASSES else [0]
+        for c in reversed(range(q)):
+            if q <= BYTE_MASK_CLASSES:
+                marked = masks.translate(OR_BIT[c])
+            else:
+                marked = list(map((1 << c).__or__, masks))
+            masks = masks * z + marked + masks * (m - 1 - z)
+        if CORES.admit(core, len(masks)):
             core.zero_classes = masks
-        return core.zero_classes
+        return masks
 
     def _y_table(self, op: str) -> tuple:
         y = self.algebra

@@ -148,7 +148,7 @@ class Context:
                 for c in range(len(ring.classes))]
 
     @property
-    def zero_classes(self) -> list:
+    def zero_classes(self) -> bytes | list:
         """Per element index, the class mask of its zero set V(f)."""
         return self.ring.zero_classes()
 

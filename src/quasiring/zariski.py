@@ -8,9 +8,10 @@ pair that breaks it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import filterfalse
+from itertools import repeat
 from operator import or_
 
 from .algebra import zero_divisors
@@ -26,6 +27,12 @@ from .topology import (
 )
 
 MATERIALIZE_CAP = 2 ** 16
+
+#: every byte value once, in order
+ALL_BYTES = bytes(range(256))
+
+#: per j < 8, the byte table that turns a flag byte 1 into bit j
+FLAG_BIT = tuple(bytes([0, 1 << j]) + bytes(254) for j in range(8))
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,18 @@ def _union_gap(family) -> tuple | None:
     return None
 
 
+def _distinct_masks(zero_classes):
+    """The distinct class masks of a ``FunctionRing.zero_classes()``.
+
+    Bytes are read in C: deleting the masks present from all 256 byte
+    values leaves those absent, and deleting those leaves the present
+    ones.  A list is read through ``set``.
+    """
+    if isinstance(zero_classes, bytes):
+        return ALL_BYTES.translate(None, ALL_BYTES.translate(None, zero_classes))
+    return set(zero_classes)
+
+
 def _zero_set_masks(ring: FunctionRing) -> set:
     """The point mask of each distinct single-function zero set V(f).
 
@@ -92,7 +111,7 @@ def _zero_set_masks(ring: FunctionRing) -> set:
     for c in ring.classes:
         m = mask_of(c)
         points += [p | m for p in points]
-    return {points[p] for p in set(ring.zero_classes())}
+    return {points[p] for p in _distinct_masks(ring.zero_classes())}
 
 
 def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
@@ -116,6 +135,34 @@ def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
                            witness is None, witness)
 
 
+def _indicator(zero_classes, q: int) -> int:
+    """The 2^q-bit set with bit v for each class mask v in zero_classes.
+
+    One flag byte is set per distinct mask, read by ``_distinct_masks``,
+    but per element for a list no longer than the 2^q masks, whose set
+    would cost more than the repeats it drops.  Then each eighth flag, from
+    the j-th on, is translated to bit j and the eight are or-ed: byte k of
+    the result holds the flags of masks 8k to 8k + 7.
+    """
+    if isinstance(zero_classes, bytes) or len(zero_classes) > 1 << q:
+        zero_classes = _distinct_masks(zero_classes)
+    flags = bytearray(max(8, 1 << q))
+    deque(map(flags.__setitem__, zero_classes, repeat(1)), 0)
+    return reduce(or_, (int.from_bytes(flags[j::8].translate(FLAG_BIT[j]),
+                                       "little") for j in range(8)))
+
+
+def _holding(d: int, q: int) -> int:
+    """The class masks over q classes that hold class d, as a 2^q-bit
+    set: runs of 2^d ones after 2^d zeros, doubled up to 2^q bits."""
+    run = 1 << d
+    pattern, width = ((1 << run) - 1) << run, 2 * run
+    while width < 1 << q:
+        pattern |= pattern << width
+        width *= 2
+    return pattern
+
+
 def zero_set_space(ring: FunctionRing) -> ExplicitSpace:
     """TZ as its minimal neighbourhoods: U_x = Z − ∪{V(f) : x ∉ V(f)}.
 
@@ -124,16 +171,28 @@ def zero_set_space(ring: FunctionRing) -> ExplicitSpace:
     miss x.  A closed set ∩ V(f_i) missing x lies in some V(f_i) missing
     x, so that union is the union of the V(f) missing x, and no
     intersection is formed.
+
+    Each V(f) is a union of classes, so U_x depends only on x's class c:
+    it loses class d when some V(f) holds d and misses c.  With the class
+    masks the elements realise marked in one 2^q-bit set, that is one AND
+    against the masks holding d and missing c, for each pair (c, d).
     """
     _require_no_zero_divisors(ring)
-    n = ring.space.point_count
+    n, q = ring.space.point_count, len(ring.classes)
     full = (1 << n) - 1
-    basic = _zero_set_masks(ring)
-    nbhds = []
-    for x in range(n):
-        away = reduce(or_, filterfalse((1 << x).__and__, basic), 0)
-        nbhds.append(full & ~away)
-    return ExplicitSpace(n, tuple(nbhds))
+    present = _indicator(ring.zero_classes(), q)
+    holding = [_holding(d, q) for d in range(q)]
+    class_points = list(map(mask_of, ring.classes))
+    nbhds_by_class = []
+    for c in range(q):
+        missing_c = present & ~holding[c]
+        away = 0
+        for d in range(q):
+            if missing_c & holding[d]:
+                away |= class_points[d]
+        nbhds_by_class.append(full & ~away)
+    return ExplicitSpace(n, tuple(nbhds_by_class[ring.class_of[x]]
+                                  for x in range(n)))
 
 
 def compare_T1_TZ_T(ring: FunctionRing):

@@ -73,6 +73,7 @@ CHECK_GOLDEN = f"{GOLDENS}::test_cli_matches_the_golden[check-discrete_zmod]"
 LATTICE_KEY = f"{IDEALS}::test_lattice_key_orders_as_the_member_lists"
 TABLE_ROWS = f"{FUNCSPACE}::test_table_rows_match_tuple_arithmetic"
 SHARED_CORE = f"{FUNCSPACE}::test_rings_over_the_same_y_and_q_share_one_core"
+ZERO_CLASS_CAP = f"{FUNCSPACE}::test_zero_class_tables_stay_within_the_cap"
 ONE_CORE_LATTICE = ("tests/test_context.py::"
                     "test_contexts_over_one_core_read_one_lattice_build")
 
@@ -262,14 +263,25 @@ MUTANTS = [
            "if len(family) > DEFAULT_ENUM_BUDGET:",
            "if len(family) > DEFAULT_ENUM_BUDGET + 1:",
            (f"{TOPOLOGY}::test_open_family_past_the_budget_is_refused",)),
-    Mutant("zero-sets-complemented", "zariski.py",
-           "return {points[p] for p in set(ring.zero_classes())}",
-           "return {points[~p] for p in set(ring.zero_classes())}",
+    Mutant("zero-set-masks-complemented", "zariski.py",
+           "return {points[p] for p in _distinct_masks(",
+           "return {points[~p] for p in _distinct_masks(",
            (f"{TOPOLOGY}::test_zariski_family_is_read_off_the_ring_elements",)),
+    Mutant("distinct-masks-translate-delete-inverted", "zariski.py",
+           "return ALL_BYTES.translate(None, ALL_BYTES.translate(None, ",
+           "return ALL_BYTES.translate(None, (",
+           (TZ_SPACE,)),
 
     # -- the zero-set topology and clopens on point masks ------------------
-    Mutant("tz-nbhds-without-complement", "zariski.py",
-           "nbhds.append(full & ~away)", "nbhds.append(full & away)",
+    Mutant("tz-class-nbhds-without-complement", "zariski.py",
+           "nbhds_by_class.append(full & ~away)",
+           "nbhds_by_class.append(full & away)",
+           (TZ_SPACE,)),
+    Mutant("tz-present-mask-left-unmarked", "zariski.py",
+           "for j in range(8)))", "for j in range(1, 8)))",
+           (TZ_SPACE,)),
+    Mutant("tz-holding-pattern-shifted-by-one-class", "zariski.py",
+           "if missing_c & holding[d]:", "if missing_c & holding[d - 1]:",
            (TZ_SPACE,)),
     Mutant("clopen-doubling-drops-last-class", "topology.py",
            "    for q in classes:\n", "    for q in classes[:-1]:\n",
@@ -284,12 +296,12 @@ MUTANTS = [
            "key = (len(c) << n) - sum(1 << n - 1 - p for p in c)",
            "key = len(c) << n",
            (FAMILY_ORDERS,)),
-    Mutant("zero-classes-walked-forward", "funcspace.py",
-           "for c in reversed(range(len(self.classes))):",
-           "for c in range(len(self.classes)):",
+    Mutant("zero-class-doubling-walked-forward", "funcspace.py",
+           "for c in reversed(range(q)):", "for c in range(q):",
            (ZERO_CLASSES,)),
-    Mutant("tz-away-from-the-sets-holding-x", "zariski.py",
-           "reduce(or_, filterfalse(", "reduce(or_, filter(",
+    Mutant("tz-away-from-the-masks-holding-c", "zariski.py",
+           "missing_c = present & ~holding[c]",
+           "missing_c = present & holding[c]",
            (TZ_SPACE,)),
     Mutant("shared-key-tie-break-sign-flipped", "sets.py",
            "(low - rev)", "(low + rev)",
@@ -374,6 +386,12 @@ MUTANTS = [
            "map((1 << c).__or__",
            "map((1 << (len(self.classes) - 1 - c)).__or__",
            (ZERO_CLASSES,)),
+    Mutant("zero-class-bytes-bits-reversed", "funcspace.py",
+           "masks.translate(OR_BIT[c])", "masks.translate(OR_BIT[q - 1 - c])",
+           (ZERO_CLASSES,)),
+    Mutant("zero-classes-kept-uncharged", "funcspace.py",
+           "if CORES.admit(core, len(masks)):", "if CORES.admit(core, 0):",
+           (ZERO_CLASS_CAP,)),
 
     # -- clopens as class masks -------------------------------------------
     Mutant("chi-table-digits-swapped", "funcspace.py",

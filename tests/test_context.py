@@ -110,23 +110,28 @@ def test_elements_decode_in_product_order():
 
 def test_zero_classes_match_the_value_tuples():
     # the zero as the middle value, where its copy is neither end of the
-    # doubled list, and rings of a single class
+    # repeated masks, rings of a single class, and both sides of the byte
+    # boundary: masks over 8 classes are bytes, over 9 a list
     y = make_table([[0, 1, 2], [1, 1, 1], [2, 1, 0]], zero=1)
     sier = disjoint_union(sierpinski_space(), discrete_space(2))
     extra = [FunctionRing(sier, y), FunctionRing(discrete_space(4), y),
              FunctionRing(indiscrete_space(3), y),
              FunctionRing(discrete_space(1), make_zmod(4)),
-             FunctionRing(sierpinski_space(), make_zmod(2))]
-    assert [len(r.classes) for r in extra] == [3, 4, 1, 1, 1]
+             FunctionRing(sierpinski_space(), make_zmod(2)),
+             FunctionRing(discrete_space(8), y),
+             FunctionRing(disjoint_union(sierpinski_space(),
+                                         discrete_space(8)), y)]
+    assert [len(r.classes) for r in extra] == [3, 4, 1, 1, 1, 8, 9]
     for ring in [*_rings_with_merged_classes(), *extra]:
         z = ring.algebra.zero
         want = [sum(1 << c for c, v in enumerate(f) if v == z)
                 for f in itertools.product(ring.algebra.elements,
                                            repeat=len(ring.classes))]
-        assert ring.zero_classes() == want
+        got = ring.zero_classes()
+        assert isinstance(got, bytes) == (len(ring.classes) <= 8)
+        assert list(got) == want
         ctx = Context(ring.space, ring.algebra)
-        assert ctx.zero_classes == want
-        assert ctx.zero_classes is ctx.ring.zero_classes()
+        assert ctx.zero_classes is ctx.ring.zero_classes() is got
 
 
 def test_chi_index_is_the_index_of_chi():

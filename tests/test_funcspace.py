@@ -311,3 +311,25 @@ def test_the_cached_tables_stay_within_the_cap(monkeypatch):
         assert cache.entries <= 200
     rings[0].row("add", 0)      # a dropped core still tables on its own cap
     assert rings[0]._core.entries == 162 and cache.entries == 162
+
+
+def test_zero_class_tables_stay_within_the_cap(monkeypatch):
+    """A zero-class table is charged to the cap as a table is: over a run
+    of large rings the cached cores hold at most the cap, each charged for
+    its whole table, and a table past the cap is rebuilt on each call."""
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 2 ** 16)
+    cache = funcspace.CORES
+    rings = [FunctionRing(discrete_space(q), make_zmod(m))
+             for q, m in [(16, 2), (8, 4), (4, 16), (10, 3), (6, 4)]]
+    for ring in rings:
+        masks = ring.zero_classes()
+        assert ring.zero_classes() is masks
+        assert ring._core.entries == len(masks)
+        assert cache.entries == sum(c.entries for c in cache.cores.values())
+        assert cache.entries <= 2 ** 16
+    assert [r._core.cached for r in rings] == [False] * 3 + [True] * 2
+    big = FunctionRing(discrete_space(17), make_zmod(2))
+    masks = big.zero_classes()
+    assert big.zero_classes() is not masks
+    assert big.zero_classes() == masks and len(masks) == 2 ** 17
+    assert big._core.entries == 0 and cache.entries <= 2 ** 16

@@ -363,10 +363,20 @@ def corpus_rings():
 
 
 def test_zero_set_space_matches_the_closed_family_reference(monkeypatch):
-    # U_x read straight off the V(f) against the topology generated by the
-    # complements of their ∩-closure, on the corpus and on partial rings
+    # U_x read off the masks the elements realise against the topology
+    # generated by the complements of their ∩-closure: on the corpus, on
+    # q = 1..10 classes, on both sides of the byte boundary (masks over 8
+    # classes are bytes, over 9 a list), on glued blocks with more points
+    # than classes, and on partial rings
+    rng = random.Random(31)
     rings = [r for r in corpus_rings() if not zero_divisors(r.algebra)]
     assert len(rings) >= 8
+    rings += [FunctionRing(discrete_space(q), make_zmod(m))
+              for q in range(1, 11) for m in (2, 3) if m ** q <= 3 ** 9]
+    blocks = [glued_blocks(rng, sizes) for sizes in
+              [(3, 2, 1, 1, 1, 1, 1, 1), (2, 2, 2, 1, 1, 1, 1, 1, 1)]]
+    rings += [FunctionRing(z, make_zmod(m)) for z in blocks for m in (2, 3)]
+    assert {len(r.classes) for r in rings} >= set(range(1, 11))
     for ring in rings:
         assert zero_set_space(ring) == zariski_as_space(
             zariski_closed_family(ring))
@@ -379,6 +389,19 @@ def test_zero_set_space_matches_the_closed_family_reference(monkeypatch):
         tz = zero_set_space(ring)
         assert tz == zariski_as_space(zariski_closed_family(ring))
         assert tz != discrete_space(n)
+    # lists of some masks of a ring whose own masks are bytes: a few
+    # distinct ones, and more than 2^q with repeats
+    finer = 0
+    for z in [discrete_space(8), *blocks]:
+        ring = FunctionRing(z, make_zmod(3))
+        for k in (3, 5, 8, 600):
+            masks = rng.choices(ring.zero_classes(), k=k)
+            monkeypatch.setattr(ring, "zero_classes", lambda: masks)
+            tz = zero_set_space(ring)
+            assert tz == zariski_as_space(zariski_closed_family(ring))
+            finer += compare_topologies(clopen_base_topology(z), tz
+                                        ).verdict == "first-strictly-finer"
+    assert finer == 12
 
 
 def glued_blocks(rng, sizes):
