@@ -147,10 +147,12 @@ class Context:
         return [[ring.value_bits(c, b) for b in self.algebra.elements]
                 for c in range(len(ring.classes))]
 
-    @property
-    def zero_classes(self) -> bytes | list:
-        """Per element index, the class mask of its zero set V(f)."""
-        return self.ring.zero_classes()
+    @cached_property
+    def zero_classes(self) -> list:
+        """Per element index, the class mask of its zero set V(f), as a
+        list: checker loops index it, and a list indexes faster than the
+        ring's byte table."""
+        return list(self.ring.zero_classes())
 
     @cached_property
     def all_classes(self) -> int:

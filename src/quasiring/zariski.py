@@ -101,11 +101,11 @@ def _zero_set_masks(ring: FunctionRing) -> set:
 
     V(f) is read off each element of the ring: its class mask in
     ``ring.zero_classes()``, the classes where f's value is zero.  Every
-    element's mask is read, so a ring missing elements shows in TZ.  A
-    class mask p becomes a point mask through a table over all 2^q class
-    masks, built by doubling: entry p holds the points of the classes whose
-    bits p sets, so class c appends each entry below 2^c with c's points
-    or-ed in.
+    element's mask is read, by ``_distinct_masks``, so a ring missing
+    elements shows in TZ.  A distinct class mask p becomes a point mask
+    through a table over all 2^q class masks, built by doubling: entry p
+    holds the points of the classes whose bits p sets, so class c appends
+    each entry below 2^c with c's points or-ed in.
     """
     points = [0]
     for c in ring.classes:
