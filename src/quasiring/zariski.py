@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from itertools import repeat
-from operator import or_
 
 from .algebra import zero_divisors
 from .errors import ZeroDivisorHypothesis
@@ -31,8 +29,8 @@ MATERIALIZE_CAP = 2 ** 16
 #: every byte value once, in order
 ALL_BYTES = bytes(range(256))
 
-#: per j < 8, the byte table that turns a flag byte 1 into bit j
-FLAG_BIT = tuple(bytes([0, 1 << j]) + bytes(254) for j in range(8))
+#: the byte table that turns flag bytes 0 and 1 into the digits "0" and "1"
+FLAG_DIGITS = b"01" + bytes(254)
 
 
 @dataclass(frozen=True)
@@ -138,18 +136,26 @@ def zariski_closed_family(ring: FunctionRing) -> ZariskiTopology:
 def _indicator(zero_classes, q: int) -> int:
     """The 2^q-bit set with bit v for each class mask v in zero_classes.
 
-    One flag byte is set per distinct mask, read by ``_distinct_masks``,
-    but per element for a list no longer than the 2^q masks, whose set
-    would cost more than the repeats it drops.  Then each eighth flag, from
-    the j-th on, is translated to bit j and the eight are or-ed: byte k of
-    the result holds the flags of masks 8k to 8k + 7.
+    One flag per mask v < 2^q says whether v is present; the flags, last
+    first, are the base-2 digits of the set.  A byte table flags its masks
+    in C: one translate of the byte values below 2^q, through the table
+    that sends the distinct masks to "1" and the rest to "0".  A list sets
+    a flag byte per element, or per distinct mask when it holds more than
+    the 2^q masks, since its set then drops repeats.
     """
-    if isinstance(zero_classes, bytes) or len(zero_classes) > 1 << q:
-        zero_classes = _distinct_masks(zero_classes)
-    flags = bytearray(max(8, 1 << q))
-    deque(map(flags.__setitem__, zero_classes, repeat(1)), 0)
-    return reduce(or_, (int.from_bytes(flags[j::8].translate(FLAG_BIT[j]),
-                                       "little") for j in range(8)))
+    if isinstance(zero_classes, bytes):
+        present = _distinct_masks(zero_classes)
+        absent = ALL_BYTES.translate(None, present)
+        flags = ALL_BYTES[:1 << q]
+        digits = bytes.maketrans(present + absent, b"1" * len(present)
+                                 + b"0" * len(absent))
+    else:
+        if len(zero_classes) > 1 << q:
+            zero_classes = _distinct_masks(zero_classes)
+        flags = bytearray(1 << q)
+        deque(map(flags.__setitem__, zero_classes, repeat(1)), 0)
+        digits = FLAG_DIGITS
+    return int(flags[::-1].translate(digits), 2)
 
 
 def _holding(d: int, q: int) -> int:

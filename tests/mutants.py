@@ -278,7 +278,12 @@ MUTANTS = [
            "nbhds_by_class.append(full & away)",
            (TZ_SPACE,)),
     Mutant("tz-present-mask-left-unmarked", "zariski.py",
-           "for j in range(8)))", "for j in range(1, 8)))",
+           "zero_classes, repeat(1)), 0)",
+           "zero_classes, repeat(1, len(zero_classes) - 1)), 0)",
+           (TZ_SPACE,)),
+    Mutant("tz-flags-read-first-first", "zariski.py",
+           "int(flags[::-1].translate(digits), 2)",
+           "int(flags.translate(digits), 2)",
            (TZ_SPACE,)),
     Mutant("tz-holding-pattern-shifted-by-one-class", "zariski.py",
            "if missing_c & holding[d]:", "if missing_c & holding[d - 1]:",

@@ -389,8 +389,9 @@ def test_zero_set_space_matches_the_closed_family_reference(monkeypatch):
         tz = zero_set_space(ring)
         assert tz == zariski_as_space(zariski_closed_family(ring))
         assert tz != discrete_space(n)
-    # lists of some masks of a ring whose own masks are bytes: a few
-    # distinct ones, and more than 2^q with repeats
+    # planted lists of some of a ring's masks, over 8 classes (where the
+    # ring's own masks are bytes) and 9: a few distinct masks, and more
+    # than 2^q with repeats
     finer = 0
     for z in [discrete_space(8), *blocks]:
         ring = FunctionRing(z, make_zmod(3))
