@@ -20,12 +20,14 @@ at a time.
 
 C(Z, Y) is Y^q, q the number of quasi-components, so all of this depends
 on Y and q alone.  It lives on a ``Core``, which every ring over the same
-(Y, q) shares: the elements, the Cayley tables and single rows, the χ and
-zero-class tables, and ``memo``, where other modules keep what they derive
-from the algebra (principal tables, checker lattices).  ``CORES`` keeps the
-cores of the last ``CORE_CACHE_SIZE`` pairs, and the tables, rows and zero
-classes of all of them within ``ROW_CACHE_ENTRIES``.  The space, the
-classes and the points of each class stay on the ring.
+(Y, q) shares: the elements, and ``kept``, the one store of what is derived
+from them, keyed by what it is (a Cayley table, a single row, the zero-class
+and χ tables here; principal tables and checker lattices in other modules).
+Everything goes in through ``FunctionRing.keep``, which charges each value
+to ``CORES``: it keeps the cores of the last ``CORE_CACHE_SIZE`` pairs, and
+all they keep within ``ROW_CACHE_ENTRIES``; a value refused there is handed
+out unkept.  The space, the classes and the points of each class stay on
+the ring.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ from .topology import (
     quasi_component_partition,
 )
 
-#: the tables, single rows and zero-class tables of all cached cores hold
-#: at most this many entries (16 MB as 32-bit indices), and so do those of
-#: any one core; a row or zero-class table that does not fit is rebuilt on
-#: each read
+#: what all cached cores keep holds at most this many entries (16 MB as
+#: 32-bit indices; a bitset counts one entry per 32 bits), and so does what
+#: any one core keeps; a value that does not fit is rebuilt on each read
 ROW_CACHE_ENTRIES = 2 ** 22
 
 #: ``CORES`` keeps the cores of at most this many (Y, q) pairs
@@ -129,19 +130,14 @@ class Core:
     def __init__(self, algebra: AlgebraTable, q: int):
         self.key = (algebra, q)
         self.elements = Elements(algebra.carrier_size, q)
-        self.tables = {}            # op -> every row of op
-        self.rows = {}              # (op, i) -> row i of op, op untabled
-        self.entries = 0            # entries in tables, rows, zero classes
-        self.chi_tables = {}        # off-value -> χ_U indices by class mask
-        self.zero_classes = None
-        #: tables other modules derive from the algebra, under their own keys
-        self.memo = {}
+        self.kept = {}              # what is derived -> its value
+        self.entries = 0            # the entries charged for ``kept``
         self.cached = True          # still in ``CORES``
 
 
 class CoreCache:
     """The cores of the last ``CORE_CACHE_SIZE`` (Y, q) pairs, least
-    recently used first, with the table entries they hold in all."""
+    recently used first, with the entries they keep in all."""
 
     def __init__(self):
         self.cores = OrderedDict()
@@ -171,11 +167,11 @@ class CoreCache:
             return False
         if core.cached:
             self.cores.move_to_end(core.key)
-            holders = [c.key for c in self.cores.values() if c.entries]
-            for key in holders:
-                if self.entries + k <= ROW_CACHE_ENTRIES:
-                    break
-                self._drop(key)
+            if self.entries + k > ROW_CACHE_ENTRIES:
+                for key in [c.key for c in self.cores.values() if c.entries]:
+                    if self.entries + k <= ROW_CACHE_ENTRIES:
+                        break
+                    self._drop(key)
             self.entries += k
         core.entries += k
         return True
@@ -214,9 +210,19 @@ class FunctionRing:
         self.theta: FnElement = (algebra.zero,) * len(self.classes)
         self.identity: FnElement | None = (
             (algebra.unit,) * len(self.classes) if algebra.unit is not None else None)
-        #: tables other modules derive from the algebra, under their own
-        #: keys; shared by every ring over the same (Y, q)
-        self.memo = self._core.memo
+
+    def keep(self, key, build, *args, entries=len):
+        """The value the core keeps under key; on a miss, ``build(*args)``,
+        kept when ``CORES`` admits its ``entries(value)`` entries and handed
+        out either way.  Every ring over the same (Y, q) reads what one of
+        them kept, so key names what is derived, not who asked."""
+        kept = self._core.kept
+        value = kept.get(key)
+        if value is None:
+            value = build(*args)
+            if CORES.admit(self._core, entries(value)):
+                kept[key] = value
+        return value
 
     # -- element indices and Cayley tables ----------------------------------
 
@@ -236,26 +242,23 @@ class FunctionRing:
         """Element i combined with every element j, as indices in j order.
 
         op is "mul" for i·j, "mul_t" for j·i, "add" for i+j, "add_t" for
-        j+i.  The first read of op builds op's whole table on the core when
-        ``CORES`` admits its n² entries; otherwise the read builds row i
-        alone, which the core keeps when its n entries are admitted.
+        j+i.  The first read of op keeps op's whole table under op when
+        ``CORES`` admits its n² entries, asked before the table is built;
+        otherwise the read builds row i alone and keeps it under (op, i).
         """
-        core = self._core
-        table = core.tables.get(op)
+        kept = self._core.kept
+        table = kept.get(op)
         if table is not None:
             return table[i]
-        row = core.rows.get((op, i))
+        row = kept.get((op, i))
         if row is not None:
             return row
         y_rows = self._y_table(op)
         n = len(self.elements)
-        if CORES.admit(core, n * n):
-            table = core.tables[op] = self._table(y_rows)
+        if CORES.admit(self._core, n * n):
+            table = kept[op] = self._table(y_rows)
             return table[i]
-        row = self._row(y_rows, i)
-        if CORES.admit(core, n):
-            core.rows[op, i] = row
-        return row
+        return self.keep((op, i), self._row, y_rows, i)
 
     def _table(self, y_rows) -> list:
         """Every row of the operation whose rows on Y are `y_rows`, built
@@ -300,11 +303,10 @@ class FunctionRing:
         least significant class up: class c turns the masks over the
         classes after it into one copy of them per Y value, in value
         order, with bit c set in the zero's copy (a ``bytes.translate``
-        through ``OR_BIT[c]`` for bytes).  Kept on the core while
-        ``CORES`` admits its entries, rebuilt on each call otherwise."""
-        core = self._core
-        if core.zero_classes is not None:
-            return core.zero_classes
+        through ``OR_BIT[c]`` for bytes).  Kept, one entry per element."""
+        return self.keep("zero_classes", self._zero_classes)
+
+    def _zero_classes(self) -> bytes | list:
         z, m = self.algebra.zero, self.algebra.carrier_size
         q = len(self.classes)
         masks = b"\0" if q <= BYTE_MASK_CLASSES else [0]
@@ -314,8 +316,6 @@ class FunctionRing:
             else:
                 marked = list(map((1 << c).__or__, masks))
             masks = masks * z + marked + masks * (m - 1 - z)
-        if CORES.admit(core, len(masks)):
-            core.zero_classes = masks
         return masks
 
     def _y_table(self, op: str) -> tuple:
@@ -360,20 +360,20 @@ class FunctionRing:
 
     def chi_table(self, a: int | None = None) -> tuple:
         """Per class mask c (bit j for ``classes[j]``), the index of χ_U
-        with off-value a, U the union of c's classes; cached per a.  Class
-        j doubles the table: the masks without bit j (digit a), then with
-        it (digit 0)."""
+        with off-value a, U the union of c's classes; kept per a, one entry
+        per mask.  Class j doubles the table: the masks without bit j
+        (digit a), then with it (digit 0)."""
         a = self._off_value(a)
-        tables = self._core.chi_tables
-        if a not in tables:
-            m, z = self.algebra.carrier_size, self.algebra.zero
-            q = len(self.classes)
-            table = [0]
-            for j in range(q):
-                w = m ** (q - 1 - j)
-                table = [x + a * w for x in table] + [x + z * w for x in table]
-            tables[a] = tuple(table)
-        return tables[a]
+        return self.keep(("chi", a), self._chi_table, a)
+
+    def _chi_table(self, a: int) -> tuple:
+        m, z = self.algebra.carrier_size, self.algebra.zero
+        q = len(self.classes)
+        table = [0]
+        for j in range(q):
+            w = m ** (q - 1 - j)
+            table = [x + a * w for x in table] + [x + z * w for x in table]
+        return tuple(table)
 
     def __repr__(self):
         return (f"FunctionRing({self.space.point_count}pt space, "

@@ -110,15 +110,16 @@ class IdealLattice:
 
     def find(self, bits: int) -> Ideal | None:
         """The ideal whose bitset is `bits`, or None."""
-        if not hasattr(self, "_index"):
-            self._index = {i.bits: i for i in self.ideals}
-        return self._index.get(bits)
+        return self._by_bits.get(bits)
 
+    @cached_property
+    def _by_bits(self) -> dict:
+        return {i.bits: i for i in self.ideals}
+
+    @cached_property
     def proper(self) -> tuple:
-        """The ideals other than the whole ring, built once."""
-        if not hasattr(self, "_proper"):
-            self._proper = tuple(i for i in self.ideals if i.is_proper())
-        return self._proper
+        """The ideals other than the whole ring."""
+        return tuple(i for i in self.ideals if i.is_proper())
 
     @cached_property
     def held(self) -> list:
@@ -333,7 +334,7 @@ def _reach(ring: FunctionRing, side: str) -> list:
 
 def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
     """The principal ideal of every element index, as bitsets, built in
-    one pass and cached on the ring.
+    one pass and kept on the ring (one entry per 32 bits: n·⌈n/32⌉).
 
     A multiplicative principal is the element's reach in the absorption
     graph, θ included, which ``_reach`` reads off Y's step relations for
@@ -341,10 +342,11 @@ def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
     is the additive span of the multiplicative one (each distinct one
     spanned once); other tables close each element with ``closure``.
     """
-    key = ("principals", side, mode)
-    table = ring.memo.get(key)
-    if table is not None:
-        return table
+    return ring.keep(("principals", side, mode), _principal_table, ring,
+                     side, mode, entries=lambda t: len(t) * -(-len(t) // 32))
+
+
+def _principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
     if mode == RING and ring.algebra.add is None:
         raise MissingAddition("ring mode needs an addition table")
     n = len(ring.elements)
@@ -353,15 +355,12 @@ def principal_table(ring: FunctionRing, side: str, mode: str) -> tuple:
             f"the principal ideals of a {n}-element ring exceed the table "
             f"cap {PRINCIPAL_TABLE_CAP}", cap=PRINCIPAL_TABLE_CAP, reached=n)
     if mode == MULTIPLICATIVE:
-        table = tuple(_reach(ring, side))
-    elif span_applies(ring, side):
+        return tuple(_reach(ring, side))
+    if span_applies(ring, side):
         mult = principal_table(ring, side, MULTIPLICATIVE)
         spans = {m: span(ring, members(m)) for m in set(mult)}
-        table = tuple(map(spans.__getitem__, mult))
-    else:
-        table = tuple(closure(ring, [f], side, mode) for f in range(n))
-    ring.memo[key] = table
-    return table
+        return tuple(map(spans.__getitem__, mult))
+    return tuple(closure(ring, [f], side, mode) for f in range(n))
 
 
 def join(ring: FunctionRing, a: int, b: int, side: str, mode: str) -> int:

@@ -307,7 +307,7 @@ def _t12(ctx):  # |Z| >= 2 forces zero divisors in the ring
 
 @_checker("T13", "unit")
 def _t13(ctx):  # V(I) spanning >= 2 quasi-components ⇒ I not prime
-    for i in ctx.lattice.proper():
+    for i in ctx.lattice.proper:
         v = ctx.zero_locus(i.bits)
         if v.bit_count() >= 2 and i.meta.get("is_prime"):
             return {"ideal": i, "V": ctx.points(v)}
@@ -333,7 +333,7 @@ def _t14(ctx):  # no zero divisors: I(U) prime iff U is a single component
 @_checker("T15", "unit", "two_components", "unit_slices")
 def _t15(ctx):  # nontrivial ideals own a function with proper clopen zero set
     zc, t = ctx.zero_classes, ctx.theta
-    for i in ctx.lattice.proper():
+    for i in ctx.lattice.proper:
         if i.is_trivial():
             continue
         if not any(f != t and zc[f] and zc[f] != ctx.all_classes
@@ -385,7 +385,7 @@ def _chi_pairs(ctx) -> list:
 
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    chi, proper = ctx.ring.chi_table(), ctx.lattice.proper()
+    chi, proper = ctx.ring.chi_table(), ctx.lattice.proper
     for i1 in ctx.primes:
         for i2 in proper:
             if not i1 <= i2:
@@ -411,7 +411,7 @@ def _t19(ctx):  # prime with nonempty zero set pins a unique point
 
 @_checker("T20", "unit_addition_closed")
 def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
-    pairs, proper = _chi_pairs(ctx), ctx.lattice.proper()
+    pairs, proper = _chi_pairs(ctx), ctx.lattice.proper
     for j in ctx.primes:
         for i in proper:
             if not j < i:
@@ -598,7 +598,7 @@ def _escape(ctx, cols):
     class mask, a, χ_U index, χ_{Z−U} index); U is returned as its points,
     and None when there is none."""
     ring = ctx.ring
-    proper = ctx.lattice.proper()
+    proper = ctx.lattice.proper
     flat = [c for _, _, x, y in cols for c in (x, y)]
     # per element f, its products with every χ in cols, as one bitset
     products = [bitset(map(ring.row("mul", f).__getitem__, flat))
@@ -626,7 +626,7 @@ def _t35(ctx):  # f in a proper ideal: both chi slices generate subideals
 @_checker("T36", "division_ring", "ring_mode")
 def _t36(ctx):  # division-ring values: maximal ideals are exactly the I(z)
     izs = {ctx.vanishing(c) for c in ctx.ring.classes}
-    maximal = {i.bits for i in ctx.lattice.proper() if i.meta.get("is_maximal")}
+    maximal = {i.bits for i in ctx.lattice.proper if i.meta.get("is_maximal")}
     if maximal != izs:
         return {"maximal": sorted(m.bit_count() for m in maximal),
                 "expected": len(izs)}
@@ -841,7 +841,7 @@ def _l33(ctx):
     nested = [(u, u1, a, chi[a][u], chi[a][u1])
               for u in ctx.clopens for u1 in ctx.clopens if _nested(u, u1)
               for a in ctx.nonzero]
-    for i in ctx.lattice.proper():
+    for i in ctx.lattice.proper:
         for u, u1, a, x, y in nested:
             if i.bits >> x & 1 and not i.bits >> y & 1:
                 return {"I": i, "U": ctx.points(u), "U1": ctx.points(u1),
@@ -867,7 +867,7 @@ def _l34(ctx):  # members absorb chi factors on the right
 
 @_checker("L35", "unit")
 def _l35(ctx):  # subideal of I(z) with a bigger zero set is not prime
-    proper = ctx.lattice.proper()
+    proper = ctx.lattice.proper
     for k, c in enumerate(ctx.ring.classes):
         iz = ctx.vanishing(c)
         for j in proper:
@@ -952,7 +952,7 @@ def _l42(ctx):  # and their zero sets cover Z
 @_checker("L43", "division_ring")
 def _l43(ctx):  # division ring: members of proper ideals must vanish somewhere
     zc = ctx.zero_classes
-    for i in ctx.lattice.proper():
+    for i in ctx.lattice.proper:
         for f in members(i.bits):
             if not zc[f]:
                 return {"I": i, "f": ctx.ring.elements[f]}
@@ -1688,7 +1688,7 @@ def _l31_c(ctx):  # disconnection surrogate: complementary idempotent pairs
 
 @_checker("T36.N", "addition_closed", "two_components")
 def _t36_n(ctx):  # non-local surrogate: >= 2 maximal ideals
-    maximal = [i for i in ctx.lattice.proper() if i.meta.get("is_maximal")]
+    maximal = [i for i in ctx.lattice.proper if i.meta.get("is_maximal")]
     if len(maximal) < 2:
         return {"maximal_count": len(maximal)}
     return None

@@ -4,10 +4,10 @@ A ``Context`` holds one (space, algebra, side, mode) and builds each piece
 of shared data (the ring, the lattice, the families, χ indices, zero sets,
 vanishing ideals, principal ideals) once, when a checker first needs it;
 every checker run on the context reads the same copies.  What depends on
-the algebra alone is shared further: the ring's tables, principal tables
-and classified lattice live on its core (``funcspace.Core``), which every
-ring over the same Y and the same number of quasi-components reads, and
-the families live on the lattice they were read off.
+the algebra alone is shared further: the ring keeps its tables, principal
+tables and classified lattice on its core (``FunctionRing.keep``), which
+every ring over the same Y and the same number of quasi-components reads,
+and the families live on the lattice they were read off.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ class Context:
     (bit i for ``ring.elements[i]``), and a set of quasi-components a class
     mask (bit c for ``ring.classes[c]``).  On a finite space every clopen
     set is a union of quasi-components, so a clopen is its class mask.
-    Every cache is built once per context, when a checker first needs it;
-    the lattice and the families, once per core.
+    Every cache is built once per context, when a checker first needs it,
+    and held for its lifetime: what the ring's core refuses to keep costs
+    one build per context, never one per read.
     """
 
     def __init__(self, space, algebra, side: str = RIGHT, mode: str | None = None,
@@ -61,6 +62,7 @@ class Context:
         #: through ``checkers._body`` under that function
         self.memo = {}
         self._points, self._clopen, self._vanishing = {}, {}, {}
+        self._principals = {}   # mode -> the ring's principal table
 
     @cached_property
     def flags(self):
@@ -77,25 +79,31 @@ class Context:
 
     @property
     def lattice(self):
-        """The classified lattice, kept in ``ring.memo`` under (side, mode,
-        ``lattice_budget``), so every context over the same core with the
-        same key reads one build.  A failed build is kept as well: its
+        """The classified lattice.  A failed build is held as well: its
         ``BudgetExceeded`` is raised again on every later read, without a
         second build."""
-        memo = self.ring.memo
-        key = ("lattice", self.side, self.mode, self.lattice_budget)
-        lat = memo.get(key)
-        if lat is None:
-            try:
-                lat = classify_primes(enumerated_lattice(
-                    self.ring, self.side, self.mode,
-                    budget=self.lattice_budget))
-            except BudgetExceeded as exc:
-                lat = exc
-            memo[key] = lat
+        lat = self._lattice
         if isinstance(lat, Exception):
             raise lat.with_traceback(None)
         return lat
+
+    @cached_property
+    def _lattice(self):
+        """The classified lattice or the ``BudgetExceeded`` of its build,
+        kept on the core under (side, mode, ``lattice_budget``), so every
+        context over the same core with the same key reads one build; one
+        entry per 32 bits of its ideals, none for a failure."""
+        key = ("lattice", self.side, self.mode, self.lattice_budget)
+        words = -(-len(self.ring.elements) // 32)
+        return self.ring.keep(key, self._classified, entries=lambda lat: (
+            0 if isinstance(lat, Exception) else len(lat.ideals) * words))
+
+    def _classified(self):
+        try:
+            return classify_primes(enumerated_lattice(
+                self.ring, self.side, self.mode, budget=self.lattice_budget))
+        except BudgetExceeded as exc:
+            return exc
 
     @cached_property
     def primes(self):
@@ -206,11 +214,18 @@ class Context:
         return [bitset(d for d, t in enumerate(split) if t == s)
                 for s in split]
 
+    def principals(self, mode: str) -> tuple:
+        """The ring's principal table of the mode, held per context."""
+        table = self._principals.get(mode)
+        if table is None:
+            table = self._principals[mode] = principal_table(
+                self.ring, self.side, mode)
+        return table
+
     def principal(self, f: int, mode: str | None = None) -> int:
         """The principal ideal of element index f as a bitset, read from
         the ring's principal table; the mode defaults to the context's."""
-        mode = self.mode if mode is None else mode
-        return principal_table(self.ring, self.side, mode)[f]
+        return self.principals(self.mode if mode is None else mode)[f]
 
     def join(self, a: int, b: int, mode: str | None = None) -> int:
         """The least ideal holding the members of the bitsets a and b, both
@@ -218,7 +233,7 @@ class Context:
         member's multiplicative principal makes b absorb before ``join``,
         so a and b need not be ideals."""
         mode = self.mode if mode is None else mode
-        mult = principal_table(self.ring, self.side, MULTIPLICATIVE)
+        mult = self.principals(MULTIPLICATIVE)
         for x in members(a | b):
             b |= mult[x]
         return join(self.ring, a, b, self.side, mode)

@@ -1,5 +1,5 @@
 """Every test starts from an empty core cache, so what a test reads off a
-ring's shared ``memo`` or tables was built in that test."""
+ring's shared core was built in that test."""
 
 import pytest
 

@@ -76,6 +76,9 @@ SHARED_CORE = f"{FUNCSPACE}::test_rings_over_the_same_y_and_q_share_one_core"
 ZERO_CLASS_CAP = f"{FUNCSPACE}::test_zero_class_tables_stay_within_the_cap"
 ONE_CORE_LATTICE = ("tests/test_context.py::"
                     "test_contexts_over_one_core_read_one_lattice_build")
+CHARGED = "tests/test_context.py::test_every_kept_value_is_charged_within_the_cap"
+ONE_BUILD = ("tests/test_context.py::"
+             "test_a_refusing_cap_costs_one_build_per_context")
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -326,8 +329,8 @@ MUTANTS = [
            "if k > ROW_CACHE_ENTRIES:",
            (f"{FUNCSPACE}::test_a_table_is_cached_only_while_it_fits",)),
     Mutant("lattice-failure-not-kept", "verify/context.py",
-           "                lat = exc\n",
-           "                raise\n",
+           "            return exc\n",
+           "            raise\n",
            ("tests/test_context.py::test_a_failed_lattice_is_built_once",)),
     Mutant("lattice-key-without-the-budget", "verify/context.py",
            'key = ("lattice", self.side, self.mode, self.lattice_budget)',
@@ -335,14 +338,14 @@ MUTANTS = [
            (ONE_CORE_LATTICE,)),
     Mutant("families-keyed-by-side-and-mode", "verify/context.py",
            "return self.lattice.families",
-           "return self.ring.memo.setdefault(\n"
-           "            (\"families\", self.side, self.mode),\n"
-           "            self.lattice.families)",
+           "return self.ring.keep((\"families\", self.side, self.mode),\n"
+           "                              lambda: self.lattice.families,\n"
+           "                              entries=lambda families: 0)",
            ("tests/test_context.py::"
             "test_a_planted_lattice_stays_out_of_the_shared_store",)),
     Mutant("single-rows-not-kept", "funcspace.py",
-           "            core.rows[op, i] = row\n",
-           "            pass\n",
+           "return self.keep((op, i), self._row, y_rows, i)",
+           "return self._row(y_rows, i)",
            (f"{FUNCSPACE}::test_a_table_is_cached_only_while_it_fits",)),
     Mutant("core-count-bound-ignored", "funcspace.py",
            "if len(self.cores) > CORE_CACHE_SIZE:",
@@ -366,8 +369,22 @@ MUTANTS = [
            "if not self.space.is_clopen(u):", "if not self.space.is_open(u):",
            (f"{FUNCSPACE}::test_chi_tests_clopenness_against_the_clopen_masks",)),
     Mutant("chi-cache-key", "funcspace.py",
-           "if a not in tables:", "if not tables:",
+           'self.keep(("chi", a),', 'self.keep(("chi",),',
            (CHI_INDEX,)),
+    Mutant("chi-table-kept-uncharged", "funcspace.py",
+           'self.keep(("chi", a), self._chi_table, a)',
+           'self.keep(("chi", a), self._chi_table, a, entries=lambda t: 0)',
+           (CHARGED,)),
+    Mutant("principal-table-charged-len-only", "ideals.py",
+           "entries=lambda t: len(t) * -(-len(t) // 32))", "entries=len)",
+           (CHARGED,)),
+    Mutant("lattice-reread-through-keep", "verify/context.py",
+           "    @cached_property\n    def _lattice(self):",
+           "    @property\n    def _lattice(self):",
+           (ONE_BUILD,)),
+    Mutant("context-principals-not-held", "verify/context.py",
+           "table = self._principals.get(mode)", "table = None",
+           (ONE_BUILD,)),
     Mutant("chi-content-backwards", "verify/context.py",
            "return tuple(sorted(self.ring.chi_table()))",
            "return tuple(sorted(self.ring.chi_table(), reverse=True))",
@@ -395,7 +412,9 @@ MUTANTS = [
            "masks.translate(OR_BIT[c])", "masks.translate(OR_BIT[q - 1 - c])",
            (ZERO_CLASSES,)),
     Mutant("zero-classes-kept-uncharged", "funcspace.py",
-           "if CORES.admit(core, len(masks)):", "if CORES.admit(core, 0):",
+           'self.keep("zero_classes", self._zero_classes)',
+           'self.keep("zero_classes", self._zero_classes,\n'
+           '                         entries=lambda masks: 0)',
            (ZERO_CLASS_CAP,)),
 
     # -- clopens as class masks -------------------------------------------

@@ -6,7 +6,9 @@ from functools import cached_property
 
 import pytest
 
+from quasiring import funcspace, ideals
 from quasiring.algebra import make_table, make_zmod
+from quasiring.errors import BudgetExceeded
 from quasiring.funcspace import FunctionRing
 from quasiring.ideals import (
     LEFT,
@@ -20,6 +22,7 @@ from quasiring.ideals import (
     closure,
     enumerated_lattice,
     ideal_lattice,
+    principal_table,
     vanishing_ideal,
 )
 from quasiring.topology import (
@@ -382,6 +385,88 @@ def test_contexts_over_one_core_read_one_lattice_build(monkeypatch):
     assert len(calls) == 2
 
 
+def _charge(key, value, n: int) -> int:
+    """The entries a core is charged for the value it keeps under key: n²
+    for a whole Cayley table, one per 32 bits for the bitsets of a
+    principal table or a lattice (none for a failed lattice build), and
+    one per entry for a row, the zero classes or a χ table."""
+    words = -(-n // 32)
+    if key in ("mul", "mul_t", "add", "add_t"):
+        return n * n
+    if key[0] == "principals":
+        return n * words
+    if key[0] == "lattice":
+        return 0 if isinstance(value, Exception) else len(value.ideals) * words
+    return len(value)
+
+
+def test_every_kept_value_is_charged_within_the_cap(monkeypatch):
+    """Under a cap of 1 024 entries, a run of rings keeps principal tables,
+    χ tables, zero classes and checker lattices, a failed one among them:
+    the cached cores hold at most the cap, every core is charged exactly
+    what it keeps, and a value refused is handed out all the same."""
+    cap = 1024
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", cap)
+    cache = funcspace.CORES
+    cores = []
+    for q, m, mode in [(4, 2, MULTIPLICATIVE), (4, 2, RING), (6, 2, RING),
+                       (3, 4, MULTIPLICATIVE), (3, 4, RING), (5, 3, RING)]:
+        ctx = Context(discrete_space(q), make_zmod(m), RIGHT, mode)
+        ring = ctx.ring
+        assert ctx.lattice.complete
+        assert principal_table(ring, RIGHT, mode) == \
+            ideals._principal_table(ring, RIGHT, mode)
+        assert ctx.chi(1) == ring.index(ring.chi(ring.classes[0]))
+        assert list(ring.zero_classes()) == list(ring._zero_classes())
+        failed = Context(discrete_space(q), make_zmod(m), RIGHT, mode)
+        failed.lattice_budget = 2
+        with pytest.raises(BudgetExceeded):
+            failed.lattice
+        cores.append(ring._core)
+        assert cache.entries == sum(c.entries for c in cache.cores.values())
+        assert cache.entries <= cap
+        for core in cores:
+            n = len(core.elements)
+            assert core.entries == sum(
+                _charge(k, v, n) for k, v in core.kept.items()) <= cap
+    kinds = {k if isinstance(k, str) else k[0] for c in cores for k in c.kept}
+    assert kinds >= {"principals", "lattice", "chi", "zero_classes"}
+    assert ("lattice", RIGHT, MULTIPLICATIVE, 2) in cores[0].kept
+    # 979 ideals of 64 bits, and 243 principals of 243 bits, do not fit
+    assert ("lattice", RIGHT, MULTIPLICATIVE, 1200) not in cores[3].kept
+    assert ("principals", RIGHT, RING) not in cores[5].kept
+    assert not all(c.cached for c in cores)
+
+
+def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
+    """Under a cap that keeps nothing, a context builds its lattice once
+    and each principal table once across ``GREEN_SUITE``: the lattice's
+    own build reads the table of its mode, a ring-mode table is spanned
+    from a multiplicative one built for it, and the context holds every
+    table it reads itself."""
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 0)
+    lattices, reaches = [], []
+    reach = ideals._reach
+
+    def counted_lattice(*args, **kwargs):
+        lattices.append(args)
+        return enumerated_lattice(*args, **kwargs)
+
+    def counted_reach(*args):
+        reaches.append(args)
+        return reach(*args)
+    monkeypatch.setattr(context, "enumerated_lattice", counted_lattice)
+    monkeypatch.setattr(ideals, "_reach", counted_reach)
+    for mode, builds in [(MULTIPLICATIVE, 2), (RING, 3)]:
+        lattices.clear()
+        reaches.clear()
+        c = Context(discrete_space(2), make_zmod(4), RIGHT, mode)
+        reports = [run_checker(cid, c) for cid in GREEN_SUITE]
+        assert c.ring._core.kept == {} and c.ring._core.entries == 0
+        assert all(r.verdict != FAIL for r in reports)
+        assert len(lattices) == 1 and len(reaches) == builds
+
+
 def test_a_planted_lattice_stays_out_of_the_shared_store():
     """A context over the same core reads neither the planted lattice nor
     families built from it, and the planted context reads neither of the
@@ -389,7 +474,7 @@ def test_a_planted_lattice_stays_out_of_the_shared_store():
     plain = Context(discrete_space(3), make_zmod(2), RIGHT, RING)
     lattice, families = plain.lattice, plain.families
     planted = PlantedContext()
-    assert planted.ring.memo is plain.ring.memo
+    assert planted.ring._core is plain.ring._core
     assert planted.lattice is not lattice
     assert planted.families.lattice is planted.lattice
     bits = sum(1 << planted.ring.index(f) for f in PLANTED)

@@ -189,7 +189,7 @@ def test_lattice_oracle_disagreement_raises(monkeypatch):
         monkeypatch.setattr(ideals, "subset_scan", lossy)
         with pytest.raises(CrossCheckFailed):
             ideal_lattice(ring, mode=RING)
-        assert (("principals", RIGHT, RING) in ring.memo) != product
+        assert (("principals", RIGHT, RING) in ring._core.kept) != product
 
 
 def small_ring_corpus(max_elements=16):
