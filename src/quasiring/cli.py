@@ -181,8 +181,8 @@ def cmd_check(args) -> tuple[dict, int]:
     if not ids or "all" in ids:
         ids = checker_ids()
     else:
-        known = set(checker_ids())
-        bad = [i for i in ids if i not in known]
+        known = set(checker_ids())   # ``_split_args`` checked args.ids
+        bad = [i for i in spec.checks if i not in known]
         if bad:
             raise UnknownChecker(f"unknown checker id(s): {', '.join(bad)}")
     reports = []
