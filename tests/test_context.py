@@ -440,10 +440,11 @@ def test_every_kept_value_is_charged_within_the_cap(monkeypatch):
 
 def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
     """Under a cap that keeps nothing, a context builds its lattice once
-    and each principal table once across ``GREEN_SUITE``: the lattice's
-    own build reads the table of its mode, a ring-mode table is spanned
-    from a multiplicative one built for it, and the context holds every
-    table it reads itself."""
+    and each principal table it reads once across ``GREEN_SUITE``, however
+    often its checkers read them.  ``_reach`` runs once per multiplicative
+    table built: in multiplicative mode for the lattice's pass and for the
+    context; in ring mode under the lattice's ring-mode table, under the
+    context's, and for the context's multiplicative one."""
     monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 0)
     lattices, reaches = [], []
     reach = ideals._reach
