@@ -43,12 +43,15 @@ from .topology import (
 
 _STMT_KEYWORDS = {"space", "algebra", "ring", "check"}
 
+#: one token of a line, after the blanks before it; "other" is any character
+#: no token starts with, reported as unexpected
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>      [ \t\r\n]+ )
-  | (?P<comment> \#[^\n]*   )
-  | (?P<int>     \d+        )
-  | (?P<name>    [A-Za-z_][A-Za-z0-9_.]* )
-  | (?P<punct>   [{}(),=]   )
+    [ \t\r]*
+    (?: (?P<int>     \d+        )
+      | (?P<name>    [A-Za-z_][A-Za-z0-9_.]* )
+      | (?P<punct>   [{}(),=]   )
+      | (?P<comment> \#.*       )
+      | (?P<other>   [^ \t\r]  ) )
 """, re.VERBOSE)
 
 
@@ -60,28 +63,22 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, ending with "eof".  Each line is read by one
+    regex pass; a token's column is its offset in the line, plus one."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "punct":
-            tokens.append(Token(value, value, line, col))
-        elif kind in ("int", "name"):
-            tokens.append(Token(kind, value, line, col))
-        # whitespace and comments advance position only
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    lines = text.split("\n")
+    for line, s in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(s):
+            kind = m.lastgroup
+            if kind == "int" or kind == "name":
+                tokens.append(Token(kind, m[kind], line, m.start(kind) + 1))
+            elif kind == "punct":
+                value = m[kind]
+                tokens.append(Token(value, value, line, m.start(kind) + 1))
+            elif kind == "other":
+                raise DslSyntaxError(f"unexpected character {m[kind]!r}",
+                                     line, m.start(kind) + 1)
+    tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 

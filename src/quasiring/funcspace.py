@@ -11,8 +11,8 @@ The engine computes on element indices: index i is ``elements[i]``, read
 as a mixed-radix number over Y with class 0 the most significant digit, so
 index order is tuple order, and a set of elements is an int bitset.  No
 value tuple is stored up front: ``elements`` decodes index i when it is
-read (and keeps what it decoded), and the zero set V(f) of every element
-is a class mask from ``zero_classes``, built digit by digit.  Each of the
+read (and keeps what it decoded, see below), and the zero set V(f) of
+every element is a class mask from ``zero_classes``, built digit by digit.  Each of the
 ring's Cayley tables (Froidure & Pin, "Algorithms for computing finite
 semigroups", 1997) is the q-fold Kronecker expansion of Y's table: on the
 first read of an operation its whole table is built in one pass, one class
@@ -22,9 +22,11 @@ C(Z, Y) is Y^q, q the number of quasi-components, so all of this depends
 on Y and q alone.  It lives on a ``Core``, which every ring over the same
 (Y, q) shares: the elements, and ``kept``, the one store of what is derived
 from them, keyed by what it is (a Cayley table, a single row, the zero-class
-and χ tables here; principal tables and checker lattices in other modules).
-Everything goes in through ``FunctionRing.keep``, which charges each value
-to ``CORES``: it keeps the cores of the last ``CORE_CACHE_SIZE`` pairs, and
+and χ tables and the decoded value tuples here; principal tables, checker
+lattices and the zero-mask indicator in other modules).
+Everything goes in through ``FunctionRing.keep`` (the decoded tuples, one
+dict that grows, through ``Elements.take``), which charges each value to
+``CORES``: it keeps the cores of the last ``CORE_CACHE_SIZE`` pairs, and
 all they keep within ``ROW_CACHE_ENTRIES``; a value refused there is handed
 out unkept.  The space, the classes and the points of each class stay on
 the ring.
@@ -76,14 +78,17 @@ FnElement = tuple  # Y-index per quasi-component, in class order
 class Elements(Sequence):
     """Y^q in index order, read-only: iteration runs ``itertools.product``,
     and ``[i]`` decodes index i by mixed radix (class 0 the most significant
-    digit), keeping each decoded tuple; ``take`` decodes many indices in
-    one call."""
+    digit); ``take`` decodes many indices in one call.  Decoded tuples are
+    kept on the core under "decoded", a dict from index to tuple, charged
+    one entry per digit as it grows; a call whose new tuples the cap
+    refuses hands them out unkept."""
 
-    def __init__(self, carrier_size: int, q: int):
-        self._m = carrier_size
+    def __init__(self, core: Core):
+        algebra, q = core.key
+        self._core = core
+        self._m = algebra.carrier_size
         self._q = q
-        self._len = carrier_size ** q
-        self._memo = {}
+        self._len = algebra.carrier_size ** q
 
     def __len__(self):
         return self._len
@@ -104,15 +109,18 @@ class Elements(Sequence):
     def take(self, indices) -> list:
         """``[self[i] for i in indices]`` in one call, through the same memo;
         an index outside range(len(self)) raises IndexError."""
-        memo, n = self._memo, self._len
+        kept, n = self._core.kept, self._len
+        memo, new = kept.get("decoded", {}), {}
         out = []
         for i in indices:
             f = memo.get(i)
             if f is None:
                 if not 0 <= i < n:
                     raise IndexError("ring element index out of range")
-                f = memo[i] = self._decode(i)
+                f = new[i] = self._decode(i)
             out.append(f)
+        if new and CORES.admit(self._core, len(new) * self._q):
+            kept.setdefault("decoded", memo).update(new)
         return out
 
     def _decode(self, i: int) -> FnElement:
@@ -129,10 +137,10 @@ class Core:
 
     def __init__(self, algebra: AlgebraTable, q: int):
         self.key = (algebra, q)
-        self.elements = Elements(algebra.carrier_size, q)
         self.kept = {}              # what is derived -> its value
         self.entries = 0            # the entries charged for ``kept``
         self.cached = True          # still in ``CORES``
+        self.elements = Elements(self)
 
 
 class CoreCache:
@@ -224,6 +232,10 @@ class FunctionRing:
                 kept[key] = value
         return value
 
+    def kept(self, key):
+        """The value the core keeps under key, or None."""
+        return self._core.kept.get(key)
+
     # -- element indices and Cayley tables ----------------------------------
 
     def index(self, f: FnElement) -> int:
@@ -279,7 +291,7 @@ class FunctionRing:
         [a·m + b for a in r for b in y_row]."""
         m = self.algebra.carrier_size
         row = [0]
-        for d in self.elements[i]:
+        for d in self.elements._decode(i):   # the memo would charge the cap too
             y_row = y_rows[d]
             row = [a * m + b for a in row for b in y_row]
         return array("I", row)

@@ -145,8 +145,16 @@ class ExplicitSpace:
         return tuple(out)
 
     def _is_open_mask(self, m: int) -> bool:
-        return m >> self.point_count == 0 and all(
-            self.nbhds[x] | m == m for x in points_of(m))
+        """Whether m holds U_x for each of its points x, read bit by bit."""
+        if m >> self.point_count:
+            return False
+        nbhds, outside, rest = self.nbhds, ~m, m
+        while rest:
+            low = rest & -rest
+            if nbhds[low.bit_length() - 1] & outside:
+                return False
+            rest ^= low
+        return True
 
     def is_open(self, s: frozenset) -> bool:
         return self._is_open_mask(mask_of(s))

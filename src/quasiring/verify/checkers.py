@@ -379,13 +379,13 @@ def _nested(u: int, w: int) -> bool:
 
 def _chi_pairs(ctx) -> list:
     """(U, χ_U, χ_{Z−U}) per clopen U."""
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     return [(u, chi[u], chi[ctx.all_classes ^ u]) for u in ctx.clopens]
 
 
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    chi, proper = ctx.ring.chi_table(), ctx.lattice.proper
+    chi, proper = ctx.chi_table(), ctx.lattice.proper
     for i1 in ctx.primes:
         for i2 in proper:
             if not i1 <= i2:
@@ -511,7 +511,7 @@ _checker("T25", "unit")(_t24)
 
 @_checker("T26", "assoc_comm", "unit")
 def _t26(ctx):  # literal statement; admits finite counterexamples
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     for j in ctx.primes:
         if j.is_trivial():
             continue
@@ -837,7 +837,7 @@ def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
 
 @_checker("L33", "unit", "unit_slices")
 def _l33(ctx):
-    chi = {a: ctx.ring.chi_table(a) for a in ctx.nonzero}
+    chi = {a: ctx.chi_table(a) for a in ctx.nonzero}
     nested = [(u, u1, a, chi[a][u], chi[a][u1])
               for u in ctx.clopens for u1 in ctx.clopens if _nested(u, u1)
               for a in ctx.nonzero]
@@ -1221,7 +1221,7 @@ def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
 
 def _chi_grid(ctx, keep=lambda u, w: True) -> list:
     """(U, W, χ_U, χ_W) over the pairs of clopens that `keep` admits."""
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     return [(u, w, chi[u], chi[w])
             for u in ctx.clopens for w in ctx.clopens if keep(u, w)]
 
@@ -1266,7 +1266,7 @@ def _l59_1(ctx):
 
 @_checker("L59.2", "unit")
 def _l59_2(ctx):
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     joins = [(u, w, x, chi[u | w]) for u, w, x, _ in _chi_grid(ctx)]
     for u, w, x, xy in joins:
         if _mul(ctx, x, chi[w]) != xy:
@@ -1276,7 +1276,7 @@ def _l59_2(ctx):
 
 @_checker("L59.3", "char_two", "unit")
 def _l59_3(ctx):
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     for u in ctx.clopens:
         row = ctx.ring.row("add", chi[u])
         if row[chi[u]] != ctx.theta:
@@ -1305,7 +1305,7 @@ def _l59_5(ctx):
 
 @_checker("L59.6", "unit")
 def _l59_6(ctx):
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     for u, w, _, _ in _chi_grid(ctx):
         if ctx.zero_classes[chi[u & w]] != u & w:
             return {"U": ctx.points(u), "W": ctx.points(w)}
@@ -1348,7 +1348,7 @@ def _l59_10(ctx):
 
 @_checker("L59.11", "char_two", "addition_closed", "unit")
 def _l59_11(ctx):
-    chi = ctx.ring.chi_table()
+    chi = ctx.chi_table()
     sums = [[_add(ctx, chi[u], chi[w]) for w in ctx.clopens]
             for u in ctx.clopens]
     for i in ctx.lattice.ideals:
@@ -1538,7 +1538,7 @@ def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
 
 @_checker("L67", "char_two_ring", "unit")
 def _l67(ctx):  # complement identity for products of chi pairs
-    chi, every = ctx.ring.chi_table(), ctx.all_classes
+    chi, every = ctx.chi_table(), ctx.all_classes
     for u, w, _, _ in _chi_grid(ctx):
         lhs = _add(ctx, _mul(ctx, chi[every ^ u], chi[every ^ w]),
                    chi[every ^ (u | w)])

@@ -63,6 +63,7 @@ class Context:
         self.memo = {}
         self._points, self._clopen, self._vanishing = {}, {}, {}
         self._principals = {}   # mode -> the ring's principal table
+        self._chi = {}          # off-value -> the ring's χ table
 
     @cached_property
     def flags(self):
@@ -139,14 +140,24 @@ class Context:
         """The index of the identity function (Y must have a unit)."""
         return self.ring.index(self.ring.identity)
 
+    def chi_table(self, a=None) -> tuple:
+        """The ring's χ table with off-value a (the unit by default), held
+        per context and off-value."""
+        if a is None:
+            a = self.algebra.unit
+        table = self._chi.get(a)
+        if table is None:
+            table = self._chi[a] = self.ring.chi_table(a)
+        return table
+
     def chi(self, c: int, a=None) -> int:
         """The index of χ_U with off-value a, U the class mask c."""
-        return self.ring.chi_table(a)[c]
+        return self.chi_table(a)[c]
 
     @cached_property
     def chi_set(self) -> tuple:
         """The χ_U indices, ascending."""
-        return tuple(sorted(self.ring.chi_table()))
+        return tuple(sorted(self.chi_table()))
 
     @cached_property
     def value_bits(self) -> list:

@@ -158,6 +158,20 @@ def _indicator(zero_classes, q: int) -> int:
     return int(flags[::-1].translate(digits), 2)
 
 
+def _present(ring: FunctionRing, q: int) -> int:
+    """The indicator of ``ring.zero_classes()``, kept on the core under
+    "zero_indicator" (one entry per 32 bits) when that table is the one the
+    core keeps, so every ring over the same (Y, q) builds it once.  It is
+    read back only while ``zero_classes()`` returns that very table: a
+    table refused by the cap, or one patched on a single ring, is read
+    afresh, and the kept value holds no table."""
+    table = ring.zero_classes()
+    if ring.kept("zero_classes") is not table:
+        return _indicator(table, q)
+    return ring.keep("zero_indicator", _indicator, table, q,
+                     entries=lambda bits: -(-bits.bit_length() // 32))
+
+
 def _holding(d: int, q: int) -> int:
     """The class masks over q classes that hold class d, as a 2^q-bit
     set: runs of 2^d ones after 2^d zeros, doubled up to 2^q bits."""
@@ -186,7 +200,7 @@ def zero_set_space(ring: FunctionRing) -> ExplicitSpace:
     _require_no_zero_divisors(ring)
     n, q = ring.space.point_count, len(ring.classes)
     full = (1 << n) - 1
-    present = _indicator(ring.zero_classes(), q)
+    present = _present(ring, q)
     holding = [_holding(d, q) for d in range(q)]
     class_points = list(map(mask_of, ring.classes))
     nbhds_by_class = []

@@ -40,6 +40,7 @@ IDEALS = "tests/test_ideals.py"
 TOPOLOGY = "tests/test_topology.py"
 FUNCSPACE = "tests/test_funcspace.py"
 CLI = "tests/test_cli.py"
+ZARISKI = "tests/test_zariski.py"
 FAMILY = f"{IDEALS}::test_family_sets_incidence"
 GREEN = "tests/test_checkers.py::test_green_suite_on_fixed_instances"
 CHI_INDEX = "tests/test_context.py::test_chi_index_is_the_index_of_chi"
@@ -244,7 +245,8 @@ MUTANTS = [
            "comp, before = self.nbhds[x], self.nbhds[x]",
            (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",)),
     Mutant("open-test-flipped", "topology.py",
-           "self.nbhds[x] | m == m for x", "self.nbhds[x] & m == m for x",
+           "if nbhds[low.bit_length() - 1] & outside:",
+           "if m & ~nbhds[low.bit_length() - 1]:",
            (f"{TOPOLOGY}::test_neighbourhood_topology_matches_pairwise_closure",)),
     Mutant("is-closed-without-complement", "topology.py",
            "self._is_open_mask(((1 << self.point_count) - 1) & ~mask_of(s))",
@@ -276,6 +278,12 @@ MUTANTS = [
            (TZ_SPACE,)),
 
     # -- the zero-set topology and clopens on point masks ------------------
+    Mutant("tz-indicator-identity-check-dropped", "zariski.py",
+           'if ring.kept("zero_classes") is not table:', "if False:",
+           (f"{ZARISKI}::test_tz_reads_the_zero_classes_it_is_given",)),
+    Mutant("tz-indicator-not-kept", "zariski.py",
+           'if ring.kept("zero_classes") is not table:', "if True:",
+           (f"{ZARISKI}::test_rings_over_one_core_build_one_zero_indicator",)),
     Mutant("tz-class-nbhds-without-complement", "zariski.py",
            "nbhds_by_class.append(full & ~away)",
            "nbhds_by_class.append(full & away)",
@@ -385,9 +393,12 @@ MUTANTS = [
     Mutant("context-principals-not-held", "verify/context.py",
            "table = self._principals.get(mode)", "table = None",
            (ONE_BUILD,)),
+    Mutant("context-chi-tables-not-held", "verify/context.py",
+           "table = self._chi.get(a)", "table = None",
+           (ONE_BUILD,)),
     Mutant("chi-content-backwards", "verify/context.py",
-           "return tuple(sorted(self.ring.chi_table()))",
-           "return tuple(sorted(self.ring.chi_table(), reverse=True))",
+           "return tuple(sorted(self.chi_table()))",
+           "return tuple(sorted(self.chi_table(), reverse=True))",
            ("tests/test_context.py::test_planted_set_fails_the_chi_content_laws",)),
 
     # -- value tuples decoded on demand, zero sets as class masks ----------
@@ -401,6 +412,9 @@ MUTANTS = [
     Mutant("decode-memo-keyed-by-wrapped-index", "funcspace.py",
            "f = memo.get(i)", "f = memo.get(i % n)",
            (DECODE, TAKE)),
+    Mutant("decoded-tuples-charged-one-entry-each", "funcspace.py",
+           "len(new) * self._q)", "len(new))",
+           (f"{FUNCSPACE}::test_decoded_tuples_are_charged_within_the_cap",)),
     Mutant("take-skips-the-range-check", "funcspace.py",
            "if not 0 <= i < n:", "if not i < n:",
            (TAKE,)),
@@ -512,6 +526,10 @@ MUTANTS = [
     Mutant("cli-zmod-check", "cli.py",
            "int(m.group(1)) < 2:", "int(m.group(1)) < 1:",
            (f"{CLI}::test_generate_bad_arguments_are_usage_errors",)),
+    Mutant("tokenizer-column-off-by-one", "dsl.py",
+           "tokens.append(Token(kind, m[kind], line, m.start(kind) + 1))",
+           "tokens.append(Token(kind, m[kind], line, m.start(kind)))",
+           ("tests/test_dsl.py::test_tokenize_matches_the_reference",)),
     Mutant("dsl-zmod-bound", "dsl.py",
            '2, "zmod needs a modulus of at least 2"',
            '1, "zmod needs a modulus of at least 2"',

@@ -385,14 +385,19 @@ def test_contexts_over_one_core_read_one_lattice_build(monkeypatch):
     assert len(calls) == 2
 
 
-def _charge(key, value, n: int) -> int:
+def _charge(key, value, n: int, q: int) -> int:
     """The entries a core is charged for the value it keeps under key: n²
     for a whole Cayley table, one per 32 bits for the bitsets of a
-    principal table or a lattice (none for a failed lattice build), and
+    principal table, a lattice (none for a failed lattice build) or the
+    zero-mask indicator, one per digit of each decoded value tuple, and
     one per entry for a row, the zero classes or a χ table."""
     words = -(-n // 32)
     if key in ("mul", "mul_t", "add", "add_t"):
         return n * n
+    if key == "zero_indicator":
+        return -(-value.bit_length() // 32)
+    if key == "decoded":
+        return len(value) * q
     if key[0] == "principals":
         return n * words
     if key[0] == "lattice":
@@ -426,9 +431,9 @@ def test_every_kept_value_is_charged_within_the_cap(monkeypatch):
         assert cache.entries == sum(c.entries for c in cache.cores.values())
         assert cache.entries <= cap
         for core in cores:
-            n = len(core.elements)
+            n, q = len(core.elements), core.key[1]
             assert core.entries == sum(
-                _charge(k, v, n) for k, v in core.kept.items()) <= cap
+                _charge(k, v, n, q) for k, v in core.kept.items()) <= cap
     kinds = {k if isinstance(k, str) else k[0] for c in cores for k in c.kept}
     assert kinds >= {"principals", "lattice", "chi", "zero_classes"}
     assert ("lattice", RIGHT, MULTIPLICATIVE, 2) in cores[0].kept
@@ -444,10 +449,13 @@ def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
     often its checkers read them.  ``_reach`` runs once per multiplicative
     table built: in multiplicative mode for the lattice's pass and for the
     context; in ring mode under the lattice's ring-mode table, under the
-    context's, and for the context's multiplicative one."""
+    context's, and for the context's multiplicative one.  The χ table is
+    built once per off-value the context reads (1, 2 and 3 of Z_4), and
+    once more for the families its lattice holds."""
     monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 0)
-    lattices, reaches = [], []
+    lattices, reaches, chis = [], [], []
     reach = ideals._reach
+    chi_table = FunctionRing._chi_table
 
     def counted_lattice(*args, **kwargs):
         lattices.append(args)
@@ -458,14 +466,22 @@ def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
         return reach(*args)
     monkeypatch.setattr(context, "enumerated_lattice", counted_lattice)
     monkeypatch.setattr(ideals, "_reach", counted_reach)
+
+    def counted_chi_table(ring, a):
+        chis.append(a)
+        return chi_table(ring, a)
+    monkeypatch.setattr(FunctionRing, "_chi_table", counted_chi_table)
     for mode, builds in [(MULTIPLICATIVE, 2), (RING, 3)]:
-        lattices.clear()
-        reaches.clear()
-        c = Context(discrete_space(2), make_zmod(4), RIGHT, mode)
-        reports = [run_checker(cid, c) for cid in GREEN_SUITE]
-        assert c.ring._core.kept == {} and c.ring._core.entries == 0
-        assert all(r.verdict != FAIL for r in reports)
-        assert len(lattices) == 1 and len(reaches) == builds
+        for n in (2, 3):
+            lattices.clear()
+            reaches.clear()
+            chis.clear()
+            c = Context(discrete_space(n), make_zmod(4), RIGHT, mode)
+            reports = [run_checker(cid, c) for cid in GREEN_SUITE]
+            assert c.ring._core.kept == {} and c.ring._core.entries == 0
+            assert all(r.verdict != FAIL for r in reports)
+            assert len(lattices) == 1 and len(reaches) == builds
+            assert sorted(chis) == [1, 1, 2, 3]
 
 
 def test_a_planted_lattice_stays_out_of_the_shared_store():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -172,7 +174,7 @@ def random_magma_ring(rng, m):
 
 
 def _tuple_rows(ring, i):
-    f, idx = ring.elements[i], ring.index
+    f, idx = list(ring)[i], ring.index     # decoded without the memo
     return {
         "mul": [idx(pointwise(ring, "mul", f, g)) for g in ring],
         "mul_t": [idx(pointwise(ring, "mul", g, f)) for g in ring],
@@ -333,3 +335,44 @@ def test_zero_class_tables_stay_within_the_cap(monkeypatch):
     assert big.zero_classes() is not masks
     assert big.zero_classes() == masks and len(masks) == 2 ** 17
     assert big._core.entries == 0 and cache.entries <= 2 ** 16
+
+
+#: (q, m): rings C(discrete q, Z_m) of 4 096, 2 187, 4 096 and 3 125 elements
+DECODED_RINGS = [(12, 2), (7, 3), (6, 4), (5, 5)]
+
+
+def _decode_every_element():
+    """Decode every element of each ring of ``DECODED_RINGS``, one ring
+    after another, dropping each; the bytes this leaves held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for q, m in DECODED_RINGS:
+            ring = FunctionRing(discrete_space(q), make_zmod(m))
+            assert ring.elements.take(range(len(ring))) == list(ring)
+            del ring
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_decoded_tuples_are_charged_within_the_cap(monkeypatch):
+    """The decoded value tuples a core keeps are charged one entry per
+    digit: under the default cap every ring's tuples are kept and charged,
+    and under a cap of 2^14 entries the cached cores hold at most the cap,
+    so far less stays held once the rings are dropped."""
+    held = _decode_every_element()
+    cache = funcspace.CORES
+    assert cache.entries == sum(q * m ** q for q, m in DECODED_RINGS)
+    assert cache.entries == sum(c.entries for c in cache.cores.values())
+    for core in cache.cores.values():
+        assert core.entries == len(core.kept["decoded"]) * core.key[1]
+    monkeypatch.setattr(funcspace, "CORES", funcspace.CoreCache())
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 2 ** 14)
+    capped = _decode_every_element()
+    # (7, Z_3) fits, 15 309 entries; (5, Z_5), 15 625, drops it
+    cores = list(funcspace.CORES.cores.values())
+    assert [c.entries for c in cores] == [0, 0, 15625]
+    assert held > 2 ** 21 and capped < 2 ** 20     # 2.3 MB and 0.5 MB
