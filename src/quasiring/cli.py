@@ -43,7 +43,6 @@ from .errors import (
 )
 from .funcspace import DEFAULT_ENUM_BUDGET
 from .ideals import classify_primes, ideal_lattice, prime_radical
-from .topology import quasi_component_partition
 from .verify import (
     BUDGET_EXCEEDED,
     FAIL,
@@ -114,7 +113,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
                         "quasi-components are singletons",
             })
             continue
-        classes = quasi_component_partition(ctx.space)
+        classes = ctx.ring.classes
         entry = {
             "ring": name,
             "points": ctx.space.point_count,

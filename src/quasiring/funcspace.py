@@ -22,8 +22,9 @@ C(Z, Y) is Y^q, q the number of quasi-components, so all of this depends
 on Y and q alone.  It lives on a ``Core``, which every ring over the same
 (Y, q) shares: the elements, and ``kept``, the one store of what is derived
 from them, keyed by what it is (a Cayley table, a single row, the zero-class
-and χ tables and the decoded value tuples here; principal tables, checker
-lattices and the zero-mask indicator in other modules).
+and χ tables and the decoded value tuples here; principal tables, the
+lattice pass, an exception of the pass, the product lattice and the
+zero-mask indicator in other modules).
 Everything goes in through ``FunctionRing.keep`` (the decoded tuples, one
 dict that grows, through ``Elements.take``), which charges each value to
 ``CORES``: it keeps the cores of the last ``CORE_CACHE_SIZE`` pairs, and

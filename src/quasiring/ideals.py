@@ -29,6 +29,19 @@ the ideals holding each element; primality and U_I are read off them for
 every ideal at once, and the min/max tests are bit tests.  An ``Ideal``
 holds its bitset; value tuples are decoded from the ring only when
 ``Ideal.elements`` or a witness reads them.
+
+A lattice depends on Y, q, the side, the mode and the budget alone, so
+this module keeps each one on the ring's Y^q core (``FunctionRing.keep``),
+one entry per 32 bits of its ideals: the pass under ("lattice", side,
+mode, budget), an incomplete lattice too and a ``BudgetExceeded`` of the
+pass as itself at no charge, raised again on every later call; the
+product lattice under ("products", side), which only ``ideal_lattice``
+reads.  Every build runs its cross-check before it is kept, and a lattice
+the cap refuses is built and checked again on the next call.  A lattice
+is classified once (``classify_primes`` returns a classified lattice as
+it is) and holds its families (``family_sets`` reads
+``IdealLattice.families``), so whoever reads a kept lattice reads one
+classification and one ``FamilySets``.
 """
 
 from __future__ import annotations
@@ -130,12 +143,12 @@ class IdealLattice:
 
     @cached_property
     def families(self) -> "FamilySets":
-        """``family_sets`` of this lattice, built on the first read."""
-        return family_sets(self)
+        """The lattice's families (see ``family_sets``), built on the first
+        read."""
+        return _family_sets(self)
 
     def primes(self) -> list[Ideal]:
-        if not self.classified:
-            classify_primes(self)
+        classify_primes(self)
         return [i for i in self.ideals if i.meta.get("is_prime")]
 
 
@@ -459,9 +472,40 @@ def subset_scan(ring: FunctionRing, side: str = RIGHT,
             if all(mask >> sums[a][b] & 1 for a in bits for b in bits)}
 
 
+def _lattice_entries(ring: FunctionRing):
+    """What a core is charged for a lattice it keeps: one entry per 32 bits
+    of each ideal, none for a failed build."""
+    words = -(-len(ring.elements) // 32)
+    return lambda lat: (0 if isinstance(lat, BudgetExceeded)
+                        else len(lat.ideals) * words)
+
+
 def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
                        mode: str | None = None,
                        budget: int = 100_000) -> IdealLattice:
+    """All ideals, as the joins of the distinct principal ideals: the pass
+    of ``_enumerated_lattice``, kept on the ring's core under ("lattice",
+    side, mode, budget).  A pass that raised ``BudgetExceeded`` is kept as
+    that exception, at no charge, and raised again."""
+    mode = default_mode(ring) if mode is None else mode
+    lat = ring.keep(("lattice", side, mode, budget), _attempt, ring, side,
+                    mode, budget, entries=_lattice_entries(ring))
+    if isinstance(lat, BudgetExceeded):
+        raise lat.with_traceback(None)
+    return lat
+
+
+def _attempt(ring: FunctionRing, side: str, mode: str, budget: int):
+    """The pass, or the ``BudgetExceeded`` it raised, without its
+    traceback."""
+    try:
+        return _enumerated_lattice(ring, side, mode, budget)
+    except BudgetExceeded as exc:
+        return exc.with_traceback(None)
+
+
+def _enumerated_lattice(ring: FunctionRing, side: str, mode: str,
+                        budget: int) -> IdealLattice:
     """All ideals, as the joins of the distinct principal ideals.
 
     Every ideal of a finite ring is the join of the principal ideals of its
@@ -480,7 +524,6 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
     then holds budget + 1.  Cross-validated against the subset scan
     whenever the ring has at most 16 elements.
     """
-    mode = default_mode(ring) if mode is None else mode
     n = len(ring.elements)
     table = principal_table(ring, side, mode)
     principals = dict.fromkeys(table)
@@ -557,9 +600,10 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     mirror, with g·e, and a two-sided ideal holds both.  The proof uses
     one law of the unit and no associativity or distributivity.
 
-    The products are built by ``_products``, sorted by ``mask_key`` and
+    The products are built by ``_products``, sorted by ``mask_key``,
     cross-checked against the subset scan whenever the ring has at most 16
-    elements.
+    elements, and kept on the ring's core under ("products", side), a key
+    of their own: what the checkers and the generator read is the pass.
     """
     mode = default_mode(ring) if mode is None else mode
     q, n = len(ring.classes), len(ring.elements)
@@ -568,7 +612,8 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
         factor = enumerated_lattice(
             FunctionRing(discrete_space(1), ring.algebra), side, RING, budget)
         if factor.complete and len(factor.ideals) ** q <= budget:
-            return _product_lattice(ring, factor, side)
+            return ring.keep(("products", side), _product_lattice, ring,
+                             factor, side, entries=_lattice_entries(ring))
     return enumerated_lattice(ring, side, mode, budget)
 
 
@@ -632,8 +677,11 @@ def classify_primes(lattice: IdealLattice) -> IdealLattice:
     Each table row, x with every y, ands the complemented column of y with
     the column of the product, or-s the results and keeps the positions
     missing x; one bitset over the lattice positions gathers the rows, and
-    only one row is read at a time.
+    only one row is read at a time.  A lattice already classified is
+    returned as it is.
     """
+    if lattice.classified:
+        return lattice
     if not lattice.complete:
         reached = len(lattice.ideals)
         raise IncompleteLattice(
@@ -705,17 +753,21 @@ class FamilySets:
 
 
 def family_sets(lattice: IdealLattice) -> FamilySets:
-    """The families of a lattice, classified first if need be.
+    """The families of a lattice, classified first if need be, which the
+    lattice holds (``IdealLattice.families``) once built.
 
     U_I, the class masks c whose χ_U lies in I, is read off the lattice's
     columns: for the ideal at position k, bit c of U_I is bit k of the
     column of χ_U, so the U_I are the transpose of the 2^q χ_U columns.
     """
+    return lattice.families
+
+
+def _family_sets(lattice: IdealLattice) -> FamilySets:
     ring = lattice.ring
     if ring.algebra.unit is None:
         raise MissingUnit(FAMILIES_NOTE)
-    if not lattice.classified:
-        classify_primes(lattice)
+    classify_primes(lattice)
     ends = (1 << ring.index(ring.theta), (1 << len(ring.elements)) - 1)
     P = tuple(i for i in lattice.ideals
               if i.meta.get("is_prime") or i.bits in ends)

@@ -4,10 +4,11 @@ A ``Context`` holds one (space, algebra, side, mode) and builds each piece
 of shared data (the ring, the lattice, the families, χ indices, zero sets,
 vanishing ideals, principal ideals) once, when a checker first needs it;
 every checker run on the context reads the same copies.  What depends on
-the algebra alone is shared further: the ring keeps its tables, principal
-tables and classified lattice on its core (``FunctionRing.keep``), which
-every ring over the same Y and the same number of quasi-components reads,
-and the families live on the lattice they were read off.
+the algebra alone is shared further: the ring keeps its tables and
+principal tables on its core (``FunctionRing.keep``), which every ring
+over the same Y and the same number of quasi-components reads, and
+``enumerated_lattice`` keeps the lattice there, which holds its own
+classification and families.
 """
 
 from __future__ import annotations
@@ -90,16 +91,11 @@ class Context:
 
     @cached_property
     def _lattice(self):
-        """The classified lattice or the ``BudgetExceeded`` of its build,
-        kept on the core under (side, mode, ``lattice_budget``), so every
-        context over the same core with the same key reads one build; one
-        entry per 32 bits of its ideals, none for a failure."""
-        key = ("lattice", self.side, self.mode, self.lattice_budget)
-        words = -(-len(self.ring.elements) // 32)
-        return self.ring.keep(key, self._classified, entries=lambda lat: (
-            0 if isinstance(lat, Exception) else len(lat.ideals) * words))
-
-    def _classified(self):
+        """The classified lattice of the pass under ``lattice_budget``, or
+        the ``BudgetExceeded`` of its build or classification.  The pass
+        keeps the lattice on the core (``enumerated_lattice``), so every
+        context over the same core with the same side, mode and budget
+        reads one build."""
         try:
             return classify_primes(enumerated_lattice(
                 self.ring, self.side, self.mode, budget=self.lattice_budget))

@@ -80,6 +80,10 @@ ONE_CORE_LATTICE = ("tests/test_context.py::"
 CHARGED = "tests/test_context.py::test_every_kept_value_is_charged_within_the_cap"
 ONE_BUILD = ("tests/test_context.py::"
              "test_a_refusing_cap_costs_one_build_per_context")
+SECOND_CALL = f"{IDEALS}::test_a_second_call_returns_the_kept_lattice"
+REBUILT = f"{IDEALS}::test_a_refused_lattice_is_built_and_checked_again"
+PASS_AFTER_PRODUCTS = ("tests/test_context.py::"
+                       "test_a_context_reads_the_pass_after_the_products")
 
 MUTANTS = [
     # -- the χ_U ∈ I incidence ----------------------------------------------
@@ -217,6 +221,33 @@ MUTANTS = [
            "if False:",
            (f"{IDEALS}::test_lattice_oracle_disagreement_raises",)),
 
+    # -- one kept lattice per Y^q core ------------------------------------
+    Mutant("lattice-key-without-the-budget", "ideals.py",
+           'ring.keep(("lattice", side, mode, budget),',
+           'ring.keep(("lattice", side, mode),',
+           (ONE_CORE_LATTICE, SECOND_CALL)),
+    Mutant("products-kept-under-the-pass-key", "ideals.py",
+           'ring.keep(("products", side),',
+           'ring.keep(("lattice", side, RING, budget),',
+           (PASS_AFTER_PRODUCTS,)),
+    Mutant("lattice-pass-failure-not-kept", "ideals.py",
+           "        return exc.with_traceback(None)\n",
+           "        raise\n",
+           (SECOND_CALL,)),
+    Mutant("lattice-pass-skips-its-subset-scan", "ideals.py",
+           "    if complete and n <= 16:\n", "    if False:\n",
+           (REBUILT,)),
+    Mutant("lattice-charged-one-entry-per-ideal", "ideals.py",
+           "else len(lat.ideals) * words)", "else len(lat.ideals))",
+           (CHARGED,)),
+    Mutant("classify-returns-an-unclassified-lattice", "ideals.py",
+           "    if lattice.classified:\n        return lattice\n",
+           "    if lattice.complete:\n        return lattice\n",
+           (CLASSIFY,)),
+    Mutant("family-sets-built-per-call", "ideals.py",
+           "    return lattice.families\n", "    return _family_sets(lattice)\n",
+           (SECOND_CALL,)),
+
     # -- the subset scan's half-reach pruning: one mutant per condition ---
     Mutant("scan-low-reach-into-low-dropped", "ideals.py",
            "            if not r & lo & ~l]", "            if True]",
@@ -339,11 +370,7 @@ MUTANTS = [
     Mutant("lattice-failure-not-kept", "verify/context.py",
            "            return exc\n",
            "            raise\n",
-           ("tests/test_context.py::test_a_failed_lattice_is_built_once",)),
-    Mutant("lattice-key-without-the-budget", "verify/context.py",
-           'key = ("lattice", self.side, self.mode, self.lattice_budget)',
-           'key = ("lattice", self.side, self.mode)',
-           (ONE_CORE_LATTICE,)),
+           (ONE_BUILD,)),
     Mutant("families-keyed-by-side-and-mode", "verify/context.py",
            "return self.lattice.families",
            "return self.ring.keep((\"families\", self.side, self.mode),\n"

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from quasiring import ideals
 from quasiring.cli import main
 
 SPECS = Path(__file__).resolve().parent / "specs"
@@ -64,6 +65,23 @@ def test_corpus_covers_every_golden():
 def test_cli_matches_the_golden(case):
     argv, golden = CASES[case]
     assert cli_json(argv) == golden.read_text()
+
+
+def test_the_corpus_twice_in_one_process(monkeypatch):
+    """Every case, then every case again: the second round builds no
+    lattice pass, reading what the first kept on the rings' cores, and both
+    rounds match the goldens byte for byte."""
+    passes, build = [], ideals._enumerated_lattice
+
+    def counted(*args):
+        passes.append(args)
+        return build(*args)
+    monkeypatch.setattr(ideals, "_enumerated_lattice", counted)
+    for built in (True, False):
+        passes.clear()
+        for argv, golden in CASES.values():
+            assert cli_json(argv) == golden.read_text(), argv
+        assert bool(passes) == built
 
 
 if __name__ == "__main__":

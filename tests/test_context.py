@@ -36,7 +36,6 @@ from quasiring.verify import (
     BUDGET_EXCEEDED,
     FAIL,
     GREEN_SUITE,
-    context,
     run_checker,
 )
 from quasiring.verify.checkers import Context
@@ -341,13 +340,21 @@ def test_planted_set_fails_the_family_laws():
     assert (w["U"], w["W"]) == want
 
 
-def test_a_failed_lattice_is_built_once(monkeypatch):
+def counted_passes(monkeypatch) -> list:
+    """The arguments of every lattice pass built from here on (hits on a
+    kept lattice are not builds)."""
     calls = []
+    build = ideals._enumerated_lattice
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return enumerated_lattice(*args, **kwargs)
-    monkeypatch.setattr(context, "enumerated_lattice", counted)
+        return build(*args)
+    monkeypatch.setattr(ideals, "_enumerated_lattice", counted)
+    return calls
+
+
+def test_a_failed_lattice_is_built_once(monkeypatch):
+    calls = counted_passes(monkeypatch)
     c = Context(discrete_space(3), make_zmod(2), RIGHT, RING)
     c.lattice_budget = 2                 # of the lattice's 8 ideals
     reports = [run_checker(cid, c) for cid in GREEN_SUITE]
@@ -363,12 +370,7 @@ def test_contexts_over_one_core_read_one_lattice_build(monkeypatch):
     failed build under a budget of 2 is made once for both and raised
     again, and a context with the default budget builds its own, complete
     lattice, which the next context with that budget reads."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerated_lattice(*args, **kwargs)
-    monkeypatch.setattr(context, "enumerated_lattice", counted)
+    calls = counted_passes(monkeypatch)
     spaces = [discrete_space(3),
               disjoint_union(sierpinski_space(), discrete_space(2))]
     failed = []
@@ -385,12 +387,37 @@ def test_contexts_over_one_core_read_one_lattice_build(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_context_reads_the_pass_after_the_products(monkeypatch):
+    """C(discrete 3, Z_3) splits, so ``ideal_lattice`` keeps the products
+    of Z_3's lattice; under the context's own budget, a context over the
+    same core still reads a lattice of the pass, built for it, with the
+    same bitsets.  So does ``enumerated_lattice`` under the default budget
+    after ``ideal_lattice`` under that budget."""
+    calls = counted_passes(monkeypatch)
+    ring = FunctionRing(discrete_space(3), make_zmod(3))
+    for budget in (Context.lattice_budget, 100_000):
+        products = ideal_lattice(ring, RIGHT, RING, budget)
+        assert [len(args[0].classes) for args in calls] == [1]
+        calls.clear()
+        if budget == Context.lattice_budget:
+            space = disjoint_union(sierpinski_space(), discrete_space(2))
+            lattice = Context(space, make_zmod(3), RIGHT, RING).lattice
+        else:
+            lattice = enumerated_lattice(ring, RIGHT, RING, budget)
+        assert lattice is not products
+        assert [len(args[0].classes) for args in calls] == [3]
+        assert ([i.bits for i in lattice.ideals]
+                == [i.bits for i in products.ideals])
+        calls.clear()
+
+
 def _charge(key, value, n: int, q: int) -> int:
     """The entries a core is charged for the value it keeps under key: n²
     for a whole Cayley table, one per 32 bits for the bitsets of a
-    principal table, a lattice (none for a failed lattice build) or the
-    zero-mask indicator, one per digit of each decoded value tuple, and
-    one per entry for a row, the zero classes or a χ table."""
+    principal table, a lattice of the pass or of the products (none for a
+    failed pass) or the zero-mask indicator, one per digit of each decoded
+    value tuple, and one per entry for a row, the zero classes or a χ
+    table."""
     words = -(-n // 32)
     if key in ("mul", "mul_t", "add", "add_t"):
         return n * n
@@ -400,7 +427,7 @@ def _charge(key, value, n: int, q: int) -> int:
         return len(value) * q
     if key[0] == "principals":
         return n * words
-    if key[0] == "lattice":
+    if key[0] in ("lattice", "products"):
         return 0 if isinstance(value, Exception) else len(value.ideals) * words
     return len(value)
 
@@ -451,20 +478,17 @@ def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
     context; in ring mode under the lattice's ring-mode table, under the
     context's, and for the context's multiplicative one.  The χ table is
     built once per off-value the context reads (1, 2 and 3 of Z_4), and
-    once more for the families its lattice holds."""
+    once more for the families its lattice holds.  An incomplete lattice,
+    which the cap refuses as well, is built once per context too."""
     monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 0)
-    lattices, reaches, chis = [], [], []
+    lattices = counted_passes(monkeypatch)
+    reaches, chis = [], []
     reach = ideals._reach
     chi_table = FunctionRing._chi_table
-
-    def counted_lattice(*args, **kwargs):
-        lattices.append(args)
-        return enumerated_lattice(*args, **kwargs)
 
     def counted_reach(*args):
         reaches.append(args)
         return reach(*args)
-    monkeypatch.setattr(context, "enumerated_lattice", counted_lattice)
     monkeypatch.setattr(ideals, "_reach", counted_reach)
 
     def counted_chi_table(ring, a):
@@ -482,6 +506,13 @@ def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
             assert all(r.verdict != FAIL for r in reports)
             assert len(lattices) == 1 and len(reaches) == builds
             assert sorted(chis) == [1, 1, 2, 3]
+    lattices.clear()
+    c = Context(discrete_space(3), make_zmod(2), RIGHT, RING)
+    c.lattice_budget = 2
+    reports = [run_checker(cid, c) for cid in GREEN_SUITE]
+    assert c.ring._core.kept == {}
+    assert len(lattices) == 1
+    assert sum(r.verdict == BUDGET_EXCEEDED for r in reports) > 1
 
 
 def test_a_planted_lattice_stays_out_of_the_shared_store():

@@ -1,10 +1,11 @@
 import itertools
 import random
+from functools import cache
 
 import pytest
 
 from quasiring.algebra import make_table, make_zmod, structure_flags
-from quasiring import ideals
+from quasiring import funcspace, ideals
 from quasiring.errors import (
     BudgetExceeded,
     CrossCheckFailed,
@@ -580,13 +581,15 @@ def test_sumset_lattices_match_the_join_lattices(monkeypatch):
         calls.append(a)
         return real(ring, a, b)
 
+    budget = 100_000
     for ring in rings:
         for side in SIDES:
             monkeypatch.setattr(ideals, "sumset", counted)
             got = [i.bits for i in enumerated_lattice(ring, side, RING).ideals]
             monkeypatch.setattr(ideals, "sumset", lambda r, a, b, side=side:
                                 join(r, a, b, side, RING))
-            want = enumerated_lattice(ring, side, RING).ideals
+            # the pass itself: the first pass is kept under the same key
+            want = ideals._enumerated_lattice(ring, side, RING, budget).ideals
             assert got == [i.bits for i in want], (ring, side)
     assert len(calls) > 5000
 
@@ -646,22 +649,17 @@ def _products(ring, side):
             for js in itertools.product(factors, repeat=len(ring.classes))}
 
 
-def test_ideal_lattice_matches_the_enumerated_lattice(monkeypatch):
+def test_ideal_lattice_matches_the_enumerated_lattice():
     """``ideal_lattice`` against the pass of ``enumerated_lattice`` (same
     bitsets in the same order, both complete) on every side, over Z_n^q up
     to 81 elements, C(discrete 4, Z_4), C(Sierpiński + point, Z_4) and the
     one-sided tables over discrete 2 and 3.  The product path, seen as a
-    call of ``_product_lattice``, is taken exactly where the gate admits
+    lattice other than the pass's, is taken exactly where the gate admits
     and there are two classes or more, and it lists the products of Y's
-    ideals.  Where the gate refuses a one-sided table, the lattice of
-    C(discrete 2, Y) is not those products."""
-    calls = []
-
-    def counted(ring, *args):
-        calls.append(ring)
-        return product_lattice(ring, *args)
-    product_lattice = ideals._product_lattice
-    monkeypatch.setattr(ideals, "_product_lattice", counted)
+    ideals; C(Sierpiński + point, Z_4) reads the product lattice that
+    C(discrete 2, Z_4) kept on their core.  Where the gate refuses a
+    one-sided table, the lattice of C(discrete 2, Y) is not those
+    products."""
     rings = [FunctionRing(discrete_space(q), make_zmod(n))
              for n in range(2, 10) for q in range(1, 7) if n ** q <= 81]
     rings += [FunctionRing(discrete_space(4), make_zmod(4)),
@@ -677,11 +675,10 @@ def test_ideal_lattice_matches_the_enumerated_lattice(monkeypatch):
     for ring in rings:
         for side in SIDES:
             got = ideal_lattice(ring, side, RING)
-            product = calls == [ring]
-            calls.clear()
+            want = enumerated_lattice(ring, side, RING)
+            product = got is not want
             assert product == (splits(ring.algebra, side)
                                and len(ring.classes) >= 2), (ring, side)
-            want = enumerated_lattice(ring, side, RING)
             assert [i.bits for i in got.ideals] == [i.bits for i in want.ideals]
             assert got.complete and want.complete
             if product:
@@ -709,6 +706,68 @@ def test_multiplicative_inventories_past_the_subset_scan():
         assert sum(p.meta["is_minimal_prime"] for p in got) == minimal
         assert not any(p.meta["is_min_max"] for p in got)
         assert len(prime_radical(lat)) == radical
+
+
+def down_set_count(sets) -> int:
+    """The number of down-sets, the empty one included, of the distinct
+    bitsets in `sets` under inclusion.  Memoised on the set s of members
+    still free: a down-set of s either lacks the least member x (then it
+    lacks everything above x) or holds it (then it holds everything below
+    x), and what is left is a down-set of the rest.  Members are taken
+    smallest first."""
+    elems = sorted(set(sets), key=lambda b: (b.bit_count(), b))
+    below = [bitset(j for j, b in enumerate(elems) if b & ~a == 0)
+             for a in elems]
+    above = [bitset(j for j, b in enumerate(elems) if a & ~b == 0)
+             for a in elems]
+
+    @cache
+    def count(s: int) -> int:
+        if not s:
+            return 1
+        x = (s & -s).bit_length() - 1
+        return count(s & ~above[x]) + count(s & ~below[x])
+    return count((1 << len(elems)) - 1)
+
+
+def right_principals(ring) -> set:
+    """Every multiplicative right principal ideal, as a bitset: θ and g,
+    closed by a search over the ``mul_t`` rows (x·h for every x) of what
+    it holds."""
+    theta = ring.index(ring.theta)
+    out = set()
+    for g in range(len(ring.elements)):
+        seen, todo = {theta, g}, [g]
+        while todo:
+            fresh = set(ring.row("mul_t", todo.pop())) - seen
+            seen |= fresh
+            todo += fresh
+        out.add(bitset(seen))
+    return out
+
+
+#: Dedekind numbers M(q), the down-sets of the subsets of q things
+#: (OEIS A000372)
+DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
+
+
+def test_multiplicative_lattice_sizes_match_the_down_set_count():
+    """Multiplicative joins are unions, so the ideals are the down-sets of
+    the distinct principals under inclusion, the empty one aside.  That
+    count, off principals found by their own search, is the size of the
+    right multiplicative lattice of Z_2^q (q ≤ 5), Z_3^4, Z_4^3 and Z_6^2,
+    up to 81 elements and 7 580 ideals, where the subset scan stops at 16
+    elements.  The principals of Z_2^q are the subsets of the q classes,
+    so the count is Dedekind(q) − 1, up to q = 6 (no lattice is built)."""
+    for q, n in [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (4, 3), (3, 4),
+                 (2, 6), (6, 2)]:
+        ring = FunctionRing(discrete_space(q), make_zmod(n))
+        count = down_set_count(right_principals(ring)) - 1
+        if n == 2:
+            assert count == DEDEKIND[q] - 1
+        if q < 6:
+            lat = enumerated_lattice(ring, RIGHT, MULTIPLICATIVE)
+            assert lat.complete and len(lat.ideals) == count, (q, n)
 
 
 def test_principal_table_past_its_cap_is_refused():
@@ -865,3 +924,81 @@ def test_family_sets_incidence(monkeypatch):
                 ctx = Context(ring.space, ring.algebra, side, mode)
                 assert ctx.families.U == fam.U
     assert checked > 2000
+
+
+def test_a_second_call_returns_the_kept_lattice():
+    """``ideal_lattice`` and ``enumerated_lattice`` keep what they build on
+    the ring's core: a second call, here from a ring over another space
+    with the same core, returns the same object, whether a product lattice,
+    a pass or an incomplete pass.  Each budget reads its own pass, the
+    products are not the pass, and a pass the table cap refuses raises the
+    same exception again."""
+    z4 = make_zmod(4)
+    ring = FunctionRing(discrete_space(2), z4)
+    glued = FunctionRing(disjoint_union(sierpinski_space(),
+                                        discrete_space(1)), z4)
+    assert glued._core is ring._core
+    for build, side, mode, budget in [
+            (ideal_lattice, RIGHT, RING, 100_000),
+            (ideal_lattice, LEFT, MULTIPLICATIVE, 100_000),
+            (enumerated_lattice, RIGHT, RING, 100_000),
+            (enumerated_lattice, TWO_SIDED, MULTIPLICATIVE, 5)]:
+        first = build(ring, side, mode, budget)
+        assert build(glued, side, mode, budget) is first
+        assert build(ring, side, mode, budget) is first
+    cut = enumerated_lattice(ring, TWO_SIDED, MULTIPLICATIVE, 5)
+    whole = enumerated_lattice(ring, TWO_SIDED, MULTIPLICATIVE, 100)
+    assert not cut.complete and whole.complete and cut is not whole
+    products = ideal_lattice(ring, RIGHT, RING)
+    assert products is not enumerated_lattice(ring, RIGHT, RING)
+    assert classify_primes(products) is products and products.classified
+    families = family_sets(products)
+    assert family_sets(ideal_lattice(glued, RIGHT, RING)) is families
+    assert families is products.families
+    raised = []
+    for _ in range(2):
+        big = FunctionRing(discrete_space(13), make_zmod(2))
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerated_lattice(big, RIGHT, MULTIPLICATIVE)
+        raised.append(exc.value)
+    assert raised[0] is raised[1]
+    assert big._core.entries == 0
+
+
+def test_a_refused_lattice_is_built_and_checked_again(monkeypatch):
+    """Under a cap that keeps nothing, every call builds its lattice again
+    and runs the subset scan of its ring again (once for a pass, once for
+    the products, which also scan Y through their factor's pass), and the
+    build equals the one a default cap keeps: the same bitsets in the same
+    order, the same flags on every ideal and the same U_I."""
+    algebras = [make_zmod(3), make_zmod(4), *split_tables()[:2]]
+    cases = [(q, y, side, mode, build)
+             for q, y in [(2, algebras[0]), (2, algebras[1]), (3, make_zmod(2)),
+                          (2, algebras[2]), (2, algebras[3])]
+             for side in SIDES for mode in (MULTIPLICATIVE, RING)
+             for build in (ideal_lattice, enumerated_lattice)]
+
+    def built(q, y, side, mode, build):
+        lat = classify_primes(build(FunctionRing(discrete_space(q), y),
+                                    side, mode))
+        return lat, (lat.families.U if y.unit is not None else None)
+
+    kept = [built(*case) for case in cases]
+    monkeypatch.setattr(funcspace, "CORES", funcspace.CoreCache())
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 0)
+    scans, scan = [], ideals.subset_scan
+
+    def counted(ring, side, mode):
+        scans.append(len(ring.classes))
+        return scan(ring, side, mode)
+    monkeypatch.setattr(ideals, "subset_scan", counted)
+    for case, (lat, U) in zip(cases, kept):
+        q, y, side, mode, build = case
+        for _ in range(2):
+            scans.clear()
+            fresh, fresh_U = built(*case)
+            assert fresh is not lat
+            assert scans.count(q) == 1, case
+            assert [i.bits for i in fresh.ideals] == [i.bits for i in lat.ideals]
+            assert [i.meta for i in fresh.ideals] == [i.meta for i in lat.ideals]
+            assert fresh_U == U
