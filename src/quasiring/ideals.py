@@ -486,12 +486,14 @@ def enumerated_lattice(ring: FunctionRing, side: str = RIGHT,
     """All ideals, as the joins of the distinct principal ideals: the pass
     of ``_enumerated_lattice``, kept on the ring's core under ("lattice",
     side, mode, budget).  A pass that raised ``BudgetExceeded`` is kept as
-    that exception, at no charge, and raised again."""
+    that exception, at no charge, and every later call raises a copy of it
+    (a raise sets the traceback of what it raises, which must not hold the
+    caller's frames on the core)."""
     mode = default_mode(ring) if mode is None else mode
     lat = ring.keep(("lattice", side, mode, budget), _attempt, ring, side,
                     mode, budget, entries=_lattice_entries(ring))
     if isinstance(lat, BudgetExceeded):
-        raise lat.with_traceback(None)
+        raise type(lat)(*lat.args, cap=lat.cap, reached=lat.reached)
     return lat
 
 

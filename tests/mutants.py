@@ -234,6 +234,10 @@ MUTANTS = [
            "        return exc.with_traceback(None)\n",
            "        raise\n",
            (SECOND_CALL,)),
+    Mutant("kept-pass-failure-raised-itself", "ideals.py",
+           "raise type(lat)(*lat.args, cap=lat.cap, reached=lat.reached)",
+           "raise lat",
+           (SECOND_CALL,)),
     Mutant("lattice-pass-skips-its-subset-scan", "ideals.py",
            "    if complete and n <= 16:\n", "    if False:\n",
            (REBUILT,)),

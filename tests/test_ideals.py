@@ -926,13 +926,15 @@ def test_family_sets_incidence(monkeypatch):
     assert checked > 2000
 
 
-def test_a_second_call_returns_the_kept_lattice():
+def test_a_second_call_returns_the_kept_lattice(monkeypatch):
     """``ideal_lattice`` and ``enumerated_lattice`` keep what they build on
     the ring's core: a second call, here from a ring over another space
     with the same core, returns the same object, whether a product lattice,
     a pass or an incomplete pass.  Each budget reads its own pass, the
-    products are not the pass, and a pass the table cap refuses raises the
-    same exception again."""
+    products are not the pass, a lattice is classified once and holds the
+    one ``FamilySets`` that ``family_sets`` returns, and a pass the table
+    cap refuses is built once and raised again, each time as a copy that
+    the core does not hold."""
     z4 = make_zmod(4)
     ring = FunctionRing(discrete_space(2), z4)
     glued = FunctionRing(disjoint_union(sierpinski_space(),
@@ -955,14 +957,24 @@ def test_a_second_call_returns_the_kept_lattice():
     families = family_sets(products)
     assert family_sets(ideal_lattice(glued, RIGHT, RING)) is families
     assert families is products.families
+    passes, build = [], ideals._enumerated_lattice
+
+    def counted(*args):
+        passes.append(args)
+        return build(*args)
+    monkeypatch.setattr(ideals, "_enumerated_lattice", counted)
     raised = []
-    for _ in range(2):
+    for _ in range(3):
         big = FunctionRing(discrete_space(13), make_zmod(2))
         with pytest.raises(BudgetExceeded) as exc:
             enumerated_lattice(big, RIGHT, MULTIPLICATIVE)
         raised.append(exc.value)
-    assert raised[0] is raised[1]
-    assert big._core.entries == 0
+    assert len(passes) == 1 and big._core.entries == 0
+    kept = big.kept(("lattice", RIGHT, MULTIPLICATIVE, 100_000))
+    assert kept.__traceback__ is None
+    assert all(e is not kept and e is not raised[0] for e in raised[1:])
+    assert {(type(e), e.args, e.cap, e.reached) for e in raised} == {
+        (BudgetExceeded, kept.args, ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)}
 
 
 def test_a_refused_lattice_is_built_and_checked_again(monkeypatch):
