@@ -581,7 +581,6 @@ def test_sumset_lattices_match_the_join_lattices(monkeypatch):
         calls.append(a)
         return real(ring, a, b)
 
-    budget = 100_000
     for ring in rings:
         for side in SIDES:
             monkeypatch.setattr(ideals, "sumset", counted)
@@ -589,7 +588,7 @@ def test_sumset_lattices_match_the_join_lattices(monkeypatch):
             monkeypatch.setattr(ideals, "sumset", lambda r, a, b, side=side:
                                 join(r, a, b, side, RING))
             # the pass itself: the first pass is kept under the same key
-            want = ideals._enumerated_lattice(ring, side, RING, budget).ideals
+            want = ideals._enumerated_lattice(ring, side, RING, 100_000).ideals
             assert got == [i.bits for i in want], (ring, side)
     assert len(calls) > 5000
 
@@ -983,10 +982,9 @@ def test_a_refused_lattice_is_built_and_checked_again(monkeypatch):
     the products, which also scan Y through their factor's pass), and the
     build equals the one a default cap keeps: the same bitsets in the same
     order, the same flags on every ideal and the same U_I."""
-    algebras = [make_zmod(3), make_zmod(4), *split_tables()[:2]]
-    cases = [(q, y, side, mode, build)
-             for q, y in [(2, algebras[0]), (2, algebras[1]), (3, make_zmod(2)),
-                          (2, algebras[2]), (2, algebras[3])]
+    rings = [(2, make_zmod(3)), (2, make_zmod(4)), (3, make_zmod(2)),
+             *((2, y) for y in split_tables()[:2])]
+    cases = [(q, y, side, mode, build) for q, y in rings
              for side in SIDES for mode in (MULTIPLICATIVE, RING)
              for build in (ideal_lattice, enumerated_lattice)]
 
