@@ -100,8 +100,11 @@ def make_table(mul, zero=0, unit=None, unit_side=TWO_SIDED, add=None,
     return AlgebraTable(len(mul), mul, zero, unit, unit_side, add, name)
 
 
+@functools.lru_cache(maxsize=64)
 def make_zmod(n: int) -> AlgebraTable:
-    """Integers mod n with both operations."""
+    """Integers mod n with both operations: one table per n, shared by every
+    call, which is safe as the table is frozen (the last 64 distinct n are
+    kept; a ValueError is raised, never kept)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))

@@ -608,6 +608,12 @@ def ideal_lattice(ring: FunctionRing, side: str = RIGHT,
     of their own: what the checkers and the generator read is the pass.
     """
     mode = default_mode(ring) if mode is None else mode
+    if mode == RING:
+        # a kept product lattice within the budget is what the gate below
+        # would reach, without building Y's ring and its factor first
+        kept = ring.kept(("products", side))
+        if kept is not None and len(kept.ideals) <= budget:
+            return kept
     q, n = len(ring.classes), len(ring.elements)
     if (mode == RING and q >= 2 and n <= PRINCIPAL_TABLE_CAP
             and splits(ring.algebra, side)):

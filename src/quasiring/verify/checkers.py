@@ -219,11 +219,17 @@ def _run(checker: Checker, ctx):
 # Quasi-components and the three topologies
 # --------------------------------------------------------------------------
 
+def _alike_whole(ctx) -> list:
+    """Per class c, [c]_C(Z,Y) as a class mask: ``Context.alike`` of the
+    whole ring, read once per context through ``_body`` (T5 and L8)."""
+    return ctx.alike(ctx.whole)
+
+
 @_checker("T5")
 def _t5(ctx):  # ring-indistinguishability classes are the quasi-components
+    full, of = _body(ctx, _alike_whole), ctx.ring.class_of
     for x in ctx.space.points:
-        if (ctx.points(ctx.equiv(ctx.whole, x))
-                != quasi_component(ctx.space, x)):
+        if ctx.points(full[of[x]]) != quasi_component(ctx.space, x):
             return {"x": x}
     return None
 
@@ -385,11 +391,17 @@ def _chi_pairs(ctx) -> list:
 
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
-    chi, proper = ctx.chi_table(), ctx.lattice.proper
-    for i1 in ctx.primes:
-        for i2 in proper:
-            if not i1 <= i2:
-                continue
+    cols, proper = _body(ctx, _chi_columns), _body(ctx, _proper_positions)
+    chi, lattice = ctx.chi_table(), ctx.lattice
+    for k in members(_body(ctx, _prime_positions)):
+        i1 = lattice.ideals[k]
+        # the proper ideals above I1 that hold a χ_U I1 lacks
+        lacks = 0
+        for u in ctx.clopens:
+            if not i1.bits >> chi[u] & 1:
+                lacks |= cols[u]
+        i2 = _first(ctx, _above(ctx, i1.bits) & proper & lacks)
+        if i2 is not None:
             for u in ctx.clopens:
                 if (i1.bits ^ i2.bits) >> chi[u] & 1:
                     return {"I1": i1, "I2": i2, "U": ctx.points(u)}
@@ -411,13 +423,19 @@ def _t19(ctx):  # prime with nonempty zero set pins a unique point
 
 @_checker("T20", "unit_addition_closed")
 def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
-    pairs, proper = _chi_pairs(ctx), ctx.lattice.proper
-    for j in ctx.primes:
-        for i in proper:
-            if not j < i:
-                continue
-            for u, a, b in pairs:
-                if (i.bits >> a & 1) == (i.bits >> b & 1):
+    cols, chi = _body(ctx, _chi_columns), ctx.chi_table()
+    every = ctx.all_classes
+    # the proper ideals holding both or neither of some χ pair
+    same = 0
+    for u in ctx.clopens:
+        same |= ~(cols[u] ^ cols[every ^ u])
+    same &= _body(ctx, _proper_positions)
+    for k in members(_body(ctx, _prime_positions)):
+        j = ctx.lattice.ideals[k]
+        i = _first(ctx, _above(ctx, j.bits) & same & ~(1 << k))
+        if i is not None:
+            for u in ctx.clopens:
+                if (i.bits >> chi[u] & 1) == (i.bits >> chi[every ^ u] & 1):
                     return {"J": j, "I": i, "U": ctx.points(u)}
     return None
 
@@ -428,52 +446,57 @@ def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
 
 @_checker("T21", "assoc_comm", "unit")
 def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
-    ring = ctx.ring
-    el = ring.elements
+    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
+    order = _body(ctx, _by_index)
     chis = ctx.chi_set
     inside = set(chis)
-    for f in chis:
-        row = ring.row("mul", f)
-        for g in chis:
-            if row[g] not in inside:
-                return {"f": el[f], "g": el[g], "closure": "mul"}
-            if row[f] != f:
-                return {"f": el[f], "idempotent": False}
+    for u in order:
+        row = prod[u]
+        for w in order:
+            if row[w] not in inside:
+                return {"f": el[chi[u]], "g": el[chi[w]], "closure": "mul"}
+            if row[u] != chi[u]:
+                return {"f": el[chi[u]], "idempotent": False}
     if (ctx.flags.char_two and ctx.flags.additive_associative
             and ctx.flags.additive_commutative and ctx.flags.distributive):
         # the nonzero pattern of each χ, as a class mask
         patt = {f: ctx.all_classes & ~ctx.zero_classes[f] for f in chis}
         if len(set(patt.values())) != len(chis):
             return {"iso": "not injective"}
-        if len(chis) != 2 ** len(ring.classes):
+        if len(chis) != 2 ** len(ctx.ring.classes):
             return {"iso": "not surjective"}
-        for f in chis:
-            mul, add = ring.row("mul", f), ring.row("add", f)
-            for g in chis:
-                if (patt[mul[g]] != patt[f] & patt[g]
-                        or patt[add[g]] != patt[f] ^ patt[g]):
+        sums = _body(ctx, _sums)
+        for u in order:
+            f = chi[u]
+            for w in order:
+                g = chi[w]
+                if (patt[prod[u][w]] != patt[f] & patt[g]
+                        or patt[sums[u][w]] != patt[f] ^ patt[g]):
                     return {"f": el[f], "g": el[g], "iso": "not a homomorphism"}
     return None
 
 
 @_checker("T22", "unit", "primes")
 def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
-    ring = ctx.ring
-    el = ring.elements
-    chis = ctx.chi_set
-    for i in ctx.primes:
-        xi = [f for f in chis if i.bits >> f & 1]
-        inside = set(xi)
-        for f in chis:
-            row = ring.row("mul", f)
-            for g in xi:
-                if row[g] not in inside:
-                    return {"I": i, "f": el[f], "g": el[g], "absorb": False}
-        for f in chis:
-            row = ring.row("mul", f)
-            for g in chis:
-                if row[g] in inside and f not in inside and g not in inside:
-                    return {"I": i, "f": el[f], "g": el[g], "prime": False}
+    absorb, split = _body(ctx, _content_marks)
+    i = _first(ctx, (absorb | split) & _body(ctx, _prime_positions))
+    if i is None:
+        return None
+    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
+    order = _body(ctx, _by_index)
+    inside = i.bits & bitset(chi)              # the χ content of I
+    xi = [w for w in order if inside >> chi[w] & 1]
+    for u in order:
+        for w in xi:
+            if not inside >> prod[u][w] & 1:
+                return {"I": i, "f": el[chi[u]], "g": el[chi[w]],
+                        "absorb": False}
+    for u in order:
+        for w in order:
+            if (inside >> prod[u][w] & 1 and not inside >> chi[u] & 1
+                    and not inside >> chi[w] & 1):
+                return {"I": i, "f": el[chi[u]], "g": el[chi[w]],
+                        "prime": False}
     return None
 
 
@@ -679,7 +702,7 @@ def _t38(ctx):  # a non-open quasi-component is a unique cluster point
 
 @_checker("L8")
 def _l8(ctx):  # J ⊆ A  ⇒  [x] ⊆ [x]_A ⊆ [x]_J
-    of, full = ctx.ring.class_of, ctx.alike(ctx.whole)
+    of, full = ctx.ring.class_of, _body(ctx, _alike_whole)
     for fam in ctx.fn_families:
         bigger = fam | ctx.fn_families[0]
         ex_a, ex_j = ctx.alike(bigger), ctx.alike(fam)
@@ -837,18 +860,23 @@ def _l32(ctx):  # clopen U1 with U1^c meeting U2: distinct vanishing ideals
 
 @_checker("L33", "unit", "unit_slices")
 def _l33(ctx):
+    # the whole ring holds every χ, so the first ideal breaking a nesting
+    # rule is the first proper one
     chi = {a: ctx.chi_table(a) for a in ctx.nonzero}
-    nested = [(u, u1, a, chi[a][u], chi[a][u1])
-              for u in ctx.clopens for u1 in ctx.clopens if _nested(u, u1)
-              for a in ctx.nonzero]
-    for i in ctx.lattice.proper:
-        for u, u1, a, x, y in nested:
-            if i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": ctx.points(u), "U1": ctx.points(u1),
-                        "a": a}
+    found = _implied(ctx, [(chi[a][u], chi[a][u1], (u, u1, a))
+                           for u in ctx.clopens for u1 in ctx.clopens
+                           if _nested(u, u1) for a in ctx.nonzero])
+    if found is not None:
+        i, (u, u1, a) = found
+        return {"I": i, "U": ctx.points(u), "U1": ctx.points(u1), "a": a}
+    held = ctx.lattice.held
     pairs = [(u, a, chi[a][u], chi[a][ctx.all_classes ^ u])
              for u in ctx.clopens for a in ctx.nonzero]
-    for i in ctx.primes:
+    neither = 0
+    for _, _, x, y in pairs:
+        neither |= ~(held[x] | held[y])
+    i = _first(ctx, neither & _body(ctx, _prime_positions))
+    if i is not None:
         for u, a, x, y in pairs:
             if not i.bits >> x & 1 and not i.bits >> y & 1:
                 return {"I": i, "U": ctx.points(u), "a": a}
@@ -1205,6 +1233,111 @@ def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
 # --------------------------------------------------------------------------
 # The characteristic-function calculus (19 numbered identities)
 # --------------------------------------------------------------------------
+# The χ_U (off-value 1) are read by class mask u, and two tables, read once
+# per context from the ring's rows and held through ``_body``, give every
+# product and sum of two of them: prod[u][w] is the index of χ_U·χ_W
+# (``_prod``) and sums[u][w] that of χ_U+χ_W (``_sums``), so no body calls
+# the ring per pair.  These bodies, and T18, T20, T21, T22, L31.C, L33, L61
+# and L67, read them.  A law quantified over the ideals is read off the
+# lattice's columns (``IdealLattice.held``, bit k for ``lattice.ideals[k]``):
+# one OR over the rules, such as held[x] & ~held[y] for "x in I forces y in
+# I" (``_implied``), marks every ideal that breaks one, and only the first
+# marked ideal, in lattice order, is scanned for its witness, which is the
+# one a scan of every ideal in lattice order finds.
+
+def _chi_op(ctx, op: str) -> list:
+    """Per class masks u and w, the index of χ_U op χ_W, op the name of a
+    ring row ("mul" or "add")."""
+    chi, row = ctx.chi_table(), ctx.ring.row
+    return [list(map(row(op, x).__getitem__, chi)) for x in chi]
+
+
+def _prod(ctx) -> list:
+    """prod[u][w], the index of χ_U·χ_W (read through ``_body``)."""
+    return _chi_op(ctx, "mul")
+
+
+def _sums(ctx) -> list:
+    """sums[u][w], the index of χ_U+χ_W (read through ``_body``)."""
+    return _chi_op(ctx, "add")
+
+
+def _chi_masks(ctx) -> dict:
+    """Per element index of a χ_U, its class mask u (read through
+    ``_body``)."""
+    return {x: u for u, x in enumerate(ctx.chi_table())}
+
+
+def _by_index(ctx) -> list:
+    """The class masks in the order of their χ_U in ``Context.chi_set``,
+    ascending by element index (read through ``_body``)."""
+    masks = _body(ctx, _chi_masks)
+    return [masks[x] for x in ctx.chi_set]
+
+
+def _chi_columns(ctx) -> list:
+    """Per class mask u, the lattice positions of the ideals holding χ_U,
+    as a bitset: the lattice's column of χ_U (read through ``_body``)."""
+    held = ctx.lattice.held
+    return [held[x] for x in ctx.chi_table()]
+
+
+def _positions(ctx, keep) -> int:
+    """The lattice positions of the ideals that `keep` admits, as a bitset."""
+    return bitset(k for k, i in enumerate(ctx.lattice.ideals) if keep(i))
+
+
+def _prime_positions(ctx) -> int:
+    """The positions of ``Context.primes`` (read through ``_body``)."""
+    return _positions(ctx, lambda i: i.meta.get("is_prime"))
+
+
+def _proper_positions(ctx) -> int:
+    """The positions of ``IdealLattice.proper`` (read through ``_body``)."""
+    return _positions(ctx, Ideal.is_proper)
+
+
+def _above(ctx, bits: int) -> int:
+    """The positions of the ideals holding every member of the bitset."""
+    held = ctx.lattice.held
+    out = (1 << len(ctx.lattice.ideals)) - 1
+    for x in members(bits):
+        out &= held[x]
+    return out
+
+
+def _first(ctx, marks: int):
+    """The first ideal, in lattice order, whose position is set in marks;
+    None when none is."""
+    if not marks:
+        return None
+    return ctx.lattice.ideals[(marks & -marks).bit_length() - 1]
+
+
+def _implied(ctx, rules):
+    """The first ideal I, in lattice order, and the first rule (x, y, key)
+    of `rules` with x in I and y not, as (I, key); None if there is none.
+    The columns mark every ideal that breaks a rule, and only the first
+    marked ideal is scanned for its rule."""
+    held = ctx.lattice.held
+    marks = 0
+    for x, y, _ in rules:
+        marks |= held[x] & ~held[y]
+    i = _first(ctx, marks)
+    if i is not None:
+        for x, y, key in rules:
+            if i.bits >> x & 1 and not i.bits >> y & 1:
+                return i, key
+    return None
+
+
+def _uw(ctx, found):
+    """The (I, U, W) witness of what ``_implied`` found, or None."""
+    if found is None:
+        return None
+    i, (u, w) = found
+    return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
+
 
 # every item needs a unit and L59.1 needs nothing more, so declaring the
 # unit makes L59 unmet, with the first item's note, exactly when no item runs
@@ -1219,80 +1352,52 @@ def _l59(ctx):  # every item whose hypotheses hold; unmet items are skipped
     return None
 
 
-def _chi_grid(ctx, keep=lambda u, w: True) -> list:
-    """(U, W, χ_U, χ_W) over the pairs of clopens that `keep` admits."""
-    chi = ctx.chi_table()
-    return [(u, w, chi[u], chi[w])
-            for u in ctx.clopens for w in ctx.clopens if keep(u, w)]
-
-
-def _mul(ctx, f: int, g: int) -> int:
-    return ctx.ring.row("mul", f)[g]
-
-
-def _add(ctx, f: int, g: int) -> int:
-    return ctx.ring.row("add", f)[g]
-
-
-def _implied(ctx, rules):
-    """The first ideal I, in lattice order, and rule (U, W, x, y), in
-    order, with x in I and y not, as a witness; None if there is none.  An
-    ideal is scanned only if it misses a y implied by some x it holds."""
-    need = {}
-    for _, _, x, y in rules:
-        need[x] = need.get(x, 0) | 1 << y
-    need = list(need.items())
-    for i in ctx.lattice.ideals:
-        bits = i.bits
-        if any(bits >> x & 1 and ys & ~bits for x, ys in need):
-            for u, w, x, y in rules:
-                if bits >> x & 1 and not bits >> y & 1:
-                    return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
-    return None
-
-
 @_checker("L59.1", "unit")
 def _l59_1(ctx):
+    chi, prod = ctx.chi_table(), _body(ctx, _prod)
     for u in ctx.clopens:
-        chi = ctx.chi(u)
-        if _mul(ctx, chi, chi) != chi:
+        if prod[u][u] != chi[u]:
             return {"U": ctx.points(u)}
     if ctx.algebra.add is not None:
-        for u, x, y in _chi_pairs(ctx):
-            if _add(ctx, x, y) != ctx.one:
+        sums = _body(ctx, _sums)
+        for u in ctx.clopens:
+            if sums[u][ctx.all_classes ^ u] != ctx.one:
                 return {"U": ctx.points(u), "law": "chi_u + chi_uc = Id"}
     return None
 
 
 @_checker("L59.2", "unit")
 def _l59_2(ctx):
-    chi = ctx.chi_table()
-    joins = [(u, w, x, chi[u | w]) for u, w, x, _ in _chi_grid(ctx)]
-    for u, w, x, xy in joins:
-        if _mul(ctx, x, chi[w]) != xy:
-            return {"U": ctx.points(u), "W": ctx.points(w)}
-    return _implied(ctx, joins)
+    chi, prod = ctx.chi_table(), _body(ctx, _prod)
+    for u in ctx.clopens:
+        for w in ctx.clopens:
+            if prod[u][w] != chi[u | w]:
+                return {"U": ctx.points(u), "W": ctx.points(w)}
+    return _uw(ctx, _implied(ctx, [(chi[u], chi[u | w], (u, w))
+                                   for u in ctx.clopens for w in ctx.clopens]))
 
 
 @_checker("L59.3", "char_two", "unit")
 def _l59_3(ctx):
-    chi = ctx.chi_table()
+    chi, sums = ctx.chi_table(), _body(ctx, _sums)
     for u in ctx.clopens:
-        row = ctx.ring.row("add", chi[u])
-        if row[chi[u]] != ctx.theta:
+        row = sums[u]
+        if row[u] != ctx.theta:
             return {"U": ctx.points(u), "law": "chi + chi = theta"}
         for w in ctx.clopens:
             target = (u & w) | (ctx.all_classes ^ (u | w))
-            if row[chi[w]] != chi[target]:
+            if row[w] != chi[target]:
                 return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.4", "unit")
 def _l59_4(ctx):
-    for u, w, x, y in _chi_grid(ctx, _nested):
-        if _mul(ctx, y, x) != y:
-            return {"U": ctx.points(u), "W": ctx.points(w)}
+    chi, prod = ctx.chi_table(), _body(ctx, _prod)
+    for u in ctx.clopens:
+        for w in ctx.clopens:
+            if _nested(u, w) and prod[w][u] != chi[w]:
+                return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1305,27 +1410,33 @@ def _l59_5(ctx):
 
 @_checker("L59.6", "unit")
 def _l59_6(ctx):
-    chi = ctx.chi_table()
-    for u, w, _, _ in _chi_grid(ctx):
-        if ctx.zero_classes[chi[u & w]] != u & w:
-            return {"U": ctx.points(u), "W": ctx.points(w)}
+    chi, zc = ctx.chi_table(), ctx.zero_classes
+    for u in ctx.clopens:
+        for w in ctx.clopens:
+            if zc[chi[u & w]] != u & w:
+                return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.7", "unit")
 def _l59_7(ctx):
-    zc = ctx.zero_classes
-    for u, w, x, y in _chi_grid(ctx):
-        if zc[x] | zc[y] != u | w or zc[_mul(ctx, x, y)] != u | w:
-            return {"U": ctx.points(u), "W": ctx.points(w)}
+    chi, prod, zc = ctx.chi_table(), _body(ctx, _prod), ctx.zero_classes
+    for u in ctx.clopens:
+        for w in ctx.clopens:
+            if zc[chi[u]] | zc[chi[w]] != u | w or zc[prod[u][w]] != u | w:
+                return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
 @_checker("L59.8", "unit")
 def _l59_8(ctx):
-    pairs = _chi_pairs(ctx)
-    for i in ctx.primes:
-        for u, x, y in pairs:
+    cols, every = _body(ctx, _chi_columns), ctx.all_classes
+    neither = 0
+    for u in ctx.clopens:
+        neither |= ~(cols[u] | cols[every ^ u])
+    i = _first(ctx, neither & _body(ctx, _prime_positions))
+    if i is not None:
+        for u, x, y in _chi_pairs(ctx):
             if not i.bits >> x & 1 and not i.bits >> y & 1:
                 return {"I": i, "U": ctx.points(u)}
     return None
@@ -1333,28 +1444,41 @@ def _l59_8(ctx):
 
 @_checker("L59.9", "unit")
 def _l59_9(ctx):
-    return _implied(ctx, _chi_grid(ctx, _nested))
+    chi = ctx.chi_table()
+    return _uw(ctx, _implied(ctx, [(chi[u], chi[w], (u, w))
+                                   for u in ctx.clopens for w in ctx.clopens
+                                   if _nested(u, w)]))
 
 
 @_checker("L59.10", "addition_closed", "unit")
 def _l59_10(ctx):
-    disjoint = _chi_grid(ctx, lambda u1, u2: not u1 & u2)
-    for i in ctx.primes:
-        for u1, u2, x, y in disjoint:
-            if i.bits >> x & 1 and i.bits >> y & 1:
+    chi, cols = ctx.chi_table(), _body(ctx, _chi_columns)
+    disjoint = [(u1, u2) for u1 in ctx.clopens for u2 in ctx.clopens
+                if not u1 & u2]
+    both = 0
+    for u1, u2 in disjoint:
+        both |= cols[u1] & cols[u2]
+    i = _first(ctx, both & _body(ctx, _prime_positions))
+    if i is not None:
+        for u1, u2 in disjoint:
+            if i.bits >> chi[u1] & 1 and i.bits >> chi[u2] & 1:
                 return {"I": i, "U1": ctx.points(u1), "U2": ctx.points(u2)}
     return None
 
 
 @_checker("L59.11", "char_two", "addition_closed", "unit")
 def _l59_11(ctx):
-    chi = ctx.chi_table()
-    sums = [[_add(ctx, chi[u], chi[w]) for w in ctx.clopens]
-            for u in ctx.clopens]
-    for i in ctx.lattice.ideals:
-        held = [u for u in ctx.clopens if i.bits >> chi[u] & 1]
-        for u in held:
-            for w in held:
+    chi, sums, held = ctx.chi_table(), _body(ctx, _sums), ctx.lattice.held
+    cols = _body(ctx, _chi_columns)
+    marks = 0
+    for cu, row in zip(cols, sums):
+        for cw, s in zip(cols, row):
+            marks |= cu & cw & ~held[s]
+    i = _first(ctx, marks)
+    if i is not None:
+        inside = [u for u in ctx.clopens if i.bits >> chi[u] & 1]
+        for u in inside:
+            for w in inside:
                 if not i.bits >> sums[u][w] & 1:
                     return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
@@ -1379,81 +1503,114 @@ def _l59_12(ctx):
 def _l59_13(ctx):
     if ctx.chi(0) != ctx.one or ctx.chi(ctx.all_classes) != ctx.theta:
         return {"law": "chi_empty = Id, chi_Z = theta"}
-    for i in ctx.lattice.ideals:
-        if not i.bits >> ctx.theta & 1:
-            return {"I": i}
+    everywhere = (1 << len(ctx.lattice.ideals)) - 1
+    i = _first(ctx, everywhere & ~ctx.lattice.held[ctx.theta])
+    if i is not None:
+        return {"I": i}
     return None
 
 
-def _content_closed(ctx, op: str):
+def _content_closed(ctx, table):
     """The first (I, f, g) with f, g in the χ content of the ideal I and
-    f·g (op "mul") or f+g (op "add") outside it, as a witness."""
-    el, every = ctx.ring.elements, bitset(ctx.chi_set)
-    for i in ctx.lattice.ideals:
-        inside = i.bits & every                # the χ content of I
-        xi = members(inside)
-        for f in xi:
-            row = ctx.ring.row(op, f)
-            for g in xi:
-                if not inside >> row[g] & 1:
-                    return {"I": i, "f": el[f], "g": el[g]}
+    their entry in `table` (``_prod``: f·g, ``_sums``: f+g) outside it, as
+    a witness.  The columns mark every ideal with such a pair, and only the
+    first is scanned, f and g ascending by element index."""
+    chi, cols = ctx.chi_table(), _body(ctx, _chi_columns)
+    content = dict(zip(chi, cols))        # a χ's column; 0 for any other
+    marks = 0
+    for cu, row in zip(cols, table):
+        for cw, p in zip(cols, row):
+            marks |= cu & cw & ~content.get(p, 0)
+    i = _first(ctx, marks)
+    if i is None:
+        return None
+    el, inside = ctx.ring.elements, i.bits & bitset(chi)
+    xi = [u for u in _body(ctx, _by_index) if inside >> chi[u] & 1]
+    for u in xi:
+        row = table[u]
+        for w in xi:
+            if not inside >> row[w] & 1:
+                return {"I": i, "f": el[chi[u]], "g": el[chi[w]]}
     return None
+
+
+def _content_marks(ctx) -> tuple:
+    """(absorb, split) over the lattice's positions, read through
+    ``_body``: absorb marks the ideals I with some χ_U·χ_W outside I's χ
+    content and χ_W inside it, split those with some χ_U·χ_W inside it and
+    neither χ_U nor χ_W."""
+    prod, cols = _body(ctx, _prod), _body(ctx, _chi_columns)
+    content = dict(zip(ctx.chi_table(), cols))
+    absorb = split = 0
+    for cu, row in zip(cols, prod):
+        for cw, p in zip(cols, row):
+            c = content.get(p, 0)
+            absorb |= cw & ~c
+            split |= c & ~(cu | cw)
+    return absorb, split
 
 
 @_checker("L59.14", "unit")
 def _l59_14(ctx):
-    return _content_closed(ctx, "mul")
+    return _content_closed(ctx, _body(ctx, _prod))
 
 
 @_checker("L59.15", "unit")
 def _l59_15(ctx):
-    el, chis = ctx.ring.elements, ctx.chi_set
-    every = bitset(chis)
-    by_g = [[_mul(ctx, f, g) for f in chis] for g in chis]   # f·g per g
-    hits = [bitset(col) for col in by_g]
-    for i in ctx.lattice.ideals:
-        inside = i.bits & every                # the χ content of I
-        for g, col, hit in zip(chis, by_g, hits):
-            if inside >> g & 1 and hit & ~inside:
-                f = next(f for f, fg in zip(chis, col)
-                         if not inside >> fg & 1)
-                return {"I": i, "f": el[f], "g": el[g]}
+    i = _first(ctx, _body(ctx, _content_marks)[0])
+    if i is None:
+        return None
+    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
+    order = _body(ctx, _by_index)
+    inside = i.bits & bitset(chi)              # the χ content of I
+    for w in order:
+        if inside >> chi[w] & 1:
+            for u in order:
+                if not inside >> prod[u][w] & 1:
+                    return {"I": i, "f": el[chi[u]], "g": el[chi[w]]}
     return None
 
 
 @_checker("L59.16", "char_two", "addition_closed", "unit")
 def _l59_16(ctx):
-    return _content_closed(ctx, "add")
+    return _content_closed(ctx, _body(ctx, _sums))
 
 
 @_checker("L59.17", "unit", "primes")
 def _l59_17(ctx):
-    el, chis = ctx.ring.elements, ctx.chi_set
-    every = bitset(chis)
-    prods = {f: {g: _mul(ctx, f, g) for g in chis} for f in chis}
-    for i in ctx.primes:
-        inside = i.bits & every                # the χ content of I
-        out = [f for f in chis if not inside >> f & 1]
-        for f in out:
-            for g in out:
-                if inside >> prods[f][g] & 1:
-                    return {"I": i, "f": el[f], "g": el[g]}
+    split = _body(ctx, _content_marks)[1]
+    i = _first(ctx, split & _body(ctx, _prime_positions))
+    if i is None:
+        return None
+    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
+    inside = i.bits & bitset(chi)              # the χ content of I
+    out = [u for u in _body(ctx, _by_index) if not inside >> chi[u] & 1]
+    for u in out:
+        for w in out:
+            if inside >> prod[u][w] & 1:
+                return {"I": i, "f": el[chi[u]], "g": el[chi[w]]}
     return None
 
 
 @_checker("L59.18", "distributive", "unit")
 def _l59_18(ctx):
-    return _implied(ctx, [(u, w, x, y) for u, w, x, y in _chi_grid(ctx)
-                          if _add(ctx, x, y) == ctx.theta])
+    chi, sums = ctx.chi_table(), _body(ctx, _sums)
+    return _uw(ctx, _implied(ctx, [(chi[u], chi[w], (u, w))
+                                   for u in ctx.clopens for w in ctx.clopens
+                                   if sums[u][w] == ctx.theta]))
 
 
 @_checker("L59.19", "char_two", "addition_closed", "unit", "primes")
 def _l59_19(ctx):
-    pairs = [(v, u, _mul(ctx, x, y), _add(ctx, x, y))
-             for v, u, x, y in _chi_grid(ctx, lambda v, u: not v & u)]
-    for i in ctx.primes:
-        for v, u, m, s in pairs:
-            if i.bits >> m & 1 and i.bits >> s & 1:
+    prod, sums, held = _body(ctx, _prod), _body(ctx, _sums), ctx.lattice.held
+    disjoint = [(v, u) for v in ctx.clopens for u in ctx.clopens if not v & u]
+    both = 0
+    for v, u in disjoint:
+        both |= held[prod[v][u]] & held[sums[v][u]]
+    i = _first(ctx, both & _body(ctx, _prime_positions))
+    if i is not None:
+        for v, u in disjoint:
+            if i.bits >> prod[v][u] & 1 and i.bits >> sums[v][u] & 1:
                 return {"I": i, "V": ctx.points(v), "U": ctx.points(u)}
     return None
 
@@ -1476,20 +1633,21 @@ def _l61(ctx):
                 return {"item": 1, "I1": i1, "I2": i2}
             if a & b in x and x[a & b] != xa & xb:
                 return {"item": 2, "I1": i1, "I2": i2}
-    ring, ideals = ctx.ring, ctx.lattice.ideals
+    ideals, U = ctx.lattice.ideals, ctx.families.U
     # items 4 and 5 (X_I + θ = X_I, X_I·θ = {θ}) are not tested: they cannot
     # fail, as AlgebraTable makes θ the additive identity and absorbing
     if ctx.flags.char_two and ctx.mode == RING:
-        sums = {}                              # (f, X_I) -> {f+g : g in X_I}
+        # X_I is the χ_U of the U in U_I, so X_I1 + X_I2 is read off sums
+        sums, seen = _body(ctx, _sums), {}     # (U, U_I) -> χ_U + X_I
         for i1 in ideals:
-            xs = members(x[i1.bits])
+            us = members(U[i1.bits])
             for i2 in ideals:
-                a, b, xb, out = i1.bits, i2.bits, x[i2.bits], 0
-                for f in xs:
-                    s = sums.get((f, xb))
+                a, b, ub, out = i1.bits, i2.bits, U[i2.bits], 0
+                for u in us:
+                    s = seen.get((u, ub))
                     if s is None:
-                        row = ring.row("add", f)
-                        s = sums[f, xb] = bitset(row[g] for g in members(xb))
+                        row = sums[u]
+                        s = seen[u, ub] = bitset(row[w] for w in members(ub))
                     out |= s
                 # the sum of the two ideals holds both, so join only then
                 if out & ~(a | b) and out & ~ctx.join(a, b):
@@ -1539,11 +1697,14 @@ def _l66(ctx):  # clopens correspond one-to-one with C(Z, Z2)
 @_checker("L67", "char_two_ring", "unit")
 def _l67(ctx):  # complement identity for products of chi pairs
     chi, every = ctx.chi_table(), ctx.all_classes
-    for u, w, _, _ in _chi_grid(ctx):
-        lhs = _add(ctx, _mul(ctx, chi[every ^ u], chi[every ^ w]),
-                   chi[every ^ (u | w)])
-        if lhs != _add(ctx, chi[u | w], chi[u & w]):
-            return {"U": ctx.points(u), "W": ctx.points(w)}
+    prod, sums = _body(ctx, _prod), _body(ctx, _sums)
+    # a product of χ's is a χ (θ absorbs and 1·1 = 1), so it has a mask
+    mask = _body(ctx, _chi_masks)
+    for u in ctx.clopens:
+        for w in ctx.clopens:
+            lhs = sums[mask[prod[every ^ u][every ^ w]]][every ^ (u | w)]
+            if lhs != sums[u | w][u & w]:
+                return {"U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1554,7 +1715,7 @@ def _l68(ctx):  # componentwise product structure of the ring
     if n != ctx.algebra.carrier_size ** len(ring.classes):
         return {"count": n}
     f, g = ring.elements[0], ring.elements[-1]
-    if (ring.elements[_mul(ctx, 0, n - 1)]
+    if (ring.elements[ring.row("mul", 0)[n - 1]]
             != tuple(ctx.algebra.times(a, b) for a, b in zip(f, g))):
         return {"law": "mul not componentwise"}
     return None
@@ -1603,15 +1764,21 @@ def _l72(ctx):  # the clopens at z intersect to the component itself
 
 @_checker("L73")
 def _l73(ctx):  # intersection of vanishing ideals = ideal of the union
+    # I(U) reads only the classes U meets, so each union is formed on class
+    # masks and its ideal is that of the union of those classes
     sets = list(dict.fromkeys(ctx.point_sets + [frozenset()]))
-    izs = dict(zip(sets, map(ctx.vanishing, sets)))
+    of = ctx.ring.class_of
+    masks = [bitset({of[p] for p in u}) for u in sets]
+    izs = [ctx.vanishing(u) for u in sets]
     for k in (2, 3):
-        for combo in itertools.combinations(sets, min(k, len(sets))):
-            inter = ctx.whole
+        for combo in itertools.combinations(range(len(sets)),
+                                            min(k, len(sets))):
+            inter, union = ctx.whole, 0
             for a in combo:
                 inter &= izs[a]
-            if inter != ctx.vanishing(frozenset().union(*combo)):
-                return {"family": combo}
+                union |= masks[a]
+            if inter != ctx.vanishing(ctx.points(union)):
+                return {"family": tuple(sets[a] for a in combo)}
     return None
 
 
@@ -1674,14 +1841,16 @@ def _l76(ctx):  # an ideal escaping finitely many primes escapes their union
 
 @_checker("L31.C", "unit", "two_components")
 def _l31_c(ctx):  # disconnection surrogate: complementary idempotent pairs
-    for u, a, b in _chi_pairs(ctx):
-        if not u or u == ctx.all_classes:
+    chi, prod, every = ctx.chi_table(), _body(ctx, _prod), ctx.all_classes
+    for u in ctx.clopens:
+        if not u or u == every:
             continue
-        if _mul(ctx, a, a) != a or _mul(ctx, b, b) != b:
+        c = every ^ u
+        if prod[u][u] != chi[u] or prod[c][c] != chi[c]:
             return {"U": ctx.points(u), "idempotent": False}
-        if _mul(ctx, a, b) != ctx.theta:
+        if prod[u][c] != ctx.theta:
             return {"U": ctx.points(u), "product": "not theta"}
-        if ctx.algebra.add is not None and _add(ctx, a, b) != ctx.one:
+        if ctx.algebra.add is not None and _body(ctx, _sums)[u][c] != ctx.one:
             return {"U": ctx.points(u), "sum": "not identity"}
     return None
 

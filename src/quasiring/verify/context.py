@@ -9,6 +9,15 @@ principal tables on its core (``FunctionRing.keep``), which every ring
 over the same Y and the same number of quasi-components reads, and
 ``enumerated_lattice`` keeps the lattice there, which holds its own
 classification and families.
+
+The checkers keep what they derive per context in ``memo`` (through
+``checkers._body``).  Among it are the two χ tables of the
+characteristic-function calculus, read once from the ring's rows: per pair
+of class masks u and w, the index of χ_U·χ_W (``checkers._prod``) and of
+χ_U+χ_W (``checkers._sums``).  A law quantified over the ideals is read off
+the lattice's columns (``IdealLattice.held``): one OR over the law's rules,
+such as held[x] & ~held[y] for "x in I forces y in I", marks every ideal
+that breaks it, and only the first marked ideal is scanned for the witness.
 """
 
 from __future__ import annotations

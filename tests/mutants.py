@@ -63,6 +63,9 @@ JOIN = f"{IDEALS}::test_join_matches_closure_of_the_union"
 SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
 PLANTED = "tests/test_planted_reports.py::test_planted_reports_match_the_golden"
 ONCE = "tests/test_checkers.py::test_bodies_run_once_per_context"
+CHI_TABLES = "tests/test_checkers.py::test_chi_tables_read_the_ring_rows"
+ORACLE_PLANTED = ("tests/test_checkers.py::"
+                  "test_bodies_match_their_references_on_the_planted_contexts")
 ONE_SIDED_UNIT = ("tests/test_checkers.py::"
                   "test_every_checker_reports_under_a_one_sided_unit")
 ZERO_LAWS = "tests/test_algebra.py::test_make_table_rejects_a_one_sided_zero"
@@ -226,6 +229,11 @@ MUTANTS = [
            'ring.keep(("lattice", side, mode, budget),',
            'ring.keep(("lattice", side, mode),',
            (ONE_CORE_LATTICE, SECOND_CALL)),
+    Mutant("kept-products-read-past-the-budget", "ideals.py",
+           "if kept is not None and len(kept.ideals) <= budget:",
+           "if kept is not None:",
+           (f"{IDEALS}::"
+            "test_a_kept_product_lattice_is_read_before_its_factor",)),
     Mutant("products-kept-under-the-pass-key", "ideals.py",
            'ring.keep(("products", side),',
            'ring.keep(("lattice", side, RING, budget),',
@@ -484,13 +492,19 @@ MUTANTS = [
            "        memo[_run] = body(ctx)\n"
            "    return memo[_run]\n",
            (ONCE, PLANTED)),
-    Mutant("implied-prefilter-always-skips", "verify/checkers.py",
-           "if any(bits >> x & 1 and ys & ~bits for x, ys in need):",
-           "if False and any(bits >> x & 1 and ys & ~bits for x, ys in need):",
-           (PLANTED,)),
-    Mutant("l59-18-filter-not-theta", "verify/checkers.py",
-           "if _add(ctx, x, y) == ctx.theta])",
-           "if _add(ctx, x, y) != ctx.theta])",
+    Mutant("implied-marks-ideals-that-hold-y", "verify/checkers.py",
+           "marks |= held[x] & ~held[y]", "marks |= held[x]",
+           (PLANTED, ORACLE_PLANTED)),
+    Mutant("chi-tables-transposed", "verify/checkers.py",
+           "return [list(map(row(op, x).__getitem__, chi)) for x in chi]",
+           "return [[row(op, y)[x] for y in chi] for x in chi]",
+           (CHI_TABLES,)),
+    Mutant("content-pre-check-skips-w", "verify/checkers.py",
+           "marks |= cu & cw & ~content.get(p, 0)",
+           "marks |= cu & ~content.get(p, 0)",
+           (PLANTED, ORACLE_PLANTED)),
+    Mutant("l73-mask-union-by-and", "verify/checkers.py",
+           "union |= masks[a]", "union &= masks[a]",
            (GREEN,)),
     Mutant("vanishing-grid-b-order-reversed", "verify/context.py",
            "for b in self.b_values]", "for b in self.b_values[::-1]]",
@@ -507,6 +521,9 @@ MUTANTS = [
     Mutant("zero-right-absorption-unchecked", "algebra.py",
            "if any(self.mul[a][z] != z for a in range(m)):", "if False:",
            (ZERO_LAWS,)),
+    Mutant("zmod-built-per-call", "algebra.py",
+           "@functools.lru_cache(maxsize=64)\ndef make_zmod", "def make_zmod",
+           ("tests/test_algebra.py::test_make_zmod_returns_one_table_per_n",)),
     Mutant("unit-side-unchecked", "algebra.py",
            "if self.unit_side not in (TWO_SIDED, LEFT, RIGHT):",
            "if self.unit_side is None:",

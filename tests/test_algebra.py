@@ -29,6 +29,15 @@ def test_zmod6_zero_divisors():
     assert (2, 3) in zero_divisors(make_zmod(6))
 
 
+def test_make_zmod_returns_one_table_per_n():
+    assert make_zmod(5) is make_zmod(5)
+    assert make_zmod(5) is not make_zmod(6)
+    assert make_zmod(6).add[5][1] == 0 and make_zmod(6).mul[5][5] == 1
+    for n in (1, 1, 0):
+        with pytest.raises(ValueError):
+            make_zmod(n)
+
+
 def test_make_table_unit_detection_manual():
     # multiplication-only magma with absorbing zero and a unit at index 1
     mul = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from quasiring import topology
@@ -32,9 +34,24 @@ from quasiring.verify import (
     checker_ids,
     run_checker,
 )
+from quasiring.verify import checkers
 from quasiring.verify.checkers import HYPOTHESES
-from quasiring.ideals import LEFT, MULTIPLICATIVE, RIGHT, RING, TWO_SIDED
+from quasiring.verify.fuzz import DEFAULT_INSTANCES, campaign_specs
+from quasiring.verify.report import random_instance
+from quasiring.ideals import (
+    LEFT,
+    MULTIPLICATIVE,
+    RIGHT,
+    RING,
+    TWO_SIDED,
+    bitset,
+    members,
+)
 from quasiring.sets import SeqSet
+from quasiring.topology import quasi_component
+
+from test_context import PlantedContext
+from test_planted_reports import CONTEXTS as PLANTED_CONTEXTS
 
 
 def ctx(n=3, p=2, mode=RING, **kw):
@@ -376,3 +393,451 @@ def test_checkers_walk_class_masks_not_clopen_families(monkeypatch):
             assert r.verdict in (PASS, HYPOTHESIS_UNMET), (cid, r)
             ran += r.verdict == PASS
     assert ran > 150
+
+
+# -- reference bodies: the χ calculus pair by pair, ideal by ideal ---------
+# The checkers read χ_U·χ_W and χ_U+χ_W from two tables and quantify over
+# the ideals through the lattice's columns; these are the forms they
+# replaced, which call the ring per pair and scan every ideal in Python.
+# Each must give the witness its checker gives, FAIL or PASS.
+
+def _nested(u, w):
+    return u & ~w == 0
+
+
+def _grid(c, keep=lambda u, w: True):
+    chi = c.chi_table()
+    return [(u, w, chi[u], chi[w])
+            for u in c.clopens for w in c.clopens if keep(u, w)]
+
+
+def _pairs(c):
+    chi = c.chi_table()
+    return [(u, chi[u], chi[c.all_classes ^ u]) for u in c.clopens]
+
+
+def _mul(c, f, g):
+    return c.ring.row("mul", f)[g]
+
+
+def _add(c, f, g):
+    return c.ring.row("add", f)[g]
+
+
+def _implied(c, rules):
+    need = {}
+    for _, _, x, y in rules:
+        need[x] = need.get(x, 0) | 1 << y
+    need = list(need.items())
+    for i in c.lattice.ideals:
+        bits = i.bits
+        if any(bits >> x & 1 and ys & ~bits for x, ys in need):
+            for u, w, x, y in rules:
+                if bits >> x & 1 and not bits >> y & 1:
+                    return {"I": i, "U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _content_closed(c, op):
+    el, every = c.ring.elements, bitset(c.chi_set)
+    for i in c.lattice.ideals:
+        inside = i.bits & every
+        xi = members(inside)
+        for f in xi:
+            row = c.ring.row(op, f)
+            for g in xi:
+                if not inside >> row[g] & 1:
+                    return {"I": i, "f": el[f], "g": el[g]}
+    return None
+
+
+def _ref_t5(c):
+    for x in c.space.points:
+        if c.points(c.equiv(c.whole, x)) != quasi_component(c.space, x):
+            return {"x": x}
+    return None
+
+
+def _ref_t18(c):
+    chi = c.chi_table()
+    for i1 in c.primes:
+        for i2 in c.lattice.proper:
+            if not i1 <= i2:
+                continue
+            for u in c.clopens:
+                if (i1.bits ^ i2.bits) >> chi[u] & 1:
+                    return {"I1": i1, "I2": i2, "U": c.points(u)}
+    return None
+
+
+def _ref_t20(c):
+    for j in c.primes:
+        for i in c.lattice.proper:
+            if not j < i:
+                continue
+            for u, a, b in _pairs(c):
+                if (i.bits >> a & 1) == (i.bits >> b & 1):
+                    return {"J": j, "I": i, "U": c.points(u)}
+    return None
+
+
+def _ref_t21(c):
+    ring, chis = c.ring, c.chi_set
+    el, inside = ring.elements, set(chis)
+    for f in chis:
+        row = ring.row("mul", f)
+        for g in chis:
+            if row[g] not in inside:
+                return {"f": el[f], "g": el[g], "closure": "mul"}
+            if row[f] != f:
+                return {"f": el[f], "idempotent": False}
+    if (c.flags.char_two and c.flags.additive_associative
+            and c.flags.additive_commutative and c.flags.distributive):
+        patt = {f: c.all_classes & ~c.zero_classes[f] for f in chis}
+        if len(set(patt.values())) != len(chis):
+            return {"iso": "not injective"}
+        if len(chis) != 2 ** len(ring.classes):
+            return {"iso": "not surjective"}
+        for f in chis:
+            mul, add = ring.row("mul", f), ring.row("add", f)
+            for g in chis:
+                if (patt[mul[g]] != patt[f] & patt[g]
+                        or patt[add[g]] != patt[f] ^ patt[g]):
+                    return {"f": el[f], "g": el[g], "iso": "not a homomorphism"}
+    return None
+
+
+def _ref_t22(c):
+    ring, chis = c.ring, c.chi_set
+    el = ring.elements
+    for i in c.primes:
+        xi = [f for f in chis if i.bits >> f & 1]
+        inside = set(xi)
+        for f in chis:
+            row = ring.row("mul", f)
+            for g in xi:
+                if row[g] not in inside:
+                    return {"I": i, "f": el[f], "g": el[g], "absorb": False}
+        for f in chis:
+            row = ring.row("mul", f)
+            for g in chis:
+                if row[g] in inside and f not in inside and g not in inside:
+                    return {"I": i, "f": el[f], "g": el[g], "prime": False}
+    return None
+
+
+def _ref_l33(c):
+    chi = {a: c.chi_table(a) for a in c.nonzero}
+    nested = [(u, u1, a, chi[a][u], chi[a][u1])
+              for u in c.clopens for u1 in c.clopens if _nested(u, u1)
+              for a in c.nonzero]
+    for i in c.lattice.proper:
+        for u, u1, a, x, y in nested:
+            if i.bits >> x & 1 and not i.bits >> y & 1:
+                return {"I": i, "U": c.points(u), "U1": c.points(u1), "a": a}
+    pairs = [(u, a, chi[a][u], chi[a][c.all_classes ^ u])
+             for u in c.clopens for a in c.nonzero]
+    for i in c.primes:
+        for u, a, x, y in pairs:
+            if not i.bits >> x & 1 and not i.bits >> y & 1:
+                return {"I": i, "U": c.points(u), "a": a}
+    return None
+
+
+def _ref_l59_1(c):
+    for u in c.clopens:
+        chi = c.chi(u)
+        if _mul(c, chi, chi) != chi:
+            return {"U": c.points(u)}
+    if c.algebra.add is not None:
+        for u, x, y in _pairs(c):
+            if _add(c, x, y) != c.one:
+                return {"U": c.points(u), "law": "chi_u + chi_uc = Id"}
+    return None
+
+
+def _ref_l59_2(c):
+    chi = c.chi_table()
+    joins = [(u, w, x, chi[u | w]) for u, w, x, _ in _grid(c)]
+    for u, w, x, xy in joins:
+        if _mul(c, x, chi[w]) != xy:
+            return {"U": c.points(u), "W": c.points(w)}
+    return _implied(c, joins)
+
+
+def _ref_l59_3(c):
+    chi = c.chi_table()
+    for u in c.clopens:
+        row = c.ring.row("add", chi[u])
+        if row[chi[u]] != c.theta:
+            return {"U": c.points(u), "law": "chi + chi = theta"}
+        for w in c.clopens:
+            target = (u & w) | (c.all_classes ^ (u | w))
+            if row[chi[w]] != chi[target]:
+                return {"U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _ref_l59_4(c):
+    for u, w, x, y in _grid(c, _nested):
+        if _mul(c, y, x) != y:
+            return {"U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _ref_l59_6(c):
+    chi = c.chi_table()
+    for u, w, _, _ in _grid(c):
+        if c.zero_classes[chi[u & w]] != u & w:
+            return {"U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _ref_l59_7(c):
+    zc = c.zero_classes
+    for u, w, x, y in _grid(c):
+        if zc[x] | zc[y] != u | w or zc[_mul(c, x, y)] != u | w:
+            return {"U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _ref_l59_8(c):
+    for i in c.primes:
+        for u, x, y in _pairs(c):
+            if not i.bits >> x & 1 and not i.bits >> y & 1:
+                return {"I": i, "U": c.points(u)}
+    return None
+
+
+def _ref_l59_10(c):
+    disjoint = _grid(c, lambda u1, u2: not u1 & u2)
+    for i in c.primes:
+        for u1, u2, x, y in disjoint:
+            if i.bits >> x & 1 and i.bits >> y & 1:
+                return {"I": i, "U1": c.points(u1), "U2": c.points(u2)}
+    return None
+
+
+def _ref_l59_11(c):
+    chi = c.chi_table()
+    sums = [[_add(c, chi[u], chi[w]) for w in c.clopens] for u in c.clopens]
+    for i in c.lattice.ideals:
+        held = [u for u in c.clopens if i.bits >> chi[u] & 1]
+        for u in held:
+            for w in held:
+                if not i.bits >> sums[u][w] & 1:
+                    return {"I": i, "U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _ref_l59_13(c):
+    if c.chi(0) != c.one or c.chi(c.all_classes) != c.theta:
+        return {"law": "chi_empty = Id, chi_Z = theta"}
+    for i in c.lattice.ideals:
+        if not i.bits >> c.theta & 1:
+            return {"I": i}
+    return None
+
+
+def _ref_l59_15(c):
+    el, chis = c.ring.elements, c.chi_set
+    every = bitset(chis)
+    by_g = [[_mul(c, f, g) for f in chis] for g in chis]
+    hits = [bitset(col) for col in by_g]
+    for i in c.lattice.ideals:
+        inside = i.bits & every
+        for g, col, hit in zip(chis, by_g, hits):
+            if inside >> g & 1 and hit & ~inside:
+                f = next(f for f, fg in zip(chis, col)
+                         if not inside >> fg & 1)
+                return {"I": i, "f": el[f], "g": el[g]}
+    return None
+
+
+def _ref_l59_17(c):
+    el, chis = c.ring.elements, c.chi_set
+    every = bitset(chis)
+    for i in c.primes:
+        inside = i.bits & every
+        out = [f for f in chis if not inside >> f & 1]
+        for f in out:
+            for g in out:
+                if inside >> _mul(c, f, g) & 1:
+                    return {"I": i, "f": el[f], "g": el[g]}
+    return None
+
+
+def _ref_l59_19(c):
+    pairs = [(v, u, _mul(c, x, y), _add(c, x, y))
+             for v, u, x, y in _grid(c, lambda v, u: not v & u)]
+    for i in c.primes:
+        for v, u, m, s in pairs:
+            if i.bits >> m & 1 and i.bits >> s & 1:
+                return {"I": i, "V": c.points(v), "U": c.points(u)}
+    return None
+
+
+def _ref_l61(c):
+    x = checkers._body(c, checkers._x)
+    pool = () if checkers._body(c, checkers._exact) else c.lattice.ideals
+    for i1 in pool:
+        a, xa = i1.bits, x[i1.bits]
+        for i2 in pool:
+            b, xb = i2.bits, x[i2.bits]
+            if not a & ~b and xa & ~xb:
+                return {"item": 1, "I1": i1, "I2": i2}
+            if a & b in x and x[a & b] != xa & xb:
+                return {"item": 2, "I1": i1, "I2": i2}
+    if c.flags.char_two and c.mode == RING:
+        sums = {}
+        for i1 in c.lattice.ideals:
+            xs = members(x[i1.bits])
+            for i2 in c.lattice.ideals:
+                a, b, xb, out = i1.bits, i2.bits, x[i2.bits], 0
+                for f in xs:
+                    s = sums.get((f, xb))
+                    if s is None:
+                        row = c.ring.row("add", f)
+                        s = sums[f, xb] = bitset(row[g] for g in members(xb))
+                    out |= s
+                if out & ~(a | b) and out & ~c.join(a, b):
+                    return {"item": 8, "I1": i1, "I2": i2}
+    return None
+
+
+def _ref_l67(c):
+    chi, every = c.chi_table(), c.all_classes
+    for u, w, _, _ in _grid(c):
+        lhs = _add(c, _mul(c, chi[every ^ u], chi[every ^ w]),
+                   chi[every ^ (u | w)])
+        if lhs != _add(c, chi[u | w], chi[u & w]):
+            return {"U": c.points(u), "W": c.points(w)}
+    return None
+
+
+def _ref_l73(c):
+    sets = list(dict.fromkeys(c.point_sets + [frozenset()]))
+    izs = dict(zip(sets, map(c.vanishing, sets)))
+    for k in (2, 3):
+        for combo in itertools.combinations(sets, min(k, len(sets))):
+            inter = c.whole
+            for a in combo:
+                inter &= izs[a]
+            if inter != c.vanishing(frozenset().union(*combo)):
+                return {"family": combo}
+    return None
+
+
+def _ref_l31_c(c):
+    for u, a, b in _pairs(c):
+        if not u or u == c.all_classes:
+            continue
+        if _mul(c, a, a) != a or _mul(c, b, b) != b:
+            return {"U": c.points(u), "idempotent": False}
+        if _mul(c, a, b) != c.theta:
+            return {"U": c.points(u), "product": "not theta"}
+        if c.algebra.add is not None and _add(c, a, b) != c.one:
+            return {"U": c.points(u), "sum": "not identity"}
+    return None
+
+
+REFERENCE = {
+    "T5": _ref_t5, "T18": _ref_t18, "T20": _ref_t20, "T21": _ref_t21,
+    "T22": _ref_t22, "L33": _ref_l33, "L59.1": _ref_l59_1,
+    "L59.2": _ref_l59_2, "L59.3": _ref_l59_3, "L59.4": _ref_l59_4,
+    "L59.6": _ref_l59_6, "L59.7": _ref_l59_7, "L59.8": _ref_l59_8,
+    "L59.9": lambda c: _implied(c, _grid(c, _nested)),
+    "L59.10": _ref_l59_10, "L59.11": _ref_l59_11, "L59.13": _ref_l59_13,
+    "L59.14": lambda c: _content_closed(c, "mul"),
+    "L59.15": _ref_l59_15,
+    "L59.16": lambda c: _content_closed(c, "add"),
+    "L59.17": _ref_l59_17,
+    "L59.18": lambda c: _implied(c, [(u, w, x, y) for u, w, x, y in _grid(c)
+                                     if _add(c, x, y) == c.theta]),
+    "L59.19": _ref_l59_19, "L61": _ref_l61, "L67": _ref_l67,
+    "L73": _ref_l73, "L31.C": _ref_l31_c,
+}
+
+
+def _outcome(body, c):
+    """What body(c) returns, or the type of the exception it raises."""
+    try:
+        return body(c)
+    except (BudgetExceeded, MissingAddition, MissingUnit) as exc:
+        return type(exc)
+
+
+def _matches_the_reference(c) -> dict:
+    """Assert each REFERENCE body's witness on c is its checker's, where
+    the checker's hypotheses hold; the witnesses compared, by checker."""
+    compared = {}
+    for cid, reference in REFERENCE.items():
+        checker = REGISTRY[cid]
+        if _outcome(lambda c: checkers._unmet(c, checker), c) is not None:
+            continue
+        got = compared[cid] = _outcome(checker.body, c)
+        assert got == _outcome(reference, c), (cid, c.space, c.side, c.mode)
+    return compared
+
+
+def test_bodies_match_their_references_on_the_default_campaign():
+    """Over the default campaign's instances, on every side and in both
+    modes, each body gives its reference's witness, and every checker of
+    REFERENCE runs; every witness there is None (a PASS)."""
+    contexts, ran = 0, set()
+    for spec in campaign_specs(0, DEFAULT_INSTANCES):
+        space, algebra = random_instance(spec)
+        modes = (MULTIPLICATIVE, RING) if algebra.add is not None else (
+            MULTIPLICATIVE,)
+        for side in (RIGHT, LEFT, TWO_SIDED):
+            for mode in modes:
+                c = Context(space, algebra, side, mode, seed=spec.seed)
+                compared = _matches_the_reference(c)
+                assert not any(isinstance(got, dict)
+                               for got in compared.values())
+                ran |= {cid for cid, got in compared.items() if got is None}
+                contexts += 1
+    assert contexts == 900 and ran == set(REFERENCE)
+
+
+def test_bodies_match_their_references_on_the_planted_contexts():
+    """On the planted contexts, whose lattices or families hold a set that
+    no ideal is, the bodies give their reference's witness, FAIL or PASS."""
+    failed = set()
+    for name, make in [("planted", PlantedContext), *PLANTED_CONTEXTS.items()]:
+        compared = _matches_the_reference(make())
+        failed |= {(name, cid) for cid, got in compared.items()
+                   if isinstance(got, dict)}
+    assert {cid for _, cid in failed} >= {
+        "L59.2", "L59.9", "L59.11", "L59.14", "L59.15", "L59.16", "L59.17",
+        "L59.19", "L61"}
+
+
+def test_chi_tables_read_the_ring_rows():
+    """prod[u][w] is the index of χ_U·χ_W and sums[u][w] that of χ_U+χ_W,
+    in that order: read here for a χ table of arbitrary elements of a ring
+    whose multiplication and addition do not commute."""
+    y = make_table([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 2], [0, 3, 3, 3]],
+                   zero=0, unit=1,
+                   add=[[0, 1, 2, 3], [1, 2, 3, 0], [2, 0, 1, 3],
+                        [3, 3, 0, 1]])
+
+    class Shuffled(Context):
+        def chi_table(self, a=None):
+            n = len(self.ring.elements)
+            return tuple((5 * k + 3) % n for k in self.clopens)
+
+    c = Shuffled(discrete_space(2), y, mode=MULTIPLICATIVE)
+    ring, chi = c.ring, c.chi_table()
+    prod = checkers._body(c, checkers._prod)
+    sums = checkers._body(c, checkers._sums)
+    asym = 0
+    for u in c.clopens:
+        for w in c.clopens:
+            f, g = ring.elements[chi[u]], ring.elements[chi[w]]
+            assert ring.elements[prod[u][w]] == tuple(
+                y.mul[a][b] for a, b in zip(f, g))
+            assert ring.elements[sums[u][w]] == tuple(
+                y.add[a][b] for a, b in zip(f, g))
+            asym += prod[u][w] != prod[w][u] and sums[u][w] != sums[w][u]
+    assert asym > 0

@@ -976,6 +976,30 @@ def test_a_second_call_returns_the_kept_lattice(monkeypatch):
         (BudgetExceeded, kept.args, ideals.PRINCIPAL_TABLE_CAP, 2 ** 13)}
 
 
+def test_a_kept_product_lattice_is_read_before_its_factor(monkeypatch):
+    """A ring-mode ``ideal_lattice`` call whose budget admits the kept
+    product lattice returns it without reading Y's own lattice; a smaller
+    budget still reads the factor and then the pass under that budget."""
+    ring = FunctionRing(discrete_space(2), make_zmod(6))
+    products = ideal_lattice(ring, RIGHT, RING)
+    assert len(products.ideals) == 4 ** 2
+    calls, build = [], ideals.enumerated_lattice
+
+    def counted(ring, side, mode, budget):
+        calls.append((len(ring.classes), mode, budget))
+        return build(ring, side, mode, budget)
+    monkeypatch.setattr(ideals, "enumerated_lattice", counted)
+    for budget in (100_000, 16):
+        assert ideal_lattice(ring, RIGHT, RING, budget) is products
+    assert calls == []
+    cut = ideal_lattice(ring, RIGHT, RING, 15)
+    assert calls == [(1, RING, 15), (2, RING, 15)]
+    assert not cut.complete and len(cut.ideals) == 16
+    calls.clear()
+    ideal_lattice(ring, RIGHT, MULTIPLICATIVE)
+    assert calls == [(2, MULTIPLICATIVE, 100_000)]
+
+
 def test_a_refused_lattice_is_built_and_checked_again(monkeypatch):
     """Under a cap that keeps nothing, every call builds its lattice again
     and runs the subset scan of its ring again (once for a pass, once for
