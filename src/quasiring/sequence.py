@@ -155,11 +155,6 @@ class SequenceRing:
                     return False, (f, g)
         return True, None
 
-    def exists_fn_vanishing_only_at_inf(self) -> bool:
-        """Whether some element has zero set exactly {∞}.  Structurally no:
-        vanishing at ∞ forces a zero tail, hence cofinitely many zeros."""
-        return False
-
 
 # -- discretization comparison ---------------------------------------------
 

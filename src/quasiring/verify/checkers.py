@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Callable
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from ..errors import (
@@ -392,19 +394,14 @@ def _chi_pairs(ctx) -> list:
 @_checker("T18", "unit_addition_closed")
 def _t18(ctx):  # I1 prime ⊆ I2 proper: same characteristic-function content
     cols, proper = _body(ctx, _chi_columns), _body(ctx, _proper_positions)
-    chi, lattice = ctx.chi_table(), ctx.lattice
     for k in members(_body(ctx, _prime_positions)):
-        i1 = lattice.ideals[k]
-        # the proper ideals above I1 that hold a χ_U I1 lacks
-        lacks = 0
-        for u in ctx.clopens:
-            if not i1.bits >> chi[u] & 1:
-                lacks |= cols[u]
-        i2 = _first(ctx, _above(ctx, i1.bits) & proper & lacks)
-        if i2 is not None:
-            for u in ctx.clopens:
-                if (i1.bits ^ i2.bits) >> chi[u] & 1:
-                    return {"I1": i1, "I2": i2, "U": ctx.points(u)}
+        i1 = ctx.lattice.ideals[k]
+        # per U, the ideals holding χ_U if I1 lacks it
+        lacks = [0 if c >> k & 1 else c for c in cols]
+        if found := _first_rule(ctx, lambda: lacks,
+                                _above(ctx, i1.bits) & proper):
+            i2, u = found
+            return {"I1": i1, "I2": i2, "U": ctx.points(u)}
     return None
 
 
@@ -423,20 +420,16 @@ def _t19(ctx):  # prime with nonempty zero set pins a unique point
 
 @_checker("T20", "unit_addition_closed")
 def _t20(ctx):  # prime below a proper ideal: exactly one of each chi pair
-    cols, chi = _body(ctx, _chi_columns), ctx.chi_table()
-    every = ctx.all_classes
-    # the proper ideals holding both or neither of some χ pair
-    same = 0
-    for u in ctx.clopens:
-        same |= ~(cols[u] ^ cols[every ^ u])
-    same &= _body(ctx, _proper_positions)
+    cols, every = _body(ctx, _chi_columns), ctx.all_classes
+    # per U, the ideals holding both or neither of χ_U and χ_{Z−U}
+    same = [~(cols[u] ^ cols[every ^ u]) for u in ctx.clopens]
+    proper = _body(ctx, _proper_positions)
     for k in members(_body(ctx, _prime_positions)):
         j = ctx.lattice.ideals[k]
-        i = _first(ctx, _above(ctx, j.bits) & same & ~(1 << k))
-        if i is not None:
-            for u in ctx.clopens:
-                if (i.bits >> chi[u] & 1) == (i.bits >> chi[every ^ u] & 1):
-                    return {"J": j, "I": i, "U": ctx.points(u)}
+        if found := _first_rule(ctx, lambda: same,
+                                _above(ctx, j.bits) & proper & ~(1 << k)):
+            i, u = found
+            return {"J": j, "I": i, "U": ctx.points(u)}
     return None
 
 
@@ -478,25 +471,12 @@ def _t21(ctx):  # chi set closed under ·; char-two ring: isomorphic to C(Z,Z2)
 
 @_checker("T22", "unit", "primes")
 def _t22(ctx):  # for prime I, the chi content of I is a prime ideal of chi
-    absorb, split = _body(ctx, _content_marks)
-    i = _first(ctx, (absorb | split) & _body(ctx, _prime_positions))
-    if i is None:
-        return None
-    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
-    order = _body(ctx, _by_index)
-    inside = i.bits & bitset(chi)              # the χ content of I
-    xi = [w for w in order if inside >> chi[w] & 1]
-    for u in order:
-        for w in xi:
-            if not inside >> prod[u][w] & 1:
-                return {"I": i, "f": el[chi[u]], "g": el[chi[w]],
-                        "absorb": False}
-    for u in order:
-        for w in order:
-            if (inside >> prod[u][w] & 1 and not inside >> chi[u] & 1
-                    and not inside >> chi[w] & 1):
-                return {"I": i, "f": el[chi[u]], "g": el[chi[w]],
-                        "prime": False}
+    absorb, split = _body(ctx, _content_columns)
+    if found := _first_rule(ctx, lambda: itertools.chain(absorb, split),
+                            _body(ctx, _prime_positions)):
+        i, n = found
+        law = "absorb" if n < len(absorb) else "prime"
+        return {"I": i, **_chi_pair(ctx, n % len(absorb)), law: False}
     return None
 
 
@@ -620,19 +600,17 @@ def _escape(ctx, cols):
     proper ideals I, their members f ascending and cols, a list of (U's
     class mask, a, χ_U index, χ_{Z−U} index); U is returned as its points,
     and None when there is none."""
-    ring = ctx.ring
-    proper = ctx.lattice.proper
-    flat = [c for _, _, x, y in cols for c in (x, y)]
-    # per element f, its products with every χ in cols, as one bitset
-    products = [bitset(map(ring.row("mul", f).__getitem__, flat))
-                for f in range(len(ring.elements))]
-    for i in proper:
-        for f in members(i.bits):
-            if products[f] & ~i.bits:
-                row = ring.row("mul", f)
-                for u, a, x, y in cols:
-                    if not (i.bits >> row[x] & 1 and i.bits >> row[y] & 1):
-                        return i, ring.elements[f], ctx.points(u), a
+    ring, held = ctx.ring, ctx.lattice.held
+
+    def rules():            # per f, then per entry of cols
+        for f in range(len(ring.elements)):
+            inside, row = held[f], ring.row("mul", f)
+            for _, _, x, y in cols:
+                yield inside & ~(held[row[x]] & held[row[y]])
+    if found := _first_rule(ctx, rules, _body(ctx, _proper_positions)):
+        i, n = found
+        f, k = divmod(n, len(cols))
+        return i, ring.elements[f], ctx.points(cols[k][0]), cols[k][1]
     return None
 
 
@@ -658,18 +636,21 @@ def _t36(ctx):  # division-ring values: maximal ideals are exactly the I(z)
 
 @_checker("T37", "distributive_addition_closed")
 def _t37(ctx):  # f outside a prime: exactly one chi slice lands inside
-    ring = ctx.ring
-    pairs = _chi_pairs(ctx)
-    for i in ctx.primes:
+    ring, held, pairs = ctx.ring, ctx.lattice.held, _chi_pairs(ctx)
+
+    def rules():            # per f and U: both slices inside, then neither
         for f in range(len(ring.elements)):
-            if i.bits >> f & 1:
-                continue
-            row = ring.row("mul", f)
-            for u, x, y in pairs:
-                a = i.bits >> row[x] & 1
-                if a == i.bits >> row[y] & 1:
-                    return {"I": i, "f": ring.elements[f], "U": ctx.points(u),
-                            "both" if a else "neither": True}
+            outside, row = ~held[f], ring.row("mul", f)
+            for _, x, y in pairs:
+                hx, hy = held[row[x]], held[row[y]]
+                yield outside & hx & hy
+                yield outside & ~(hx | hy)
+    if found := _first_rule(ctx, rules, _body(ctx, _prime_positions)):
+        i, n = found
+        f, k = divmod(n, 2 * len(pairs))
+        return {"I": i, "f": ring.elements[f],
+                "U": ctx.points(pairs[k // 2][0]),
+                "neither" if k & 1 else "both": True}
     return None
 
 
@@ -863,23 +844,19 @@ def _l33(ctx):
     # the whole ring holds every χ, so the first ideal breaking a nesting
     # rule is the first proper one
     chi = {a: ctx.chi_table(a) for a in ctx.nonzero}
-    found = _implied(ctx, [(chi[a][u], chi[a][u1], (u, u1, a))
-                           for u in ctx.clopens for u1 in ctx.clopens
-                           if _nested(u, u1) for a in ctx.nonzero])
-    if found is not None:
+    if found := _implied(ctx, [(chi[a][u], chi[a][u1], (u, u1, a))
+                               for u in ctx.clopens for u1 in ctx.clopens
+                               if _nested(u, u1) for a in ctx.nonzero]):
         i, (u, u1, a) = found
         return {"I": i, "U": ctx.points(u), "U1": ctx.points(u1), "a": a}
     held = ctx.lattice.held
     pairs = [(u, a, chi[a][u], chi[a][ctx.all_classes ^ u])
              for u in ctx.clopens for a in ctx.nonzero]
-    neither = 0
-    for _, _, x, y in pairs:
-        neither |= ~(held[x] | held[y])
-    i = _first(ctx, neither & _body(ctx, _prime_positions))
-    if i is not None:
-        for u, a, x, y in pairs:
-            if not i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": ctx.points(u), "a": a}
+    if found := _first_rule(ctx, lambda: (~(held[x] | held[y])
+                                          for _, _, x, y in pairs),
+                            _body(ctx, _prime_positions)):
+        i, n = found
+        return {"I": i, "U": ctx.points(pairs[n][0]), "a": pairs[n][1]}
     return None
 
 
@@ -1233,22 +1210,29 @@ def _l58(ctx):  # summary bundle C: the X_I laws beyond its member's
 # --------------------------------------------------------------------------
 # The characteristic-function calculus (19 numbered identities)
 # --------------------------------------------------------------------------
-# The χ_U (off-value 1) are read by class mask u, and two tables, read once
-# per context from the ring's rows and held through ``_body``, give every
-# product and sum of two of them: prod[u][w] is the index of χ_U·χ_W
-# (``_prod``) and sums[u][w] that of χ_U+χ_W (``_sums``), so no body calls
-# the ring per pair.  These bodies, and T18, T20, T21, T22, L31.C, L33, L61
-# and L67, read them.  A law quantified over the ideals is read off the
-# lattice's columns (``IdealLattice.held``, bit k for ``lattice.ideals[k]``):
-# one OR over the rules, such as held[x] & ~held[y] for "x in I forces y in
-# I" (``_implied``), marks every ideal that breaks one, and only the first
-# marked ideal, in lattice order, is scanned for its witness, which is the
-# one a scan of every ideal in lattice order finds.
+# The χ_U (off-value 1) are read by class mask u.  Two tables, kept on the
+# ring's core, give every product and sum of two of them: prod[u][w] is the
+# index of χ_U·χ_W (``_prod``) and sums[u][w] that of χ_U+χ_W (``_sums``);
+# these bodies, and T18, T20, T21, T22, L31.C, L33, L61 and L67, read them.
+# A law over the ideals is a list of rules, each read as its column: the
+# lattice positions (``IdealLattice.held``) of the ideals that break it,
+# such as held[x] & ~held[y] for "x in I forces y in I" (``_implied``).
+# ``_first_rule`` ORs a law's columns and names the first marked ideal, in
+# lattice order, and its first rule, in witness order: the witness a scan
+# of every ideal and every rule in that order finds.
 
 def _chi_op(ctx, op: str) -> list:
-    """Per class masks u and w, the index of χ_U op χ_W, op the name of a
-    ring row ("mul" or "add")."""
-    chi, row = ctx.chi_table(), ctx.ring.row
+    """Per class masks u and w, the index of χ_U op χ_W, op a ring row's
+    name ("mul" or "add"); kept on the core per op and off-value, charged
+    one entry per pair."""
+    return ctx.ring.keep(("chi_op", op, ctx.algebra.unit), _chi_op_table,
+                         ctx.ring, ctx.chi_table(), op,
+                         entries=lambda table: len(table) ** 2)
+
+
+def _chi_op_table(ring, chi, op: str) -> list:
+    """Per entries x and y of chi, the index of x op y."""
+    row = ring.row
     return [list(map(row(op, x).__getitem__, chi)) for x in chi]
 
 
@@ -1297,37 +1281,44 @@ def _proper_positions(ctx) -> int:
     return _positions(ctx, Ideal.is_proper)
 
 
+def _every_position(ctx) -> int:
+    """Every position of the lattice, as a bitset."""
+    return (1 << len(ctx.lattice.ideals)) - 1
+
+
 def _above(ctx, bits: int) -> int:
     """The positions of the ideals holding every member of the bitset."""
     held = ctx.lattice.held
-    out = (1 << len(ctx.lattice.ideals)) - 1
+    out = _every_position(ctx)
     for x in members(bits):
         out &= held[x]
     return out
 
 
-def _first(ctx, marks: int):
-    """The first ideal, in lattice order, whose position is set in marks;
-    None when none is."""
+def _first_rule(ctx, rules, within: int):
+    """(I, n): the first ideal I, in lattice order, with its position in
+    `within` and in some rule's column, and the position n of the first
+    such rule; None when there is none.  rules() yields, in witness order,
+    each rule's column: the positions of the ideals that break it, as a
+    bitset.  The columns are walked a second time only when I exists."""
+    marks = reduce(or_, rules(), 0) & within
     if not marks:
         return None
-    return ctx.lattice.ideals[(marks & -marks).bit_length() - 1]
+    low = marks & -marks
+    n = next(n for n, column in enumerate(rules()) if column & low)
+    return ctx.lattice.ideals[low.bit_length() - 1], n
 
 
 def _implied(ctx, rules):
-    """The first ideal I, in lattice order, and the first rule (x, y, key)
-    of `rules` with x in I and y not, as (I, key); None if there is none.
-    The columns mark every ideal that breaks a rule, and only the first
-    marked ideal is scanned for its rule."""
+    """The first ideal I, in lattice order, and the key of the first rule
+    (x, y, key) of `rules` with x in I and y not, as (I, key); None if there
+    is none."""
     held = ctx.lattice.held
-    marks = 0
-    for x, y, _ in rules:
-        marks |= held[x] & ~held[y]
-    i = _first(ctx, marks)
-    if i is not None:
-        for x, y, key in rules:
-            if i.bits >> x & 1 and not i.bits >> y & 1:
-                return i, key
+    if found := _first_rule(ctx, lambda: (held[x] & ~held[y]
+                                          for x, y, _ in rules),
+                            _every_position(ctx)):
+        i, n = found
+        return i, rules[n][2]
     return None
 
 
@@ -1431,14 +1422,11 @@ def _l59_7(ctx):
 @_checker("L59.8", "unit")
 def _l59_8(ctx):
     cols, every = _body(ctx, _chi_columns), ctx.all_classes
-    neither = 0
-    for u in ctx.clopens:
-        neither |= ~(cols[u] | cols[every ^ u])
-    i = _first(ctx, neither & _body(ctx, _prime_positions))
-    if i is not None:
-        for u, x, y in _chi_pairs(ctx):
-            if not i.bits >> x & 1 and not i.bits >> y & 1:
-                return {"I": i, "U": ctx.points(u)}
+    if found := _first_rule(ctx, lambda: (~(cols[u] | cols[every ^ u])
+                                          for u in ctx.clopens),
+                            _body(ctx, _prime_positions)):
+        i, u = found
+        return {"I": i, "U": ctx.points(u)}
     return None
 
 
@@ -1452,35 +1440,29 @@ def _l59_9(ctx):
 
 @_checker("L59.10", "addition_closed", "unit")
 def _l59_10(ctx):
-    chi, cols = ctx.chi_table(), _body(ctx, _chi_columns)
+    cols = _body(ctx, _chi_columns)
     disjoint = [(u1, u2) for u1 in ctx.clopens for u2 in ctx.clopens
                 if not u1 & u2]
-    both = 0
-    for u1, u2 in disjoint:
-        both |= cols[u1] & cols[u2]
-    i = _first(ctx, both & _body(ctx, _prime_positions))
-    if i is not None:
-        for u1, u2 in disjoint:
-            if i.bits >> chi[u1] & 1 and i.bits >> chi[u2] & 1:
-                return {"I": i, "U1": ctx.points(u1), "U2": ctx.points(u2)}
+    if found := _first_rule(ctx, lambda: (cols[u1] & cols[u2]
+                                          for u1, u2 in disjoint),
+                            _body(ctx, _prime_positions)):
+        i, n = found
+        u1, u2 = disjoint[n]
+        return {"I": i, "U1": ctx.points(u1), "U2": ctx.points(u2)}
     return None
 
 
 @_checker("L59.11", "char_two", "addition_closed", "unit")
 def _l59_11(ctx):
-    chi, sums, held = ctx.chi_table(), _body(ctx, _sums), ctx.lattice.held
+    sums, held = _body(ctx, _sums), ctx.lattice.held
     cols = _body(ctx, _chi_columns)
-    marks = 0
-    for cu, row in zip(cols, sums):
-        for cw, s in zip(cols, row):
-            marks |= cu & cw & ~held[s]
-    i = _first(ctx, marks)
-    if i is not None:
-        inside = [u for u in ctx.clopens if i.bits >> chi[u] & 1]
-        for u in inside:
-            for w in inside:
-                if not i.bits >> sums[u][w] & 1:
-                    return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
+    if found := _first_rule(ctx, lambda: (cu & cw & ~held[s]
+                                          for cu, row in zip(cols, sums)
+                                          for cw, s in zip(cols, row)),
+                            _every_position(ctx)):
+        i, n = found
+        u, w = divmod(n, len(cols))
+        return {"I": i, "U": ctx.points(u), "W": ctx.points(w)}
     return None
 
 
@@ -1503,50 +1485,53 @@ def _l59_12(ctx):
 def _l59_13(ctx):
     if ctx.chi(0) != ctx.one or ctx.chi(ctx.all_classes) != ctx.theta:
         return {"law": "chi_empty = Id, chi_Z = theta"}
-    everywhere = (1 << len(ctx.lattice.ideals)) - 1
-    i = _first(ctx, everywhere & ~ctx.lattice.held[ctx.theta])
-    if i is not None:
-        return {"I": i}
+    if found := _first_rule(ctx, lambda: (~ctx.lattice.held[ctx.theta],),
+                            _every_position(ctx)):
+        return {"I": found[0]}
     return None
+
+
+def _chi_pair(ctx, n: int) -> dict:
+    """{"f": χ_U, "g": χ_W} as value tuples, for pair n of the grid of
+    ``_by_index`` by itself, χ_U outer."""
+    order, el, chi = _body(ctx, _by_index), ctx.ring.elements, ctx.chi_table()
+    u, w = divmod(n, len(order))
+    return {"f": el[chi[order[u]]], "g": el[chi[order[w]]]}
 
 
 def _content_closed(ctx, table):
     """The first (I, f, g) with f, g in the χ content of the ideal I and
     their entry in `table` (``_prod``: f·g, ``_sums``: f+g) outside it, as
-    a witness.  The columns mark every ideal with such a pair, and only the
-    first is scanned, f and g ascending by element index."""
-    chi, cols = ctx.chi_table(), _body(ctx, _chi_columns)
-    content = dict(zip(chi, cols))        # a χ's column; 0 for any other
-    marks = 0
-    for cu, row in zip(cols, table):
-        for cw, p in zip(cols, row):
-            marks |= cu & cw & ~content.get(p, 0)
-    i = _first(ctx, marks)
-    if i is None:
-        return None
-    el, inside = ctx.ring.elements, i.bits & bitset(chi)
-    xi = [u for u in _body(ctx, _by_index) if inside >> chi[u] & 1]
-    for u in xi:
-        row = table[u]
-        for w in xi:
-            if not inside >> row[w] & 1:
-                return {"I": i, "f": el[chi[u]], "g": el[chi[w]]}
+    a witness; f and g ascend by element index."""
+    cols, order = _body(ctx, _chi_columns), _body(ctx, _by_index)
+    content = dict(zip(ctx.chi_table(), cols)).get   # 0 for a non-χ
+
+    def rules():
+        for u in order:
+            cu, row = cols[u], table[u]
+            for w in order:
+                yield cu & cols[w] & ~content(row[w], 0)
+    if found := _first_rule(ctx, rules, _every_position(ctx)):
+        i, n = found
+        return {"I": i, **_chi_pair(ctx, n)}
     return None
 
 
-def _content_marks(ctx) -> tuple:
-    """(absorb, split) over the lattice's positions, read through
-    ``_body``: absorb marks the ideals I with some χ_U·χ_W outside I's χ
-    content and χ_W inside it, split those with some χ_U·χ_W inside it and
-    neither χ_U nor χ_W."""
+def _content_columns(ctx) -> tuple:
+    """(absorb, split), read through ``_body``: per pair (χ_U, χ_W) of the
+    grid of ``_chi_pair``, the column of the ideals I with χ_W in I's χ
+    content and χ_U·χ_W outside it (absorb), and of those with χ_U·χ_W
+    inside it and neither χ_U nor χ_W (split)."""
     prod, cols = _body(ctx, _prod), _body(ctx, _chi_columns)
-    content = dict(zip(ctx.chi_table(), cols))
-    absorb = split = 0
-    for cu, row in zip(cols, prod):
-        for cw, p in zip(cols, row):
-            c = content.get(p, 0)
-            absorb |= cw & ~c
-            split |= c & ~(cu | cw)
+    content = dict(zip(ctx.chi_table(), cols)).get   # 0 for a non-χ
+    order = _body(ctx, _by_index)
+    absorb, split = [], []
+    for u in order:
+        cu, row = cols[u], prod[u]
+        for w in order:
+            c, cw = content(row[w], 0), cols[w]
+            absorb.append(cw & ~c)
+            split.append(c & ~(cu | cw))
     return absorb, split
 
 
@@ -1557,17 +1542,14 @@ def _l59_14(ctx):
 
 @_checker("L59.15", "unit")
 def _l59_15(ctx):
-    i = _first(ctx, _body(ctx, _content_marks)[0])
-    if i is None:
-        return None
-    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
-    order = _body(ctx, _by_index)
-    inside = i.bits & bitset(chi)              # the χ content of I
-    for w in order:
-        if inside >> chi[w] & 1:
-            for u in order:
-                if not inside >> prod[u][w] & 1:
-                    return {"I": i, "f": el[chi[u]], "g": el[chi[w]]}
+    absorb = _body(ctx, _content_columns)[0]
+    m = len(ctx.clopens)
+    # χ_W outer: the grid's columns one after another
+    if found := _first_rule(ctx, lambda: itertools.chain.from_iterable(
+            absorb[w::m] for w in range(m)), _every_position(ctx)):
+        i, n = found
+        w, u = divmod(n, m)
+        return {"I": i, **_chi_pair(ctx, u * m + w)}
     return None
 
 
@@ -1578,17 +1560,10 @@ def _l59_16(ctx):
 
 @_checker("L59.17", "unit", "primes")
 def _l59_17(ctx):
-    split = _body(ctx, _content_marks)[1]
-    i = _first(ctx, split & _body(ctx, _prime_positions))
-    if i is None:
-        return None
-    el, chi, prod = ctx.ring.elements, ctx.chi_table(), _body(ctx, _prod)
-    inside = i.bits & bitset(chi)              # the χ content of I
-    out = [u for u in _body(ctx, _by_index) if not inside >> chi[u] & 1]
-    for u in out:
-        for w in out:
-            if inside >> prod[u][w] & 1:
-                return {"I": i, "f": el[chi[u]], "g": el[chi[w]]}
+    split = _body(ctx, _content_columns)[1]
+    if found := _first_rule(ctx, lambda: split, _body(ctx, _prime_positions)):
+        i, n = found
+        return {"I": i, **_chi_pair(ctx, n)}
     return None
 
 
@@ -1604,14 +1579,12 @@ def _l59_18(ctx):
 def _l59_19(ctx):
     prod, sums, held = _body(ctx, _prod), _body(ctx, _sums), ctx.lattice.held
     disjoint = [(v, u) for v in ctx.clopens for u in ctx.clopens if not v & u]
-    both = 0
-    for v, u in disjoint:
-        both |= held[prod[v][u]] & held[sums[v][u]]
-    i = _first(ctx, both & _body(ctx, _prime_positions))
-    if i is not None:
-        for v, u in disjoint:
-            if i.bits >> prod[v][u] & 1 and i.bits >> sums[v][u] & 1:
-                return {"I": i, "V": ctx.points(v), "U": ctx.points(u)}
+    if found := _first_rule(ctx, lambda: (held[prod[v][u]] & held[sums[v][u]]
+                                          for v, u in disjoint),
+                            _body(ctx, _prime_positions)):
+        i, n = found
+        v, u = disjoint[n]
+        return {"I": i, "V": ctx.points(v), "U": ctx.points(u)}
     return None
 
 
@@ -1800,28 +1773,22 @@ def _l74(ctx):  # prime avoidance against the point ideals
 
 @_checker("L75", "ring_mode", "unit", "unit_right_law")
 def _l75(ctx):  # both chi slices in I force f in I
-    """Read off the lattice's columns (``IdealLattice.held``): bit k of
-    ``bad`` marks an ideal that holds f·χ_U and f·χ_{Z−U} but not f, for
-    some f and U.  Only the first marked ideal is searched for the witness,
-    which is the one a search of every ideal in lattice order finds."""
-    ring, lattice = ctx.ring, ctx.lattice
-    held, pairs = lattice.held, _chi_pairs(ctx)
-    bad = 0
-    for f in range(len(ring.elements)):
-        row, both = ring.row("mul", f), 0
-        for _, x, y in pairs:
-            both |= held[row[x]] & held[row[y]]
-        bad |= both & ~held[f]
-    if not bad:
-        return None
-    i = lattice.ideals[(bad & -bad).bit_length() - 1]
-    for f in range(len(ring.elements)):
-        if i.bits >> f & 1:
-            continue
-        row = ring.row("mul", f)
-        for u, x, y in pairs:
-            if i.bits >> row[x] & 1 and i.bits >> row[y] & 1:
-                return {"I": i, "f": ring.elements[f], "U": ctx.points(u)}
+    """One rule per f and U, read off the lattice's columns
+    (``IdealLattice.held``): the ideals that hold f·χ_U and f·χ_{Z−U} but
+    not f.  ``_first_rule`` names the first ideal, in lattice order, and
+    its first rule, f ascending, which is the witness a search of every
+    ideal in lattice order finds."""
+    ring, held, pairs = ctx.ring, ctx.lattice.held, _chi_pairs(ctx)
+
+    def rules():
+        for f in range(len(ring.elements)):
+            outside, row = ~held[f], ring.row("mul", f)
+            for _, x, y in pairs:
+                yield outside & held[row[x]] & held[row[y]]
+    if found := _first_rule(ctx, rules, _every_position(ctx)):
+        i, n = found
+        f, k = divmod(n, len(pairs))
+        return {"I": i, "f": ring.elements[f], "U": ctx.points(pairs[k][0])}
     return None
 
 

@@ -11,13 +11,14 @@ over the same Y and the same number of quasi-components reads, and
 classification and families.
 
 The checkers keep what they derive per context in ``memo`` (through
-``checkers._body``).  Among it are the two χ tables of the
-characteristic-function calculus, read once from the ring's rows: per pair
-of class masks u and w, the index of χ_U·χ_W (``checkers._prod``) and of
-χ_U+χ_W (``checkers._sums``).  A law quantified over the ideals is read off
-the lattice's columns (``IdealLattice.held``): one OR over the law's rules,
-such as held[x] & ~held[y] for "x in I forces y in I", marks every ideal
-that breaks it, and only the first marked ideal is scanned for the witness.
+``checkers._body``).  The two χ tables of the characteristic-function
+calculus (``checkers._prod`` and ``checkers._sums``: per pair of class
+masks u and w, the index of χ_U·χ_W and of χ_U+χ_W) depend on the ring
+alone, so the core keeps them.  A law quantified over the ideals is a list
+of rules, each read off the lattice's columns (``IdealLattice.held``) as
+the ideals that break it.  One evaluator, ``checkers._first_rule``, ORs a
+law's columns and walks them again, only when some ideal is marked, to
+name the first marked ideal and its first rule: the witness.
 """
 
 from __future__ import annotations
@@ -216,11 +217,6 @@ class Context:
             if bits & ~by_value[b] == 0:
                 out |= 1 << c
         return out
-
-    def equiv(self, bits: int, x: int) -> int:
-        """[x]_J as a class mask: the classes on which every member of the
-        bitset J takes its value at x."""
-        return self.alike(bits)[self.ring.class_of[x]]
 
     def alike(self, bits: int) -> list:
         """Per class c, [c]_J as a class mask: two classes are alike when

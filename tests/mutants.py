@@ -64,6 +64,8 @@ SPAN = f"{IDEALS}::test_span_is_the_additive_closure"
 PLANTED = "tests/test_planted_reports.py::test_planted_reports_match_the_golden"
 ONCE = "tests/test_checkers.py::test_bodies_run_once_per_context"
 CHI_TABLES = "tests/test_checkers.py::test_chi_tables_read_the_ring_rows"
+CHI_KEEP = ("tests/test_context.py::"
+            "test_contexts_over_one_core_read_one_build_of_each_chi_table")
 ORACLE_PLANTED = ("tests/test_checkers.py::"
                   "test_bodies_match_their_references_on_the_planted_contexts")
 ONE_SIDED_UNIT = ("tests/test_checkers.py::"
@@ -492,17 +494,40 @@ MUTANTS = [
            "        memo[_run] = body(ctx)\n"
            "    return memo[_run]\n",
            (ONCE, PLANTED)),
-    Mutant("implied-marks-ideals-that-hold-y", "verify/checkers.py",
-           "marks |= held[x] & ~held[y]", "marks |= held[x]",
-           (PLANTED, ORACLE_PLANTED)),
     Mutant("chi-tables-transposed", "verify/checkers.py",
            "return [list(map(row(op, x).__getitem__, chi)) for x in chi]",
            "return [[row(op, y)[x] for y in chi] for x in chi]",
            (CHI_TABLES,)),
-    Mutant("content-pre-check-skips-w", "verify/checkers.py",
-           "marks |= cu & cw & ~content.get(p, 0)",
-           "marks |= cu & ~content.get(p, 0)",
+    Mutant("chi-op-key-without-the-op", "verify/checkers.py",
+           '("chi_op", op, ctx.algebra.unit)', '("chi_op", ctx.algebra.unit)',
+           (CHI_KEEP,)),
+
+    # -- the evaluator of the laws read off the lattice's columns ----------
+    Mutant("evaluator-takes-the-highest-marked-position", "verify/checkers.py",
+           "low = marks & -marks", "low = 1 << marks.bit_length() - 1",
+           (ORACLE_PLANTED,)),
+    Mutant("evaluator-ignores-within", "verify/checkers.py",
+           "marks = reduce(or_, rules(), 0) & within",
+           "marks = reduce(or_, rules(), 0)",
+           (GREEN, ORACLE_PLANTED)),
+    Mutant("evaluator-returns-the-last-rule", "verify/checkers.py",
+           "n = next(n for n, column in enumerate(rules()) if column & low)",
+           "n = [n for n, column in enumerate(rules()) if column & low][-1]",
+           (ORACLE_PLANTED,)),
+    Mutant("implied-drops-the-y-column", "verify/checkers.py",
+           "lambda: (held[x] & ~held[y]\n", "lambda: (held[x]\n",
            (PLANTED, ORACLE_PLANTED)),
+    Mutant("l75-drops-the-f-column", "verify/checkers.py",
+           "yield outside & held[row[x]] & held[row[y]]",
+           "yield held[row[x]] & held[row[y]]",
+           (GREEN,)),
+    Mutant("escape-drops-the-f-column", "verify/checkers.py",
+           "yield inside & ~(held[row[x]] & held[row[y]])",
+           "yield ~(held[row[x]] & held[row[y]])",
+           (GREEN,)),
+    Mutant("t37-drops-the-f-column", "verify/checkers.py",
+           "yield outside & hx & hy", "yield hx & hy",
+           (GREEN,)),
     Mutant("l73-mask-union-by-and", "verify/checkers.py",
            "union |= masks[a]", "union &= masks[a]",
            (GREEN,)),
@@ -538,9 +563,6 @@ MUTANTS = [
     Mutant("l75-drops-its-unit-law", "verify/checkers.py",
            '"unit", "unit_right_law")', '"unit")',
            (ONE_SIDED_UNIT,)),
-    Mutant("l75-marks-ideals-that-hold-f", "verify/checkers.py",
-           "bad |= both & ~held[f]", "bad |= both",
-           (PLANTED,)),
     Mutant("unit-on-side-reads-the-opposite-law", "verify/checkers.py",
            "or ctx.algebra.unit_side in (ctx.side, TWO_SIDED)),",
            "or ctx.algebra.unit_side not in (ctx.side,)),",

@@ -162,7 +162,6 @@ def test_criterion_07_sequence_space_behaviors():
         ideal = ring.vanishing_I([INF])
         for f in ring.generate(4):
             assert ideal.member(f) == (f.tail == 0)
-        assert not ring.exists_fn_vanishing_only_at_inf()
         only_inf = SeqSet(frozenset(), False, True)
         assert all(ring.zero_set(f) != only_inf for f in ring.generate(5))
         inter = SeqSet.full()

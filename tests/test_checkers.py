@@ -50,7 +50,7 @@ from quasiring.ideals import (
 from quasiring.sets import SeqSet
 from quasiring.topology import quasi_component
 
-from test_context import PlantedContext
+from test_context import PLANTED, PlantedContext
 from test_planted_reports import CONTEXTS as PLANTED_CONTEXTS
 
 
@@ -453,7 +453,8 @@ def _content_closed(c, op):
 
 def _ref_t5(c):
     for x in c.space.points:
-        if c.points(c.equiv(c.whole, x)) != quasi_component(c.space, x):
+        if (c.points(c.alike(c.whole)[c.ring.class_of[x]])
+                != quasi_component(c.space, x)):
             return {"x": x}
     return None
 
@@ -705,6 +706,68 @@ def _ref_l61(c):
     return None
 
 
+def _escape(c, cols):
+    proper = c.lattice.proper
+    flat = [z for _, _, x, y in cols for z in (x, y)]
+    products = [bitset(map(c.ring.row("mul", f).__getitem__, flat))
+                for f in range(len(c.ring.elements))]
+    for i in proper:
+        for f in members(i.bits):
+            if products[f] & ~i.bits:
+                row = c.ring.row("mul", f)
+                for u, a, x, y in cols:
+                    if not (i.bits >> row[x] & 1 and i.bits >> row[y] & 1):
+                        return i, c.ring.elements[f], c.points(u), a
+    return None
+
+
+def _ref_l34(c):
+    out = _escape(c, [(u, a, c.chi(u, a), c.chi(c.all_classes ^ u, a))
+                      for u in c.clopens for a in c.nonzero])
+    if out is not None:
+        return {"I": out[0], "f": out[1], "U": out[2], "a": out[3]}
+    return None
+
+
+def _ref_t35(c):
+    out = _escape(c, [(u, None, x, y) for u, x, y in _pairs(c)])
+    if out is not None:
+        return {"I": out[0], "f": out[1], "U": out[2]}
+    return None
+
+
+def _ref_t37(c):
+    ring, pairs = c.ring, _pairs(c)
+    for i in c.primes:
+        for f in range(len(ring.elements)):
+            if i.bits >> f & 1:
+                continue
+            row = ring.row("mul", f)
+            for u, x, y in pairs:
+                a = i.bits >> row[x] & 1
+                if a == i.bits >> row[y] & 1:
+                    return {"I": i, "f": ring.elements[f], "U": c.points(u),
+                            "both" if a else "neither": True}
+    return None
+
+
+def _ref_l75(c):
+    ring = c.ring
+    # per f, each distinct (f·χ_U, f·χ_{Z−U}) with the first U giving it
+    slices = []
+    for f in range(len(ring.elements)):
+        row, first = ring.row("mul", f), {}
+        for u, x, y in _pairs(c):
+            first.setdefault((row[x], row[y]), u)
+        slices.append([(a, b, u) for (a, b), u in first.items()])
+    for i in c.lattice.ideals:
+        for f in members(c.whole & ~i.bits):
+            for a, b, u in slices[f]:
+                if i.bits >> a & 1 and i.bits >> b & 1:
+                    return {"I": i, "f": ring.elements[f], "U": c.points(u)}
+    return None
+
+
 def _ref_l67(c):
     chi, every = c.chi_table(), c.all_classes
     for u, w, _, _ in _grid(c):
@@ -755,7 +818,8 @@ REFERENCE = {
     "L59.18": lambda c: _implied(c, [(u, w, x, y) for u, w, x, y in _grid(c)
                                      if _add(c, x, y) == c.theta]),
     "L59.19": _ref_l59_19, "L61": _ref_l61, "L67": _ref_l67,
-    "L73": _ref_l73, "L31.C": _ref_l31_c,
+    "L73": _ref_l73, "L31.C": _ref_l31_c, "L34": _ref_l34, "T35": _ref_t35,
+    "T37": _ref_t37, "L75": _ref_l75,
 }
 
 
@@ -800,17 +864,30 @@ def test_bodies_match_their_references_on_the_default_campaign():
     assert contexts == 900 and ran == set(REFERENCE)
 
 
+class TwicePlantedContext(PlantedContext):
+    """PlantedContext with a second planted set, every element but
+    (0, 1, 0), which lies above PLANTED in lattice order: a body that took
+    the last ideal breaking a law, not the first, would name it."""
+
+    planted = (PLANTED, tuple(f for f in itertools.product((0, 1), repeat=3)
+                              if f != (0, 1, 0)))
+
+
 def test_bodies_match_their_references_on_the_planted_contexts():
     """On the planted contexts, whose lattices or families hold a set that
     no ideal is, the bodies give their reference's witness, FAIL or PASS."""
     failed = set()
-    for name, make in [("planted", PlantedContext), *PLANTED_CONTEXTS.items()]:
+    for name, make in [("planted", PlantedContext),
+                       ("planted twice", TwicePlantedContext),
+                       *PLANTED_CONTEXTS.items()]:
         compared = _matches_the_reference(make())
         failed |= {(name, cid) for cid, got in compared.items()
                    if isinstance(got, dict)}
     assert {cid for _, cid in failed} >= {
         "L59.2", "L59.9", "L59.11", "L59.14", "L59.15", "L59.16", "L59.17",
-        "L59.19", "L61"}
+        "L59.19", "L61", "L34", "T35", "L75"}
+    assert {cid for name, cid in failed if name == "planted twice"} >= {
+        "L33", "L59.2", "L59.9", "L59.11", "L59.14", "L59.15", "L59.16"}
 
 
 def test_chi_tables_read_the_ring_rows():

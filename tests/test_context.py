@@ -36,6 +36,8 @@ from quasiring.verify import (
     BUDGET_EXCEEDED,
     FAIL,
     GREEN_SUITE,
+    PASS,
+    checkers,
     run_checker,
 )
 from quasiring.verify.checkers import Context
@@ -185,12 +187,13 @@ def test_zero_sets_and_equivalence_classes_match_the_definition():
                 for f in members:
                     want &= ring.zero_set(f, b)
                 assert ctx.points(ctx.zero_locus(fam, b)) == want
+            alike = ctx.alike(fam)
             for x in ring.space.points:
                 want = frozenset(
                     y for y in ring.space.points
                     if all(f[ring.class_of[y]] == f[ring.class_of[x]]
                            for f in members))
-                assert ctx.points(ctx.equiv(fam, x)) == want
+                assert ctx.points(alike[ring.class_of[x]]) == want
 
 
 def test_principal_bitsets_are_the_least_ideals():
@@ -229,7 +232,10 @@ PLANTED = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
 
 class PlantedContext(Context):
-    """The ring-mode lattice of C(discrete 3, Z_2) plus the PLANTED set."""
+    """The ring-mode lattice of C(discrete 3, Z_2) plus each set of
+    ``planted``: the PLANTED set here."""
+
+    planted = (PLANTED,)
 
     def __init__(self):
         super().__init__(discrete_space(3), make_zmod(2), RIGHT, RING)
@@ -237,10 +243,10 @@ class PlantedContext(Context):
     @cached_property
     def lattice(self):
         ring = self.ring
-        planted = sum(1 << ring.index(f) for f in PLANTED)
+        planted = {sum(1 << ring.index(f) for f in s) for s in self.planted}
         bits = {i.bits for i in ideal_lattice(ring, RIGHT, RING).ideals}
-        assert planted not in bits
-        order = sorted(bits | {planted}, key=lambda b: (b.bit_count(), b))
+        assert not planted & bits
+        order = sorted(bits | planted, key=lambda b: (b.bit_count(), b))
         return classify_primes(IdealLattice(
             ring, tuple(Ideal(ring, b, RIGHT, RING) for b in order),
             RIGHT, RING))
@@ -417,11 +423,13 @@ def _charge(key, value, n: int, q: int) -> int:
     for a whole Cayley table, one per 32 bits for the bitsets of a
     principal table, a lattice of the pass or of the products (none for a
     failed pass) or the zero-mask indicator, one per digit of each decoded
-    value tuple, and one per entry for a row, the zero classes or a χ
-    table."""
+    value tuple, 4^q for a product or sum table of the χ's, and one per
+    entry for a row, the zero classes or a χ table."""
     words = -(-n // 32)
     if key in ("mul", "mul_t", "add", "add_t"):
         return n * n
+    if key[0] == "chi_op":
+        return 4 ** q
     if key == "zero_indicator":
         return -(-value.bit_length() // 32)
     if key == "decoded":
@@ -514,6 +522,48 @@ def test_a_refusing_cap_costs_one_build_per_context(monkeypatch):
     assert c.ring._core.kept == {}
     assert len(lattices) == 1
     assert sum(r.verdict == BUDGET_EXCEEDED for r in reports) > 1
+
+
+def test_contexts_over_one_core_read_one_build_of_each_chi_table(
+        monkeypatch):
+    """Discrete 3 and Sierpiński + discrete 2 over Z_2 share a core: the
+    first context to run L59 builds the product and sum tables of the χ's,
+    which the core keeps at 4^q entries each, and the second reads them.
+    Under a cap that keeps nothing, each context builds each table once,
+    equal to the kept one."""
+    builds = []
+    build = checkers._chi_op_table
+
+    def counted(ring, chi, op):
+        builds.append(op)
+        return build(ring, chi, op)
+    monkeypatch.setattr(checkers, "_chi_op_table", counted)
+    spaces = [discrete_space(3),
+              disjoint_union(sierpinski_space(), discrete_space(2))]
+
+    def tables():
+        out = []
+        for space in spaces:
+            c = Context(space, make_zmod(2), RIGHT, RING)
+            assert run_checker("L59", c).verdict == PASS
+            assert run_checker("T22", c).verdict == PASS
+            out.append((checkers._body(c, checkers._prod),
+                        checkers._body(c, checkers._sums)))
+        return c.ring._core, out
+
+    core, kept = tables()
+    assert builds == ["mul", "add"]
+    assert kept[0][0] is kept[1][0] and kept[0][1] is kept[1][1]
+    assert core.kept[("chi_op", "mul", 1)] is kept[0][0]
+    assert core.kept[("chi_op", "add", 1)] is kept[0][1]
+    assert core.entries == sum(_charge(k, v, 8, 3)
+                               for k, v in core.kept.items())
+    builds.clear()
+    monkeypatch.setattr(funcspace, "ROW_CACHE_ENTRIES", 0)
+    monkeypatch.setattr(funcspace, "CORES", funcspace.CoreCache())
+    core, rebuilt = tables()
+    assert builds == ["mul", "add"] * 2 and core.kept == {}
+    assert rebuilt == kept
 
 
 def test_a_planted_lattice_stays_out_of_the_shared_store():

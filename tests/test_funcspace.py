@@ -124,8 +124,9 @@ def test_vanishing_elements_counts():
 
 def test_equiv_class_separation():
     ctx = Context(discrete_space(2), make_zmod(2))
-    assert ctx.points(ctx.equiv(ctx.whole, 0)) == frozenset({0})
-    assert ctx.points(ctx.equiv(1 << ctx.theta, 0)) == ctx.space.full
+    of = ctx.ring.class_of
+    assert ctx.points(ctx.alike(ctx.whole)[of[0]]) == frozenset({0})
+    assert ctx.points(ctx.alike(1 << ctx.theta)[of[0]]) == ctx.space.full
 
 
 def test_the_quotient_ring_has_the_same_indices():

@@ -48,7 +48,6 @@ def test_vanishing_at_inf_iff_eventually_zero(ring):
 
 
 def test_no_function_vanishes_only_at_inf(ring):
-    assert not ring.exists_fn_vanishing_only_at_inf()
     only_inf = SeqSet(frozenset(), False, True)
     assert all(ring.zero_set(f) != only_inf for f in ring.generate(5))
 
